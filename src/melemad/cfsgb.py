@@ -2,9 +2,11 @@
 
 The dataset is cut into overlapping row chunks, a GBDT is trained per chunk,
 features whose normalized importance clears the threshold in any chunk are
-kept, and the union defines the projected dataset. Per-chunk work is pure and
-may run in parallel; results are reduced in chunk order, so the output is
-identical for any thread count.
+kept, and the union defines the projected dataset. The threshold is either a
+fixed tau or derived from a top-k target; both select from the same single
+training pass over the chunks. Per-chunk work is pure and may run in
+parallel; results are reduced in chunk order, so the output is identical for
+any thread count.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -132,14 +134,6 @@ def threshold_select(importances: np.ndarray, tau: float) -> np.ndarray:
     return np.flatnonzero((imp >= tau) & (imp > 0))
 
 
-def select_chunk_features(
-    chunk_ds: LabeledDataset, cfg: gbdt.GbdtConfig, tau: float
-) -> tuple[np.ndarray, np.ndarray]:
-    model = gbdt.train(chunk_ds, cfg)
-    importances = gbdt.feature_importance(model)
-    return threshold_select(importances, tau), importances
-
-
 def aggregate(per_chunk: list[np.ndarray]) -> np.ndarray:
     if not per_chunk:
         return np.array([], dtype=np.int64)
@@ -160,8 +154,7 @@ def _chunk_importances(
 ) -> list[np.ndarray]:
     def one(chunk: Chunk) -> np.ndarray:
         chunk_ds = ds.select_rows(np.arange(chunk.start, chunk.stop))
-        chunk_cfg = replace(cfg, seed=cfg.seed + chunk.index)
-        model = gbdt.train(chunk_ds, chunk_cfg)
+        model = gbdt.train(chunk_ds, cfg)
         return gbdt.feature_importance(model)
 
     if threads > 1:
@@ -174,10 +167,19 @@ def run_cfsgb(
     ds: LabeledDataset,
     spec: ChunkSpec,
     cfg: gbdt.GbdtConfig,
-    tau: float,
+    tau: float | None = None,
     threads: int = 1,
+    top_k: int | None = None,
 ) -> tuple[SelectedFeatureSet, LabeledDataset, CfsgbReport]:
-    """Full selection pass: chunk, score, threshold, union, project."""
+    """Full selection pass: chunk, score, threshold, union, project.
+
+    Each chunk is trained once. With top_k set, tau is taken from those same
+    importances by threshold_for_top_k, and any tau given is ignored.
+    """
+    if top_k is None and tau is None:
+        raise ValidationError("selection needs either tau or top_k")
+    if top_k is not None and not 1 <= top_k <= ds.m:
+        raise ValidationError(f"top_k must be in [1, {ds.m}]")
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     chunks = make_chunks(ds.n, spec)
@@ -188,6 +190,8 @@ def run_cfsgb(
     timings["training"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    if top_k is not None:
+        tau = threshold_for_top_k(importances, top_k)
     per_chunk = []
     for chunk, imp in zip(chunks, importances):
         idx = threshold_select(imp, tau)
@@ -212,25 +216,18 @@ def run_cfsgb(
     return selected, projected, report
 
 
-def threshold_for_top_k(
-    ds: LabeledDataset,
-    spec: ChunkSpec,
-    cfg: gbdt.GbdtConfig,
-    k_features: int,
-    threads: int = 1,
-) -> float:
-    """Largest tau keeping at least k_features in the union.
+def threshold_for_top_k(importances: list[np.ndarray], k_features: int) -> float:
+    """Largest tau keeping at least k_features in the union of the per-chunk
+    selections made from these importances.
 
     A feature joins the union if any chunk clears tau, so the governing
     statistic is its maximum importance across chunks; tau is the k-th
     largest of those maxima. If fewer than k_features ever split, falls back
     to the smallest positive maximum (selecting everything selectable).
     """
-    if not 1 <= k_features <= ds.m:
-        raise ValidationError(f"k_features must be in [1, {ds.m}]")
-    chunks = make_chunks(ds.n, spec)
-    importances = _chunk_importances(ds, chunks, cfg, threads)
     stat = np.max(np.stack(importances), axis=0)
+    if not 1 <= k_features <= stat.shape[0]:
+        raise ValidationError(f"k_features must be in [1, {stat.shape[0]}]")
     ranked = np.sort(stat)[::-1]
     value = ranked[k_features - 1]
     if value > 0:

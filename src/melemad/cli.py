@@ -124,21 +124,19 @@ def _out_dir(args: argparse.Namespace, cfg: dict) -> Path:
     return path
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def _atomic_save(path: Path, saver) -> None:
-    """Run saver(tmp_path) then rename over the target."""
-    tmp = path.with_name(path.name + ".tmp")
-    saver(tmp)
-    os.replace(tmp, path)
+    """Run saver(tmp_path) then rename over the target.
+
+    The temp file sits next to the target under a per-process name, and is
+    removed if the saver or the rename fails.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        saver(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_dataset(path: str, label_column: str = "label") -> dataset.LabeledDataset:
@@ -155,14 +153,13 @@ def _chunk_spec(cfg: dict) -> cfsgb.ChunkSpec:
     return cfsgb.ChunkSpec(p=section["p"], q=section["q"], explicit_k=section["k"])
 
 
-def _gbdt_config(cfg: dict, seed: int) -> gbdt.GbdtConfig:
+def _gbdt_config(cfg: dict) -> gbdt.GbdtConfig:
     section = cfg["gbdt"]
     return gbdt.GbdtConfig(
         n_trees=section["n_trees"],
         max_depth=section["max_depth"],
         learning_rate=section["learning_rate"],
         min_samples_leaf=section["min_samples_leaf"],
-        seed=seed,
     )
 
 
@@ -209,51 +206,46 @@ def cmd_synth(args: argparse.Namespace) -> int:
     else:
         _atomic_save(out / "synthetic.bin", lambda p: dataset.save_binary(ds, p))
         data_path = out / "synthetic.bin"
-    _atomic_write_text(
-        out / "informative.json",
-        json.dumps({"informative_indices": [int(i) for i in informative]}, sort_keys=True)
-        + "\n",
-    )
+    truth = json.dumps({"informative_indices": [int(i) for i in informative]}, sort_keys=True)
+    _atomic_save(out / "informative.json", lambda p: p.write_text(truth + "\n", encoding="utf-8"))
     print(f"wrote {data_path} ({ds.n} rows, {ds.m} features) and informative.json")
     return 0
 
 
 def cmd_select(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    seed = cfg["seed"]
     chunk_spec = _chunk_spec(cfg)
-    gbdt_cfg = _gbdt_config(cfg, derive_seed(seed, "select"))
+    gbdt_cfg = _gbdt_config(cfg)
     ds = _load_dataset(args.input, args.label_column)
 
-    tau = cfg["selection"]["tau"]
-    top_k = cfg["selection"]["top_k"]
-    if top_k is not None:
-        tau = cfsgb.threshold_for_top_k(ds, chunk_spec, gbdt_cfg, top_k, threads=args.threads)
-    elif tau is None:
-        raise ValidationError("selection needs either tau or top_k")
-
     selected, projected, report = cfsgb.run_cfsgb(
-        ds, chunk_spec, gbdt_cfg, tau, threads=args.threads
+        ds,
+        chunk_spec,
+        gbdt_cfg,
+        cfg["selection"]["tau"],
+        threads=args.threads,
+        top_k=cfg["selection"]["top_k"],
     )
+    tau = selected.threshold_used
 
     out = _out_dir(args, cfg)
     _atomic_save(out / "selected_features.json", lambda p: cfsgb.save_selection(selected, p))
     _atomic_save(out / "projected.bin", lambda p: dataset.save_binary(projected, p))
-    _atomic_write_text(
+    report_json = json.dumps(
+        {
+            "k": report.k,
+            "chunk_sizes": report.chunk_sizes,
+            "chunk_selected_counts": report.chunk_selected_counts,
+            "r": report.r,
+            "tau": tau,
+            "seconds_per_stage": report.seconds_per_stage,
+        },
+        sort_keys=True,
+        indent=2,
+    )
+    _atomic_save(
         out / "cfsgb_report.json",
-        json.dumps(
-            {
-                "k": report.k,
-                "chunk_sizes": report.chunk_sizes,
-                "chunk_selected_counts": report.chunk_selected_counts,
-                "r": report.r,
-                "tau": tau,
-                "seconds_per_stage": report.seconds_per_stage,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
+        lambda p: p.write_text(report_json + "\n", encoding="utf-8"),
     )
     print(f"selected {selected.r}/{ds.m} features across {report.k} chunks (tau={tau:g})")
     return 0
@@ -329,7 +321,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = metrics.compute_report(probs, labels, threshold=args.threshold)
 
     out = _out_dir(args, cfg)
-    _atomic_write_text(out / "metrics_report.json", metrics.report_to_json(report))
+    _atomic_save(
+        out / "metrics_report.json",
+        lambda p: p.write_text(metrics.report_to_json(report), encoding="utf-8"),
+    )
     _atomic_save(out / "roc.csv", lambda p: metrics.save_roc_csv(report, p))
     print(
         f"accuracy={report.accuracy:.4f} precision={report.precision:.4f} "

@@ -200,7 +200,7 @@ def load_csv(path, label_column="label") -> LabeledDataset:
 
     if not rows:
         raise ValidationError(f"{path} has a header but no data rows")
-    return LabeledDataset(np.array(rows, dtype=np.float64), np.array(labels), feature_names)
+    return LabeledDataset(rows, np.array(labels), feature_names)
 
 
 def save_csv(ds: LabeledDataset, path, label_column: str = "label") -> None:
@@ -247,7 +247,7 @@ def load_binary(path) -> LabeledDataset:
         raise TruncatedFile(f"{path}: expected {expected} bytes, found {len(blob)}")
     feats = np.frombuffer(blob, dtype="<f4", count=n * m, offset=16).reshape(n, m)
     labels = np.frombuffer(blob, dtype=np.uint8, count=n, offset=16 + 4 * n * m)
-    return LabeledDataset(feats.astype(np.float64), labels.copy())
+    return LabeledDataset(feats, labels)
 
 
 def fit_scaler(ds: LabeledDataset) -> ScalerParams:

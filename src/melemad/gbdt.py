@@ -9,14 +9,12 @@ byte-identical models.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 
 _LAMBDA = 1.0
 _PRIOR_CLIP = 1e-6
@@ -28,7 +26,6 @@ class GbdtConfig:
     max_depth: int = 3
     learning_rate: float = 0.1
     min_samples_leaf: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -55,19 +52,6 @@ class RegressionTree:
     @property
     def n_nodes(self) -> int:
         return self.feature_index.shape[0]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feats = self.feature_index[node]
-            internal = feats >= 0
-            if not internal.any():
-                break
-            rows = np.flatnonzero(internal)
-            cur = node[rows]
-            go_left = X[rows, self.feature_index[cur]] < self.threshold[cur]
-            node[rows] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.leaf_value[node]
 
 
 @dataclass
@@ -232,22 +216,6 @@ def train(ds: LabeledDataset, cfg: GbdtConfig | None = None) -> GbdtModel:
     )
 
 
-def predict_raw(model: GbdtModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise DimensionMismatch(
-            f"expected {model.n_features} columns, got shape {X.shape}"
-        )
-    raw = np.full(X.shape[0], model.base_score)
-    for tree in model.trees:
-        raw += model.config.learning_rate * tree.predict(X)
-    return raw
-
-
-def predict_proba(model: GbdtModel, X: np.ndarray) -> np.ndarray:
-    return _sigmoid(predict_raw(model, X))
-
-
 def feature_importance(model: GbdtModel) -> np.ndarray:
     """Per-feature total split gain, normalized to sum to 1 (all zeros if the
     model never split)."""
@@ -259,52 +227,3 @@ def feature_importance(model: GbdtModel) -> np.ndarray:
     if total > 0:
         scores /= total
     return scores
-
-
-def save_model(model: GbdtModel, path) -> None:
-    payload = {
-        "base_score": model.base_score,
-        "n_features": model.n_features,
-        "config": {
-            "n_trees": model.config.n_trees,
-            "max_depth": model.config.max_depth,
-            "learning_rate": model.config.learning_rate,
-            "min_samples_leaf": model.config.min_samples_leaf,
-            "seed": model.config.seed,
-        },
-        "train_losses": model.train_losses,
-        "trees": [
-            {
-                "feature_index": tree.feature_index.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "leaf_value": tree.leaf_value.tolist(),
-                "gain": tree.gain.tolist(),
-            }
-            for tree in model.trees
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-
-def load_model(path) -> GbdtModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    trees = [
-        RegressionTree(
-            feature_index=np.array(t["feature_index"], dtype=np.int64),
-            threshold=np.array(t["threshold"], dtype=np.float64),
-            left=np.array(t["left"], dtype=np.int64),
-            right=np.array(t["right"], dtype=np.int64),
-            leaf_value=np.array(t["leaf_value"], dtype=np.float64),
-            gain=np.array(t["gain"], dtype=np.float64),
-        )
-        for t in payload["trees"]
-    ]
-    return GbdtModel(
-        base_score=payload["base_score"],
-        trees=trees,
-        config=GbdtConfig(**payload["config"]),
-        n_features=payload["n_features"],
-        train_losses=list(payload["train_losses"]),
-    )

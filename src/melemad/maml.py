@@ -3,9 +3,10 @@
 Inner loop: plain gradient descent on support-set BCE at rate alpha.
 Outer loop: Adam step at rate beta on the mean query loss across a batch of
 episodes. The default meta-gradient is first-order (query gradient at the
-adapted parameters); the exact second-order path, which differentiates
-through the inner update including the Hessian-vector term, sits behind
-first_order=False and is intended for small-model verification.
+adapted parameters); the second-order path, which differentiates through the
+inner update with Hessian-vector products taken by central differences of
+the analytic gradient, sits behind first_order=False and is intended for
+small-model verification.
 
 All parameter vectors are immutable snapshots; every update returns a new
 vector, so episodes within a batch can be processed in parallel and reduced
@@ -307,14 +308,32 @@ def inner_adapt(
     dropout_seed None disables dropout during adaptation; otherwise each step
     draws its own mask from the seed. The input theta is never modified.
     """
-    values = theta.values
+    path, _ = _descend(theta, support, alpha, inner_steps, dropout_seed)
+    return ModelParams(path[-1], theta.arch)
+
+
+def _descend(
+    theta: ModelParams,
+    support: LabeledDataset,
+    alpha: float,
+    inner_steps: int,
+    dropout_seed: int | None,
+) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+    """The inner loop behind inner_adapt and the meta-gradient.
+
+    Returns the parameter values before each step followed by the adapted
+    values (inner_steps + 1 vectors), and the dropout mask of each step.
+    """
+    path = [theta.values]
+    masks: list[np.ndarray | None] = []
     for step in range(inner_steps):
         mask = None
         if dropout_seed is not None:
             mask = dropout_mask(theta.arch, support.n, int(dropout_seed) + step)
-        grad = backward(ModelParams(values, theta.arch), support.features, support.labels, mask)
-        values = values - alpha * grad
-    return ModelParams(values, theta.arch)
+        grad = backward(ModelParams(path[-1], theta.arch), support.features, support.labels, mask)
+        masks.append(mask)
+        path.append(path[-1] - alpha * grad)
+    return path, masks
 
 
 def _stratified_take(avail_pos: int, avail_neg: int, take: int) -> tuple[int, int]:
@@ -394,22 +413,11 @@ def _episode_result(theta: ModelParams, episode: Episode, cfg: MamlConfig):
             _rng(cfg.seed, _STREAM_DROPOUT, episode.task_index).integers(0, 2**31)
         )
 
-    # record the inner trajectory; the second-order path needs every step
-    values_path = [theta.values]
-    masks: list[np.ndarray | None] = []
-    values = theta.values
-    for step in range(cfg.inner_steps):
-        mask = None
-        if dropout_seed is not None:
-            mask = dropout_mask(arch, episode.support.n, dropout_seed + step)
-        grad = backward(
-            ModelParams(values, arch), episode.support.features, episode.support.labels, mask
-        )
-        masks.append(mask)
-        values = values - cfg.alpha * grad
-        values_path.append(values)
-
-    adapted = ModelParams(values, arch)
+    # the second-order path needs every step of the inner trajectory
+    values_path, masks = _descend(
+        theta, episode.support, cfg.alpha, cfg.inner_steps, dropout_seed
+    )
+    adapted = ModelParams(values_path[-1], arch)
     query_probs = forward(adapted, episode.query.features, training=False)
     loss = bce_loss(query_probs, episode.query.labels)
     correct = int(np.sum((query_probs >= 0.5) == (episode.query.labels == 1)))
@@ -461,21 +469,6 @@ def _meta_batch(theta: ModelParams, episodes: list[Episode], cfg: MamlConfig, th
         correct += n_correct
         total += probs.shape[0]
     return meta_grad / t, meta_loss / t, correct / total
-
-
-def meta_step(
-    theta: ModelParams,
-    episodes: list[Episode],
-    cfg: MamlConfig,
-    adam: AdamState,
-    threads: int = 1,
-) -> tuple[ModelParams, AdamState, float]:
-    """One outer-loop update over a batch of episodes; theta is not mutated."""
-    if not episodes:
-        raise ValidationError("meta_step needs at least one episode")
-    meta_grad, meta_loss, _ = _meta_batch(theta, episodes, cfg, threads)
-    new_values, new_adam = _adam_update(theta.values, meta_grad, adam, cfg.beta)
-    return ModelParams(new_values, theta.arch), new_adam, meta_loss
 
 
 def meta_gradient(theta: ModelParams, episodes: list[Episode], cfg: MamlConfig) -> np.ndarray:

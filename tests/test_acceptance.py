@@ -289,7 +289,7 @@ def test_criterion_06_cfsgb_structural_properties():
             assert set(chunk_sel.indices.tolist()) <= union
         # single-chunk reduction
         single, _, _ = cfsgb.run_cfsgb(ds, cfsgb.ChunkSpec(p=1.0, q=0.0), cfg, taus[0])
-        direct, _ = cfsgb.select_chunk_features(ds, cfg, taus[0])
+        direct = cfsgb.threshold_select(gbdt.feature_importance(gbdt.train(ds, cfg)), taus[0])
         np.testing.assert_array_equal(single.global_indices, direct)
         model_configs += 1
 

@@ -110,17 +110,21 @@ class TestThresholdSelect:
 
 class TestSelectChunkFeatures:
     def test_constant_label_chunk_selects_nothing(self):
-        ds = dataset.LabeledDataset(
-            np.random.default_rng(0).standard_normal((30, 4)), np.zeros(30, dtype=int)
-        )
-        picked, importances = cfsgb.select_chunk_features(ds, FAST_GBDT, 0.0)
-        assert picked.size == 0
-        assert np.all(importances == 0)
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((60, 4))
+        labels = np.zeros(60, dtype=int)
+        labels[30:] = X[30:, 0] > 0
+        ds = dataset.LabeledDataset(X, labels)
+        selected, _, _ = cfsgb.run_cfsgb(ds, cfsgb.ChunkSpec(p=0.5, q=0.0), FAST_GBDT, 0.0)
+        # at tau 0 a chunk keeps every feature with positive importance
+        constant, mixed = selected.per_chunk
+        assert constant.indices.size == 0 and constant.scores.size == 0
+        assert 0 in mixed.indices
 
     def test_informative_feature_found(self):
         ds, info = synth(300, 6, 1, seed=3, noise=0.0)
-        picked, _ = cfsgb.select_chunk_features(ds, FAST_GBDT, 0.1)
-        assert info[0] in picked
+        selected, _, _ = cfsgb.run_cfsgb(ds, cfsgb.ChunkSpec(p=1.0, q=0.0), FAST_GBDT, 0.1)
+        assert info[0] in selected.per_chunk[0].indices
 
 
 class TestAggregateProject:
@@ -182,7 +186,7 @@ class TestRunCfsgb:
             ds, cfsgb.ChunkSpec(p=1.0, q=0.0), FAST_GBDT, tau
         )
         assert report.k == 1
-        direct, _ = cfsgb.select_chunk_features(ds, FAST_GBDT, tau)
+        direct = cfsgb.threshold_select(gbdt.feature_importance(gbdt.train(ds, FAST_GBDT)), tau)
         np.testing.assert_array_equal(selected.global_indices, direct)
 
     def test_threshold_monotonicity(self):
@@ -211,12 +215,15 @@ class TestRunCfsgb:
         assert a.read_bytes() == b.read_bytes()
 
 
+def chunk_importances(ds, spec):
+    return cfsgb._chunk_importances(ds, cfsgb.make_chunks(ds.n, spec), FAST_GBDT)
+
+
 class TestThresholdForTopK:
     def test_k_equals_m(self):
         ds, _ = synth(300, 6, 3, seed=13, noise=0.0)
-        tau = cfsgb.threshold_for_top_k(ds, cfsgb.ChunkSpec(p=0.5, q=0.0), FAST_GBDT, 6)
-        chunks = cfsgb.make_chunks(ds.n, cfsgb.ChunkSpec(p=0.5, q=0.0))
-        imps = cfsgb._chunk_importances(ds, chunks, FAST_GBDT)
+        imps = chunk_importances(ds, cfsgb.ChunkSpec(p=0.5, q=0.0))
+        tau = cfsgb.threshold_for_top_k(imps, 6)
         stat = np.max(np.stack(imps), axis=0)
         if np.all(stat > 0):
             assert tau == 0.0 or tau == pytest.approx(stat.min())
@@ -225,21 +232,37 @@ class TestThresholdForTopK:
 
     def test_k_one_is_largest_statistic(self):
         ds, _ = synth(300, 6, 2, seed=14, noise=0.0)
-        spec = cfsgb.ChunkSpec(p=0.5, q=0.0)
-        tau = cfsgb.threshold_for_top_k(ds, spec, FAST_GBDT, 1)
-        imps = cfsgb._chunk_importances(ds, cfsgb.make_chunks(ds.n, spec), FAST_GBDT)
+        imps = chunk_importances(ds, cfsgb.ChunkSpec(p=0.5, q=0.0))
+        tau = cfsgb.threshold_for_top_k(imps, 1)
         assert tau == pytest.approx(float(np.max(np.stack(imps))))
 
     def test_self_consistency(self):
         ds, _ = synth(400, 20, 5, seed=15)
         spec = cfsgb.ChunkSpec(p=0.4, q=0.2)
-        imps = cfsgb._chunk_importances(ds, cfsgb.make_chunks(ds.n, spec), FAST_GBDT)
+        imps = chunk_importances(ds, spec)
         selectable = int(np.sum(np.max(np.stack(imps), axis=0) > 0))
         for k in (3, 8, 12):
-            tau = cfsgb.threshold_for_top_k(ds, spec, FAST_GBDT, k)
+            tau = cfsgb.threshold_for_top_k(imps, k)
             selected, _, _ = cfsgb.run_cfsgb(ds, spec, FAST_GBDT, tau)
             # the guarantee caps at the number of features that ever split
             assert selected.r >= min(k, selectable)
+            # top_k takes tau from the same single training pass, and wins
+            # over a tau that would select nothing
+            by_k, _, _ = cfsgb.run_cfsgb(ds, spec, FAST_GBDT, tau=2.0, top_k=k)
+            assert by_k.threshold_used == tau
+            np.testing.assert_array_equal(by_k.global_indices, selected.global_indices)
+
+    def test_k_out_of_range_rejected(self):
+        ds, _ = synth(200, 8, 2, seed=17)
+        spec = cfsgb.ChunkSpec(p=0.5, q=0.0)
+        imps = chunk_importances(ds, spec)
+        for k in (0, 9):
+            with pytest.raises(ValidationError):
+                cfsgb.threshold_for_top_k(imps, k)
+            with pytest.raises(ValidationError):
+                cfsgb.run_cfsgb(ds, spec, FAST_GBDT, top_k=k)
+        with pytest.raises(ValidationError):
+            cfsgb.run_cfsgb(ds, spec, FAST_GBDT)
 
 
 class TestSelectionPersistence:

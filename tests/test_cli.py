@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from melemad import cli, dataset, maml
+from melemad import cli, dataset, gbdt, maml
 
 
 def run(*argv):
@@ -91,6 +92,48 @@ class TestSelect:
         assert code == 0
         selection = json.loads((out / "selected_features.json").read_text())
         assert len(selection["global_indices"]) >= 5
+
+    def test_top_k_trains_each_chunk_once(self, tmp_path, small_config, monkeypatch):
+        data_dir = tmp_path / "d"
+        run(*synth_args(data_dir))
+        train = gbdt.train
+        calls = []
+
+        def counted(ds, cfg=None):
+            calls.append(ds.n)
+            return train(ds, cfg)
+
+        monkeypatch.setattr(gbdt, "train", counted)
+        by_k = tmp_path / "by_k"
+        code = run("select", "--config", small_config, "--input", data_dir / "synthetic.csv",
+                   "--top-k", 5, "--out-dir", by_k)
+        assert code == 0
+        report = json.loads((by_k / "cfsgb_report.json").read_text())
+        assert len(calls) == report["k"] > 1
+        # the same selection as a fixed threshold at the tau top-k chose
+        tau = json.loads((by_k / "selected_features.json").read_text())["threshold"]
+        by_tau = tmp_path / "by_tau"
+        code = run("select", "--config", small_config, "--input", data_dir / "synthetic.csv",
+                   "--tau", repr(tau), "--out-dir", by_tau)
+        assert code == 0
+        for name in ("selected_features.json", "projected.bin"):
+            assert (by_k / name).read_bytes() == (by_tau / name).read_bytes(), name
+
+    def test_failed_save_leaves_no_partial_files(self, tmp_path, small_config, monkeypatch):
+        data_dir = tmp_path / "d"
+        run(*synth_args(data_dir))
+
+        def partial_then_fail(ds, path):
+            Path(path).write_bytes(b"MLMD partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dataset, "save_binary", partial_then_fail)
+        out = tmp_path / "sel"
+        code = run("select", "--config", small_config, "--input", data_dir / "synthetic.csv",
+                   "--out-dir", out)
+        assert code == 1
+        assert not (out / "projected.bin").exists()
+        assert [p.name for p in out.iterdir() if ".tmp" in p.name] == []
 
     def test_missing_input_exits_2_without_files(self, tmp_path, small_config):
         out = tmp_path / "sel"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from melemad import gbdt
 from melemad.dataset import LabeledDataset
-from melemad.errors import DimensionMismatch, ValidationError
+from melemad.errors import ValidationError
 
 LAM = 1.0
 
@@ -22,6 +22,34 @@ def separable_1d(n=200, seed=0, noise_features=0):
     cols = [x]
     cols += [rng.standard_normal(n) for _ in range(noise_features)]
     return make_ds(np.column_stack(cols), y)
+
+
+def fitted_raw(model, X):
+    """Raw training scores rebuilt from the tree arrays, accumulated in the
+    same order as training, so they match its bookkeeping bit for bit."""
+    raw = np.full(X.shape[0], model.base_score)
+    for tree in model.trees:
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        for _ in range(tree.n_nodes):
+            feat = tree.feature_index[node]
+            internal = feat >= 0
+            if not internal.any():
+                break
+            rows = np.flatnonzero(internal)
+            cur = node[rows]
+            go_left = X[rows, feat[rows]] < tree.threshold[cur]
+            node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
+        raw = raw + model.config.learning_rate * tree.leaf_value[node]
+    return raw
+
+
+def fitted_proba(model, ds):
+    """Training-set probabilities of a fitted model, checked against the
+    final loss recorded during training."""
+    raw = fitted_raw(model, ds.features)
+    y = ds.labels.astype(float)
+    assert float(np.mean(np.logaddexp(0.0, raw) - y * raw)) == model.train_losses[-1]
+    return 1.0 / (1.0 + np.exp(-raw))
 
 
 def oracle_split_candidates(X, y, base_score, min_leaf):
@@ -84,25 +112,28 @@ class TestTrain:
         ds = make_ds(rng.standard_normal((50, 3)), np.zeros(50, dtype=int))
         model = gbdt.train(ds, gbdt.GbdtConfig(n_trees=10))
         assert all(t.n_nodes == 1 for t in model.trees)
-        probs = gbdt.predict_proba(model, ds.features)
+        probs = fitted_proba(model, ds)
         assert np.all(probs < 0.01)
 
     def test_separable_1d_high_accuracy(self):
         ds = separable_1d(200, seed=1)
         model = gbdt.train(ds, gbdt.GbdtConfig())
-        probs = gbdt.predict_proba(model, ds.features)
+        probs = fitted_proba(model, ds)
         acc = float(np.mean((probs >= 0.5) == (ds.labels == 1)))
         assert acc >= 0.99
         assert np.all(probs[ds.labels == 1] >= 0.9)
 
-    def test_deterministic_structures(self, tmp_path):
+    def test_deterministic_structures(self):
         rng = np.random.default_rng(2)
         ds = make_ds(rng.standard_normal((80, 4)), rng.integers(0, 2, 80))
         cfg = gbdt.GbdtConfig(n_trees=15)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        gbdt.save_model(gbdt.train(ds, cfg), a)
-        gbdt.save_model(gbdt.train(ds, cfg), b)
-        assert a.read_bytes() == b.read_bytes()
+        a, b = gbdt.train(ds, cfg), gbdt.train(ds, cfg)
+        assert a.base_score == b.base_score
+        assert a.train_losses == b.train_losses
+        assert len(a.trees) == len(b.trees)
+        for x, y in zip(a.trees, b.trees):
+            for name in ("feature_index", "threshold", "left", "right", "leaf_value", "gain"):
+                assert getattr(x, name).tobytes() == getattr(y, name).tobytes()
 
     def test_tree_count_matches_config(self):
         ds = separable_1d(40, seed=3)
@@ -120,28 +151,24 @@ class TestTrain:
 
 class TestPredict:
     def test_no_trees_gives_prior(self):
-        ds = make_ds([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
+        # the loss before the first tree is the log loss of the label prior
+        ds = make_ds([[0.0], [1.0], [2.0], [3.0], [4.0]], [0, 1, 0, 1, 1])
         model = gbdt.train(ds, gbdt.GbdtConfig(n_trees=1))
-        model.trees = []
-        probs = gbdt.predict_proba(model, np.array([[5.0], [-5.0]]))
-        expected = 1.0 / (1.0 + math.exp(-model.base_score))
-        np.testing.assert_allclose(probs, expected)
+        prior = 1.0 / (1.0 + math.exp(-model.base_score))
+        assert prior == pytest.approx(0.6)
+        y = ds.labels.astype(float)
+        expected = -np.mean(y * np.log(prior) + (1 - y) * np.log(1 - prior))
+        assert model.train_losses[0] == pytest.approx(expected, rel=1e-12)
 
     def test_balanced_labels_zero_base_score(self):
         ds = make_ds([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
         model = gbdt.train(ds, gbdt.GbdtConfig(n_trees=1))
         assert model.base_score == 0.0
 
-    def test_dimension_mismatch(self):
-        ds = separable_1d(30, seed=4)
-        model = gbdt.train(ds, gbdt.GbdtConfig(n_trees=2))
-        with pytest.raises(DimensionMismatch):
-            gbdt.predict_proba(model, np.zeros((3, 5)))
-
     def test_probabilities_in_open_interval(self):
         ds = separable_1d(100, seed=5)
         model = gbdt.train(ds, gbdt.GbdtConfig())
-        probs = gbdt.predict_proba(model, ds.features)
+        probs = fitted_proba(model, ds)
         assert np.all(probs > 0) and np.all(probs < 1)
 
 
@@ -215,17 +242,3 @@ class TestSplitOracle:
         model = gbdt.train(ds, gbdt.GbdtConfig(n_trees=1, max_depth=1, min_samples_leaf=min_leaf))
         assert_split_is_exhaustive_optimum(model, X, y, min_leaf)
 
-
-class TestPersistence:
-    def test_round_trip_predictions(self, tmp_path):
-        ds = separable_1d(60, seed=10, noise_features=2)
-        model = gbdt.train(ds, gbdt.GbdtConfig(n_trees=8))
-        path = tmp_path / "model.json"
-        gbdt.save_model(model, path)
-        back = gbdt.load_model(path)
-        np.testing.assert_array_equal(
-            gbdt.predict_proba(model, ds.features), gbdt.predict_proba(back, ds.features)
-        )
-        np.testing.assert_array_equal(
-            gbdt.feature_importance(model), gbdt.feature_importance(back)
-        )

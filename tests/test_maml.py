@@ -292,16 +292,25 @@ class TestMetaStep:
         return maml.MlpArchitecture(input_dim=m, hidden_dims=hidden, dropout_rate=0.0)
 
     def test_single_task_first_order_reduction(self):
-        arch = self.no_dropout_arch()
-        theta = maml.init_params(arch, 30)
         ep = manual_episode(31)
-        cfg = maml.MamlConfig(
-            alpha=0.05, samples_per_task=12, support_size=6, query_size=6, first_order=True
-        )
-        meta_grad = maml.meta_gradient(theta, [ep], cfg)
-        adapted = maml.inner_adapt(theta, ep.support, cfg.alpha, cfg.inner_steps)
-        expected = maml.backward(adapted, ep.query.features, ep.query.labels)
-        np.testing.assert_array_equal(meta_grad, expected)
+        dropout_arch = maml.MlpArchitecture(input_dim=3, hidden_dims=(4, 2), dropout_rate=0.3)
+        cases = [(self.no_dropout_arch(), 1), (dropout_arch, 1), (dropout_arch, 2)]
+        for arch, inner_steps in cases:
+            cfg = maml.MamlConfig(
+                alpha=0.05, samples_per_task=12, support_size=6, query_size=6,
+                first_order=True, inner_steps=inner_steps,
+            )
+            theta = maml.init_params(arch, 30)
+            meta_grad = maml.meta_gradient(theta, [ep], cfg)
+            dropout_seed = None
+            if arch.dropout_rate > 0.0:
+                # the training path's dropout seed for this episode
+                dropout_seed = int(
+                    maml._rng(cfg.seed, maml._STREAM_DROPOUT, ep.task_index).integers(0, 2**31)
+                )
+            adapted = maml.inner_adapt(theta, ep.support, cfg.alpha, cfg.inner_steps, dropout_seed)
+            expected = maml.backward(adapted, ep.query.features, ep.query.labels)
+            np.testing.assert_array_equal(meta_grad, expected)
 
     def test_alpha_zero_reduces_to_pooled_query_gradient(self):
         arch = self.no_dropout_arch()
@@ -320,10 +329,11 @@ class TestMetaStep:
         arch = self.no_dropout_arch()
         theta = maml.init_params(arch, 35)
         cfg = maml.MamlConfig(
-            alpha=0.01, beta=0.0, samples_per_task=12, support_size=6, query_size=6
+            alpha=0.01, beta=0.0, outer_iterations=2, samples_per_task=12, support_size=6,
+            query_size=6,
         )
-        adam = maml.AdamState.zeros(theta.values.shape[0])
-        new_theta, _, _ = maml.meta_step(theta, [manual_episode(36)], cfg, adam)
+        new_theta, log = maml.meta_train(random_pool(40, 3, seed=36), cfg, initial=theta)
+        assert log.iterations == [0, 1]
         np.testing.assert_array_equal(new_theta.values, theta.values)
 
     def test_second_order_matches_bilevel_finite_differences(self):
@@ -390,10 +400,12 @@ class TestMetaStep:
         arch = self.no_dropout_arch()
         theta = maml.init_params(arch, 43)
         snapshot = theta.values.tobytes()
-        adam = maml.AdamState.zeros(theta.values.shape[0])
-        cfg = maml.MamlConfig(samples_per_task=12, support_size=6, query_size=6)
-        maml.meta_step(theta, [manual_episode(44)], cfg, adam)
+        cfg = maml.MamlConfig(
+            outer_iterations=2, samples_per_task=12, support_size=6, query_size=6
+        )
+        new_theta, _ = maml.meta_train(random_pool(40, 3, seed=44), cfg, initial=theta)
         assert theta.values.tobytes() == snapshot
+        assert new_theta.values.tobytes() != snapshot
 
 
 class TestMetaTrain:
