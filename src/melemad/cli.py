@@ -337,7 +337,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out-dir", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--label-column", default="label")
 
@@ -376,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("meta-train", help="split, scale, and meta-train")
     _add_common(p_train)
     p_train.add_argument("--input", required=True, help="dataset file (.csv or .bin)")
+    p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--alpha", type=float, default=None)
     p_train.add_argument("--beta", type=float, default=None)
     p_train.add_argument("--iterations", type=int, default=None)

@@ -3,8 +3,11 @@
 Logistic objective with second-order (Newton) leaf values: per boosting round
 the targets are gradients g = p - y and hessians h = p(1 - p), leaves get
 -sum(g) / (sum(h) + lambda), and splits are exact greedy over midpoints of
-consecutive distinct sorted feature values. Feature importance is total split
-gain, normalized. Training uses no randomness, so identical inputs give
+consecutive distinct sorted feature values. Each column is sorted once per
+fit; a node scores a block of columns per numpy call, with the block's
+scratch bounded at _BLOCK_CELLS feature-by-row cells. Ties go to the lowest
+feature, then the lowest threshold. Feature importance is total split gain,
+normalized. Training uses no randomness, so identical inputs give
 byte-identical models.
 """
 from __future__ import annotations
@@ -18,6 +21,8 @@ from .errors import ValidationError
 
 _LAMBDA = 1.0
 _PRIOR_CLIP = 1e-6
+# cells (features x node rows) scored per numpy call in the split search
+_BLOCK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -147,36 +152,32 @@ class _TreeGrower:
         parent_score = G * G / (H + _LAMBDA)
         mask = self._mask
         mask[rows] = True
+        # t = number of rows sent left, min_leaf..n_node - min_leaf
+        lo, hi = min_leaf, n_node - min_leaf + 1
+        width = max(1, _BLOCK_CELLS // n_node)
 
         best_gain = 0.0
         best = None
-        for j in range(self.m):
-            order_j = self.col_order[:, j]
-            idx = order_j[mask[order_j]]
-            v = self.X[idx, j]
-            if v[0] == v[-1]:
-                continue
-            gs = np.cumsum(g[idx])
-            hs = np.cumsum(h[idx])
-            # t = number of rows sent left; boundary must separate distinct values
-            t = np.arange(min_leaf, n_node - min_leaf + 1)
-            valid = v[t] > v[t - 1]
-            if not valid.any():
-                continue
-            GL = gs[t - 1]
-            HL = hs[t - 1]
+        for j0 in range(0, self.m, width):
+            order = self.col_order[j0 : j0 + width]
+            idx = order[mask[order]].reshape(-1, n_node)  # node rows, sorted per feature
+            v = np.take_along_axis(self.X.T[j0 : j0 + width], idx, axis=1)
+            GL = np.cumsum(g[idx], axis=1)[:, lo - 1 : hi - 1]
+            HL = np.cumsum(h[idx], axis=1)[:, lo - 1 : hi - 1]
             gains = 0.5 * (
                 GL * GL / (HL + _LAMBDA)
                 + (G - GL) * (G - GL) / (H - HL + _LAMBDA)
                 - parent_score
             )
-            gains[~valid] = -np.inf
-            k = int(np.argmax(gains))  # first max -> lowest threshold on ties
-            if gains[k] > best_gain:
-                best_gain = float(gains[k])
-                tk = t[k]
-                thr = (v[tk - 1] + v[tk]) / 2.0
-                best = (best_gain, j, float(thr))
+            # a boundary must separate distinct values
+            gains[v[:, lo:hi] <= v[:, lo - 1 : hi - 1]] = -np.inf
+            # row-major first max: lowest feature, then lowest threshold
+            b, k = np.unravel_index(int(np.argmax(gains)), gains.shape)
+            if gains[b, k] > best_gain:  # strict, so an earlier block wins ties
+                best_gain = float(gains[b, k])
+                tk = lo + k
+                thr = (v[b, tk - 1] + v[b, tk]) / 2.0
+                best = (best_gain, j0 + int(b), float(thr))
 
         mask[rows] = False
         return best
@@ -193,7 +194,7 @@ def train(ds: LabeledDataset, cfg: GbdtConfig | None = None) -> GbdtModel:
     base_score = float(np.log(prior / (1.0 - prior)))
     raw = np.full(ds.n, base_score)
 
-    col_order = np.argsort(X, axis=0, kind="stable")
+    col_order = np.argsort(X.T, axis=1, kind="stable")  # feature-major
     grower = _TreeGrower(X, col_order, cfg)
 
     trees: list[RegressionTree] = []

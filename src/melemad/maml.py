@@ -471,11 +471,6 @@ def _meta_batch(theta: ModelParams, episodes: list[Episode], cfg: MamlConfig, th
     return meta_grad / t, meta_loss / t, correct / total
 
 
-def meta_gradient(theta: ModelParams, episodes: list[Episode], cfg: MamlConfig) -> np.ndarray:
-    """Meta-gradient alone (mean over episodes), without applying an update."""
-    return _meta_batch(theta, episodes, cfg, threads=1)[0]
-
-
 def meta_train(
     train_pool: LabeledDataset,
     cfg: MamlConfig,

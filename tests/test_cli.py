@@ -258,6 +258,19 @@ class TestConfig:
                    "--tau", 5.0, "--out-dir", out)
         assert code == 1
 
+    @pytest.mark.parametrize("command", [
+        ["select", "--input", "x.csv", "--tau", "0.01"],
+        ["evaluate", "--checkpoint", "c.ckpt", "--data", "x.bin"],
+    ])
+    def test_seed_flag_rejected(self, capsys, command):
+        # selection draws no random numbers and evaluate takes the
+        # checkpoint's seed, so only synth and meta-train accept --seed
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--seed", 1)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert cli.build_parser().parse_args(["meta-train", "--input", "x", "--seed", "1"]).seed == 1
+
     def test_derive_seed_stable(self):
         assert cli.derive_seed(7, "select") == cli.derive_seed(7, "select")
         assert cli.derive_seed(7, "select") != cli.derive_seed(7, "split")

@@ -106,6 +106,74 @@ def assert_split_is_exhaustive_optimum(model, X, y, min_leaf):
     assert abs(root.gain[0] - matches[0][0]) <= tol
 
 
+def assert_same_models(a, b):
+    assert a.base_score == b.base_score
+    assert np.array(a.train_losses).tobytes() == np.array(b.train_losses).tobytes()
+    assert len(a.trees) == len(b.trees)
+    for x, y in zip(a.trees, b.trees):
+        for name in ("feature_index", "threshold", "left", "right", "leaf_value", "gain"):
+            assert getattr(x, name).tobytes() == getattr(y, name).tobytes(), name
+
+
+def reference_best_split(self, rows, g, h, G, H):
+    """Exact greedy split search with one Python iteration per feature.
+
+    Node rows are sorted per feature by a stable argsort of the rows in
+    ascending index order, so equal values keep row order. Features are
+    visited lowest first and a later one must beat the best gain strictly:
+    the lowest feature wins ties, then the lowest threshold.
+    """
+    min_leaf = self.cfg.min_samples_leaf
+    n_node = rows.size
+    parent_score = G * G / (H + LAM)
+    rows = np.sort(rows)
+    best_gain = 0.0
+    best = None
+    for j in range(self.m):
+        idx = rows[np.argsort(self.X[rows, j], kind="stable")]
+        v = self.X[idx, j]
+        if v[0] == v[-1]:
+            continue
+        gs = np.cumsum(g[idx])
+        hs = np.cumsum(h[idx])
+        t = np.arange(min_leaf, n_node - min_leaf + 1)
+        valid = v[t] > v[t - 1]
+        if not valid.any():
+            continue
+        GL = gs[t - 1]
+        HL = hs[t - 1]
+        gains = 0.5 * (
+            GL * GL / (HL + LAM)
+            + (G - GL) * (G - GL) / (H - HL + LAM)
+            - parent_score
+        )
+        gains[~valid] = -np.inf
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain = float(gains[k])
+            tk = t[k]
+            best = (best_gain, j, float((v[tk - 1] + v[tk]) / 2.0))
+    return best
+
+
+def train_both(monkeypatch, ds, cfg):
+    """(block split search, per-feature reference) models of one fit."""
+    model = gbdt.train(ds, cfg)
+    with monkeypatch.context() as mp:
+        mp.setattr(gbdt._TreeGrower, "_best_split", reference_best_split)
+        reference = gbdt.train(ds, cfg)
+    return model, reference
+
+
+def features_of_kind(kind, rng, n, m):
+    if kind == "continuous":
+        return rng.standard_normal((n, m))
+    if kind == "discrete":
+        return rng.integers(0, 5, (n, m)).astype(float)
+    # tie-heavy: mostly one value, a few others
+    return rng.choice([0.0, 0.0, 0.0, 0.0, 1.0, 2.5], size=(n, m))
+
+
 class TestTrain:
     def test_constant_labels_all_leaves_low_probability(self):
         rng = np.random.default_rng(0)
@@ -127,13 +195,7 @@ class TestTrain:
         rng = np.random.default_rng(2)
         ds = make_ds(rng.standard_normal((80, 4)), rng.integers(0, 2, 80))
         cfg = gbdt.GbdtConfig(n_trees=15)
-        a, b = gbdt.train(ds, cfg), gbdt.train(ds, cfg)
-        assert a.base_score == b.base_score
-        assert a.train_losses == b.train_losses
-        assert len(a.trees) == len(b.trees)
-        for x, y in zip(a.trees, b.trees):
-            for name in ("feature_index", "threshold", "left", "right", "leaf_value", "gain"):
-                assert getattr(x, name).tobytes() == getattr(y, name).tobytes()
+        assert_same_models(gbdt.train(ds, cfg), gbdt.train(ds, cfg))
 
     def test_tree_count_matches_config(self):
         ds = separable_1d(40, seed=3)
@@ -242,3 +304,58 @@ class TestSplitOracle:
         model = gbdt.train(ds, gbdt.GbdtConfig(n_trees=1, max_depth=1, min_samples_leaf=min_leaf))
         assert_split_is_exhaustive_optimum(model, X, y, min_leaf)
 
+
+class TestBlockSplitSearch:
+    """The column-block split search must grow byte-identical trees to the
+    per-feature reference, whatever the block width."""
+
+    @pytest.mark.parametrize("kind", ["continuous", "discrete", "tie-heavy"])
+    def test_matches_reference(self, monkeypatch, kind):
+        for min_leaf in range(1, 9):
+            for depth in range(1, 5):
+                rng = np.random.default_rng(100 * min_leaf + depth)
+                X = features_of_kind(kind, rng, 90, 7)
+                y = ((X[:, 0] + X[:, 3] + rng.standard_normal(90)) > 1.0).astype(int)
+                cfg = gbdt.GbdtConfig(
+                    n_trees=3, max_depth=depth, learning_rate=0.5, min_samples_leaf=min_leaf
+                )
+                model, reference = train_both(monkeypatch, make_ds(X, y), cfg)
+                assert_same_models(model, reference)
+
+    @pytest.mark.parametrize("cells", [1, 7, 64, 250, 1000])
+    def test_matches_reference_across_block_widths(self, monkeypatch, cells):
+        monkeypatch.setattr(gbdt, "_BLOCK_CELLS", cells)
+        for kind in ("continuous", "discrete", "tie-heavy"):
+            rng = np.random.default_rng(cells)
+            X = features_of_kind(kind, rng, 60, 13)
+            y = ((X[:, 2] - X[:, 11] + rng.standard_normal(60)) > 0.0).astype(int)
+            cfg = gbdt.GbdtConfig(n_trees=3, max_depth=4, learning_rate=0.5, min_samples_leaf=2)
+            model, reference = train_both(monkeypatch, make_ds(X, y), cfg)
+            assert_same_models(model, reference)
+
+    def test_several_default_blocks_at_the_root(self, monkeypatch):
+        n, m = 400, 50
+        assert m > gbdt._BLOCK_CELLS // n  # the root spans several blocks
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((n, m))
+        y = ((X[:, 5] + X[:, 45] + rng.standard_normal(n)) > 0.0).astype(int)
+        cfg = gbdt.GbdtConfig(n_trees=2, max_depth=3, learning_rate=0.5)
+        model, reference = train_both(monkeypatch, make_ds(X, y), cfg)
+        assert_same_models(model, reference)
+
+    @pytest.mark.parametrize("cells", [3 * 40, gbdt._BLOCK_CELLS])
+    def test_duplicate_column_lowest_feature_wins(self, monkeypatch, cells):
+        # column 1 is copied to column 6: equal best gains, in different
+        # blocks when three columns fit a block, in one block otherwise
+        monkeypatch.setattr(gbdt, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((40, 8))
+        X[:, 1] = np.arange(40) % 10
+        X[:, 6] = X[:, 1]
+        y = (X[:, 1] >= 5).astype(int)
+        cfg = gbdt.GbdtConfig(n_trees=2, max_depth=2, min_samples_leaf=1)
+        model, reference = train_both(monkeypatch, make_ds(X, y), cfg)
+        root = model.trees[0]
+        assert root.feature_index[0] == 1
+        assert root.threshold[0] == 4.5
+        assert_same_models(model, reference)

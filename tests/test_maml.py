@@ -301,7 +301,7 @@ class TestMetaStep:
                 first_order=True, inner_steps=inner_steps,
             )
             theta = maml.init_params(arch, 30)
-            meta_grad = maml.meta_gradient(theta, [ep], cfg)
+            meta_grad = maml._meta_batch(theta, [ep], cfg, threads=1)[0]
             dropout_seed = None
             if arch.dropout_rate > 0.0:
                 # the training path's dropout seed for this episode
@@ -319,7 +319,7 @@ class TestMetaStep:
         cfg = maml.MamlConfig(
             alpha=0.0, samples_per_task=12, support_size=6, query_size=6, first_order=True
         )
-        meta_grad = maml.meta_gradient(theta, eps, cfg)
+        meta_grad = maml._meta_batch(theta, eps, cfg, threads=1)[0]
         expected = np.mean(
             [maml.backward(theta, ep.query.features, ep.query.labels) for ep in eps], axis=0
         )
@@ -373,7 +373,7 @@ class TestMetaStep:
             down[i] -= step
             fd[i] = (composed(up) - composed(down)) / (2 * step)
 
-        meta_grad = maml.meta_gradient(theta, [ep], cfg)
+        meta_grad = maml._meta_batch(theta, [ep], cfg, threads=1)[0]
         rel = np.abs(meta_grad - fd) / (np.maximum(np.abs(meta_grad), np.abs(fd)) + 1e-8)
         assert float(rel.max()) < 1e-3
 
@@ -392,7 +392,7 @@ class TestMetaStep:
                     query_size=6,
                     first_order=first,
                 )
-                grads[first] = maml.meta_gradient(theta, [ep], cfg)
+                grads[first] = maml._meta_batch(theta, [ep], cfg, threads=1)[0]
             diffs.append(float(np.linalg.norm(grads[True] - grads[False])))
         assert diffs[0] > diffs[1] > diffs[2]
 
