@@ -281,7 +281,6 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
         arch=arch,
         initial=initial,
         start_iteration=start_iteration,
-        threads=args.threads,
     )
     final_iteration = start_iteration + maml_cfg.outer_iterations
 
@@ -337,7 +336,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out-dir", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads for select's per-chunk training; meta-train and "
+        "evaluate accept it and ignore it",
+    )
     parser.add_argument("--label-column", default="label")
 
 

@@ -1,7 +1,10 @@
 """Labeled feature matrices: loading, persistence, scaling, splitting, synthesis.
 
 Datasets are immutable after construction (the backing arrays are marked
-read-only), so they can be shared freely across threads.
+read-only), so they can be shared freely across threads. The constructor
+copies and validates its input; a row subset of a dataset (select_rows) is
+already valid, so it is built from the gathered rows without a second copy
+or a re-scan.
 """
 from __future__ import annotations
 
@@ -10,6 +13,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +68,17 @@ class LabeledDataset:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
 
+    @classmethod
+    def _trusted(cls, features, labels, feature_names) -> "LabeledDataset":
+        """Wrap arrays derived from a validated dataset, without copy or checks."""
+        ds = object.__new__(cls)
+        features.setflags(write=False)
+        labels.setflags(write=False)
+        object.__setattr__(ds, "features", features)
+        object.__setattr__(ds, "labels", labels)
+        object.__setattr__(ds, "feature_names", feature_names)
+        return ds
+
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -72,9 +87,21 @@ class LabeledDataset:
     def m(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
+    def class_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices of label 0 and of label 1, in row order."""
+        rows = (np.flatnonzero(self.labels == 0), np.flatnonzero(self.labels == 1))
+        for r in rows:
+            r.setflags(write=False)
+        return rows
+
     def select_rows(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices)
-        return LabeledDataset(self.features[idx], self.labels[idx], self.feature_names)
+        feats, labs = self.features[idx], self.labels[idx]
+        if feats.ndim != 2 or feats.shape[0] == 0:
+            # the validating constructor rejects an empty or mis-shaped subset
+            return LabeledDataset(feats, labs, self.feature_names)
+        return LabeledDataset._trusted(feats, labs, self.feature_names)
 
     def select_columns(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices)

@@ -92,6 +92,12 @@ class SingleClassPool(ValidationError):
     pass
 
 
+# meta-training
+
+class Diverged(MelemadError):
+    """A meta-iteration produced a NaN or Inf meta-loss or meta-gradient."""
+
+
 # metrics
 
 class EmptyConfusion(ValidationError):

@@ -9,8 +9,13 @@ the analytic gradient, sits behind first_order=False and is intended for
 small-model verification.
 
 All parameter vectors are immutable snapshots; every update returns a new
-vector, so episodes within a batch can be processed in parallel and reduced
-in episode order for bit-identical results at any thread count.
+vector. ModelParams, forward and backward take an optional leading episode
+axis, so one inner loop (_descend) adapts a stack of episodes per
+forward/backward call; inner_adapt adapts a stack of one. Meta-training
+stacks a meta-batch's episodes (at most _STACK_CELLS rows x widest hidden
+layer x episodes per stack) and reduces the meta-gradient, loss and accuracy
+in episode order from zeros, so results are byte-identical at any stack
+size. A NaN or Inf meta-loss or meta-gradient raises Diverged.
 """
 from __future__ import annotations
 
@@ -18,7 +23,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -27,6 +31,7 @@ import numpy as np
 from .dataset import LabeledDataset
 from .errors import (
     DimensionMismatch,
+    Diverged,
     LengthMismatch,
     PoolTooSmall,
     SingleClassPool,
@@ -34,6 +39,10 @@ from .errors import (
 )
 
 PROB_EPS = 1e-7
+
+# rows x widest hidden layer x episodes in one stacked forward/backward pass;
+# bounds the activation arrays, so a paper-scale task runs one episode a stack
+_STACK_CELLS = 1 << 16
 
 # stream tags for deriving independent rng seeds from one root seed
 _STREAM_INIT = 0
@@ -80,30 +89,45 @@ class MlpArchitecture:
 
 @dataclass(frozen=True, eq=False)
 class ModelParams:
+    """One flat parameter vector (P,), or a stack of T of them (T, P)."""
+
     values: np.ndarray
     arch: MlpArchitecture
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64).ravel()
-        if vals.shape[0] != self.arch.param_count:
+        vals = np.array(self.values, dtype=np.float64)
+        if vals.ndim != 2:
+            vals = vals.ravel()
+        if vals.shape[-1] != self.arch.param_count:
             raise DimensionMismatch(
-                f"expected {self.arch.param_count} parameters, got {vals.shape[0]}"
+                f"expected {self.arch.param_count} parameters, got {vals.shape[-1]}"
             )
         if not np.all(np.isfinite(vals)):
             raise ValidationError("parameters contain NaN or Inf")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray, arch: MlpArchitecture) -> "ModelParams":
+        """Wrap values the inner loop derived itself, without copy or checks;
+        meta_train checks each iteration's result instead."""
+        params = object.__new__(cls)
+        object.__setattr__(params, "values", values)
+        object.__setattr__(params, "arch", arch)
+        return params
+
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(W, b) views into the flat vector, layer-major."""
+        """(W, b) views into the flat vector, layer-major; a stack gives
+        (T, fan_in, fan_out) and (T, fan_out)."""
+        lead = self.values.shape[:-1]
         out = []
         offset = 0
         for fan_in, fan_out in self.arch.layer_sizes:
-            W = self.values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+            W = self.values[..., offset : offset + fan_in * fan_out]
             offset += fan_in * fan_out
-            b = self.values[offset : offset + fan_out]
+            b = self.values[..., offset : offset + fan_out]
             offset += fan_out
-            out.append((W, b))
+            out.append((W.reshape(*lead, fan_in, fan_out), b))
         return out
 
 
@@ -215,23 +239,26 @@ def _forward_pass(params: ModelParams, X: np.ndarray, mask: np.ndarray | None):
     pre = []
     a = X
     for i, (W, b) in enumerate(layers[:-1]):
-        z = a @ W + b
+        z = a @ W + b[..., None, :]
         pre.append(z)
         a = np.maximum(z, 0.0)
         if i == 0 and mask is not None:
             a = a * mask
         inputs.append(a)
     W_out, b_out = layers[-1]
-    z_out = (a @ W_out + b_out).ravel()
+    z_out = (a @ W_out + b_out[..., None, :])[..., 0]
     p_raw = _sigmoid(z_out)
     return inputs, pre, p_raw, np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS)
 
 
 def _check_input(params: ModelParams, X) -> np.ndarray:
+    """X is (n, m) for one parameter vector, (T, n, m) for a stack of T."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.arch.input_dim:
+    lead = params.values.shape[:-1]
+    if X.ndim != len(lead) + 2 or X.shape[:-2] != lead or X.shape[-1] != params.arch.input_dim:
         raise DimensionMismatch(
-            f"expected {params.arch.input_dim} input columns, got shape {X.shape}"
+            f"expected {params.arch.input_dim} input columns and leading shape {lead}, "
+            f"got shape {X.shape}"
         )
     return X
 
@@ -242,13 +269,15 @@ def forward(
     training: bool = False,
     dropout_seed: int = 0,
 ) -> np.ndarray:
-    """Per-row probability in (0,1), clamped at 1e-7 from either end.
+    """Per-row probability in (0,1), clamped at 1e-7 from either end; (n,)
+    for one parameter vector, (T, n) for a stack.
 
     Dropout fires only when training=True and the architecture has a nonzero
-    rate; inference is deterministic.
+    rate (every episode of a stack then gets the same mask); inference is
+    deterministic.
     """
     X = _check_input(params, X)
-    mask = dropout_mask(params.arch, X.shape[0], dropout_seed) if training else None
+    mask = dropout_mask(params.arch, X.shape[-2], dropout_seed) if training else None
     return _forward_pass(params, X, mask)[3]
 
 
@@ -266,34 +295,40 @@ def backward(
     labels,
     dropout_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact gradient of mean BCE over the forward pass, flat layout.
+    """Exact gradient of mean BCE over the forward pass, flat layout; for a
+    stack, one gradient per episode (T, P), each over its own rows.
 
     Pass the same mask the paired forward used; rows where the output clamp
     is active contribute zero gradient, matching the clamped loss exactly.
     """
     X = _check_input(params, X)
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    if y.shape[0] != X.shape[0]:
-        raise LengthMismatch(f"{X.shape[0]} rows vs {y.shape[0]} labels")
+    y = np.asarray(labels, dtype=np.float64)
+    if X.ndim == 2:
+        y = y.ravel()
+    if y.shape != X.shape[:-1]:
+        raise LengthMismatch(f"{X.shape[:-1]} rows vs {y.shape} labels")
     inputs, pre, p_raw, p = _forward_pass(params, X, dropout_mask)
-    n = X.shape[0]
+    n = X.shape[-2]
 
     layers = params.layers()
     grads = [None] * len(layers)
     interior = (p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)
-    d = (np.where(interior, p - y, 0.0) / n)[:, None]
+    d = (np.where(interior, p - y, 0.0) / n)[..., None]
 
     for i in range(len(layers) - 1, -1, -1):
         W, _ = layers[i]
-        grads[i] = (inputs[i].T @ d, d.sum(axis=0))
+        grads[i] = (np.swapaxes(inputs[i], -1, -2) @ d, d.sum(axis=-2))
         if i == 0:
             break
-        da = d @ W.T
+        da = d @ np.swapaxes(W, -1, -2)
         if i == 1 and dropout_mask is not None:
             da = da * dropout_mask
         d = da * (pre[i - 1] > 0)
 
-    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+    lead = X.shape[:-2]
+    return np.concatenate(
+        [part for gw, gb in grads for part in (gw.reshape(*lead, -1), gb)], axis=-1
+    )
 
 
 def inner_adapt(
@@ -308,29 +343,48 @@ def inner_adapt(
     dropout_seed None disables dropout during adaptation; otherwise each step
     draws its own mask from the seed. The input theta is never modified.
     """
-    path, _ = _descend(theta, support, alpha, inner_steps, dropout_seed)
-    return ModelParams(path[-1], theta.arch)
+    path, _ = _descend(
+        ModelParams._trusted(theta.values[None], theta.arch),
+        support.features[None],
+        support.labels[None],
+        alpha,
+        inner_steps,
+        None if dropout_seed is None else [dropout_seed],
+    )
+    return ModelParams(path[-1][0], theta.arch)
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """np.stack, but a stack of one is a view: at paper scale a copy of each
+    episode's rows and dropout mask would only raise peak memory."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _descend(
     theta: ModelParams,
-    support: LabeledDataset,
+    X: np.ndarray,
+    y: np.ndarray,
     alpha: float,
     inner_steps: int,
-    dropout_seed: int | None,
+    dropout_seeds: list[int] | None,
 ) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
-    """The inner loop behind inner_adapt and the meta-gradient.
+    """The one inner loop, behind inner_adapt and the meta-gradient: adapts a
+    stack of T episodes at once (theta (T, P), supports X (T, n, m), labels
+    (T, n)); episode t draws step s's dropout mask from dropout_seeds[t] + s.
 
-    Returns the parameter values before each step followed by the adapted
-    values (inner_steps + 1 vectors), and the dropout mask of each step.
+    Returns the parameter stack before each step followed by the adapted
+    stack (inner_steps + 1 arrays), and the (T, n, h0) mask of each step.
     """
+    arch = theta.arch
     path = [theta.values]
     masks: list[np.ndarray | None] = []
     for step in range(inner_steps):
         mask = None
-        if dropout_seed is not None:
-            mask = dropout_mask(theta.arch, support.n, int(dropout_seed) + step)
-        grad = backward(ModelParams(path[-1], theta.arch), support.features, support.labels, mask)
+        if dropout_seeds is not None and arch.dropout_rate > 0.0:
+            mask = _stack(
+                [dropout_mask(arch, X.shape[1], int(seed) + step) for seed in dropout_seeds]
+            )
+        grad = backward(ModelParams._trusted(path[-1], arch), X, y, mask)
         masks.append(mask)
         path.append(path[-1] - alpha * grad)
     return path, masks
@@ -360,8 +414,7 @@ def sample_task(
     to the pool ratio, split disjointly into support and query."""
     if pool.n < cfg.samples_per_task:
         raise PoolTooSmall(f"pool has {pool.n} rows, task needs {cfg.samples_per_task}")
-    pos = np.flatnonzero(pool.labels == 1)
-    neg = np.flatnonzero(pool.labels == 0)
+    neg, pos = pool.class_rows
     if pos.size == 0 or neg.size == 0:
         raise SingleClassPool("episode sampling needs both classes in the pool")
 
@@ -393,47 +446,24 @@ def _hvp(
     mask: np.ndarray | None,
     vec: np.ndarray,
 ) -> np.ndarray:
-    """Hessian-vector product of the support loss via central differences of
-    the analytic gradient."""
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        return np.zeros_like(vec)
-    r = 1e-6 * (1.0 + float(np.abs(params.values).max())) / norm
-    g_plus = backward(ModelParams(params.values + r * vec, params.arch), X, y, mask)
-    g_minus = backward(ModelParams(params.values - r * vec, params.arch), X, y, mask)
-    return (g_plus - g_minus) / (2.0 * r)
+    """Hessian-vector product of each stacked episode's support loss via
+    central differences of the analytic gradient.
 
-
-def _episode_result(theta: ModelParams, episode: Episode, cfg: MamlConfig):
-    """Adapt, evaluate the query set, and return (meta-grad, loss, #correct)."""
-    arch = theta.arch
-    dropout_seed = None
-    if cfg.dropout_in_adapt and arch.dropout_rate > 0.0:
-        dropout_seed = int(
-            _rng(cfg.seed, _STREAM_DROPOUT, episode.task_index).integers(0, 2**31)
-        )
-
-    # the second-order path needs every step of the inner trajectory
-    values_path, masks = _descend(
-        theta, episode.support, cfg.alpha, cfg.inner_steps, dropout_seed
-    )
-    adapted = ModelParams(values_path[-1], arch)
-    query_probs = forward(adapted, episode.query.features, training=False)
-    loss = bce_loss(query_probs, episode.query.labels)
-    correct = int(np.sum((query_probs >= 0.5) == (episode.query.labels == 1)))
-
-    grad = backward(adapted, episode.query.features, episode.query.labels)
-    if not cfg.first_order:
-        for step in range(cfg.inner_steps - 1, -1, -1):
-            step_params = ModelParams(values_path[step], arch)
-            grad = grad - cfg.alpha * _hvp(
-                step_params,
-                episode.support.features,
-                episode.support.labels,
-                masks[step],
-                grad,
-            )
-    return grad, loss, correct, query_probs
+    Each episode's step comes from its own 1-D norm: the axis= form of
+    np.linalg.norm sums in another order and would change the bits.
+    """
+    norms = [float(np.linalg.norm(v)) for v in vec]
+    r = np.array(
+        [
+            1e-6 * (1.0 + float(np.abs(p).max())) / norm if norm else 1.0
+            for p, norm in zip(params.values, norms)
+        ]
+    )[:, None]
+    g_plus = backward(ModelParams._trusted(params.values + r * vec, params.arch), X, y, mask)
+    g_minus = backward(ModelParams._trusted(params.values - r * vec, params.arch), X, y, mask)
+    out = (g_plus - g_minus) / (2.0 * r)
+    out[np.array(norms) == 0.0] = 0.0
+    return out
 
 
 def _adam_update(
@@ -451,24 +481,59 @@ def _adam_update(
     return new_values, new_state
 
 
-def _meta_batch(theta: ModelParams, episodes: list[Episode], cfg: MamlConfig, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda ep: _episode_result(theta, ep, cfg), episodes))
-    else:
-        results = [_episode_result(theta, ep, cfg) for ep in episodes]
+def _meta_batch(theta: ModelParams, episodes: list[Episode], cfg: MamlConfig):
+    """Meta-gradient, meta-loss and query accuracy of a meta-batch, scored a
+    stack of episodes at a time and reduced in episode order from zeros, so
+    the result does not depend on the stack size. The episodes must share
+    their support and query sizes.
+    """
+    sizes = {(ep.support.n, ep.query.n) for ep in episodes}
+    if len(sizes) != 1:
+        raise LengthMismatch(f"episodes of one meta-batch differ in size: {sorted(sizes)}")
+    (n_support, n_query), = sizes
+    per_stack = max(1, _STACK_CELLS // (max(n_support, n_query) * max(theta.arch.hidden_dims)))
 
-    t = len(episodes)
     meta_grad = np.zeros_like(theta.values)
     meta_loss = 0.0
     correct = 0
-    total = 0
-    for grad, loss, n_correct, probs in results:
-        meta_grad += grad
-        meta_loss += loss
-        correct += n_correct
-        total += probs.shape[0]
-    return meta_grad / t, meta_loss / t, correct / total
+    for start in range(0, len(episodes), per_stack):
+        grads, probs, labels = _score_stack(theta, episodes[start : start + per_stack], cfg)
+        for t in range(len(grads)):
+            meta_grad += grads[t]
+            meta_loss += bce_loss(probs[t], labels[t])
+            correct += int(np.sum((probs[t] >= 0.5) == (labels[t] == 1)))
+    t = len(episodes)
+    return meta_grad / t, meta_loss / t, correct / (t * n_query)
+
+
+def _score_stack(theta: ModelParams, stack: list[Episode], cfg: MamlConfig):
+    """Adapt theta to each episode of the stack; returns each episode's
+    meta-gradient (T, P), query probabilities (T, n) and query labels."""
+    arch = theta.arch
+    dropout_seeds = None
+    if cfg.dropout_in_adapt and arch.dropout_rate > 0.0:
+        dropout_seeds = [
+            int(_rng(cfg.seed, _STREAM_DROPOUT, ep.task_index).integers(0, 2**31))
+            for ep in stack
+        ]
+    Xs = _stack([ep.support.features for ep in stack])
+    ys = _stack([ep.support.labels for ep in stack])
+    Xq = _stack([ep.query.features for ep in stack])
+    yq = _stack([ep.query.labels for ep in stack])
+
+    # the second-order path needs every step of the inner trajectory
+    thetas = np.broadcast_to(theta.values, (len(stack), theta.values.shape[0]))
+    path, masks = _descend(
+        ModelParams._trusted(thetas, arch), Xs, ys, cfg.alpha, cfg.inner_steps, dropout_seeds
+    )
+    adapted = ModelParams._trusted(path[-1], arch)
+    probs = forward(adapted, Xq, training=False)
+    grad = backward(adapted, Xq, yq)
+    if not cfg.first_order:
+        for step in range(cfg.inner_steps - 1, -1, -1):
+            step_params = ModelParams._trusted(path[step], arch)
+            grad = grad - cfg.alpha * _hvp(step_params, Xs, ys, masks[step], grad)
+    return grad, probs, yq
 
 
 def meta_train(
@@ -477,12 +542,13 @@ def meta_train(
     arch: MlpArchitecture | None = None,
     initial: ModelParams | None = None,
     start_iteration: int = 0,
-    threads: int = 1,
 ) -> tuple[ModelParams, TrainLog]:
     """Run cfg.outer_iterations meta-steps with freshly sampled episodes.
 
     Episode seeds derive from (seed, absolute iteration, slot), so a resumed
     run continues the same episode stream it would have seen uninterrupted.
+    Raises Diverged, naming the iteration, when its meta-loss or
+    meta-gradient is NaN or Inf.
     """
     if arch is None:
         arch = MlpArchitecture(input_dim=train_pool.m)
@@ -501,7 +567,12 @@ def meta_train(
             )
             for j in range(batch)
         ]
-        meta_grad, meta_loss, accuracy = _meta_batch(theta, episodes, cfg, threads)
+        meta_grad, meta_loss, accuracy = _meta_batch(theta, episodes, cfg)
+        if not (math.isfinite(meta_loss) and np.all(np.isfinite(meta_grad))):
+            raise Diverged(
+                f"meta-training diverged at iteration {it}: "
+                "the meta-loss or the meta-gradient is NaN or Inf"
+            )
         new_values, adam = _adam_update(theta.values, meta_grad, adam, cfg.beta)
         theta = ModelParams(new_values, theta.arch)
         log.append(it, meta_loss, accuracy, time.perf_counter() - t0)

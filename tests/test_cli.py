@@ -241,6 +241,32 @@ class TestMetaTrainEvaluate:
         assert (a / "checkpoint.ckpt").read_bytes() == (b / "checkpoint.ckpt").read_bytes()
         assert (a / "test_pool.bin").read_bytes() == (b / "test_pool.bin").read_bytes()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_divergence_exits_1_without_outputs(self, tmp_path, small_config, capsys, flag):
+        data_dir = tmp_path / "d"
+        run(*synth_args(data_dir, fmt="bin"))
+        out = tmp_path / "run"
+        code = run("meta-train", "--config", small_config, "--input",
+                   data_dir / "synthetic.bin", "--out-dir", out, flag, "1e300")
+        assert code == 1
+        assert "diverged at iteration" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_threads_accepted_by_every_stage(self, tmp_path, small_config):
+        data_dir = tmp_path / "d"
+        run(*synth_args(data_dir, fmt="bin"))
+        outs = {}
+        for threads in (1, 3):
+            out = tmp_path / f"t{threads}"
+            assert run("meta-train", "--config", small_config, "--threads", threads,
+                       "--input", data_dir / "synthetic.bin", "--out-dir", out) == 0
+            assert run("evaluate", "--checkpoint", out / "checkpoint.ckpt", "--threads",
+                       threads, "--data", out / "test_pool.bin", "--out-dir", out) == 0
+            outs[threads] = out
+        for name in ("checkpoint.ckpt", "metrics_report.json", "roc.csv"):
+            assert (outs[1] / name).read_bytes() == (outs[3] / name).read_bytes(), name
+
 
 class TestConfig:
     def test_bad_json_exits_2(self, tmp_path):

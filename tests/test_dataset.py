@@ -40,6 +40,45 @@ class TestLabeledDataset:
         assert ds.features[0, 0] == 1.0
 
 
+class TestSelectRows:
+    def make(self):
+        rng = np.random.default_rng(5)
+        return make_ds(rng.normal(size=(8, 3)), [0, 1, 1, 0, 1, 0, 0, 1], ["a", "b", "c"])
+
+    def test_gathers_rows_in_order(self):
+        ds = self.make()
+        sub = ds.select_rows([6, 1, 1, 3])
+        np.testing.assert_array_equal(sub.features, ds.features[[6, 1, 1, 3]])
+        np.testing.assert_array_equal(sub.labels, [0, 1, 1, 0])
+        assert sub.labels.dtype == np.uint8 and sub.features.dtype == np.float64
+        assert sub.feature_names == ["a", "b", "c"]
+
+    def test_arrays_read_only(self):
+        sub = self.make().select_rows(np.array([2, 0]))
+        with pytest.raises(ValueError):
+            sub.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            sub.labels[0] = 0
+
+    def test_empty_and_2d_indices_rejected(self):
+        ds = self.make()
+        with pytest.raises(ValidationError):
+            ds.select_rows(np.array([], dtype=int))
+        with pytest.raises(ValidationError):
+            ds.select_rows(np.zeros(8, dtype=bool))
+        with pytest.raises(ValidationError):
+            ds.select_rows(np.array([[0, 1], [2, 3]]))
+
+    def test_class_rows(self):
+        ds = self.make()
+        neg, pos = ds.class_rows
+        np.testing.assert_array_equal(neg, [0, 3, 5, 6])
+        np.testing.assert_array_equal(pos, [1, 2, 4, 7])
+        assert ds.class_rows is ds.class_rows  # computed once per dataset
+        with pytest.raises(ValueError):
+            pos[0] = 0
+
+
 class TestCsv:
     def test_three_row_example(self, tmp_path):
         path = tmp_path / "d.csv"

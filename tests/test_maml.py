@@ -7,6 +7,7 @@ from melemad import maml
 from melemad.dataset import LabeledDataset
 from melemad.errors import (
     DimensionMismatch,
+    Diverged,
     LengthMismatch,
     PoolTooSmall,
     SingleClassPool,
@@ -287,6 +288,64 @@ def manual_episode(seed, n_support=6, n_query=6, m=3):
     )
 
 
+def reference_descend(theta, support, alpha, inner_steps, dropout_seed):
+    """The per-episode inner loop from before episodes were stacked."""
+    path = [theta.values]
+    masks = []
+    for step in range(inner_steps):
+        mask = None
+        if dropout_seed is not None:
+            mask = maml.dropout_mask(theta.arch, support.n, int(dropout_seed) + step)
+        params = maml.ModelParams(path[-1], theta.arch)
+        grad = maml.backward(params, support.features, support.labels, mask)
+        masks.append(mask)
+        path.append(path[-1] - alpha * grad)
+    return path, masks
+
+
+def reference_hvp(params, X, y, mask, vec):
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        return np.zeros_like(vec)
+    r = 1e-6 * (1.0 + float(np.abs(params.values).max())) / norm
+    g_plus = maml.backward(maml.ModelParams(params.values + r * vec, params.arch), X, y, mask)
+    g_minus = maml.backward(maml.ModelParams(params.values - r * vec, params.arch), X, y, mask)
+    return (g_plus - g_minus) / (2.0 * r)
+
+
+def reference_meta_batch(theta, episodes, cfg):
+    """The per-episode meta-batch from before episodes were stacked: adapt,
+    score and differentiate one episode at a time on 2-D arrays, then reduce
+    in episode order from zeros."""
+    arch = theta.arch
+    meta_grad = np.zeros_like(theta.values)
+    meta_loss = 0.0
+    correct = 0
+    total = 0
+    for ep in episodes:
+        dropout_seed = None
+        if cfg.dropout_in_adapt and arch.dropout_rate > 0.0:
+            dropout_seed = int(
+                maml._rng(cfg.seed, maml._STREAM_DROPOUT, ep.task_index).integers(0, 2**31)
+            )
+        path, masks = reference_descend(theta, ep.support, cfg.alpha, cfg.inner_steps, dropout_seed)
+        adapted = maml.ModelParams(path[-1], arch)
+        probs = maml.forward(adapted, ep.query.features, training=False)
+        grad = maml.backward(adapted, ep.query.features, ep.query.labels)
+        if not cfg.first_order:
+            for step in range(cfg.inner_steps - 1, -1, -1):
+                grad = grad - cfg.alpha * reference_hvp(
+                    maml.ModelParams(path[step], arch), ep.support.features,
+                    ep.support.labels, masks[step], grad,
+                )
+        meta_grad += grad
+        meta_loss += maml.bce_loss(probs, ep.query.labels)
+        correct += int(np.sum((probs >= 0.5) == (ep.query.labels == 1)))
+        total += probs.shape[0]
+    t = len(episodes)
+    return meta_grad / t, meta_loss / t, correct / total
+
+
 class TestMetaStep:
     def no_dropout_arch(self, m=3, hidden=(4, 2)):
         return maml.MlpArchitecture(input_dim=m, hidden_dims=hidden, dropout_rate=0.0)
@@ -301,7 +360,7 @@ class TestMetaStep:
                 first_order=True, inner_steps=inner_steps,
             )
             theta = maml.init_params(arch, 30)
-            meta_grad = maml._meta_batch(theta, [ep], cfg, threads=1)[0]
+            meta_grad = maml._meta_batch(theta, [ep], cfg)[0]
             dropout_seed = None
             if arch.dropout_rate > 0.0:
                 # the training path's dropout seed for this episode
@@ -319,7 +378,7 @@ class TestMetaStep:
         cfg = maml.MamlConfig(
             alpha=0.0, samples_per_task=12, support_size=6, query_size=6, first_order=True
         )
-        meta_grad = maml._meta_batch(theta, eps, cfg, threads=1)[0]
+        meta_grad = maml._meta_batch(theta, eps, cfg)[0]
         expected = np.mean(
             [maml.backward(theta, ep.query.features, ep.query.labels) for ep in eps], axis=0
         )
@@ -373,7 +432,7 @@ class TestMetaStep:
             down[i] -= step
             fd[i] = (composed(up) - composed(down)) / (2 * step)
 
-        meta_grad = maml._meta_batch(theta, [ep], cfg, threads=1)[0]
+        meta_grad = maml._meta_batch(theta, [ep], cfg)[0]
         rel = np.abs(meta_grad - fd) / (np.maximum(np.abs(meta_grad), np.abs(fd)) + 1e-8)
         assert float(rel.max()) < 1e-3
 
@@ -392,7 +451,7 @@ class TestMetaStep:
                     query_size=6,
                     first_order=first,
                 )
-                grads[first] = maml._meta_batch(theta, [ep], cfg, threads=1)[0]
+                grads[first] = maml._meta_batch(theta, [ep], cfg)[0]
             diffs.append(float(np.linalg.norm(grads[True] - grads[False])))
         assert diffs[0] > diffs[1] > diffs[2]
 
@@ -406,6 +465,119 @@ class TestMetaStep:
         new_theta, _ = maml.meta_train(random_pool(40, 3, seed=44), cfg, initial=theta)
         assert theta.values.tobytes() == snapshot
         assert new_theta.values.tobytes() != snapshot
+
+
+ENGINE_POOL = random_pool(200, 4, seed=70)
+STACK_CELLS = (1, 7, 2 * 12 * 6, maml._STACK_CELLS, 1 << 30)
+
+
+def engine_cfg(inner_steps=1, first_order=True, **kw):
+    # support and query sizes differ, so the stack bound reads the larger
+    return maml.MamlConfig(
+        alpha=0.05, beta=0.01, samples_per_task=24, support_size=12, query_size=10,
+        inner_steps=inner_steps, first_order=first_order, seed=8, **kw,
+    )
+
+
+class TestStackEngine:
+    """The stacked meta-batch against the per-episode reference, byte for byte."""
+
+    def arch(self, dropout):
+        return maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3 * dropout)
+
+    def episodes(self, cfg, count=5):
+        return [maml.sample_task(ENGINE_POOL, cfg, 100 + j, task_index=j) for j in range(count)]
+
+    @pytest.mark.parametrize("cells", STACK_CELLS)
+    @pytest.mark.parametrize("inner_steps", [1, 2, 3])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("first_order", [True, False])
+    def test_meta_batch_matches_reference(self, monkeypatch, cells, inner_steps, dropout,
+                                          first_order):
+        cfg = engine_cfg(inner_steps, first_order)
+        theta = maml.init_params(self.arch(dropout), 71)
+        eps = self.episodes(cfg)
+        expected = reference_meta_batch(theta, eps, cfg)
+        monkeypatch.setattr(maml, "_STACK_CELLS", cells)
+        grad, loss, accuracy = maml._meta_batch(theta, eps, cfg)
+        assert grad.tobytes() == expected[0].tobytes()
+        assert repr(loss) == repr(expected[1])
+        assert repr(accuracy) == repr(expected[2])
+
+    @pytest.mark.parametrize("cells", STACK_CELLS)
+    def test_meta_train_matches_reference(self, monkeypatch, cells):
+        arch = self.arch(True)
+        cfg = engine_cfg(2, False, outer_iterations=4, tasks_per_meta_batch=5)
+        monkeypatch.setattr(maml, "_meta_batch", reference_meta_batch)
+        ref_theta, ref_log = maml.meta_train(ENGINE_POOL, cfg, arch=arch)
+        monkeypatch.undo()
+        monkeypatch.setattr(maml, "_STACK_CELLS", cells)
+        theta, log = maml.meta_train(ENGINE_POOL, cfg, arch=arch)
+        assert theta.values.tobytes() == ref_theta.values.tobytes()
+        assert repr(log.meta_loss) == repr(ref_log.meta_loss)
+        assert repr(log.query_accuracy) == repr(ref_log.query_accuracy)
+
+    @pytest.mark.parametrize("dropout_seed", [None, 17])
+    def test_inner_adapt_matches_reference(self, dropout_seed):
+        theta = maml.init_params(self.arch(True), 72)
+        support = self.episodes(engine_cfg(), 1)[0].support
+        adapted = maml.inner_adapt(theta, support, 0.05, 3, dropout_seed)
+        path, _ = reference_descend(theta, support, 0.05, 3, dropout_seed)
+        assert adapted.values.tobytes() == path[-1].tobytes()
+
+    def test_stacked_forward_backward_match_per_episode(self):
+        arch = self.arch(True)
+        rng = np.random.default_rng(73)
+        values = maml.init_params(arch, 74).values + rng.normal(0, 0.1, (3, arch.param_count))
+        X = rng.normal(size=(3, 9, 4))
+        y = rng.integers(0, 2, (3, 9))
+        mask = np.stack([maml.dropout_mask(arch, 9, s) for s in (1, 2, 3)])
+        stacked = maml.ModelParams(values, arch)
+        probs = maml.forward(stacked, X)
+        grads = maml.backward(stacked, X, y, mask)
+        assert probs.shape == (3, 9) and grads.shape == (3, arch.param_count)
+        for t in range(3):
+            single = maml.ModelParams(values[t], arch)
+            assert probs[t].tobytes() == maml.forward(single, X[t]).tobytes()
+            assert grads[t].tobytes() == maml.backward(single, X[t], y[t], mask[t]).tobytes()
+
+    def test_stack_shape_mismatch_rejected(self):
+        arch = self.arch(False)
+        stacked = maml.ModelParams(np.zeros((2, arch.param_count)), arch)
+        with pytest.raises(DimensionMismatch):
+            maml.forward(stacked, np.zeros((3, 5, 4)))
+        with pytest.raises(DimensionMismatch):
+            maml.forward(stacked, np.zeros((5, 4)))
+        with pytest.raises(LengthMismatch):
+            maml.backward(stacked, np.zeros((2, 5, 4)), np.zeros((2, 4)))
+
+    def test_unequal_episode_sizes_rejected(self):
+        theta = maml.init_params(self.arch(False), 75)
+        cfg = engine_cfg()
+        with pytest.raises(LengthMismatch):
+            maml._meta_batch(theta, [manual_episode(76, m=4), manual_episode(77, 5, m=4)], cfg)
+        with pytest.raises(LengthMismatch):
+            maml._meta_batch(theta, [manual_episode(76, m=4), manual_episode(77, 6, 4, m=4)], cfg)
+
+    def test_stack_size_bounded_by_cells(self, monkeypatch):
+        # 5000 support rows x 64 hidden units exceed the bound on their own
+        assert 5000 * 64 > maml._STACK_CELLS
+        stack_sizes = []
+        real_backward = maml.backward
+
+        def counting_backward(params, X, labels, dropout_mask=None):
+            stack_sizes.append(X.shape[0])
+            return real_backward(params, X, labels, dropout_mask)
+
+        monkeypatch.setattr(maml, "backward", counting_backward)
+        theta = maml.init_params(maml.MlpArchitecture(input_dim=4), 78)
+        cfg = engine_cfg(tasks_per_meta_batch=4)
+        maml._meta_batch(theta, self.episodes(cfg, 4), cfg)
+        assert stack_sizes == [4, 4]  # 12 rows x 64 units: one stack of four
+        stack_sizes.clear()
+        monkeypatch.setattr(maml, "_STACK_CELLS", 12 * 64)
+        maml._meta_batch(theta, self.episodes(cfg, 4), cfg)
+        assert stack_sizes == [1] * 8
 
 
 class TestMetaTrain:
@@ -448,13 +620,23 @@ class TestMetaTrain:
         last = float(np.median(log.meta_loss[-6:]))
         assert last < first
 
-    def test_deterministic_across_runs_and_threads(self):
+    def test_deterministic_across_runs(self):
         pool = random_pool(120, 3, seed=53)
         cfg = self.small_cfg(5, seed=9)
         a, _ = maml.meta_train(pool, cfg)
         b, _ = maml.meta_train(pool, cfg)
-        c, _ = maml.meta_train(pool, cfg, threads=3)
+        c, _ = maml.meta_train(pool, cfg)
         assert a.values.tobytes() == b.values.tobytes() == c.values.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raises_naming_the_iteration(self):
+        pool = random_pool(120, 4, seed=55)
+        cfg = maml.MamlConfig(
+            alpha=1e300, outer_iterations=3, tasks_per_meta_batch=2, samples_per_task=30,
+            support_size=15, query_size=15,
+        )
+        with pytest.raises(Diverged, match="iteration 0"):
+            maml.meta_train(pool, cfg, arch=maml.MlpArchitecture(4, (8,)))
 
     def test_resume_continues_iteration_numbering(self):
         pool = random_pool(120, 3, seed=54)
