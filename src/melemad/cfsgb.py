@@ -4,16 +4,14 @@ The dataset is cut into overlapping row chunks, a GBDT is trained per chunk,
 features whose normalized importance clears the threshold in any chunk are
 kept, and the union defines the projected dataset. The threshold is either a
 fixed tau or derived from a top-k target; both select from the same single
-training pass over the chunks. Per-chunk work is pure and may run in
-parallel; results are reduced in chunk order, so the output is identical for
-any thread count.
+training pass over the chunks. Chunks are trained one after another and
+reduced in chunk order.
 """
 from __future__ import annotations
 
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,15 +36,15 @@ def _half_up(x: float) -> int:
 class ChunkSpec:
     p: float = 0.2
     q: float = 0.2
-    explicit_k: int | None = None
+    k: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
             raise ValidationError("chunk fraction p must be in (0, 1]")
         if not 0.0 <= self.q < 1.0:
             raise ValidationError("overlap fraction q must be in [0, 1)")
-        if self.explicit_k is not None and self.explicit_k < 1:
-            raise ValidationError("explicit_k must be >= 1")
+        if self.k is not None and self.k < 1:
+            raise ValidationError("chunk count k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ class CfsgbReport:
 
 def make_chunks(n: int, spec: ChunkSpec) -> list[Chunk]:
     """Chunk rows [0, n) into length-l windows, l = round(p*n), stepping by
-    l - round(q*l); with explicit_k, exactly k windows start at evenly spaced
+    l - round(q*l); with k set, exactly k windows start at evenly spaced
     offsets from 0 to n-l. Every row is covered either way."""
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -99,13 +97,13 @@ def make_chunks(n: int, spec: ChunkSpec) -> list[Chunk]:
     if l > n:
         raise ChunkLargerThanData(f"chunk length {l} exceeds {n} rows")
 
-    if spec.explicit_k is not None:
-        k = spec.explicit_k
+    if spec.k is not None:
+        k = spec.k
         if k == 1:
             return [Chunk(0, 0, n)]
         if k * l < n:
             raise ValidationError(
-                f"explicit_k={k} chunks of {l} rows cannot cover {n} rows"
+                f"k={k} chunks of {l} rows cannot cover {n} rows"
             )
         # evenly spaced starts from 0 to n-l; consecutive starts differ by at
         # most l because k*l >= n, so the windows always tile without gaps
@@ -150,17 +148,12 @@ def project_dataset(ds: LabeledDataset, s: SelectedFeatureSet) -> LabeledDataset
 
 
 def _chunk_importances(
-    ds: LabeledDataset, chunks: list[Chunk], cfg: gbdt.GbdtConfig, threads: int = 1
+    ds: LabeledDataset, chunks: list[Chunk], cfg: gbdt.GbdtConfig
 ) -> list[np.ndarray]:
-    def one(chunk: Chunk) -> np.ndarray:
-        chunk_ds = ds.select_rows(np.arange(chunk.start, chunk.stop))
-        model = gbdt.train(chunk_ds, cfg)
-        return gbdt.feature_importance(model)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, chunks))
-    return [one(chunk) for chunk in chunks]
+    return [
+        gbdt.feature_importance(gbdt.train(ds.select_rows(np.arange(c.start, c.stop)), cfg))
+        for c in chunks
+    ]
 
 
 def run_cfsgb(
@@ -168,7 +161,6 @@ def run_cfsgb(
     spec: ChunkSpec,
     cfg: gbdt.GbdtConfig,
     tau: float | None = None,
-    threads: int = 1,
     top_k: int | None = None,
 ) -> tuple[SelectedFeatureSet, LabeledDataset, CfsgbReport]:
     """Full selection pass: chunk, score, threshold, union, project.
@@ -186,7 +178,7 @@ def run_cfsgb(
     timings["chunking"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    importances = _chunk_importances(ds, chunks, cfg, threads)
+    importances = _chunk_importances(ds, chunks, cfg)
     timings["training"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -1,20 +1,21 @@
 """Command-line driver: synth, select, meta-train, evaluate.
 
-One JSON config file (sections: chunking, gbdt, selection, split, maml) plus
-per-field flag overrides. Every stage seeds its randomness from the global
-seed hashed with the stage name, writes outputs to a temp file and renames on
-success, and exits 0 on success, 1 on runtime failure, 2 on validation
-failure.
+One JSON config file plus flag overrides. Each config section holds the
+fields of the library types it builds, so every default lives on those
+types, and each override flag's argparse dest is the config key it sets.
+Every stage seeds its randomness from the global seed hashed with the stage
+name, writes outputs to a temp file and renames on success, and exits 0 on
+success, 1 on runtime failure, 2 on validation failure (an unknown config
+key among them).
 """
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import cfsgb, dataset, gbdt, maml, metrics
@@ -25,32 +26,25 @@ from .errors import (
     ValidationError,
 )
 
-DEFAULT_CONFIG: dict = {
-    "seed": 0,
-    "output_dir": None,
-    "chunking": {"p": 0.2, "q": 0.2, "k": None},
-    "gbdt": {
-        "n_trees": 100,
-        "max_depth": 3,
-        "learning_rate": 0.1,
-        "min_samples_leaf": 5,
-    },
-    "selection": {"tau": None, "top_k": None},
-    "split": {"train_fraction": 0.8, "stratified": True},
-    "maml": {
-        "alpha": 0.0001,
-        "beta": 0.001,
-        "outer_iterations": 1000,
-        "tasks_per_meta_batch": 4,
-        "samples_per_task": 100,
-        "support_size": 50,
-        "query_size": 50,
-        "inner_steps": 1,
-        "first_order": True,
-        "dropout_in_adapt": True,
-        "hidden_dims": [64, 32, 16],
-        "dropout_rate": 0.2,
-    },
+# the keys outside the sections, with their defaults
+_TOP_LEVEL = {"seed": 0, "output_dir": None}
+# fields the CLI sets (the per-stage seeds, the input width), never the config
+_DERIVED = frozenset({"seed", "input_dim"})
+
+
+def _keys(*types) -> frozenset[str]:
+    return frozenset(f.name for t in types for f in fields(t)) - _DERIVED
+
+
+# Each section holds the fields of the types it builds; selection holds the
+# keyword arguments of cfsgb.run_cfsgb. A key left out takes the default its
+# type declares.
+_SECTIONS = {
+    "chunking": _keys(cfsgb.ChunkSpec),
+    "gbdt": _keys(gbdt.GbdtConfig),
+    "selection": frozenset({"tau", "top_k"}),
+    "split": _keys(dataset.SplitSpec),
+    "maml": _keys(maml.MamlConfig, maml.MlpArchitecture),
 }
 
 
@@ -60,66 +54,58 @@ def derive_seed(seed: int, stage: str) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
 def load_config(path: str | None) -> dict:
-    if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        user = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(user, dict):
-        raise ValidationError(f"config {path} must be a JSON object")
-    return _merge(DEFAULT_CONFIG, user)
-
-
-def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    paths = {
-        "seed": ("seed",),
-        "p": ("chunking", "p"),
-        "q": ("chunking", "q"),
-        "k": ("chunking", "k"),
-        "n_trees": ("gbdt", "n_trees"),
-        "max_depth": ("gbdt", "max_depth"),
-        "learning_rate": ("gbdt", "learning_rate"),
-        "min_samples_leaf": ("gbdt", "min_samples_leaf"),
-        "tau": ("selection", "tau"),
-        "top_k": ("selection", "top_k"),
-        "train_fraction": ("split", "train_fraction"),
-        "alpha": ("maml", "alpha"),
-        "beta": ("maml", "beta"),
-        "iterations": ("maml", "outer_iterations"),
-        "tasks_per_batch": ("maml", "tasks_per_meta_batch"),
-        "samples_per_task": ("maml", "samples_per_task"),
-        "support_size": ("maml", "support_size"),
-        "query_size": ("maml", "query_size"),
-        "inner_steps": ("maml", "inner_steps"),
-        "first_order": ("maml", "first_order"),
-    }
-    for attr, keys in paths.items():
-        value = getattr(args, attr, None)
-        if value is None:
-            continue
-        node = cfg
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
+    """The config file (none: an empty one) as a dict with every top-level
+    key and every section present. Unknown or derived keys, and sections that
+    are not JSON objects, raise ValidationError."""
+    user: dict = {}
+    if path is not None:
+        text = Path(path).read_text(encoding="utf-8")
+        try:
+            user = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
+        if not isinstance(user, dict):
+            raise ValidationError(f"config {path} must be a JSON object")
+    unknown = set(user) - set(_TOP_LEVEL) - set(_SECTIONS)
+    if unknown:
+        raise ValidationError(
+            f"config {path} has unknown key(s) {sorted(unknown)}; "
+            f"it accepts {sorted([*_TOP_LEVEL, *_SECTIONS])}"
+        )
+    cfg = {key: user.get(key, default) for key, default in _TOP_LEVEL.items()}
+    for name, keys in _SECTIONS.items():
+        section = user.get(name, {})
+        if not isinstance(section, dict):
+            raise ValidationError(f"config {path}: section {name!r} must be a JSON object")
+        unknown = set(section) - keys
+        if unknown:
+            raise ValidationError(
+                f"config {path}: section {name!r} has unknown key(s) "
+                f"{sorted(unknown)}; it accepts {sorted(keys)}"
+            )
+        cfg[name] = dict(section)
     return cfg
 
 
-def _out_dir(args: argparse.Namespace, cfg: dict) -> Path:
-    out = args.out_dir or cfg.get("output_dir") or os.environ.get("MELEMAD_OUT_DIR") or "."
-    path = Path(out)
+def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
+    """Set the config key each given flag names: its dest is "section.key",
+    or a top-level key."""
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if value is not None and (section or key in _TOP_LEVEL):
+            (cfg[section] if section else cfg)[key] = value
+    return cfg
+
+
+def _build(cls, section: dict, **derived):
+    """cls from the section's keys that are its fields, plus derived fields."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in {**section, **derived}.items() if k in names})
+
+
+def _out_dir(output_dir: str | None) -> Path:
+    path = Path(output_dir or os.environ.get("MELEMAD_OUT_DIR") or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -148,47 +134,6 @@ def _load_dataset(path: str, label_column: str = "label") -> dataset.LabeledData
     return dataset.load_binary(p)
 
 
-def _chunk_spec(cfg: dict) -> cfsgb.ChunkSpec:
-    section = cfg["chunking"]
-    return cfsgb.ChunkSpec(p=section["p"], q=section["q"], explicit_k=section["k"])
-
-
-def _gbdt_config(cfg: dict) -> gbdt.GbdtConfig:
-    section = cfg["gbdt"]
-    return gbdt.GbdtConfig(
-        n_trees=section["n_trees"],
-        max_depth=section["max_depth"],
-        learning_rate=section["learning_rate"],
-        min_samples_leaf=section["min_samples_leaf"],
-    )
-
-
-def _maml_config(cfg: dict, seed: int) -> maml.MamlConfig:
-    section = cfg["maml"]
-    return maml.MamlConfig(
-        alpha=section["alpha"],
-        beta=section["beta"],
-        outer_iterations=section["outer_iterations"],
-        tasks_per_meta_batch=section["tasks_per_meta_batch"],
-        samples_per_task=section["samples_per_task"],
-        support_size=section["support_size"],
-        query_size=section["query_size"],
-        inner_steps=section["inner_steps"],
-        first_order=section["first_order"],
-        dropout_in_adapt=section["dropout_in_adapt"],
-        seed=seed,
-    )
-
-
-def _architecture(cfg: dict, input_dim: int) -> maml.MlpArchitecture:
-    section = cfg["maml"]
-    return maml.MlpArchitecture(
-        input_dim=input_dim,
-        hidden_dims=tuple(section["hidden_dims"]),
-        dropout_rate=section["dropout_rate"],
-    )
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = dataset.SyntheticSpec(
         n=args.n,
@@ -198,7 +143,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         class_balance=args.balance,
         seed=args.seed if args.seed is not None else 0,
     )
-    out = _out_dir(args, {})
+    out = _out_dir(args.output_dir)
     ds, informative = dataset.synthesize(spec)
     if args.format == "csv":
         _atomic_save(out / "synthetic.csv", lambda p: dataset.save_csv(ds, p))
@@ -214,21 +159,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_select(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    chunk_spec = _chunk_spec(cfg)
-    gbdt_cfg = _gbdt_config(cfg)
+    chunk_spec = _build(cfsgb.ChunkSpec, cfg["chunking"])
+    gbdt_cfg = _build(gbdt.GbdtConfig, cfg["gbdt"])
     ds = _load_dataset(args.input, args.label_column)
 
-    selected, projected, report = cfsgb.run_cfsgb(
-        ds,
-        chunk_spec,
-        gbdt_cfg,
-        cfg["selection"]["tau"],
-        threads=args.threads,
-        top_k=cfg["selection"]["top_k"],
-    )
+    selected, projected, report = cfsgb.run_cfsgb(ds, chunk_spec, gbdt_cfg, **cfg["selection"])
     tau = selected.threshold_used
 
-    out = _out_dir(args, cfg)
+    out = _out_dir(cfg["output_dir"])
     _atomic_save(out / "selected_features.json", lambda p: cfsgb.save_selection(selected, p))
     _atomic_save(out / "projected.bin", lambda p: dataset.save_binary(projected, p))
     report_json = json.dumps(
@@ -254,14 +192,10 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_meta_train(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     seed = cfg["seed"]
-    split_spec = dataset.SplitSpec(
-        train_fraction=cfg["split"]["train_fraction"],
-        stratified=cfg["split"]["stratified"],
-        seed=derive_seed(seed, "split"),
-    )
-    maml_cfg = _maml_config(cfg, derive_seed(seed, "meta-train"))
+    split_spec = _build(dataset.SplitSpec, cfg["split"], seed=derive_seed(seed, "split"))
+    maml_cfg = _build(maml.MamlConfig, cfg["maml"], seed=derive_seed(seed, "meta-train"))
     ds = _load_dataset(args.input, args.label_column)
-    arch = _architecture(cfg, ds.m)
+    arch = _build(maml.MlpArchitecture, cfg["maml"], input_dim=ds.m)
 
     train_pool, test_pool = dataset.stratified_split(ds, split_spec)
     scaler = dataset.fit_scaler(train_pool)
@@ -284,7 +218,7 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
     )
     final_iteration = start_iteration + maml_cfg.outer_iterations
 
-    out = _out_dir(args, cfg)
+    out = _out_dir(cfg["output_dir"])
     _atomic_save(out / "scaler.json", lambda p: dataset.save_scaler(scaler, p))
     _atomic_save(out / "test_pool.bin", lambda p: dataset.save_binary(test_pool, p))
     _atomic_save(
@@ -301,25 +235,19 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    params, ckpt_cfg, _ = maml.load_checkpoint(args.checkpoint)
     cfg = _apply_overrides(load_config(args.config), args)
-    if args.config is not None:
-        maml_cfg = _maml_config(cfg, ckpt_cfg.seed)
-    else:
-        # no config file: start from the checkpoint's embedded config and
-        # apply any flag overrides on top
-        overrides = {
-            name: getattr(args, name)
-            for name in ("alpha", "support_size", "query_size", "samples_per_task")
-            if getattr(args, name, None) is not None
-        }
-        maml_cfg = replace(ckpt_cfg, **overrides) if overrides else ckpt_cfg
+    params, ckpt_cfg, _ = maml.load_checkpoint(args.checkpoint)
+    section = cfg["maml"]
+    if args.config is None:
+        # no config file: the checkpoint's embedded config stands in for it
+        section = {**asdict(ckpt_cfg), **section}
+    maml_cfg = _build(maml.MamlConfig, section, seed=ckpt_cfg.seed)
     test_pool = _load_dataset(args.data, args.label_column)
 
     probs, labels = maml.meta_evaluate(params, test_pool, maml_cfg, episodes=args.episodes)
     report = metrics.compute_report(probs, labels, threshold=args.threshold)
 
-    out = _out_dir(args, cfg)
+    out = _out_dir(cfg["output_dir"])
     _atomic_save(
         out / "metrics_report.json",
         lambda p: p.write_text(metrics.report_to_json(report), encoding="utf-8"),
@@ -334,19 +262,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--out-dir", default=None, help="output directory")
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--out-dir", dest="output_dir", help="output directory")
     parser.add_argument(
         "--threads",
         type=int,
-        default=1,
-        help="worker threads for select's per-chunk training; meta-train and "
-        "evaluate accept it and ignore it",
+        help="accepted and ignored: no stage runs a thread pool",
     )
     parser.add_argument("--label-column", default="label")
 
 
+def _add_episode_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--alpha", dest="maml.alpha", type=float)
+    parser.add_argument("--samples-per-task", dest="maml.samples_per_task", type=int)
+    parser.add_argument("--support-size", dest="maml.support_size", type=int)
+    parser.add_argument("--query-size", dest="maml.query_size", type=int)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag that overrides a config key has that key as its dest:
+    "section.key", or a top-level key."""
     parser = argparse.ArgumentParser(prog="melemad")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -358,61 +293,46 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--balance", type=float, default=0.5)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--format", choices=("csv", "bin"), default="csv")
-    p_synth.add_argument("--out-dir", default=None)
+    p_synth.add_argument("--out-dir", dest="output_dir")
     p_synth.set_defaults(func=cmd_synth)
 
     p_select = sub.add_parser("select", help="chunk-wise feature selection")
     _add_common(p_select)
     p_select.add_argument("--input", required=True, help="dataset file (.csv or .bin)")
-    p_select.add_argument("--p", type=float, default=None)
-    p_select.add_argument("--q", type=float, default=None)
-    p_select.add_argument("--k", type=int, default=None)
-    p_select.add_argument("--tau", type=float, default=None)
-    p_select.add_argument("--top-k", dest="top_k", type=int, default=None)
-    p_select.add_argument("--n-trees", dest="n_trees", type=int, default=None)
-    p_select.add_argument("--max-depth", dest="max_depth", type=int, default=None)
-    p_select.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p_select.add_argument(
-        "--min-samples-leaf", dest="min_samples_leaf", type=int, default=None
-    )
+    p_select.add_argument("--p", dest="chunking.p", type=float)
+    p_select.add_argument("--q", dest="chunking.q", type=float)
+    p_select.add_argument("--k", dest="chunking.k", type=int)
+    p_select.add_argument("--tau", dest="selection.tau", type=float)
+    p_select.add_argument("--top-k", dest="selection.top_k", type=int)
+    p_select.add_argument("--n-trees", dest="gbdt.n_trees", type=int)
+    p_select.add_argument("--max-depth", dest="gbdt.max_depth", type=int)
+    p_select.add_argument("--learning-rate", dest="gbdt.learning_rate", type=float)
+    p_select.add_argument("--min-samples-leaf", dest="gbdt.min_samples_leaf", type=int)
     p_select.set_defaults(func=cmd_select)
 
     p_train = sub.add_parser("meta-train", help="split, scale, and meta-train")
     _add_common(p_train)
+    _add_episode_flags(p_train)
     p_train.add_argument("--input", required=True, help="dataset file (.csv or .bin)")
-    p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--alpha", type=float, default=None)
-    p_train.add_argument("--beta", type=float, default=None)
-    p_train.add_argument("--iterations", type=int, default=None)
-    p_train.add_argument("--tasks-per-batch", dest="tasks_per_batch", type=int, default=None)
+    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--beta", dest="maml.beta", type=float)
+    p_train.add_argument("--iterations", dest="maml.outer_iterations", type=int)
+    p_train.add_argument("--tasks-per-batch", dest="maml.tasks_per_meta_batch", type=int)
+    p_train.add_argument("--inner-steps", dest="maml.inner_steps", type=int)
     p_train.add_argument(
-        "--samples-per-task", dest="samples_per_task", type=int, default=None
+        "--first-order", dest="maml.first_order", action=argparse.BooleanOptionalAction
     )
-    p_train.add_argument("--support-size", dest="support_size", type=int, default=None)
-    p_train.add_argument("--query-size", dest="query_size", type=int, default=None)
-    p_train.add_argument("--inner-steps", dest="inner_steps", type=int, default=None)
-    p_train.add_argument(
-        "--first-order",
-        dest="first_order",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
-    p_train.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
-    p_train.add_argument("--resume", default=None, help="checkpoint to continue from")
+    p_train.add_argument("--train-fraction", dest="split.train_fraction", type=float)
+    p_train.add_argument("--resume", help="checkpoint to continue from")
     p_train.set_defaults(func=cmd_meta_train)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint on a test pool")
     _add_common(p_eval)
+    _add_episode_flags(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True, help="test pool file (.csv or .bin)")
     p_eval.add_argument("--threshold", type=float, default=0.5)
-    p_eval.add_argument("--episodes", type=int, default=None)
-    p_eval.add_argument("--alpha", type=float, default=None)
-    p_eval.add_argument("--support-size", dest="support_size", type=int, default=None)
-    p_eval.add_argument("--query-size", dest="query_size", type=int, default=None)
-    p_eval.add_argument(
-        "--samples-per-task", dest="samples_per_task", type=int, default=None
-    )
+    p_eval.add_argument("--episodes", type=int)
     p_eval.set_defaults(func=cmd_evaluate)
 
     return parser

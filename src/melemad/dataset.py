@@ -1,10 +1,10 @@
 """Labeled feature matrices: loading, persistence, scaling, splitting, synthesis.
 
 Datasets are immutable after construction (the backing arrays are marked
-read-only), so they can be shared freely across threads. The constructor
-copies and validates its input; a row subset of a dataset (select_rows) is
-already valid, so it is built from the gathered rows without a second copy
-or a re-scan.
+read-only). The constructor copies and validates its input; a row or column
+subset of a dataset (select_rows, select_columns) and a scaled dataset
+(apply_scaler) are already valid, so each is built from its freshly computed
+matrix without a second copy or a re-scan.
 """
 from __future__ import annotations
 
@@ -105,10 +105,14 @@ class LabeledDataset:
 
     def select_columns(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices)
+        feats = self.features[:, idx]
+        if feats.ndim != 2 or feats.shape[1] == 0:
+            # the validating constructor rejects an empty or mis-shaped subset
+            return LabeledDataset(feats, self.labels)
         names = None
         if self.feature_names is not None:
             names = [self.feature_names[int(j)] for j in idx]
-        return LabeledDataset(self.features[:, idx], self.labels, names)
+        return LabeledDataset._trusted(feats, self.labels, names)
 
 
 @dataclass(frozen=True)
@@ -123,6 +127,8 @@ class ScalerParams:
         hi = np.asarray(self.per_column_max, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValidationError("min/max must be 1-D vectors of equal length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValidationError("scaler min/max contain NaN or Inf")
         if np.any(lo > hi):
             raise ValidationError("per-column min exceeds max")
         object.__setattr__(self, "per_column_min", lo)
@@ -292,7 +298,7 @@ def apply_scaler(ds: LabeledDataset, sp: ScalerParams) -> LabeledDataset:
     scaled = (ds.features - sp.per_column_min) / safe_span
     scaled = np.where(span > 0, scaled, 0.0)
     np.clip(scaled, 0.0, 1.0, out=scaled)
-    return LabeledDataset(scaled, ds.labels, ds.feature_names)
+    return LabeledDataset._trusted(scaled, ds.labels, ds.feature_names)
 
 
 def save_scaler(sp: ScalerParams, path) -> None:

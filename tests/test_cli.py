@@ -1,9 +1,13 @@
+import argparse
+import copy
+import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from melemad import cli, dataset, gbdt, maml
+from melemad import cfsgb, cli, dataset, gbdt, maml
 
 
 def run(*argv):
@@ -17,28 +21,30 @@ def synth_args(out_dir, n=400, m=12, informative=3, fmt="csv", seed=5, noise="0.
     ]
 
 
+SMALL_CONFIG = {
+    "seed": 3,
+    "chunking": {"p": 0.5, "q": 0.2},
+    "gbdt": {"n_trees": 10, "max_depth": 2, "min_samples_leaf": 2},
+    "selection": {"tau": 0.01},
+    "split": {"train_fraction": 0.75},
+    "maml": {
+        "outer_iterations": 5,
+        "tasks_per_meta_batch": 2,
+        "samples_per_task": 40,
+        "support_size": 20,
+        "query_size": 20,
+        "alpha": 0.001,
+        "beta": 0.01,
+        "hidden_dims": [8, 4],
+        "dropout_rate": 0.0,
+    },
+}
+
+
 @pytest.fixture()
 def small_config(tmp_path):
-    cfg = {
-        "seed": 3,
-        "chunking": {"p": 0.5, "q": 0.2},
-        "gbdt": {"n_trees": 10, "max_depth": 2, "min_samples_leaf": 2},
-        "selection": {"tau": 0.01},
-        "split": {"train_fraction": 0.75},
-        "maml": {
-            "outer_iterations": 5,
-            "tasks_per_meta_batch": 2,
-            "samples_per_task": 40,
-            "support_size": 20,
-            "query_size": 20,
-            "alpha": 0.001,
-            "beta": 0.01,
-            "hidden_dims": [8, 4],
-            "dropout_rate": 0.0,
-        },
-    }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(SMALL_CONFIG))
     return path
 
 
@@ -259,16 +265,172 @@ class TestMetaTrainEvaluate:
         outs = {}
         for threads in (1, 3):
             out = tmp_path / f"t{threads}"
+            assert run("select", "--config", small_config, "--threads", threads,
+                       "--input", data_dir / "synthetic.bin", "--out-dir", out) == 0
             assert run("meta-train", "--config", small_config, "--threads", threads,
                        "--input", data_dir / "synthetic.bin", "--out-dir", out) == 0
             assert run("evaluate", "--checkpoint", out / "checkpoint.ckpt", "--threads",
                        threads, "--data", out / "test_pool.bin", "--out-dir", out) == 0
             outs[threads] = out
-        for name in ("checkpoint.ckpt", "metrics_report.json", "roc.csv"):
+        for name in ("selected_features.json", "projected.bin", "checkpoint.ckpt",
+                     "metrics_report.json", "roc.csv"):
             assert (outs[1] / name).read_bytes() == (outs[3] / name).read_bytes(), name
 
 
+def with_entry(section, key, value):
+    """SMALL_CONFIG with one more entry: config[section][key] = value, or a
+    top-level config[key] = value when section is None."""
+    cfg = copy.deepcopy(SMALL_CONFIG)
+    (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    return cfg
+
+
+# each names the key that makes the config invalid, and the config
+BAD_CONFIGS = {
+    "unknown top-level key": ("spilt", with_entry(None, "spilt", {"train_fraction": 0.5})),
+    "unknown gbdt key": ("n_tree", with_entry("gbdt", "n_tree", 2)),
+    "unknown maml key": ("iterations", with_entry("maml", "iterations", 3)),
+    "derived maml seed": ("seed", with_entry("maml", "seed", 99)),
+    "derived split seed": ("seed", with_entry("split", "seed", 1)),
+    "derived input_dim": ("input_dim", with_entry("maml", "input_dim", 12)),
+    "section not an object": ("gbdt", {**SMALL_CONFIG, "gbdt": [10, 2]}),
+}
+
+STAGE_ARGV = {
+    "select": lambda data, run_dir: ["select", "--input", data / "synthetic.bin"],
+    "meta-train": lambda data, run_dir: ["meta-train", "--input", data / "synthetic.bin"],
+    "evaluate": lambda data, run_dir: [
+        "evaluate", "--checkpoint", run_dir / "checkpoint.ckpt",
+        "--data", run_dir / "test_pool.bin",
+    ],
+}
+
+# the defaults the CLI documented when it kept its own copy of them
+DOCUMENTED_DEFAULTS = {
+    "seed": 0,
+    "output_dir": None,
+    "chunking": {"p": 0.2, "q": 0.2, "k": None},
+    "gbdt": {
+        "n_trees": 100,
+        "max_depth": 3,
+        "learning_rate": 0.1,
+        "min_samples_leaf": 5,
+    },
+    "selection": {"tau": None, "top_k": None},
+    "split": {"train_fraction": 0.8, "stratified": True},
+    "maml": {
+        "alpha": 0.0001,
+        "beta": 0.001,
+        "outer_iterations": 1000,
+        "tasks_per_meta_batch": 4,
+        "samples_per_task": 100,
+        "support_size": 50,
+        "query_size": 50,
+        "inner_steps": 1,
+        "first_order": True,
+        "dropout_in_adapt": True,
+        "hidden_dims": [64, 32, 16],
+        "dropout_rate": 0.2,
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A data set, and a checkpoint and test pool meta-trained on it."""
+    root = tmp_path_factory.mktemp("trained")
+    config = root / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    assert run(*synth_args(root / "data", fmt="bin")) == 0
+    assert run("meta-train", "--config", config, "--input", root / "data" / "synthetic.bin",
+               "--out-dir", root / "run") == 0
+    return root / "data", root / "run"
+
+
 class TestConfig:
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    @pytest.mark.parametrize("stage", sorted(STAGE_ARGV))
+    def test_invalid_config_exits_2_without_outputs(self, tmp_path, trained, capsys,
+                                                    stage, case):
+        key, cfg = BAD_CONFIGS[case]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        argv = STAGE_ARGV[stage](*trained)
+        assert run(*argv, "--config", path, "--out-dir", out) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_defaults_live_on_the_library_types(self):
+        cfg = cli.load_config(None)
+        built = {
+            "chunking": [cli._build(cfsgb.ChunkSpec, cfg["chunking"])],
+            "gbdt": [cli._build(gbdt.GbdtConfig, cfg["gbdt"])],
+            "split": [cli._build(dataset.SplitSpec, cfg["split"])],
+            "maml": [
+                cli._build(maml.MamlConfig, cfg["maml"]),
+                cli._build(maml.MlpArchitecture, cfg["maml"], input_dim=1),
+            ],
+        }
+        run_cfsgb_args = inspect.signature(cfsgb.run_cfsgb).parameters
+        for name, documented in DOCUMENTED_DEFAULTS.items():
+            if not isinstance(documented, dict):
+                assert cfg[name] == documented, name
+                continue
+            assert set(documented) == cli._SECTIONS[name], name
+            for key, value in documented.items():
+                if name == "selection":
+                    actual = run_cfsgb_args[key].default
+                else:
+                    actual = next(getattr(t, key) for t in built[name] if hasattr(t, key))
+                expected = tuple(value) if isinstance(value, list) else value
+                assert actual == expected and type(actual) is type(expected), f"{name}.{key}"
+
+    def test_every_config_flag_names_an_accepted_key(self):
+        parser = cli.build_parser()
+        stages = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = 0
+        for stage, sub in stages.choices.items():
+            for action in sub._actions:
+                section, _, key = action.dest.rpartition(".")
+                if section:
+                    assert key in cli._SECTIONS[section], (stage, action.option_strings)
+                    flags += 1
+        assert flags > 0
+
+    def test_readme_example_config_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(r"Example `config.json`:\s*```json\n(.*?)```", readme, re.S)
+        cfg = json.loads(example.group(1))
+        cfg["maml"].update(outer_iterations=2, samples_per_task=40, support_size=20,
+                           query_size=20)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        data_dir = tmp_path / "d"
+        run(*synth_args(data_dir, n=200, m=8, fmt="bin"))
+        out = tmp_path / "out"
+        for argv in (
+            ["select", "--input", data_dir / "synthetic.bin", "--n-trees", 5],
+            ["meta-train", "--input", out / "projected.bin"],
+            ["evaluate", "--checkpoint", out / "checkpoint.ckpt", "--data",
+             out / "test_pool.bin"],
+        ):
+            assert run(*argv, "--config", path, "--out-dir", out) == 0, argv[0]
+
+    def test_evaluate_reads_config_then_flags(self, tmp_path, trained):
+        data, run_dir = trained
+        cfg = with_entry("maml", "samples_per_task", 20)
+        cfg["maml"].update(support_size=12, query_size=8)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        base = ["evaluate", "--checkpoint", run_dir / "checkpoint.ckpt", "--data",
+                run_dir / "test_pool.bin", "--episodes", 3, "--config", path]
+        for extra, scored in (([], 3 * 8), (["--query-size", 5], 3 * 5)):
+            out = tmp_path / f"q{scored}"
+            assert run(*base, *extra, "--out-dir", out) == 0
+            report = json.loads((out / "metrics_report.json").read_text())
+            assert sum(report["confusion"].values()) == scored
+
     def test_bad_json_exits_2(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")

@@ -79,6 +79,35 @@ class TestSelectRows:
             pos[0] = 0
 
 
+class TestSelectColumns:
+    def make(self):
+        rng = np.random.default_rng(6)
+        return make_ds(rng.normal(size=(5, 4)), [0, 1, 1, 0, 1], ["a", "b", "c", "d"])
+
+    def test_gathers_columns_in_order(self):
+        ds = self.make()
+        sub = ds.select_columns([3, 1])
+        np.testing.assert_array_equal(sub.features, ds.features[:, [3, 1]])
+        assert sub.labels is ds.labels
+        assert sub.feature_names == ["d", "b"]
+
+    def test_arrays_read_only(self):
+        sub = self.make().select_columns(np.array([0, 2]))
+        with pytest.raises(ValueError):
+            sub.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            sub.labels[0] = 0
+
+    def test_empty_and_2d_indices_rejected(self):
+        ds = self.make()
+        with pytest.raises(ValidationError):
+            ds.select_columns(np.array([], dtype=int))
+        with pytest.raises(ValidationError):
+            ds.select_columns(np.zeros(4, dtype=bool))
+        with pytest.raises(ValidationError):
+            ds.select_columns(np.array([[0, 1], [2, 3]]))
+
+
 class TestCsv:
     def test_three_row_example(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -198,6 +227,20 @@ class TestScaler:
         sp = dataset.fit_scaler(train)
         out = dataset.apply_scaler(make_ds([[12.0], [-3.0]], [0, 1]), sp)
         assert out.features.ravel().tolist() == [1.0, 0.0]
+
+    def test_result_read_only(self):
+        ds = make_ds([[0.0, 1.0], [5.0, 3.0]], [0, 1])
+        out = dataset.apply_scaler(ds, dataset.fit_scaler(ds))
+        with pytest.raises(ValueError):
+            out.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            out.labels[0] = 1
+
+    def test_non_finite_bounds_rejected(self):
+        with pytest.raises(ValidationError):
+            dataset.ScalerParams(np.array([-np.inf]), np.array([1.0]))
+        with pytest.raises(ValidationError):
+            dataset.ScalerParams(np.array([0.0]), np.array([np.nan]))
 
     def test_dimension_mismatch(self):
         sp = dataset.fit_scaler(make_ds([[1.0, 2.0]], [0]))

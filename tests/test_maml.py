@@ -27,22 +27,19 @@ def random_pool(n, m, seed, balance=0.5):
     return make_ds(X, labels)
 
 
-def loss_at(values, arch, X, y, training=False, dropout_seed=0):
+def loss_at(values, arch, X, y, mask=None):
     params = maml.ModelParams(values, arch)
-    return maml.bce_loss(maml.forward(params, X, training, dropout_seed), y)
+    return maml.bce_loss(maml._forward_pass(params, X, mask)[3], y)
 
 
-def fd_gradient(values, arch, X, y, step=1e-5, training=False, dropout_seed=0):
+def fd_gradient(values, arch, X, y, step=1e-5, mask=None):
     grad = np.zeros_like(values)
     for i in range(values.shape[0]):
         up = values.copy()
         up[i] += step
         down = values.copy()
         down[i] -= step
-        grad[i] = (
-            loss_at(up, arch, X, y, training, dropout_seed)
-            - loss_at(down, arch, X, y, training, dropout_seed)
-        ) / (2 * step)
+        grad[i] = (loss_at(up, arch, X, y, mask) - loss_at(down, arch, X, y, mask)) / (2 * step)
     return grad
 
 
@@ -109,24 +106,18 @@ class TestForward:
         probs = maml.forward(params, np.random.default_rng(0).normal(size=(5, 3)))
         np.testing.assert_array_equal(probs, 0.5)
 
-    def test_no_dropout_training_equals_inference(self):
-        arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(5, 3), dropout_rate=0.0)
-        params = maml.init_params(arch, 2)
-        X = np.random.default_rng(1).normal(size=(6, 4))
-        np.testing.assert_array_equal(
-            maml.forward(params, X, training=True, dropout_seed=7),
-            maml.forward(params, X, training=False),
-        )
-
     def test_dropout_changes_training_output_only(self):
+        no_dropout = maml.MlpArchitecture(input_dim=4, hidden_dims=(8, 3), dropout_rate=0.0)
+        assert maml.dropout_mask(no_dropout, 6, 1) is None
         arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(8, 3), dropout_rate=0.5)
         params = maml.init_params(arch, 3)
         X = np.random.default_rng(2).normal(size=(6, 4))
-        infer = maml.forward(params, X, training=False)
-        train_a = maml.forward(params, X, training=True, dropout_seed=1)
-        train_b = maml.forward(params, X, training=True, dropout_seed=1)
-        np.testing.assert_array_equal(train_a, train_b)
-        assert not np.array_equal(train_a, infer)
+        mask = maml.dropout_mask(arch, 6, 1)
+        np.testing.assert_array_equal(mask, maml.dropout_mask(arch, 6, 1))
+        assert not np.array_equal(mask, maml.dropout_mask(arch, 6, 2))
+        infer = maml.forward(params, X)
+        np.testing.assert_array_equal(infer, maml._forward_pass(params, X, None)[3])
+        assert not np.array_equal(maml._forward_pass(params, X, mask)[3], infer)
 
     def test_clamp_bounds(self):
         arch = maml.MlpArchitecture(input_dim=1, hidden_dims=(1,), dropout_rate=0.0)
@@ -169,9 +160,7 @@ class TestBackward:
             arch, params, X, y, dropout_seed = smooth_instance(seed, with_dropout)
             mask = maml.dropout_mask(arch, X.shape[0], dropout_seed) if with_dropout else None
             analytic = maml.backward(params, X, y, mask)
-            numeric = fd_gradient(
-                params.values, arch, X, y, training=with_dropout, dropout_seed=dropout_seed
-            )
+            numeric = fd_gradient(params.values, arch, X, y, mask=mask)
             rel = np.abs(analytic - numeric) / (np.maximum(np.abs(analytic), np.abs(numeric)) + 1e-8)
             assert float(rel.max()) < 1e-4, f"seed {seed}: rel err {rel.max():.2e}"
             checked += 1
@@ -330,7 +319,7 @@ def reference_meta_batch(theta, episodes, cfg):
             )
         path, masks = reference_descend(theta, ep.support, cfg.alpha, cfg.inner_steps, dropout_seed)
         adapted = maml.ModelParams(path[-1], arch)
-        probs = maml.forward(adapted, ep.query.features, training=False)
+        probs = maml.forward(adapted, ep.query.features)
         grad = maml.backward(adapted, ep.query.features, ep.query.labels)
         if not cfg.first_order:
             for step in range(cfg.inner_steps - 1, -1, -1):
