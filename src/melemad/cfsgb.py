@@ -243,19 +243,3 @@ def save_selection(selected: SelectedFeatureSet, path) -> None:
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
-
-def load_selection(path) -> SelectedFeatureSet:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    per_chunk = [
-        ChunkSelection(
-            chunk_index=entry["chunk"],
-            indices=np.array(entry["indices"], dtype=np.int64),
-            scores=np.array(entry["scores"], dtype=np.float64),
-        )
-        for entry in payload["per_chunk"]
-    ]
-    return SelectedFeatureSet(
-        global_indices=np.array(payload["global_indices"], dtype=np.int64),
-        per_chunk=per_chunk,
-        threshold_used=payload["threshold"],
-    )

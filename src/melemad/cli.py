@@ -5,8 +5,8 @@ fields of the library types it builds, so every default lives on those
 types, and each override flag's argparse dest is the config key it sets.
 Every stage seeds its randomness from the global seed hashed with the stage
 name, writes outputs to a temp file and renames on success, and exits 0 on
-success, 1 on runtime failure, 2 on validation failure (an unknown config
-key among them).
+success, 1 on runtime failure, 2 on validation failure (among them an
+unknown config key, or a config value of the wrong type).
 """
 from __future__ import annotations
 
@@ -15,6 +15,8 @@ import hashlib
 import json
 import os
 import sys
+import types
+import typing
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -26,25 +28,34 @@ from .errors import (
     ValidationError,
 )
 
-# the keys outside the sections, with their defaults
-_TOP_LEVEL = {"seed": 0, "output_dir": None}
+# the keys outside the sections, with their types and defaults
+_TOP_LEVEL = {"seed": (int, 0), "output_dir": (str | None, None)}
 # fields the CLI sets (the per-stage seeds, the input width), never the config
 _DERIVED = frozenset({"seed", "input_dim"})
 
 
-def _keys(*types) -> frozenset[str]:
-    return frozenset(f.name for t in types for f in fields(t)) - _DERIVED
+def _fields(*classes) -> dict[str, object]:
+    return {
+        name: hint
+        for t in classes
+        for name, hint in typing.get_type_hints(t).items()
+        if name not in _DERIVED
+    }
 
 
-# Each section holds the fields of the types it builds; selection holds the
-# keyword arguments of cfsgb.run_cfsgb. A key left out takes the default its
-# type declares.
+# Each section holds the fields of the types it builds, by name with their
+# annotations; selection holds the keyword arguments of cfsgb.run_cfsgb. A
+# key left out takes the default its type declares.
 _SECTIONS = {
-    "chunking": _keys(cfsgb.ChunkSpec),
-    "gbdt": _keys(gbdt.GbdtConfig),
-    "selection": frozenset({"tau", "top_k"}),
-    "split": _keys(dataset.SplitSpec),
-    "maml": _keys(maml.MamlConfig, maml.MlpArchitecture),
+    "chunking": _fields(cfsgb.ChunkSpec),
+    "gbdt": _fields(gbdt.GbdtConfig),
+    "selection": {
+        name: hint
+        for name, hint in typing.get_type_hints(cfsgb.run_cfsgb).items()
+        if name in ("tau", "top_k")
+    },
+    "split": _fields(dataset.SplitSpec),
+    "maml": _fields(maml.MamlConfig, maml.MlpArchitecture),
 }
 
 
@@ -73,12 +84,12 @@ def load_config(path: str | None) -> dict:
             f"config {path} has unknown key(s) {sorted(unknown)}; "
             f"it accepts {sorted([*_TOP_LEVEL, *_SECTIONS])}"
         )
-    cfg = {key: user.get(key, default) for key, default in _TOP_LEVEL.items()}
+    cfg = {key: user.get(key, default) for key, (_, default) in _TOP_LEVEL.items()}
     for name, keys in _SECTIONS.items():
         section = user.get(name, {})
         if not isinstance(section, dict):
             raise ValidationError(f"config {path}: section {name!r} must be a JSON object")
-        unknown = set(section) - keys
+        unknown = set(section) - set(keys)
         if unknown:
             raise ValidationError(
                 f"config {path}: section {name!r} has unknown key(s) "
@@ -88,13 +99,42 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    """Set the config key each given flag names: its dest is "section.key",
-    or a top-level key."""
+def _is_a(value, hint) -> bool:
+    """Whether a config value fits a field annotation. A bool is not an int,
+    an int is a float, and a tuple field takes a list."""
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(hint, types.UnionType):
+        return any(_is_a(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_is_a(v, item) for v in value)
+    return isinstance(value, hint)
+
+
+def _resolve_config(args: argparse.Namespace) -> dict:
+    """The config file, then the config key each given flag names: its dest
+    is "section.key", or a top-level key. Every value must fit the type of
+    the field it sets, and the seed must be non-negative."""
+    cfg = load_config(args.config)
     for dest, value in vars(args).items():
         section, _, key = dest.rpartition(".")
         if value is not None and (section or key in _TOP_LEVEL):
             (cfg[section] if section else cfg)[key] = value
+    checks = [(f"key {key!r}", cfg[key], hint) for key, (hint, _) in _TOP_LEVEL.items()]
+    for name, hints in _SECTIONS.items():
+        checks += [
+            (f"section {name!r} key {key!r}", value, hints[key])
+            for key, value in cfg[name].items()
+        ]
+    for where, value, hint in checks:
+        if not _is_a(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ValidationError(f"config {where} must be {name}, got {value!r}")
+    if cfg["seed"] < 0:
+        raise ValidationError(f"config key 'seed' must be non-negative, got {cfg['seed']}")
     return cfg
 
 
@@ -158,7 +198,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _resolve_config(args)
     chunk_spec = _build(cfsgb.ChunkSpec, cfg["chunking"])
     gbdt_cfg = _build(gbdt.GbdtConfig, cfg["gbdt"])
     ds = _load_dataset(args.input, args.label_column)
@@ -190,7 +230,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_meta_train(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _resolve_config(args)
     seed = cfg["seed"]
     split_spec = _build(dataset.SplitSpec, cfg["split"], seed=derive_seed(seed, "split"))
     maml_cfg = _build(maml.MamlConfig, cfg["maml"], seed=derive_seed(seed, "meta-train"))
@@ -235,7 +275,7 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _resolve_config(args)
     params, ckpt_cfg, _ = maml.load_checkpoint(args.checkpoint)
     section = cfg["maml"]
     if args.config is None:

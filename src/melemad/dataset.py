@@ -4,7 +4,10 @@ Datasets are immutable after construction (the backing arrays are marked
 read-only). The constructor copies and validates its input; a row or column
 subset of a dataset (select_rows, select_columns) and a scaled dataset
 (apply_scaler) are already valid, so each is built from its freshly computed
-matrix without a second copy or a re-scan.
+matrix without a second copy or a re-scan. load_csv parses a CSV with numpy's
+C reader into one float64 matrix and validates it with array operations;
+where that reader could disagree with the per-cell reader, the per-cell
+reader parses the file and names the row and column at fault.
 """
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ import csv
 import json
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -70,7 +74,7 @@ class LabeledDataset:
 
     @classmethod
     def _trusted(cls, features, labels, feature_names) -> "LabeledDataset":
-        """Wrap arrays derived from a validated dataset, without copy or checks."""
+        """Wrap arrays already known to be valid, without copy or checks."""
         ds = object.__new__(cls)
         features.setflags(write=False)
         labels.setflags(write=False)
@@ -180,31 +184,89 @@ def _parse_cell(text: str, row: int, col: int) -> float:
     return value
 
 
+def _read_header(reader, path: Path, label_column) -> tuple[list[str], int]:
+    """The stripped header names and the label column's index."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path} is empty") from None
+    header = [h.strip() for h in header]
+    if isinstance(label_column, int):
+        if not 0 <= label_column < len(header):
+            raise MissingLabelColumn(f"column index {label_column} out of range")
+        return header, label_column
+    try:
+        return header, header.index(label_column)
+    except ValueError:
+        raise MissingLabelColumn(f"no column named {label_column!r} in {header}") from None
+
+
 def load_csv(path, label_column="label") -> LabeledDataset:
     """Read a headered CSV, pulling the label column out of the feature matrix.
 
-    label_column may be a header name or a 0-based column index.
+    label_column may be a header name or a 0-based column index. The data
+    rows are parsed by numpy's C reader straight into one float64 matrix.
+    Wherever that reader could disagree with the per-cell reader (a blank
+    line, a cell it rejects, a non-finite value, a label other than 0 or 1),
+    the per-cell reader parses the file instead, so every error names the
+    row and column at fault and every accepted file loads to the same
+    dataset.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        if isinstance(label_column, int):
-            if not 0 <= label_column < len(header):
-                raise MissingLabelColumn(f"column index {label_column} out of range")
-            label_idx = label_column
-        else:
-            try:
-                label_idx = header.index(label_column)
-            except ValueError:
-                raise MissingLabelColumn(
-                    f"no column named {label_column!r} in {header}"
-                ) from None
+        header, label_idx = _read_header(reader, path, label_column)
+        header_lines = reader.line_num
+    feature_names = [h for i, h in enumerate(header) if i != label_idx]
+    # np.loadtxt skips one line of header, so a header with a quoted newline
+    # goes to the per-cell reader, as does a file with no feature column
+    if header_lines == 1 and feature_names:
+        ds = _load_csv_matrix(path, label_idx, feature_names)
+        if ds is not None:
+            return ds
+    return _load_csv_cells(path, label_column)
 
+
+def _load_csv_matrix(path: Path, label_idx: int, feature_names: list[str]):
+    """The dataset from np.loadtxt, or None where it may differ from what
+    _load_csv_cells gives: a row count or width other than the file's, a
+    non-finite value, or a label other than 0 or 1."""
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows warns; the per-cell reader names it
+            warnings.simplefilter("error", UserWarning)
+            data = np.loadtxt(
+                path,
+                delimiter=",",
+                skiprows=1,
+                comments=None,
+                quotechar='"',
+                ndmin=2,
+                dtype=np.float64,
+                encoding="utf-8",
+            )
+        # csv.reader makes a record of every line after the header, a blank
+        # one too; np.loadtxt skips blank lines, so the counts must match
+        with path.open(newline="", encoding="utf-8") as fh:
+            records = sum(1 for _ in fh) - 1
+    except (ValueError, UserWarning):
+        return None
+    if data.shape != (records, len(feature_names) + 1) or records < 1:
+        return None
+    labels = data[:, label_idx]
+    if not np.isfinite(data).all() or not ((labels == 0.0) | (labels == 1.0)).all():
+        return None
+    labels = labels.astype(np.uint8)
+    # a C-contiguous matrix, as the per-cell reader builds
+    features = np.delete(data, label_idx, axis=1)
+    return LabeledDataset._trusted(features, labels, feature_names)
+
+
+def _load_csv_cells(path: Path, label_column) -> LabeledDataset:
+    """Parse one cell at a time, raising on the first row or cell at fault."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header, label_idx = _read_header(reader, path, label_column)
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
         rows: list[list[float]] = []
         labels: list[int] = []
@@ -307,11 +369,6 @@ def save_scaler(sp: ScalerParams, path) -> None:
         "max": [float(v) for v in sp.per_column_max],
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-
-def load_scaler(path) -> ScalerParams:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ScalerParams(np.array(payload["min"]), np.array(payload["max"]))
 
 
 def _train_count(total: int, fraction: float) -> int:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,10 +271,11 @@ class TestSelectionPersistence:
         selected, _, _ = cfsgb.run_cfsgb(ds, cfsgb.ChunkSpec(p=0.5, q=0.0), FAST_GBDT, 0.01)
         path = tmp_path / "sel.json"
         cfsgb.save_selection(selected, path)
-        back = cfsgb.load_selection(path)
-        np.testing.assert_array_equal(back.global_indices, selected.global_indices)
-        assert back.threshold_used == selected.threshold_used
-        assert len(back.per_chunk) == len(selected.per_chunk)
-        for x, y in zip(back.per_chunk, selected.per_chunk):
-            np.testing.assert_array_equal(x.indices, y.indices)
-            np.testing.assert_allclose(x.scores, y.scores)
+        back = json.loads(path.read_text(encoding="utf-8"))
+        np.testing.assert_array_equal(back["global_indices"], selected.global_indices)
+        assert back["threshold"] == selected.threshold_used
+        assert len(back["per_chunk"]) == len(selected.per_chunk)
+        for x, y in zip(back["per_chunk"], selected.per_chunk):
+            assert x["chunk"] == y.chunk_index
+            np.testing.assert_array_equal(x["indices"], y.indices)
+            np.testing.assert_allclose(x["scores"], y.scores)

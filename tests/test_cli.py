@@ -41,6 +41,18 @@ SMALL_CONFIG = {
 }
 
 
+# each malformed CSV and the error line select gives for it
+MALFORMED_CSV = {
+    "blank line": ("f1,f2,label\n1,2,0\n\n3,4,1\n", "row 1 has 0 cells, expected 3"),
+    "ragged row": ("f1,f2,label\n1,2,0\n3,4\n", "row 1 has 2 cells, expected 3"),
+    "nan text": ("f1,f2,label\n1,nan,0\n", "non-numeric cell at row 0, column 1: 'nan'"),
+    "label 2": ("f1,f2,label\n1,2,0\n3,4,2\n", "label at row 1 is not 0/1: '2'"),
+    "non-numeric cell": (
+        "f1,f2,label\n1,2,0\n3,x7,1\n", "non-numeric cell at row 1, column 1: 'x7'"
+    ),
+}
+
+
 @pytest.fixture()
 def small_config(tmp_path):
     path = tmp_path / "config.json"
@@ -147,6 +159,16 @@ class TestSelect:
                    "--out-dir", out)
         assert code == 2
         assert not (out / "selected_features.json").exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+    def test_malformed_csv_exits_2_naming_the_cell(self, tmp_path, capsys, case):
+        text, message = MALFORMED_CSV[case]
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "sel"
+        assert run("select", "--input", path, "--tau", 0.01, "--out-dir", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_needs_tau_or_top_k(self, tmp_path):
         data_dir = tmp_path / "d"
@@ -294,6 +316,17 @@ BAD_CONFIGS = {
     "derived split seed": ("seed", with_entry("split", "seed", 1)),
     "derived input_dim": ("input_dim", with_entry("maml", "input_dim", 12)),
     "section not an object": ("gbdt", {**SMALL_CONFIG, "gbdt": [10, 2]}),
+    "string for an int": ("n_trees", with_entry("gbdt", "n_trees", "5")),
+    "bool for an int": ("n_trees", with_entry("gbdt", "n_trees", True)),
+    "string for an optional int": ("top_k", with_entry("selection", "top_k", "4")),
+    "float for an int": ("outer_iterations", with_entry("maml", "outer_iterations", 2.5)),
+    "string for a bool": ("first_order", with_entry("maml", "first_order", "no")),
+    "null for a required int": ("max_depth", with_entry("gbdt", "max_depth", None)),
+    "string in hidden_dims": ("hidden_dims", with_entry("maml", "hidden_dims", [8, "4"])),
+    "int for hidden_dims": ("hidden_dims", with_entry("maml", "hidden_dims", 8)),
+    "string seed": ("seed", with_entry(None, "seed", "abc")),
+    "bool seed": ("seed", with_entry(None, "seed", True)),
+    "negative seed": ("seed", with_entry(None, "seed", -3)),
 }
 
 STAGE_ARGV = {
@@ -361,6 +394,17 @@ class TestConfig:
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_int_for_a_float_and_null_for_an_optional_accepted(self, tmp_path, trained):
+        data, _ = trained
+        cfg = with_entry("gbdt", "learning_rate", 1)
+        cfg["chunking"]["k"] = None
+        cfg["maml"].update(alpha=0, hidden_dims=[8])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        for argv in (STAGE_ARGV["select"](data, None), STAGE_ARGV["meta-train"](data, None)):
+            assert run(*argv, "--config", path, "--out-dir", out) == 0, argv[0]
+
     def test_defaults_live_on_the_library_types(self):
         cfg = cli.load_config(None)
         built = {
@@ -377,7 +421,7 @@ class TestConfig:
             if not isinstance(documented, dict):
                 assert cfg[name] == documented, name
                 continue
-            assert set(documented) == cli._SECTIONS[name], name
+            assert set(documented) == set(cli._SECTIONS[name]), name
             for key, value in documented.items():
                 if name == "selection":
                     actual = run_cfsgb_args[key].default

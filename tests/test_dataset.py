@@ -1,3 +1,9 @@
+import csv
+import json
+import math
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,9 +161,234 @@ class TestCsv:
         ds = make_ds(rng.standard_normal((17, 4)) * 1e3, rng.integers(0, 2, 17))
         path = tmp_path / "rt.csv"
         dataset.save_csv(ds, path)
-        back = dataset.load_csv(path)
-        np.testing.assert_allclose(back.features, ds.features, atol=1e-6)
-        np.testing.assert_array_equal(back.labels, ds.labels)
+        # through numpy's reader, then through the per-cell reader alone
+        for name, stub in (("_load_csv_cells", refuse), ("_load_csv_matrix", lambda *a: None)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dataset, name, stub)
+                back = dataset.load_csv(path)
+            assert back.features.tobytes() == ds.features.tobytes(), name
+            np.testing.assert_array_equal(back.labels, ds.labels)
+            assert back.feature_names == ["f0", "f1", "f2", "f3"]
+
+
+def refuse(*args):
+    raise AssertionError("the per-cell reader ran")
+
+
+def reference_load_csv(path, label_column="label"):
+    """The per-cell CSV reader that load_csv must agree with, byte for byte
+    and error for error."""
+
+    def parse_cell(text, row, col):
+        try:
+            value = float(text)
+        except ValueError:
+            raise NonNumericCell(row, col, text) from None
+        if not math.isfinite(value):
+            raise NonNumericCell(row, col, text)
+        return value
+
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path} is empty") from None
+        header = [h.strip() for h in header]
+        if isinstance(label_column, int):
+            if not 0 <= label_column < len(header):
+                raise MissingLabelColumn(f"column index {label_column} out of range")
+            label_idx = label_column
+        else:
+            try:
+                label_idx = header.index(label_column)
+            except ValueError:
+                raise MissingLabelColumn(
+                    f"no column named {label_column!r} in {header}"
+                ) from None
+
+        feature_names = [h for i, h in enumerate(header) if i != label_idx]
+        rows = []
+        labels = []
+        for row_no, cells in enumerate(reader):
+            if len(cells) != len(header):
+                raise RaggedRow(row_no, len(header), len(cells))
+            label_text = cells[label_idx].strip()
+            if label_text not in ("0", "1"):
+                try:
+                    label_val = float(label_text)
+                except ValueError:
+                    raise NonBinaryLabel(row_no, label_text) from None
+                if label_val not in (0.0, 1.0):
+                    raise NonBinaryLabel(row_no, label_text)
+            else:
+                label_val = float(label_text)
+            labels.append(int(label_val))
+            rows.append(
+                [
+                    parse_cell(cells[j].strip(), row_no, j)
+                    for j in range(len(header))
+                    if j != label_idx
+                ]
+            )
+
+    if not rows:
+        raise ValidationError(f"{path} has a header but no data rows")
+    return dataset.LabeledDataset(rows, np.array(labels), feature_names)
+
+
+def load_outcome(loader, path, label_column):
+    """Everything a reader's result shows: the arrays' bytes, dtypes, layout
+    and names, or the exception's type and message."""
+    try:
+        ds = loader(path, label_column)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple(
+        (a.dtype, a.shape, a.tobytes(), a.flags.c_contiguous, a.flags.writeable)
+        for a in (ds.features, ds.labels)
+    ) + (ds.feature_names,)
+
+
+def assert_matches_reference(path, label_column="label"):
+    """load_csv against reference_load_csv; True when the per-cell reader ran."""
+    cells = dataset._load_csv_cells
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cells(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_load_csv_cells", counted)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            actual = load_outcome(dataset.load_csv, path, label_column)
+    assert [str(w.message) for w in caught] == []
+    assert actual == load_outcome(reference_load_csv, path, label_column)
+    return bool(calls)
+
+
+# name: (file contents, label_column, whether the per-cell reader runs;
+# None where it depends on the numpy version)
+CSV_CASES = {
+    "plain": ("f1,f2,label\n1,2,0\n3,4,1\n", "label", False),
+    "no trailing newline": ("f1,label\n1,0\n2,1", "label", False),
+    "crlf": ("f1,label\r\n1,0\r\n2,1\r\n", "label", False),
+    "bare cr": ("f1,label\r1,0\r2,1\r", "label", None),
+    "quoted cells": ('f1,f2,label\n"1.5","-2",0\n"3e2",4,"1"\n', "label", False),
+    "quote then text": ('f1,label\n"1"2,0\n', "label", None),
+    "padded cells": ("f1,f2,label\n  1.5 ,\t-2\t, 0 \n3,4 ,1\n", "label", False),
+    "no-break space padding": ("f1,label\n\xa01.5,1\n", "label", None),
+    "label spellings": ("f1,label\n1,1.0\n2,+1\n3,1e0\n4,-0\n5,0.0\n6,0\n", "label", False),
+    "label by index": ("a,b\n0,7\n1,8\n", 0, False),
+    "label in the middle": ("f1,label,f2\n1,0,2\n3,1,4\n", "label", False),
+    "label in the middle by index": ("f1,label,f2\n1,0,2\n3,1,4\n", 1, False),
+    "byte order mark": ("\ufefff1,label\n1,0\n", "label", False),
+    "blank line": ("f1,label\n1,0\n\n2,1\n", "label", True),
+    "blank last line": ("f1,label\n1,0\n2,1\n\n", "label", True),
+    "blank line, no trailing newline": ("f1,label\n1,0\n\n2,1", "label", True),
+    "blank crlf line": ("f1,label\r\n1,0\r\n\r\n2,1\r\n", "label", True),
+    "bare cr inside a line, then a blank line": ("f1,label\n1,0\r2,1\n\n", "label", True),
+    "whitespace-only line": ("f1,label\n1,0\n \t\n", "label", True),
+    "Infinity": ("f1,label\nInfinity,0\n", "label", True),
+    "-inf": ("f1,label\n1,0\n-inf,1\n", "label", True),
+    "nan": ("f1,label\nnan,0\n", "label", True),
+    "1e400": ("f1,label\n1e400,1\n", "label", True),
+    "nan label": ("f1,label\n1,nan\n", "label", True),
+    "underscore in a cell": ("f1,label\n1_0,0\n", "label", True),
+    "underscore in a label": ("f1,label\n5,1_0\n", "label", True),
+    "trailing comma": ("f1,label\n1,0,\n", "label", True),
+    "space before a quote": ('f1,label\n "1",0\n', "label", True),
+    "empty cell": ("f1,f2,label\n1,,0\n", "label", True),
+    "non-numeric cell": ("f1,f2,label\n1,2,0\n3,x7,1\n", "label", True),
+    "ragged row": ("f1,f2,label\n1,2,0\n3,4\n", "label", True),
+    "label 2": ("f1,label\n1,0\n3,2\n", "label", True),
+    "arabic-indic digit": ("f1,label\n\u0661,0\n", "label", True),
+    "quoted newline in a cell": ('f1,label\n"1\n",0\n2,1\n', "label", True),
+    "quoted newline in the header": ('"f\n1",label\n1,0\n', "label", True),
+    # np.loadtxt reads the header's second line as the data row 1,0
+    "header line that reads as data": ('"f\n"1",0\n2,1\n', "0", True),
+    "label column only": ("label\n0\n1\n", "label", True),
+    "header only": ("f1,label\n", "label", True),
+    "header only, no newline": ("f1,label", "label", True),
+    "empty file": ("", "label", False),
+    "missing label column": ("f1,f2\n1,2\n", "label", False),
+    "label index out of range": ("a,b\n0,1\n", 5, False),
+    # past the first read buffer, so the header decodes
+    "invalid utf-8": (b"f1,label\n" + b"1,0\n" * 3000 + b"\xff,1\n", "label", True),
+}
+
+
+class TestCsvMatchesReference:
+    @pytest.mark.parametrize("case", CSV_CASES)
+    def test_edge_case(self, tmp_path, case):
+        text, label_column, per_cell = CSV_CASES[case]
+        path = tmp_path / "d.csv"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8", newline="")
+        ran = assert_matches_reference(path, label_column)
+        if per_cell is not None:
+            assert ran == per_cell
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_spellings(self, tmp_path_factory, data):
+        text, label_column = data.draw(csv_files())
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert_matches_reference(path, label_column)
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.7976931348623157e308]),
+)
+CELL_SPELLINGS = [repr, "{:.17g}".format, "{:e}".format, "{:.3f}".format, "{:+.6g}".format]
+LABEL_SPELLINGS = {
+    0: ["0", "0.0", "-0", "+0", "0e5", "0.", ".0"],
+    1: ["1", "1.0", "+1", "1e0", "1.", "10e-1", "0.1e1"],
+}
+FAULTS = ["", "nan", "-Infinity", "1e400", "1_0", "abc", "2", '"1', '1"', ' "1"', "1,"]
+
+
+@st.composite
+def csv_files(draw):
+    """A headered CSV of random values in random spellings, some padded or
+    quoted; now and then a faulty cell, a blank line or a short row."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    label_at = draw(st.integers(0, m))
+    header = [f"f{j}" for j in range(m)]
+    header.insert(label_at, "label")
+    lines = [",".join(header)]
+    for _ in range(n):
+        cells = [draw(st.sampled_from(CELL_SPELLINGS))(draw(FLOATS)) for _ in range(m)]
+        cells.insert(label_at, draw(st.sampled_from(LABEL_SPELLINGS[draw(st.integers(0, 1))])))
+        for j, cell in enumerate(cells):
+            pad = draw(st.sampled_from(["", " ", "\t", "  "]))
+            cell = pad + cell + draw(st.sampled_from(["", " ", "\t"]))
+            cells[j] = f'"{cell}"' if draw(st.integers(0, 4)) == 0 else cell
+        lines.append(",".join(cells))
+    fault = draw(st.integers(0, 3))
+    if fault == 1:
+        row = draw(st.integers(1, n))
+        cells = lines[row].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(FAULTS))
+        lines[row] = ",".join(cells)
+    elif fault == 2:
+        lines.insert(draw(st.integers(1, n + 1)), "")
+    elif fault == 3:
+        row = draw(st.integers(1, n))
+        lines[row] = lines[row].rpartition(",")[0]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    label_column = draw(st.sampled_from(["label", label_at]))
+    return text, label_column
 
 
 class TestBinary:
@@ -251,9 +482,9 @@ class TestScaler:
         sp = dataset.ScalerParams(np.array([0.0, -1.0]), np.array([2.0, 4.0]))
         path = tmp_path / "scaler.json"
         dataset.save_scaler(sp, path)
-        back = dataset.load_scaler(path)
-        np.testing.assert_array_equal(back.per_column_min, sp.per_column_min)
-        np.testing.assert_array_equal(back.per_column_max, sp.per_column_max)
+        back = json.loads(path.read_text(encoding="utf-8"))
+        np.testing.assert_array_equal(back["min"], sp.per_column_min)
+        np.testing.assert_array_equal(back["max"], sp.per_column_max)
 
     @given(
         st.integers(2, 40),
