@@ -16,6 +16,18 @@ stacks a meta-batch's episodes (at most _STACK_CELLS rows x widest hidden
 layer x episodes per stack) and reduces the meta-gradient, loss and accuracy
 in episode order from zeros, so results are byte-identical at any stack
 size. A NaN or Inf meta-loss or meta-gradient raises Diverged.
+
+Each pass writes its per-layer pre-activations, activations and deltas into
+float64 scratch buffers kept between calls (_scratch), with the same ufunc
+and matmul calls, so the bits do not change. At paper scale these arrays are
+megabytes each; allocated afresh, the allocator hands them back to the OS
+after every pass and the next pass page-faults them in again, which cost
+more time than the arithmetic. The scratch pins one pass's activations
+(each buffer at its largest pass so far) between calls and is not
+thread-safe: passes must run on one thread. Every array a caller keeps
+(forward's probabilities, backward's gradient, adapted parameters) is fresh;
+the layer inputs and pre-activations _forward_pass also returns live in the
+scratch and are overwritten by the next pass.
 """
 from __future__ import annotations
 
@@ -48,6 +60,9 @@ _ADAM_EPSILON = 1e-8
 # rows x widest hidden layer x episodes in one stacked forward/backward pass;
 # bounds the activation arrays, so a paper-scale task runs one episode a stack
 _STACK_CELLS = 1 << 16
+
+# one float64 buffer per tag, grown to the largest pass it has served
+_SCRATCH: dict[str, np.ndarray] = {}
 
 # stream tags for deriving independent rng seeds from one root seed
 _STREAM_INIT = 0
@@ -225,6 +240,16 @@ def dropout_mask(arch: MlpArchitecture, n_rows: int, seed: int) -> np.ndarray | 
     return keep.astype(np.float64) / (1.0 - arch.dropout_rate)
 
 
+def _scratch(tag: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised C-contiguous float64 array of `shape` in tag's
+    buffer, valid until the next call with the same tag."""
+    size = math.prod(shape)
+    buf = _SCRATCH.get(tag)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH[tag] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -235,17 +260,20 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _forward_pass(params: ModelParams, X: np.ndarray, mask: np.ndarray | None):
-    """Returns (layer inputs, pre-activations, raw probs, clamped probs)."""
+    """Returns (layer inputs, pre-activations, raw probs, clamped probs);
+    the hidden layers' inputs and pre-activations are scratch views."""
     layers = params.layers()
     inputs = [X]
     pre = []
     a = X
     for i, (W, b) in enumerate(layers[:-1]):
-        z = a @ W + b[..., None, :]
+        shape = (*a.shape[:-1], W.shape[-1])
+        z = np.matmul(a, W, out=_scratch(f"z{i}", shape))
+        np.add(z, b[..., None, :], out=z)
         pre.append(z)
-        a = np.maximum(z, 0.0)
+        a = np.maximum(z, 0.0, out=_scratch(f"a{i}", shape))
         if i == 0 and mask is not None:
-            a = a * mask
+            np.multiply(a, mask, out=a)
         inputs.append(a)
     W_out, b_out = layers[-1]
     z_out = (a @ W_out + b_out[..., None, :])[..., 0]
@@ -310,10 +338,13 @@ def backward(
         grads[i] = (np.swapaxes(inputs[i], -1, -2) @ d, d.sum(axis=-2))
         if i == 0:
             break
-        da = d @ np.swapaxes(W, -1, -2)
+        z = pre[i - 1]
+        d = np.matmul(d, np.swapaxes(W, -1, -2), out=_scratch(f"d{i - 1}", z.shape))
         if i == 1 and dropout_mask is not None:
-            da = da * dropout_mask
-        d = da * (pre[i - 1] > 0)
+            np.multiply(d, dropout_mask, out=d)
+        # the ReLU gate as 1.0/0.0, written over the pre-activations that
+        # this pass reads for the last time here
+        np.multiply(d, np.greater(z, 0.0, out=z), out=d)
 
     lead = X.shape[:-2]
     return np.concatenate(

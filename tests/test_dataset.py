@@ -171,6 +171,54 @@ class TestCsv:
             assert back.feature_names == ["f0", "f1", "f2", "f3"]
 
 
+def reference_save_csv(ds, path, label_column="label"):
+    """The csv.writer-per-row writer that save_csv replaced."""
+    names = ds.feature_names or [f"f{j}" for j in range(ds.m)]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(names) + [label_column])
+        for i in range(ds.n):
+            writer.writerow([repr(float(v)) for v in ds.features[i]] + [int(ds.labels[i])])
+
+
+class TestSaveCsvMatchesReference:
+    @pytest.mark.parametrize(
+        "features, labels, names, label_column",
+        [
+            pytest.param(
+                [[1.5, -2.0], [0.1, 3.0]], [0, 1], ["a,b", 'say "hi"'], "label", id="quoted-header"
+            ),
+            pytest.param([[1.0, 2.0]], [1], ["two\nlines", " pad "], "label", id="newline-header"),
+            pytest.param(
+                [[1e-300, -1.25e22], [-7.5e-8, 6.02e23], [1e16, -1e-5]],
+                [1, 0, 1],
+                None,
+                "label",
+                id="exponent-negative",
+            ),
+            pytest.param([[-0.0, 0.0], [0.0, -0.0]], [0, 1], None, "label", id="negative-zero"),
+            pytest.param([[0.1], [0.2], [1 / 3]], [1, 0, 0], None, "label", id="one-column"),
+            pytest.param([[4.0, 5.0], [6.0, 7.0]], [0, 1], ["x", "y"], "class, y", id="label-name"),
+        ],
+    )
+    def test_bytes_equal_reference(self, tmp_path, features, labels, names, label_column):
+        ds = make_ds(features, labels, names)
+        dataset.save_csv(ds, tmp_path / "new.csv", label_column)
+        reference_save_csv(ds, tmp_path / "ref.csv", label_column)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("block_cells", [1, 7 * 6, 1 << 16])
+    def test_random_matrix_bytes_equal_reference(self, tmp_path, monkeypatch, block_cells):
+        # blocks of one row, of six rows with a remainder of four, and of all
+        rng = np.random.default_rng(3)
+        features = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-20, 20, (40, 7))
+        ds = make_ds(features, rng.integers(0, 2, 40))
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", block_cells)
+        dataset.save_csv(ds, tmp_path / "new.csv")
+        reference_save_csv(ds, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def refuse(*args):
     raise AssertionError("the per-cell reader ran")
 
@@ -427,6 +475,71 @@ class TestBinary:
         path = tmp_path / "d.bin"
         path.write_bytes(b"MLMD\x01")
         with pytest.raises(TruncatedFile):
+            dataset.load_binary(path)
+
+    def saved(self, tmp_path, n=10, m=3):
+        rng = np.random.default_rng(2)
+        ds = make_ds(rng.standard_normal((n, m)), rng.integers(0, 2, n))
+        path = tmp_path / "d.bin"
+        dataset.save_binary(ds, path)
+        return ds, path
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (lambda b: b[:-1], TruncatedFile, "expected 146 bytes, found 145"),
+            (lambda b: b + b"\0", TruncatedFile, "expected 146 bytes, found 147"),
+            (lambda b: b[:15], TruncatedFile, "shorter than the 16-byte header"),
+            (lambda b: b"MLMX" + b[4:], BadMagic, "bad magic b'MLMX'"),
+            (lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:], BadMagic,
+             "unsupported version 2"),
+            (lambda b: b[:8] + bytes(4) + b[12:], TruncatedFile,
+             "header claims empty dataset n=0, m=3"),
+        ],
+        ids=["one-byte-short", "one-byte-extra", "short-header", "bad-magic", "bad-version",
+             "empty"],
+    )
+    def test_malformed_file_named(self, tmp_path, edit, error, message):
+        _, path = self.saved(tmp_path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(error) as err:
+            dataset.load_binary(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_file_shrinking_after_the_size_check(self, tmp_path, monkeypatch):
+        _, path = self.saved(tmp_path)
+        full = path.stat()
+        path.write_bytes(path.read_bytes()[:-4])
+        monkeypatch.setattr(dataset.os, "fstat", lambda fd: full)
+        with pytest.raises(TruncatedFile, match="ended before its 10-byte block"):
+            dataset.load_binary(path)
+
+    @pytest.mark.parametrize("block_cells", [1, 4, 9, 1 << 16])
+    def test_block_reads_load_the_float32_values(self, tmp_path, monkeypatch, block_cells):
+        # blocks of one row, of one row (4 // 3), of three rows with a
+        # remainder of one, and of the whole body
+        ds, path = self.saved(tmp_path)
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", block_cells)
+        back = dataset.load_binary(path)
+        assert back.features.dtype == np.float64 and back.features.flags.c_contiguous
+        assert back.features.tobytes() == ds.features.astype("<f4").astype(np.float64).tobytes()
+        assert back.labels.dtype == np.uint8
+        assert back.labels.tobytes() == ds.labels.tobytes()
+        assert not back.features.flags.writeable and not back.labels.flags.writeable
+        dataset.save_binary(back, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [(16 + 4 * 5, np.float32(np.nan).tobytes(), "features contain NaN or Inf"),
+         (16 + 4 * 30 + 2, b"\x02", "labels must all be 0 or 1")],
+    )
+    def test_invalid_values_rejected(self, tmp_path, offset, value, message):
+        _, path = self.saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + len(value)] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValidationError, match=message):
             dataset.load_binary(path)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -567,6 +568,76 @@ class TestStackEngine:
         monkeypatch.setattr(maml, "_STACK_CELLS", 12 * 64)
         maml._meta_batch(theta, self.episodes(cfg, 4), cfg)
         assert stack_sizes == [1] * 8
+
+
+class TestScratchReuse:
+    """Passes write their activations into scratch kept between calls; every
+    array a caller keeps must stay as it was when later passes reuse it."""
+
+    ARCH = maml.MlpArchitecture(input_dim=5, hidden_dims=(8, 4), dropout_rate=0.25)
+
+    def stack(self, seed, T, n):
+        rng = np.random.default_rng(seed)
+        noise = rng.normal(0, 0.1, (T, self.ARCH.param_count))
+        values = maml.init_params(self.ARCH, 90).values + noise
+        X = rng.normal(size=(T, n, 5))
+        y = rng.integers(0, 2, (T, n))
+        mask = np.stack([maml.dropout_mask(self.ARCH, n, seed + t) for t in range(T)])
+        return maml.ModelParams(values, self.ARCH), X, y, mask
+
+    def results(self, seed, T, n):
+        params, X, y, mask = self.stack(seed, T, n)
+        support = make_ds(X[0], y[0])
+        return {
+            "forward": maml.forward(params, X),
+            "backward": maml.backward(params, X, y, mask),
+            "_forward_pass": maml._forward_pass(params, X, mask)[3],
+            "inner_adapt": maml.inner_adapt(
+                maml.ModelParams(params.values[0], self.ARCH), support, 0.1, 2, seed
+            ).values,
+        }
+
+    def test_kept_results_survive_later_passes(self):
+        kept = self.results(91, 4, 30)
+        snapshot = {name: value.copy() for name, value in kept.items()}
+        # the same shape, a remainder stack of two, more rows, fewer rows
+        for seed, T, n in ((92, 4, 30), (93, 2, 30), (94, 4, 50), (95, 1, 7)):
+            self.results(seed, T, n)
+            for name, value in kept.items():
+                assert value.tobytes() == snapshot[name].tobytes(), (name, T, n)
+
+    def test_second_order_meta_batch_with_a_remainder_stack(self, monkeypatch):
+        # six episodes four to a stack: a stack of four, then one of two
+        cfg = engine_cfg(2, False)
+        arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3)
+        theta = maml.init_params(arch, 96)
+        eps = [maml.sample_task(ENGINE_POOL, cfg, 200 + j, task_index=j) for j in range(6)]
+        expected = reference_meta_batch(theta, eps, cfg)
+        monkeypatch.setattr(maml, "_STACK_CELLS", 4 * 12 * 6)
+        grad, loss, accuracy = maml._meta_batch(theta, eps, cfg)
+        assert grad.tobytes() == expected[0].tobytes()
+        assert repr((loss, accuracy)) == repr(expected[1:])
+
+    def test_backward_allocates_less_than_one_activation(self):
+        # at 2000 rows each hidden activation of the default architecture is
+        # 2000 x 64 float64 (1000 KB); a pass that allocated them afresh
+        # would peak at several of them
+        n = 2000
+        arch = maml.MlpArchitecture(input_dim=40)
+        params = maml.init_params(arch, 97)
+        rng = np.random.default_rng(98)
+        X = rng.normal(size=(n, 40))
+        y = rng.integers(0, 2, n)
+        mask = maml.dropout_mask(arch, n, 99)
+        maml.backward(params, X, y, mask)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            maml.backward(params, X, y, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - baseline < n * arch.hidden_dims[0] * 8
 
 
 class TestMetaTrain:
