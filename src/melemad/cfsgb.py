@@ -10,15 +10,13 @@ reduced in chunk order.
 from __future__ import annotations
 
 import json
-import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import gbdt
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, _half_up
 from .errors import (
     ChunkLargerThanData,
     DegenerateStride,
@@ -26,10 +24,6 @@ from .errors import (
     IndexOutOfRange,
     ValidationError,
 )
-
-
-def _half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,6 @@ class CfsgbReport:
     chunk_sizes: list[int]
     chunk_selected_counts: list[int]
     r: int
-    seconds_per_stage: dict[str, float]
 
 
 def make_chunks(n: int, spec: ChunkSpec) -> list[Chunk]:
@@ -172,16 +165,8 @@ def run_cfsgb(
         raise ValidationError("selection needs either tau or top_k")
     if top_k is not None and not 1 <= top_k <= ds.m:
         raise ValidationError(f"top_k must be in [1, {ds.m}]")
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
     chunks = make_chunks(ds.n, spec)
-    timings["chunking"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     importances = _chunk_importances(ds, chunks, cfg)
-    timings["training"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     if top_k is not None:
         tau = threshold_for_top_k(importances, top_k)
     per_chunk = []
@@ -192,18 +177,12 @@ def run_cfsgb(
     if union.size == 0:
         raise EmptySelection(f"threshold {tau} excluded every feature in every chunk")
     selected = SelectedFeatureSet(union, per_chunk, tau)
-    timings["selection"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     projected = project_dataset(ds, selected)
-    timings["projection"] = time.perf_counter() - t0
-
     report = CfsgbReport(
         k=len(chunks),
         chunk_sizes=[c.size for c in chunks],
         chunk_selected_counts=[sel.indices.shape[0] for sel in per_chunk],
         r=selected.r,
-        seconds_per_stage=timings,
     )
     return selected, projected, report
 

@@ -21,12 +21,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import cfsgb, dataset, gbdt, maml, metrics
-from .errors import (
-    BadMagic,
-    MelemadError,
-    TruncatedFile,
-    ValidationError,
-)
+from .errors import BadMagic, TruncatedFile, ValidationError
 
 # the keys outside the sections, with their types and defaults
 _TOP_LEVEL = {"seed": (int, 0), "output_dir": (str | None, None)}
@@ -67,8 +62,9 @@ def derive_seed(seed: int, stage: str) -> int:
 
 def load_config(path: str | None) -> dict:
     """The config file (none: an empty one) as a dict with every top-level
-    key and every section present. Unknown or derived keys, and sections that
-    are not JSON objects, raise ValidationError."""
+    key and every section present. An unknown top-level key, or a section
+    that is not a JSON object, raises ValidationError; _resolve_config
+    checks the keys and values inside the sections."""
     user: dict = {}
     if path is not None:
         text = Path(path).read_text(encoding="utf-8")
@@ -85,16 +81,10 @@ def load_config(path: str | None) -> dict:
             f"it accepts {sorted([*_TOP_LEVEL, *_SECTIONS])}"
         )
     cfg = {key: user.get(key, default) for key, (_, default) in _TOP_LEVEL.items()}
-    for name, keys in _SECTIONS.items():
+    for name in _SECTIONS:
         section = user.get(name, {})
         if not isinstance(section, dict):
             raise ValidationError(f"config {path}: section {name!r} must be a JSON object")
-        unknown = set(section) - set(keys)
-        if unknown:
-            raise ValidationError(
-                f"config {path}: section {name!r} has unknown key(s) "
-                f"{sorted(unknown)}; it accepts {sorted(keys)}"
-            )
         cfg[name] = dict(section)
     return cfg
 
@@ -114,28 +104,46 @@ def _is_a(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+def _check(where: str, values: dict, hints: dict) -> None:
+    """Raise ValidationError unless every key of values is one of hints and
+    its value fits that key's annotation."""
+    unknown = set(values) - set(hints)
+    if unknown:
+        raise ValidationError(
+            f"{where} has unknown key(s) {sorted(unknown)}; it accepts {sorted(hints)}"
+        )
+    for key, value in values.items():
+        hint = hints[key]
+        if not _is_a(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ValidationError(f"{where} key {key!r} must be {name}, got {value!r}")
+
+
 def _resolve_config(args: argparse.Namespace) -> dict:
     """The config file, then the config key each given flag names: its dest
-    is "section.key", or a top-level key. Every value must fit the type of
-    the field it sets, and the seed must be non-negative."""
+    is "section.key", or a top-level key. Every key must be known, every
+    value must fit the type of the field it sets, and the seed must be
+    non-negative."""
     cfg = load_config(args.config)
     for dest, value in vars(args).items():
         section, _, key = dest.rpartition(".")
         if value is not None and (section or key in _TOP_LEVEL):
             (cfg[section] if section else cfg)[key] = value
-    checks = [(f"key {key!r}", cfg[key], hint) for key, (hint, _) in _TOP_LEVEL.items()]
+    top_level = {key: hint for key, (hint, _) in _TOP_LEVEL.items()}
+    _check("config", {key: cfg[key] for key in top_level}, top_level)
     for name, hints in _SECTIONS.items():
-        checks += [
-            (f"section {name!r} key {key!r}", value, hints[key])
-            for key, value in cfg[name].items()
-        ]
-    for where, value, hint in checks:
-        if not _is_a(value, hint):
-            name = hint.__name__ if isinstance(hint, type) else hint
-            raise ValidationError(f"config {where} must be {name}, got {value!r}")
+        _check(f"config section {name!r}", cfg[name], hints)
     if cfg["seed"] < 0:
         raise ValidationError(f"config key 'seed' must be non-negative, got {cfg['seed']}")
     return cfg
+
+
+def _load_checkpoint(path: str) -> tuple[maml.ModelParams, maml.MamlConfig, int]:
+    """maml.load_checkpoint, with the stored config checked as a config
+    file's maml values are."""
+    params, config, iteration = maml.load_checkpoint(path)
+    _check(f"checkpoint {path} config", config, typing.get_type_hints(maml.MamlConfig))
+    return params, maml.MamlConfig(**config), iteration
 
 
 def _build(cls, section: dict, **derived):
@@ -216,7 +224,6 @@ def cmd_select(args: argparse.Namespace) -> int:
             "chunk_selected_counts": report.chunk_selected_counts,
             "r": report.r,
             "tau": tau,
-            "seconds_per_stage": report.seconds_per_stage,
         },
         sort_keys=True,
         indent=2,
@@ -245,7 +252,7 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
     initial = None
     start_iteration = 0
     if args.resume:
-        initial, _, start_iteration = maml.load_checkpoint(args.resume)
+        initial, _, start_iteration = _load_checkpoint(args.resume)
         if initial.arch != arch:
             raise ValidationError("checkpoint architecture does not match config")
 
@@ -276,7 +283,7 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    params, ckpt_cfg, _ = maml.load_checkpoint(args.checkpoint)
+    params, ckpt_cfg, _ = _load_checkpoint(args.checkpoint)
     section = cfg["maml"]
     if args.config is None:
         # no config file: the checkpoint's embedded config stands in for it
@@ -385,10 +392,7 @@ def main(argv=None) -> int:
     except (ValidationError, FileNotFoundError, BadMagic, TruncatedFile) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MelemadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # anything unexpected is a runtime failure
+    except Exception as exc:  # any other failure is a runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -405,9 +405,13 @@ def save_scaler(sp: ScalerParams, path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
+def _half_up(x: float) -> int:
+    return int(math.floor(x + 0.5))
+
+
 def _train_count(total: int, fraction: float) -> int:
-    # round half up, then keep at least one sample on each side when possible
-    count = int(math.floor(total * fraction + 0.5))
+    # keep at least one sample on each side when possible
+    count = _half_up(total * fraction)
     if total >= 2:
         count = min(max(count, 1), total - 1)
     return count
@@ -469,7 +473,7 @@ def synthesize(spec: SyntheticSpec) -> tuple[LabeledDataset, np.ndarray]:
         logit = np.zeros(spec.n)
     logit = logit + spec.noise_sigma * rng.standard_normal(spec.n)
 
-    n_pos = int(math.floor(spec.n * spec.class_balance + 0.5))
+    n_pos = _half_up(spec.n * spec.class_balance)
     n_pos = min(max(n_pos, 0), spec.n)
     labels = np.zeros(spec.n, dtype=np.uint8)
     if n_pos > 0:

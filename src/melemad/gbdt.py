@@ -54,10 +54,6 @@ class RegressionTree:
     leaf_value: np.ndarray
     gain: np.ndarray
 
-    @property
-    def n_nodes(self) -> int:
-        return self.feature_index.shape[0]
-
 
 @dataclass
 class GbdtModel:

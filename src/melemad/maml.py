@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, _half_up
 from .errors import (
     DimensionMismatch,
     Diverged,
@@ -75,8 +75,9 @@ def _rng(*parts: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(p) for p in parts]))
 
 
-def _half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def _seed(*parts: int) -> int:
+    """A seed in [0, 2**31) drawn from the stream the parts name."""
+    return int(_rng(*parts).integers(0, 2**31))
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,6 @@ class MamlConfig:
     query_size: int = 50
     inner_steps: int = 1
     first_order: bool = True
-    dropout_in_adapt: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -185,6 +185,8 @@ class MamlConfig:
             raise ValidationError("task and set sizes must be >= 1")
         if self.support_size + self.query_size > self.samples_per_task:
             raise ValidationError("support_size + query_size exceeds samples_per_task")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -235,9 +237,9 @@ def dropout_mask(arch: MlpArchitecture, n_rows: int, seed: int) -> np.ndarray | 
     architecture has no dropout."""
     if arch.dropout_rate == 0.0:
         return None
-    rng = _rng(seed, _STREAM_DROPOUT)
-    keep = rng.random((n_rows, arch.hidden_dims[0])) >= arch.dropout_rate
-    return keep.astype(np.float64) / (1.0 - arch.dropout_rate)
+    mask = _rng(seed, _STREAM_DROPOUT).random((n_rows, arch.hidden_dims[0]))
+    np.greater_equal(mask, arch.dropout_rate, out=mask)
+    return np.divide(mask, 1.0 - arch.dropout_rate, out=mask)
 
 
 def _scratch(tag: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -529,11 +531,8 @@ def _score_stack(theta: ModelParams, stack: list[Episode], cfg: MamlConfig):
     meta-gradient (T, P), query probabilities (T, n) and query labels."""
     arch = theta.arch
     dropout_seeds = None
-    if cfg.dropout_in_adapt and arch.dropout_rate > 0.0:
-        dropout_seeds = [
-            int(_rng(cfg.seed, _STREAM_DROPOUT, ep.task_index).integers(0, 2**31))
-            for ep in stack
-        ]
+    if arch.dropout_rate > 0.0:
+        dropout_seeds = [_seed(cfg.seed, _STREAM_DROPOUT, ep.task_index) for ep in stack]
     Xs = _stack([ep.support.features for ep in stack])
     ys = _stack([ep.support.labels for ep in stack])
     Xq = _stack([ep.query.features for ep in stack])
@@ -580,7 +579,7 @@ def meta_train(
             sample_task(
                 train_pool,
                 cfg,
-                task_seed=int(_rng(cfg.seed, _STREAM_TASK, it, j).integers(0, 2**31)),
+                task_seed=_seed(cfg.seed, _STREAM_TASK, it, j),
                 task_index=it * batch + j,
             )
             for j in range(batch)
@@ -610,15 +609,10 @@ def meta_evaluate(
     probs_parts = []
     label_parts = []
     for j in range(episodes):
-        ep = sample_task(
-            test_pool,
-            cfg,
-            task_seed=int(_rng(cfg.seed, _STREAM_EVAL, j).integers(0, 2**31)),
-            task_index=j,
-        )
+        ep = sample_task(test_pool, cfg, task_seed=_seed(cfg.seed, _STREAM_EVAL, j), task_index=j)
         dropout_seed = None
-        if cfg.dropout_in_adapt and theta.arch.dropout_rate > 0.0:
-            dropout_seed = int(_rng(cfg.seed, _STREAM_EVAL, j, 1).integers(0, 2**31))
+        if theta.arch.dropout_rate > 0.0:
+            dropout_seed = _seed(cfg.seed, _STREAM_EVAL, j, 1)
         adapted = inner_adapt(theta, ep.support, cfg.alpha, cfg.inner_steps, dropout_seed)
         probs_parts.append(forward(adapted, ep.query.features))
         label_parts.append(ep.query.labels)
@@ -635,7 +629,6 @@ def save_checkpoint(path, params: ModelParams, cfg: MamlConfig, iteration: int) 
             "dropout_rate": params.arch.dropout_rate,
         },
         "config": asdict(cfg),
-        "seed": cfg.seed,
         "iteration": iteration,
     }
     with Path(path).open("wb") as fh:
@@ -644,17 +637,31 @@ def save_checkpoint(path, params: ModelParams, cfg: MamlConfig, iteration: int) 
         fh.write(params.values.astype("<f4").tobytes())
 
 
-def load_checkpoint(path) -> tuple[ModelParams, MamlConfig, int]:
+def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
+    """The parameters, the stored config as a dict (for the caller to check
+    before building a MamlConfig from it) and the iteration. A header that is
+    not a JSON object holding the keys save_checkpoint writes, or a payload
+    that does not hold the architecture's parameters, raises ValidationError.
+    """
     blob = Path(path).read_bytes()
     split = blob.find(b"\n")
     if split < 0:
         raise ValidationError(f"{path}: missing checkpoint header")
-    header = json.loads(blob[:split].decode("utf-8"))
-    arch = MlpArchitecture(
-        input_dim=header["architecture"]["input_dim"],
-        hidden_dims=tuple(header["architecture"]["hidden_dims"]),
-        dropout_rate=header["architecture"]["dropout_rate"],
-    )
+    try:
+        header = json.loads(blob[:split].decode("utf-8"))
+        arch = MlpArchitecture(**header["architecture"])
+        config, iteration = dict(header["config"]), int(header["iteration"])
+    except KeyError as exc:
+        raise ValidationError(f"{path}: checkpoint header has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed checkpoint header: {exc}") from None
+    if iteration < 0:
+        raise ValidationError(f"{path}: checkpoint iteration {iteration} is negative")
+    payload = len(blob) - split - 1
+    if payload != 4 * arch.param_count:
+        raise ValidationError(
+            f"{path}: checkpoint payload is {payload} bytes, "
+            f"its architecture needs {4 * arch.param_count}"
+        )
     values = np.frombuffer(blob, dtype="<f4", offset=split + 1).astype(np.float64)
-    cfg = MamlConfig(**header["config"])
-    return ModelParams(values, arch), cfg, int(header["iteration"])
+    return ModelParams(values, arch), config, iteration

@@ -294,8 +294,8 @@ class TestMetaTrainEvaluate:
             assert run("evaluate", "--checkpoint", out / "checkpoint.ckpt", "--threads",
                        threads, "--data", out / "test_pool.bin", "--out-dir", out) == 0
             outs[threads] = out
-        for name in ("selected_features.json", "projected.bin", "checkpoint.ckpt",
-                     "metrics_report.json", "roc.csv"):
+        for name in ("selected_features.json", "projected.bin", "cfsgb_report.json",
+                     "checkpoint.ckpt", "metrics_report.json", "roc.csv"):
             assert (outs[1] / name).read_bytes() == (outs[3] / name).read_bytes(), name
 
 
@@ -315,6 +315,9 @@ BAD_CONFIGS = {
     "derived maml seed": ("seed", with_entry("maml", "seed", 99)),
     "derived split seed": ("seed", with_entry("split", "seed", 1)),
     "derived input_dim": ("input_dim", with_entry("maml", "input_dim", 12)),
+    "removed dropout_in_adapt": (
+        "dropout_in_adapt", with_entry("maml", "dropout_in_adapt", False)
+    ),
     "section not an object": ("gbdt", {**SMALL_CONFIG, "gbdt": [10, 2]}),
     "string for an int": ("n_trees", with_entry("gbdt", "n_trees", "5")),
     "bool for an int": ("n_trees", with_entry("gbdt", "n_trees", True)),
@@ -361,10 +364,39 @@ DOCUMENTED_DEFAULTS = {
         "query_size": 50,
         "inner_steps": 1,
         "first_order": True,
-        "dropout_in_adapt": True,
         "hidden_dims": [64, 32, 16],
         "dropout_rate": 0.2,
     },
+}
+
+
+def edit_header(edit):
+    """A checkpoint rewriter: the header parsed, passed to edit, written back."""
+    def rewrite(blob):
+        header, payload = blob.split(b"\n", 1)
+        header = json.loads(header)
+        edit(header)
+        return json.dumps(header).encode() + b"\n" + payload
+    return rewrite
+
+
+# each rewrites a good checkpoint into a malformed one; with what the error names
+BAD_CHECKPOINTS = {
+    "header not JSON": (lambda blob: b"{not json" + blob[blob.index(b"\n"):],
+                        "malformed checkpoint header"),
+    "no architecture": (edit_header(lambda h: h.pop("architecture")), "'architecture'"),
+    "unknown config key": (
+        edit_header(lambda h: h["config"].update(dropout_in_adapt=True)), "'dropout_in_adapt'"
+    ),
+    "config value of the wrong type": (
+        edit_header(lambda h: h["config"].update(first_order="no")), "'first_order'"
+    ),
+    "negative seed": (
+        edit_header(lambda h: h["config"].update(seed=-1)), "seed must be non-negative"
+    ),
+    "negative iteration": (edit_header(lambda h: h.update(iteration=-5)), "iteration -5"),
+    # SMALL_CONFIG's 12 -> 8 -> 4 -> 1 architecture holds 145 parameters
+    "payload not whole float32 values": (lambda blob: blob[:-1], f"needs {4 * 145}"),
 }
 
 
@@ -392,6 +424,26 @@ class TestConfig:
         argv = STAGE_ARGV[stage](*trained)
         assert run(*argv, "--config", path, "--out-dir", out) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+    @pytest.mark.parametrize("stage", ["evaluate", "meta-train --resume"])
+    def test_malformed_checkpoint_exits_2_without_outputs(self, tmp_path, trained, capsys,
+                                                          stage, case):
+        data, run_dir = trained
+        rewrite, named = BAD_CHECKPOINTS[case]
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(rewrite((run_dir / "checkpoint.ckpt").read_bytes()))
+        if stage == "evaluate":
+            argv = ["evaluate", "--checkpoint", ckpt, "--data", run_dir / "test_pool.bin"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(SMALL_CONFIG))
+            argv = ["meta-train", "--config", config, "--input", data / "synthetic.bin",
+                    "--resume", ckpt]
+        out = tmp_path / "out"
+        assert run(*argv, "--out-dir", out) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_int_for_a_float_and_null_for_an_optional_accepted(self, tmp_path, trained):

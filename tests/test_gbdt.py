@@ -30,7 +30,7 @@ def fitted_raw(model, X):
     raw = np.full(X.shape[0], model.base_score)
     for tree in model.trees:
         node = np.zeros(X.shape[0], dtype=np.int64)
-        for _ in range(tree.n_nodes):
+        for _ in range(tree.feature_index.shape[0]):
             feat = tree.feature_index[node]
             internal = feat >= 0
             if not internal.any():
@@ -179,7 +179,7 @@ class TestTrain:
         rng = np.random.default_rng(0)
         ds = make_ds(rng.standard_normal((50, 3)), np.zeros(50, dtype=int))
         model = gbdt.train(ds, gbdt.GbdtConfig(n_trees=10))
-        assert all(t.n_nodes == 1 for t in model.trees)
+        assert all(t.feature_index.shape[0] == 1 for t in model.trees)
         probs = fitted_proba(model, ds)
         assert np.all(probs < 0.01)
 

@@ -314,7 +314,7 @@ def reference_meta_batch(theta, episodes, cfg):
     total = 0
     for ep in episodes:
         dropout_seed = None
-        if cfg.dropout_in_adapt and arch.dropout_rate > 0.0:
+        if arch.dropout_rate > 0.0:
             dropout_seed = int(
                 maml._rng(cfg.seed, maml._STREAM_DROPOUT, ep.task_index).integers(0, 2**31)
             )
@@ -740,7 +740,7 @@ class TestCheckpoint:
         loaded, loaded_cfg, iteration = maml.load_checkpoint(path)
         assert iteration == 12
         assert loaded.arch == arch
-        assert loaded_cfg == cfg
+        assert maml.MamlConfig(**loaded_cfg) == cfg
         np.testing.assert_array_equal(
             loaded.values, params.values.astype(np.float32).astype(np.float64)
         )
