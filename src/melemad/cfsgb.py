@@ -144,7 +144,7 @@ def _chunk_importances(
     ds: LabeledDataset, chunks: list[Chunk], cfg: gbdt.GbdtConfig
 ) -> list[np.ndarray]:
     return [
-        gbdt.feature_importance(gbdt.train(ds.select_rows(np.arange(c.start, c.stop)), cfg))
+        gbdt.feature_importance(gbdt.train(ds.select_rows(slice(c.start, c.stop)), cfg))
         for c in chunks
     ]
 

@@ -15,13 +15,12 @@ import hashlib
 import json
 import os
 import sys
-import types
 import typing
 from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import cfsgb, dataset, gbdt, maml, metrics
-from .errors import BadMagic, TruncatedFile, ValidationError
+from .errors import BadMagic, TruncatedFile, ValidationError, check_fields
 
 # the keys outside the sections, with their types and defaults
 _TOP_LEVEL = {"seed": (int, 0), "output_dir": (str | None, None)}
@@ -89,36 +88,6 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _is_a(value, hint) -> bool:
-    """Whether a config value fits a field annotation. A bool is not an int,
-    an int is a float, and a tuple field takes a list."""
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if isinstance(hint, types.UnionType):
-        return any(_is_a(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        return isinstance(value, (list, tuple)) and all(_is_a(v, item) for v in value)
-    return isinstance(value, hint)
-
-
-def _check(where: str, values: dict, hints: dict) -> None:
-    """Raise ValidationError unless every key of values is one of hints and
-    its value fits that key's annotation."""
-    unknown = set(values) - set(hints)
-    if unknown:
-        raise ValidationError(
-            f"{where} has unknown key(s) {sorted(unknown)}; it accepts {sorted(hints)}"
-        )
-    for key, value in values.items():
-        hint = hints[key]
-        if not _is_a(value, hint):
-            name = hint.__name__ if isinstance(hint, type) else hint
-            raise ValidationError(f"{where} key {key!r} must be {name}, got {value!r}")
-
-
 def _resolve_config(args: argparse.Namespace) -> dict:
     """The config file, then the config key each given flag names: its dest
     is "section.key", or a top-level key. Every key must be known, every
@@ -130,9 +99,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if value is not None and (section or key in _TOP_LEVEL):
             (cfg[section] if section else cfg)[key] = value
     top_level = {key: hint for key, (hint, _) in _TOP_LEVEL.items()}
-    _check("config", {key: cfg[key] for key in top_level}, top_level)
+    check_fields("config", {key: cfg[key] for key in top_level}, top_level)
     for name, hints in _SECTIONS.items():
-        _check(f"config section {name!r}", cfg[name], hints)
+        check_fields(f"config section {name!r}", cfg[name], hints)
     if cfg["seed"] < 0:
         raise ValidationError(f"config key 'seed' must be non-negative, got {cfg['seed']}")
     return cfg
@@ -142,7 +111,7 @@ def _load_checkpoint(path: str) -> tuple[maml.ModelParams, maml.MamlConfig, int]
     """maml.load_checkpoint, with the stored config checked as a config
     file's maml values are."""
     params, config, iteration = maml.load_checkpoint(path)
-    _check(f"checkpoint {path} config", config, typing.get_type_hints(maml.MamlConfig))
+    check_fields(f"checkpoint {path} config", config, typing.get_type_hints(maml.MamlConfig))
     return params, maml.MamlConfig(**config), iteration
 
 

@@ -4,7 +4,8 @@ Datasets are immutable after construction (the backing arrays are marked
 read-only). The constructor copies and validates its input; a row or column
 subset of a dataset (select_rows, select_columns) and a scaled dataset
 (apply_scaler) are already valid, so each is built from its freshly computed
-matrix without a second copy or a re-scan. load_csv parses a CSV with numpy's
+matrix, or for a slice of rows from views of the parent's arrays, without a
+second copy or a re-scan. load_csv parses a CSV with numpy's
 C reader into one float64 matrix and validates it with array operations;
 where that reader could disagree with the per-cell reader, the per-cell
 reader parses the file and names the row and column at fault. load_binary
@@ -105,7 +106,8 @@ class LabeledDataset:
         return rows
 
     def select_rows(self, indices) -> "LabeledDataset":
-        idx = np.asarray(indices)
+        """The given rows; a slice gives read-only views, not copies."""
+        idx = indices if isinstance(indices, slice) else np.asarray(indices)
         feats, labs = self.features[idx], self.labels[idx]
         if feats.ndim != 2 or feats.shape[0] == 0:
             # the validating constructor rejects an empty or mis-shaped subset

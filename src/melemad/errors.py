@@ -1,8 +1,11 @@
 """Exception types raised across the pipeline.
 
 Each class corresponds to one contract violation; callers that want to catch
-"anything this library raises" can catch MelemadError.
+"anything this library raises" can catch MelemadError. check_fields is the one
+key-and-type check that config files and checkpoint headers go through.
 """
+import types
+import typing
 
 
 class MelemadError(Exception):
@@ -11,6 +14,36 @@ class MelemadError(Exception):
 
 class ValidationError(MelemadError):
     """A config or argument violates a documented invariant."""
+
+
+def _is_a(value, hint) -> bool:
+    """Whether a config value fits a field annotation. A bool is not an int,
+    an int is a float, and a tuple field takes a list."""
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(hint, types.UnionType):
+        return any(_is_a(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_is_a(v, item) for v in value)
+    return isinstance(value, hint)
+
+
+def check_fields(where: str, values: dict, hints: dict) -> None:
+    """Raise ValidationError unless every key of values is one of hints and
+    its value fits that key's annotation."""
+    unknown = set(values) - set(hints)
+    if unknown:
+        raise ValidationError(
+            f"{where} has unknown key(s) {sorted(unknown)}; it accepts {sorted(hints)}"
+        )
+    for key, value in values.items():
+        hint = hints[key]
+        if not _is_a(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ValidationError(f"{where} key {key!r} must be {name}, got {value!r}")
 
 
 # dataset ingestion / persistence

@@ -4,11 +4,14 @@ Logistic objective with second-order (Newton) leaf values: per boosting round
 the targets are gradients g = p - y and hessians h = p(1 - p), leaves get
 -sum(g) / (sum(h) + lambda), and splits are exact greedy over midpoints of
 consecutive distinct sorted feature values. Each column is sorted once per
-fit; a node scores a block of columns per numpy call, with the block's
-scratch bounded at _BLOCK_CELLS feature-by-row cells. Ties go to the lowest
-feature, then the lowest threshold. Feature importance is total split gain,
-normalized. Training uses no randomness, so identical inputs give
-byte-identical models.
+fit, into int32 row ids. A node that may split holds its own rows'
+per-feature sort order: a split partitions the parent's orders stably into
+the two children (the pre-sorted lists of SLIQ and of XGBoost's exact greedy
+search), so a node's search costs its own rows, not the fit's. A node scores
+a block of columns per numpy call, with the block's scratch bounded at
+_BLOCK_CELLS feature-by-row cells. Ties go to the lowest feature, then the
+lowest threshold. Feature importance is total split gain, normalized.
+Training uses no randomness, so identical inputs give byte-identical models.
 """
 from __future__ import annotations
 
@@ -86,7 +89,13 @@ class _TreeGrower:
         self.col_order = col_order
         self.cfg = cfg
         self.n, self.m = X.shape
-        self._mask = np.zeros(self.n, dtype=bool)
+        # cell (row, col) of X sits at row * m + col of the flat values
+        self._flat = X.reshape(-1)
+        self._cols = np.arange(self.m)[:, None]
+        self._flag = np.zeros(self.n, dtype=bool)
+
+    def _can_split(self, n_rows: int, depth: int) -> bool:
+        return depth < self.cfg.max_depth and n_rows >= 2 * self.cfg.min_samples_leaf
 
     def grow(self, g, h):
         feature_index: list[int] = []
@@ -106,15 +115,17 @@ class _TreeGrower:
             gain.append(0.0)
             return len(feature_index) - 1
 
-        # depth-first; each entry owns its row indices
-        stack = [(new_node(), np.arange(self.n), 0)]
+        # depth-first; each entry owns its row indices and, if it may split,
+        # their per-feature sort order (None otherwise)
+        root_order = self.col_order if self._can_split(self.n, 0) else None
+        stack = [(new_node(), np.arange(self.n), root_order, 0)]
         while stack:
-            node, rows, depth = stack.pop()
+            node, rows, order, depth = stack.pop()
             G = g[rows].sum()
             H = h[rows].sum()
             split = None
-            if depth < self.cfg.max_depth and rows.size >= 2 * self.cfg.min_samples_leaf:
-                split = self._best_split(rows, g, h, G, H)
+            if order is not None:
+                split = self._best_split(order, g, h, G, H)
             if split is None:
                 value = -G / (H + _LAMBDA)
                 leaf_value[node] = value
@@ -125,12 +136,19 @@ class _TreeGrower:
             threshold[node] = thr
             gain[node] = best_gain
             go_left = self.X[rows, feat] < thr
+            left_rows, right_rows = rows[go_left], rows[~go_left]
+            left_order, right_order = self._partition(
+                order,
+                left_rows,
+                self._can_split(left_rows.size, depth + 1),
+                self._can_split(right_rows.size, depth + 1),
+            )
             left_id = new_node()
             right_id = new_node()
             left[node] = left_id
             right[node] = right_id
-            stack.append((left_id, rows[go_left], depth + 1))
-            stack.append((right_id, rows[~go_left], depth + 1))
+            stack.append((left_id, left_rows, left_order, depth + 1))
+            stack.append((right_id, right_rows, right_order, depth + 1))
 
         tree = RegressionTree(
             feature_index=np.array(feature_index, dtype=np.int64),
@@ -142,12 +160,37 @@ class _TreeGrower:
         )
         return tree, train_pred
 
-    def _best_split(self, rows, g, h, G, H):
+    def _partition(self, order, left_rows, left_splits, right_splits):
+        """The children's per-feature orders, None for a child that cannot
+        split, cut from the node's order a block of columns at a time. The
+        cut is stable, so each child keeps its parent's sorted order."""
+        n_node, n_left = order.shape[1], left_rows.size
+        left_order = right_order = None
+        if left_splits:
+            left_order = np.empty((self.m, n_left), dtype=order.dtype)
+        if right_splits:
+            right_order = np.empty((self.m, n_node - n_left), dtype=order.dtype)
+        if not (left_splits or right_splits):
+            return left_order, right_order
+        flag = self._flag
+        flag[left_rows] = True
+        width = max(1, _BLOCK_CELLS // n_node)
+        for j0 in range(0, self.m, width):
+            block = order[j0 : j0 + width].reshape(-1)
+            sel = flag.take(block)
+            if left_order is not None:
+                block.compress(sel, out=left_order[j0 : j0 + width].reshape(-1))
+            if right_order is not None:
+                np.logical_not(sel, out=sel)
+                block.compress(sel, out=right_order[j0 : j0 + width].reshape(-1))
+        flag[left_rows] = False
+        return left_order, right_order
+
+    def _best_split(self, order, g, h, G, H):
+        """order holds the node's rows sorted per feature, one row per feature."""
         min_leaf = self.cfg.min_samples_leaf
-        n_node = rows.size
+        n_node = order.shape[1]
         parent_score = G * G / (H + _LAMBDA)
-        mask = self._mask
-        mask[rows] = True
         # t = number of rows sent left, min_leaf..n_node - min_leaf
         lo, hi = min_leaf, n_node - min_leaf + 1
         width = max(1, _BLOCK_CELLS // n_node)
@@ -155,16 +198,25 @@ class _TreeGrower:
         best_gain = 0.0
         best = None
         for j0 in range(0, self.m, width):
-            order = self.col_order[j0 : j0 + width]
-            idx = order[mask[order]].reshape(-1, n_node)  # node rows, sorted per feature
-            v = np.take_along_axis(self.X.T[j0 : j0 + width], idx, axis=1)
-            GL = np.cumsum(g[idx], axis=1)[:, lo - 1 : hi - 1]
-            HL = np.cumsum(h[idx], axis=1)[:, lo - 1 : hi - 1]
-            gains = 0.5 * (
-                GL * GL / (HL + _LAMBDA)
-                + (G - GL) * (G - GL) / (H - HL + _LAMBDA)
-                - parent_score
-            )
+            idx = order[j0 : j0 + width]
+            cells = np.multiply(idx, self.m, dtype=np.intp)
+            cells += self._cols[j0 : j0 + width]
+            v = self._flat.take(cells)
+            GL = g.take(idx).cumsum(axis=1)[:, lo - 1 : hi - 1]
+            HL = h.take(idx).cumsum(axis=1)[:, lo - 1 : hi - 1]
+            # 0.5 * (GL^2 / (HL + lambda) + (G - GL)^2 / (H - HL + lambda)
+            #        - parent_score), in place
+            gains = np.subtract(G, GL)
+            gains *= gains
+            den = np.subtract(H, HL)
+            den += _LAMBDA
+            gains /= den
+            GL *= GL
+            HL += _LAMBDA
+            GL /= HL
+            gains += GL
+            gains -= parent_score
+            gains *= 0.5
             # a boundary must separate distinct values
             gains[v[:, lo:hi] <= v[:, lo - 1 : hi - 1]] = -np.inf
             # row-major first max: lowest feature, then lowest threshold
@@ -174,8 +226,6 @@ class _TreeGrower:
                 tk = lo + k
                 thr = (v[b, tk - 1] + v[b, tk]) / 2.0
                 best = (best_gain, j0 + int(b), float(thr))
-
-        mask[rows] = False
         return best
 
 
@@ -190,7 +240,12 @@ def train(ds: LabeledDataset, cfg: GbdtConfig | None = None) -> GbdtModel:
     base_score = float(np.log(prior / (1.0 - prior)))
     raw = np.full(ds.n, base_score)
 
-    col_order = np.argsort(X.T, axis=1, kind="stable")  # feature-major
+    # feature-major; int32 row ids halve the m x n orders the fit holds, and
+    # sorting a block of columns at a time bounds argsort's intp scratch
+    col_order = np.empty((ds.m, ds.n), dtype=np.int32 if ds.n < 2**31 else np.intp)
+    width = max(1, _BLOCK_CELLS // ds.n)
+    for j0 in range(0, ds.m, width):
+        col_order[j0 : j0 + width] = np.argsort(X.T[j0 : j0 + width], axis=1, kind="stable")
     grower = _TreeGrower(X, col_order, cfg)
 
     trees: list[RegressionTree] = []

@@ -35,6 +35,7 @@ import csv
 import json
 import math
 import time
+import typing
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -48,6 +49,7 @@ from .errors import (
     PoolTooSmall,
     SingleClassPool,
     ValidationError,
+    check_fields,
 )
 
 PROB_EPS = 1e-7
@@ -640,8 +642,9 @@ def save_checkpoint(path, params: ModelParams, cfg: MamlConfig, iteration: int) 
 def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
     """The parameters, the stored config as a dict (for the caller to check
     before building a MamlConfig from it) and the iteration. A header that is
-    not a JSON object holding the keys save_checkpoint writes, or a payload
-    that does not hold the architecture's parameters, raises ValidationError.
+    not a JSON object holding the keys save_checkpoint writes, an architecture
+    value that does not fit its field's type, or a payload that does not hold
+    the architecture's parameters, raises ValidationError.
     """
     blob = Path(path).read_bytes()
     split = blob.find(b"\n")
@@ -649,7 +652,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
         raise ValidationError(f"{path}: missing checkpoint header")
     try:
         header = json.loads(blob[:split].decode("utf-8"))
-        arch = MlpArchitecture(**header["architecture"])
+        architecture = dict(header["architecture"])
+        check_fields(f"checkpoint {path} architecture", architecture,
+                     typing.get_type_hints(MlpArchitecture))
+        arch = MlpArchitecture(**architecture)
         config, iteration = dict(header["config"]), int(header["iteration"])
     except KeyError as exc:
         raise ValidationError(f"{path}: checkpoint header has no key {exc}") from None

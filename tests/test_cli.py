@@ -395,6 +395,20 @@ BAD_CHECKPOINTS = {
         edit_header(lambda h: h["config"].update(seed=-1)), "seed must be non-negative"
     ),
     "negative iteration": (edit_header(lambda h: h.update(iteration=-5)), "iteration -5"),
+    "architecture width a string": (
+        edit_header(lambda h: h["architecture"].update(input_dim="12")), "'input_dim'"
+    ),
+    "architecture widths strings": (
+        edit_header(lambda h: h["architecture"].update(hidden_dims=["8", "4"])),
+        "'hidden_dims'",
+    ),
+    "architecture widths fractional": (
+        edit_header(lambda h: h["architecture"].update(hidden_dims=[8.7, 4.7])),
+        "'hidden_dims'",
+    ),
+    "unknown architecture key": (
+        edit_header(lambda h: h["architecture"].update(activation="relu")), "'activation'"
+    ),
     # SMALL_CONFIG's 12 -> 8 -> 4 -> 1 architecture holds 145 parameters
     "payload not whole float32 values": (lambda blob: blob[:-1], f"needs {4 * 145}"),
 }

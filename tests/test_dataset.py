@@ -66,6 +66,19 @@ class TestSelectRows:
         with pytest.raises(ValueError):
             sub.labels[0] = 0
 
+    def test_slice_gives_read_only_views(self):
+        ds = self.make()
+        sub = ds.select_rows(slice(2, 6))
+        np.testing.assert_array_equal(sub.features, ds.features[2:6])
+        np.testing.assert_array_equal(sub.labels, [1, 0, 1, 0])
+        assert np.shares_memory(sub.features, ds.features)
+        assert np.shares_memory(sub.labels, ds.labels)
+        assert sub.feature_names == ["a", "b", "c"]
+        with pytest.raises(ValueError):
+            sub.features[0, 0] = 1.0
+        with pytest.raises(ValidationError):
+            ds.select_rows(slice(3, 3))
+
     def test_empty_and_2d_indices_rejected(self):
         ds = self.make()
         with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,18 +116,19 @@ def assert_same_models(a, b):
             assert getattr(x, name).tobytes() == getattr(y, name).tobytes(), name
 
 
-def reference_best_split(self, rows, g, h, G, H):
+def reference_best_split(self, order, g, h, G, H):
     """Exact greedy split search with one Python iteration per feature.
 
-    Node rows are sorted per feature by a stable argsort of the rows in
-    ascending index order, so equal values keep row order. Features are
-    visited lowest first and a later one must beat the best gain strictly:
-    the lowest feature wins ties, then the lowest threshold.
+    Only the node's row set is taken from order. Node rows are sorted per
+    feature by a stable argsort of the rows in ascending index order, so
+    equal values keep row order. Features are visited lowest first and a
+    later one must beat the best gain strictly: the lowest feature wins ties,
+    then the lowest threshold.
     """
     min_leaf = self.cfg.min_samples_leaf
+    rows = np.sort(order[0])
     n_node = rows.size
     parent_score = G * G / (H + LAM)
-    rows = np.sort(rows)
     best_gain = 0.0
     best = None
     for j in range(self.m):
@@ -154,6 +156,15 @@ def reference_best_split(self, rows, g, h, G, H):
             tk = t[k]
             best = (best_gain, j, float((v[tk - 1] + v[tk]) / 2.0))
     return best
+
+
+def tree_depth(tree):
+    """Length of the longest root-to-leaf path."""
+    depth = {0: 0}
+    for node in range(tree.feature_index.shape[0]):
+        if tree.feature_index[node] >= 0:
+            depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+    return max(depth.values())
 
 
 def train_both(monkeypatch, ds, cfg):
@@ -359,3 +370,66 @@ class TestBlockSplitSearch:
         assert root.feature_index[0] == 1
         assert root.threshold[0] == 4.5
         assert_same_models(model, reference)
+
+    def test_root_below_two_min_leaves_is_a_leaf(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((9, 3))
+        y = np.array([0, 1, 0, 1, 1, 0, 1, 0, 1])
+        cfg = gbdt.GbdtConfig(n_trees=3, max_depth=3, min_samples_leaf=5)
+        model, reference = train_both(monkeypatch, make_ds(X, y), cfg)
+        assert all(tree.feature_index.tolist() == [-1] for tree in model.trees)
+        assert_same_models(model, reference)
+
+    @pytest.mark.parametrize("depth", [5, 6])
+    def test_matches_reference_on_deep_trees(self, monkeypatch, depth):
+        for kind in ("continuous", "discrete", "tie-heavy"):
+            rng = np.random.default_rng(depth)
+            X = features_of_kind(kind, rng, 300, 6)
+            y = ((X[:, 1] * X[:, 4] + rng.standard_normal(300)) > 0.0).astype(int)
+            cfg = gbdt.GbdtConfig(
+                n_trees=3, max_depth=depth, learning_rate=0.5, min_samples_leaf=2
+            )
+            model, reference = train_both(monkeypatch, make_ds(X, y), cfg)
+            assert max(tree_depth(tree) for tree in model.trees) == depth
+            assert_same_models(model, reference)
+
+    def test_child_below_two_min_leaves_stays_a_leaf(self, monkeypatch):
+        # the root sends the 4 rows below 3.5 left: too few for a left split
+        # at min_samples_leaf 3, while the right child keeps splitting
+        rng = np.random.default_rng(14)
+        n = 60
+        X = np.column_stack([np.arange(n, dtype=float), rng.standard_normal(n)])
+        y = np.where(X[:, 0] < 4, 1, X[:, 0] % 7 == 0).astype(int)
+        cfg = gbdt.GbdtConfig(n_trees=2, max_depth=3, learning_rate=0.5, min_samples_leaf=3)
+        model, reference = train_both(monkeypatch, make_ds(X, y), cfg)
+        root = model.trees[0]
+        assert (root.feature_index[0], root.threshold[0]) == (0, 3.5)
+        assert root.feature_index[root.left[0]] == -1
+        assert root.feature_index[root.right[0]] >= 0
+        assert_same_models(model, reference)
+
+    def test_chunk_on_a_row_view_equals_one_on_a_copy(self):
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((500, 12))
+        ds = make_ds(X, ((X[:, 3] + rng.standard_normal(500)) > 0).astype(int))
+        view = ds.select_rows(slice(120, 420))
+        copy = ds.select_rows(np.arange(120, 420))
+        assert np.shares_memory(view.features, ds.features)
+        assert not np.shares_memory(copy.features, ds.features)
+        cfg = gbdt.GbdtConfig(n_trees=4, max_depth=4, learning_rate=0.5)
+        assert_same_models(gbdt.train(view, cfg), gbdt.train(copy, cfg))
+
+    def test_peak_memory_of_a_fit_stays_within_twice_the_matrix(self):
+        # column orders and the per-node partitions are int32 row ids; int64
+        # ones would double both and push the peak well past this bound
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((7500, 40))
+        ds = make_ds(X, ((X[:, 0] + rng.standard_normal(7500)) > 0).astype(int))
+        cfg = gbdt.GbdtConfig(n_trees=2, max_depth=4, learning_rate=0.5)
+        tracemalloc.start()
+        try:
+            gbdt.train(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * ds.features.nbytes
