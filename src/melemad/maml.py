@@ -17,6 +17,16 @@ layer x episodes per stack) and reduces the meta-gradient, loss and accuracy
 in episode order from zeros, so results are byte-identical at any stack
 size. A NaN or Inf meta-loss or meta-gradient raises Diverged.
 
+Randomness comes from generators keyed by the root seed, a stream tag and
+the draw's coordinates (_rng), never from a generator built only to draw
+another seed. An episode draws its rows from one generator, keyed by
+(iteration, slot) in meta-training and by its number in evaluation, taking
+each class's rows with rng.choice, so it costs its own rows, not its
+pool's. Inner step s of an episode draws its dropout mask from a generator
+keyed by (stream, episode index, s), in training and evaluation alike
+(_mask_key), so a mask does not depend on the stack size, on how often an
+episode is scored, or on where a run was resumed.
+
 Each pass writes its per-layer pre-activations, activations and deltas into
 float64 scratch buffers kept between calls (_scratch), with the same ufunc
 and matmul calls, so the bits do not change. At paper scale these arrays are
@@ -66,20 +76,23 @@ _STACK_CELLS = 1 << 16
 # one float64 buffer per tag, grown to the largest pass it has served
 _SCRATCH: dict[str, np.ndarray] = {}
 
-# stream tags for deriving independent rng seeds from one root seed
-_STREAM_INIT = 0
-_STREAM_TASK = 1
-_STREAM_DROPOUT = 2
-_STREAM_EVAL = 3
+# stream tags, second in every generator key after the root seed; the keys
+# of one tag share one length, since SeedSequence zero-pads keys shorter
+# than four words ([s, 3, j] draws what [s, 3, j, 0] draws)
+_STREAM_INIT = 0  # (seed, INIT): initial weights
+_STREAM_TASK = 1  # (seed, TASK, iteration, slot): a meta-train episode's rows
+_STREAM_DROPOUT = 2  # (seed, DROPOUT, TASK or EVAL, episode, step): a mask
+_STREAM_EVAL = 3  # (seed, EVAL, episode): an evaluation episode's rows
 
 
-def _rng(*parts: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(p) for p in parts]))
+def _rng(*key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
 
 
-def _seed(*parts: int) -> int:
-    """A seed in [0, 2**31) drawn from the stream the parts name."""
-    return int(_rng(*parts).integers(0, 2**31))
+def _mask_key(seed: int, stream: int, episode: int) -> tuple[int, ...]:
+    """The dropout key of an episode of a stream (_STREAM_TASK or
+    _STREAM_EVAL); inner step s draws its mask from the key plus s."""
+    return (seed, _STREAM_DROPOUT, stream, episode)
 
 
 @dataclass(frozen=True)
@@ -92,7 +105,8 @@ class MlpArchitecture:
     dropout_rate: float = 0.2
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        check_fields("MlpArchitecture", asdict(self), typing.get_type_hints(MlpArchitecture))
+        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         if self.input_dim < 1 or any(h < 1 for h in self.hidden_dims):
             raise ValidationError("layer widths must be positive")
         if not self.hidden_dims:
@@ -234,12 +248,12 @@ def init_params(arch: MlpArchitecture, seed: int) -> ModelParams:
     return ModelParams(np.concatenate(pieces), arch)
 
 
-def dropout_mask(arch: MlpArchitecture, n_rows: int, seed: int) -> np.ndarray | None:
-    """Inverted-scaling keep mask for the first hidden layer, or None if the
-    architecture has no dropout."""
+def dropout_mask(arch: MlpArchitecture, n_rows: int, *key: int) -> np.ndarray | None:
+    """Inverted-scaling keep mask for the first hidden layer, drawn from the
+    generator the key names, or None if the architecture has no dropout."""
     if arch.dropout_rate == 0.0:
         return None
-    mask = _rng(seed, _STREAM_DROPOUT).random((n_rows, arch.hidden_dims[0]))
+    mask = _rng(*key).random((n_rows, arch.hidden_dims[0]))
     np.greater_equal(mask, arch.dropout_rate, out=mask)
     return np.divide(mask, 1.0 - arch.dropout_rate, out=mask)
 
@@ -361,12 +375,12 @@ def inner_adapt(
     support: LabeledDataset,
     alpha: float,
     inner_steps: int = 1,
-    dropout_seed: int | None = None,
+    dropout_key: tuple[int, ...] | None = None,
 ) -> ModelParams:
     """Task adaptation: inner_steps gradient-descent steps on support BCE.
 
-    dropout_seed None disables dropout during adaptation; otherwise each step
-    draws its own mask from the seed. The input theta is never modified.
+    dropout_key None disables dropout during adaptation; otherwise step s
+    draws its mask from the key plus s. The input theta is never modified.
     """
     path, _ = _descend(
         ModelParams._trusted(theta.values[None], theta.arch),
@@ -374,7 +388,7 @@ def inner_adapt(
         support.labels[None],
         alpha,
         inner_steps,
-        None if dropout_seed is None else [dropout_seed],
+        None if dropout_key is None else [dropout_key],
     )
     return ModelParams(path[-1][0], theta.arch)
 
@@ -391,11 +405,12 @@ def _descend(
     y: np.ndarray,
     alpha: float,
     inner_steps: int,
-    dropout_seeds: list[int] | None,
+    dropout_keys: list[tuple[int, ...]] | None,
 ) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
     """The one inner loop, behind inner_adapt and the meta-gradient: adapts a
     stack of T episodes at once (theta (T, P), supports X (T, n, m), labels
-    (T, n)); episode t draws step s's dropout mask from dropout_seeds[t] + s.
+    (T, n)); episode t draws step s's dropout mask from dropout_keys[t] + (s,),
+    so a mask is a pure function of its episode and step.
 
     Returns the parameter stack before each step followed by the adapted
     stack (inner_steps + 1 arrays), and the (T, n, h0) mask of each step.
@@ -405,10 +420,8 @@ def _descend(
     masks: list[np.ndarray | None] = []
     for step in range(inner_steps):
         mask = None
-        if dropout_seeds is not None and arch.dropout_rate > 0.0:
-            mask = _stack(
-                [dropout_mask(arch, X.shape[1], int(seed) + step) for seed in dropout_seeds]
-            )
+        if dropout_keys is not None and arch.dropout_rate > 0.0:
+            mask = _stack([dropout_mask(arch, X.shape[1], *key, step) for key in dropout_keys])
         grad = backward(ModelParams._trusted(path[-1], arch), X, y, mask)
         masks.append(mask)
         path.append(path[-1] - alpha * grad)
@@ -432,21 +445,22 @@ def _stratified_take(avail_pos: int, avail_neg: int, take: int) -> tuple[int, in
 def sample_task(
     pool: LabeledDataset,
     cfg: MamlConfig,
-    task_seed: int,
+    rng: np.random.Generator,
     task_index: int = 0,
 ) -> Episode:
-    """Draw one episode: samples_per_task rows without replacement, stratified
-    to the pool ratio, split disjointly into support and query."""
+    """Draw one episode from rng: samples_per_task rows without replacement,
+    stratified to the pool ratio, split disjointly into support and query.
+    Each class's rows come from rng.choice over the class's row count, which
+    draws O(rows taken) random numbers, not one per row of the pool."""
     if pool.n < cfg.samples_per_task:
         raise PoolTooSmall(f"pool has {pool.n} rows, task needs {cfg.samples_per_task}")
     neg, pos = pool.class_rows
     if pos.size == 0 or neg.size == 0:
         raise SingleClassPool("episode sampling needs both classes in the pool")
 
-    rng = _rng(task_seed, _STREAM_TASK)
     task_pos, task_neg = _stratified_take(pos.size, neg.size, cfg.samples_per_task)
-    pos_pick = rng.permutation(pos)[:task_pos]
-    neg_pick = rng.permutation(neg)[:task_neg]
+    pos_pick = pos[rng.choice(pos.size, task_pos, replace=False)]
+    neg_pick = neg[rng.choice(neg.size, task_neg, replace=False)]
 
     sup_pos, sup_neg = _stratified_take(task_pos, task_neg, cfg.support_size)
     qry_pos, qry_neg = _stratified_take(task_pos - sup_pos, task_neg - sup_neg, cfg.query_size)
@@ -532,9 +546,7 @@ def _score_stack(theta: ModelParams, stack: list[Episode], cfg: MamlConfig):
     """Adapt theta to each episode of the stack; returns each episode's
     meta-gradient (T, P), query probabilities (T, n) and query labels."""
     arch = theta.arch
-    dropout_seeds = None
-    if arch.dropout_rate > 0.0:
-        dropout_seeds = [_seed(cfg.seed, _STREAM_DROPOUT, ep.task_index) for ep in stack]
+    dropout_keys = [_mask_key(cfg.seed, _STREAM_TASK, ep.task_index) for ep in stack]
     Xs = _stack([ep.support.features for ep in stack])
     ys = _stack([ep.support.labels for ep in stack])
     Xq = _stack([ep.query.features for ep in stack])
@@ -543,7 +555,7 @@ def _score_stack(theta: ModelParams, stack: list[Episode], cfg: MamlConfig):
     # the second-order path needs every step of the inner trajectory
     thetas = np.broadcast_to(theta.values, (len(stack), theta.values.shape[0]))
     path, masks = _descend(
-        ModelParams._trusted(thetas, arch), Xs, ys, cfg.alpha, cfg.inner_steps, dropout_seeds
+        ModelParams._trusted(thetas, arch), Xs, ys, cfg.alpha, cfg.inner_steps, dropout_keys
     )
     adapted = ModelParams._trusted(path[-1], arch)
     probs = forward(adapted, Xq)
@@ -564,8 +576,10 @@ def meta_train(
 ) -> tuple[ModelParams, TrainLog]:
     """Run cfg.outer_iterations meta-steps with freshly sampled episodes.
 
-    Episode seeds derive from (seed, absolute iteration, slot), so a resumed
-    run continues the same episode stream it would have seen uninterrupted.
+    Episode j of iteration it draws its rows from the generator keyed
+    (seed, _STREAM_TASK, it, j) and its dropout masks from its task_index
+    it * tasks_per_meta_batch + j, with it absolute, so a resumed run samples
+    the episodes it would have seen uninterrupted.
     Raises Diverged, naming the iteration, when its meta-loss or
     meta-gradient is NaN or Inf.
     """
@@ -579,10 +593,7 @@ def meta_train(
         t0 = time.perf_counter()
         episodes = [
             sample_task(
-                train_pool,
-                cfg,
-                task_seed=_seed(cfg.seed, _STREAM_TASK, it, j),
-                task_index=it * batch + j,
+                train_pool, cfg, _rng(cfg.seed, _STREAM_TASK, it, j), task_index=it * batch + j
             )
             for j in range(batch)
         ]
@@ -605,17 +616,16 @@ def meta_evaluate(
     episodes: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adapt per evaluation episode and predict its query set; returns the
-    concatenated query probabilities and ground-truth labels."""
+    concatenated query probabilities and ground-truth labels. Episode j draws
+    its rows from the generator keyed (seed, _STREAM_EVAL, j)."""
     if episodes is None:
         episodes = max(1, math.ceil(test_pool.n / cfg.samples_per_task))
     probs_parts = []
     label_parts = []
     for j in range(episodes):
-        ep = sample_task(test_pool, cfg, task_seed=_seed(cfg.seed, _STREAM_EVAL, j), task_index=j)
-        dropout_seed = None
-        if theta.arch.dropout_rate > 0.0:
-            dropout_seed = _seed(cfg.seed, _STREAM_EVAL, j, 1)
-        adapted = inner_adapt(theta, ep.support, cfg.alpha, cfg.inner_steps, dropout_seed)
+        ep = sample_task(test_pool, cfg, _rng(cfg.seed, _STREAM_EVAL, j), task_index=j)
+        dropout_key = _mask_key(cfg.seed, _STREAM_EVAL, j)
+        adapted = inner_adapt(theta, ep.support, cfg.alpha, cfg.inner_steps, dropout_key)
         probs_parts.append(forward(adapted, ep.query.features))
         label_parts.append(ep.query.labels)
     return np.concatenate(probs_parts), np.concatenate(label_parts)
@@ -656,7 +666,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
         check_fields(f"checkpoint {path} architecture", architecture,
                      typing.get_type_hints(MlpArchitecture))
         arch = MlpArchitecture(**architecture)
-        config, iteration = dict(header["config"]), int(header["iteration"])
+        config, iteration = dict(header["config"]), header["iteration"]
+        check_fields(f"checkpoint {path}", {"iteration": iteration}, {"iteration": int})
     except KeyError as exc:
         raise ValidationError(f"{path}: checkpoint header has no key {exc}") from None
     except (TypeError, ValueError) as exc:

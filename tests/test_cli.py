@@ -395,6 +395,8 @@ BAD_CHECKPOINTS = {
         edit_header(lambda h: h["config"].update(seed=-1)), "seed must be non-negative"
     ),
     "negative iteration": (edit_header(lambda h: h.update(iteration=-5)), "iteration -5"),
+    "iteration fractional": (edit_header(lambda h: h.update(iteration=2.5)), "'iteration'"),
+    "iteration a string": (edit_header(lambda h: h.update(iteration="3")), "'iteration'"),
     "architecture width a string": (
         edit_header(lambda h: h["architecture"].update(input_dim="12")), "'input_dim'"
     ),

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -98,6 +100,31 @@ class TestInitParams:
         for (fan_in, fan_out), (W, _) in zip(arch.layer_sizes, params.layers()):
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             assert np.all(np.abs(W) <= bound)
+
+
+class TestArchitecture:
+    @pytest.mark.parametrize(
+        "hidden", [(8.7, 4.7), (8.0, 4), ("8", 4), (True, 4)],
+        ids=["fractional", "float", "string", "bool"],
+    )
+    def test_non_integer_width_rejected(self, hidden):
+        with pytest.raises(ValidationError, match="'hidden_dims'"):
+            maml.MlpArchitecture(input_dim=4, hidden_dims=hidden)
+
+    @pytest.mark.parametrize("input_dim", [4.0, "4", True], ids=["float", "string", "bool"])
+    def test_non_integer_input_width_rejected(self, input_dim):
+        with pytest.raises(ValidationError, match="'input_dim'"):
+            maml.MlpArchitecture(input_dim=input_dim)
+
+    def test_json_list_of_ints_builds_the_same_architecture(self):
+        header = json.loads('{"input_dim": 4, "hidden_dims": [8, 4], "dropout_rate": 0.1}')
+        arch = maml.MlpArchitecture(**header)
+        expected = maml.MlpArchitecture(input_dim=4, hidden_dims=(8, 4), dropout_rate=0.1)
+        assert arch == expected and arch.hidden_dims == (8, 4)
+        assert arch.layer_sizes == expected.layer_sizes
+        assert maml.init_params(arch, 3).values.tobytes() == (
+            maml.init_params(expected, 3).values.tobytes()
+        )
 
 
 class TestForward:
@@ -228,7 +255,7 @@ class TestSampleTask:
     def test_disjoint_support_query(self):
         pool = random_pool(100, 3, seed=20)
         for task_seed in range(10):
-            ep = maml.sample_task(pool, self.CFG, task_seed)
+            ep = maml.sample_task(pool, self.CFG, maml._rng(task_seed))
             sup = {tuple(row) for row in ep.support.features}
             qry = {tuple(row) for row in ep.query.features}
             assert not (sup & qry)
@@ -237,27 +264,56 @@ class TestSampleTask:
     def test_stratification_within_one(self):
         pool = random_pool(200, 2, seed=21, balance=0.5)
         ratio = pool.labels.mean()
-        ep = maml.sample_task(pool, self.CFG, 3)
+        ep = maml.sample_task(pool, self.CFG, maml._rng(3))
         expected = 10 * ratio
         assert abs(int(ep.support.labels.sum()) - expected) <= 1.5
         assert abs(int(ep.query.labels.sum()) - expected) <= 1.5
 
     def test_deterministic(self):
         pool = random_pool(80, 3, seed=22)
-        a = maml.sample_task(pool, self.CFG, 9)
-        b = maml.sample_task(pool, self.CFG, 9)
+        a = maml.sample_task(pool, self.CFG, maml._rng(9))
+        b = maml.sample_task(pool, self.CFG, maml._rng(9))
         np.testing.assert_array_equal(a.support.features, b.support.features)
         np.testing.assert_array_equal(a.query.features, b.query.features)
 
     def test_pool_too_small(self):
         pool = random_pool(10, 2, seed=23)
         with pytest.raises(PoolTooSmall):
-            maml.sample_task(pool, self.CFG, 0)
+            maml.sample_task(pool, self.CFG, maml._rng(0))
 
     def test_single_class_pool(self):
         pool = make_ds(np.random.default_rng(24).random((30, 2)), np.ones(30, dtype=int))
         with pytest.raises(SingleClassPool):
-            maml.sample_task(pool, self.CFG, 0)
+            maml.sample_task(pool, self.CFG, maml._rng(0))
+
+    # a 200-row pool draws its classes' rows through numpy's partial
+    # shuffle, a 5000-row pool through Floyd's algorithm
+    @pytest.mark.parametrize("n", [200, 5000])
+    def test_row_inclusion_uniform(self, n):
+        episodes = 4000
+        labels = (np.random.default_rng(25).random(n) < 0.3).astype(int)
+        labels[:2] = [0, 1]
+        pool = make_ds(np.arange(n, dtype=float)[:, None], labels)
+        task_hits = np.zeros(n)
+        support_hits = np.zeros(n)
+        for j in range(episodes):
+            ep = maml.sample_task(pool, self.CFG, maml._rng(5, maml._STREAM_TASK, 0, j))
+            support = ep.support.features[:, 0].astype(int)
+            query = ep.query.features[:, 0].astype(int)
+            assert np.unique(np.concatenate([support, query])).size == 20
+            support_hits[support] += 1
+            task_hits[support] += 1
+            task_hits[query] += 1
+        for cls in (0, 1):
+            rows = np.flatnonzero(labels == cls)
+            k_support = int(np.sum(ep.support.labels == cls))
+            k_task = k_support + int(np.sum(ep.query.labels == cls))
+            for hits, k in ((task_hits, k_task), (support_hits, k_support)):
+                # every episode takes k of the class's rows
+                assert hits[rows].sum() == episodes * k
+                rate = k / rows.size
+                sd = math.sqrt(episodes * rate * (1.0 - rate))
+                assert np.abs(hits[rows] - episodes * rate).max() <= 5 * sd, (cls, k)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -278,14 +334,14 @@ def manual_episode(seed, n_support=6, n_query=6, m=3):
     )
 
 
-def reference_descend(theta, support, alpha, inner_steps, dropout_seed):
+def reference_descend(theta, support, alpha, inner_steps, dropout_key):
     """The per-episode inner loop from before episodes were stacked."""
     path = [theta.values]
     masks = []
     for step in range(inner_steps):
         mask = None
-        if dropout_seed is not None:
-            mask = maml.dropout_mask(theta.arch, support.n, int(dropout_seed) + step)
+        if dropout_key is not None:
+            mask = maml.dropout_mask(theta.arch, support.n, *dropout_key, step)
         params = maml.ModelParams(path[-1], theta.arch)
         grad = maml.backward(params, support.features, support.labels, mask)
         masks.append(mask)
@@ -313,12 +369,10 @@ def reference_meta_batch(theta, episodes, cfg):
     correct = 0
     total = 0
     for ep in episodes:
-        dropout_seed = None
+        dropout_key = None
         if arch.dropout_rate > 0.0:
-            dropout_seed = int(
-                maml._rng(cfg.seed, maml._STREAM_DROPOUT, ep.task_index).integers(0, 2**31)
-            )
-        path, masks = reference_descend(theta, ep.support, cfg.alpha, cfg.inner_steps, dropout_seed)
+            dropout_key = (cfg.seed, maml._STREAM_DROPOUT, maml._STREAM_TASK, ep.task_index)
+        path, masks = reference_descend(theta, ep.support, cfg.alpha, cfg.inner_steps, dropout_key)
         adapted = maml.ModelParams(path[-1], arch)
         probs = maml.forward(adapted, ep.query.features)
         grad = maml.backward(adapted, ep.query.features, ep.query.labels)
@@ -351,13 +405,11 @@ class TestMetaStep:
             )
             theta = maml.init_params(arch, 30)
             meta_grad = maml._meta_batch(theta, [ep], cfg)[0]
-            dropout_seed = None
+            dropout_key = None
             if arch.dropout_rate > 0.0:
-                # the training path's dropout seed for this episode
-                dropout_seed = int(
-                    maml._rng(cfg.seed, maml._STREAM_DROPOUT, ep.task_index).integers(0, 2**31)
-                )
-            adapted = maml.inner_adapt(theta, ep.support, cfg.alpha, cfg.inner_steps, dropout_seed)
+                # the training path's dropout key for this episode
+                dropout_key = (cfg.seed, maml._STREAM_DROPOUT, maml._STREAM_TASK, ep.task_index)
+            adapted = maml.inner_adapt(theta, ep.support, cfg.alpha, cfg.inner_steps, dropout_key)
             expected = maml.backward(adapted, ep.query.features, ep.query.labels)
             np.testing.assert_array_equal(meta_grad, expected)
 
@@ -476,7 +528,8 @@ class TestStackEngine:
         return maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3 * dropout)
 
     def episodes(self, cfg, count=5):
-        return [maml.sample_task(ENGINE_POOL, cfg, 100 + j, task_index=j) for j in range(count)]
+        return [maml.sample_task(ENGINE_POOL, cfg, maml._rng(100 + j), task_index=j)
+                for j in range(count)]
 
     @pytest.mark.parametrize("cells", STACK_CELLS)
     @pytest.mark.parametrize("inner_steps", [1, 2, 3])
@@ -507,12 +560,12 @@ class TestStackEngine:
         assert repr(log.meta_loss) == repr(ref_log.meta_loss)
         assert repr(log.query_accuracy) == repr(ref_log.query_accuracy)
 
-    @pytest.mark.parametrize("dropout_seed", [None, 17])
-    def test_inner_adapt_matches_reference(self, dropout_seed):
+    @pytest.mark.parametrize("dropout_key", [None, (17,)], ids=["None", "17"])
+    def test_inner_adapt_matches_reference(self, dropout_key):
         theta = maml.init_params(self.arch(True), 72)
         support = self.episodes(engine_cfg(), 1)[0].support
-        adapted = maml.inner_adapt(theta, support, 0.05, 3, dropout_seed)
-        path, _ = reference_descend(theta, support, 0.05, 3, dropout_seed)
+        adapted = maml.inner_adapt(theta, support, 0.05, 3, dropout_key)
+        path, _ = reference_descend(theta, support, 0.05, 3, dropout_key)
         assert adapted.values.tobytes() == path[-1].tobytes()
 
     def test_stacked_forward_backward_match_per_episode(self):
@@ -570,6 +623,87 @@ class TestStackEngine:
         assert stack_sizes == [1] * 8
 
 
+class TestEpisodeStreams:
+    """Episode rows and dropout masks are pure functions of their keys."""
+
+    ARCH = maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3)
+
+    def test_meta_batch_repeatable(self):
+        cfg = engine_cfg(2, False)
+        theta = maml.init_params(self.ARCH, 110)
+        eps = [
+            maml.sample_task(ENGINE_POOL, cfg, maml._rng(cfg.seed, maml._STREAM_TASK, 3, j),
+                             task_index=15 + j)
+            for j in range(5)
+        ]
+        first = maml._meta_batch(theta, eps, cfg)
+        second = maml._meta_batch(theta, eps, cfg)
+        assert first[0].tobytes() == second[0].tobytes()
+        assert repr(first[1:]) == repr(second[1:])
+        # the masks follow the episode: the same rows under another index differ
+        moved = [dataclasses.replace(ep, task_index=ep.task_index + 5) for ep in eps]
+        assert maml._meta_batch(theta, moved, cfg)[0].tobytes() != first[0].tobytes()
+
+    def test_streams_distinct(self, monkeypatch):
+        keys = []
+        real_rng = maml._rng
+
+        def recording_rng(*key):
+            keys.append(tuple(int(k) for k in key))
+            return real_rng(*key)
+
+        monkeypatch.setattr(maml, "_rng", recording_rng)
+        cfg = engine_cfg(2, outer_iterations=2, tasks_per_meta_batch=3)
+        theta, _ = maml.meta_train(ENGINE_POOL, cfg, arch=self.ARCH)
+        maml.meta_evaluate(theta, ENGINE_POOL, cfg, episodes=3)
+        # init; 6 episodes' rows and 2 masks each; 3 evaluation episodes' the same
+        assert len(keys) == 1 + 6 * 3 + 3 * 3
+        # SeedSequence zero-pads short keys, so compare the states they seed
+        states = {tuple(np.random.SeedSequence(list(key)).generate_state(4)) for key in keys}
+        assert len(states) == len(keys)
+
+        monkeypatch.undo()
+        train = maml.sample_task(ENGINE_POOL, cfg, real_rng(cfg.seed, maml._STREAM_TASK, 0, 0))
+        evaluation = maml.sample_task(ENGINE_POOL, cfg, real_rng(cfg.seed, maml._STREAM_EVAL, 0))
+        assert train.support.features.tobytes() != evaluation.support.features.tobytes()
+        train_mask = maml.dropout_mask(
+            self.ARCH, 12, cfg.seed, maml._STREAM_DROPOUT, maml._STREAM_TASK, 0, 0
+        )
+        eval_mask = maml.dropout_mask(
+            self.ARCH, 12, cfg.seed, maml._STREAM_DROPOUT, maml._STREAM_EVAL, 0, 0
+        )
+        assert train_mask.tobytes() != eval_mask.tobytes()
+
+    def test_resumed_run_samples_the_same_episodes(self, monkeypatch):
+        drawn = []
+        real_sample_task = maml.sample_task
+        real_dropout_mask = maml.dropout_mask
+
+        def recording_sample_task(pool, cfg, rng, task_index=0):
+            ep = real_sample_task(pool, cfg, rng, task_index)
+            drawn.append((task_index, ep.support.features.tobytes(), ep.support.labels.tobytes(),
+                          ep.query.features.tobytes(), ep.query.labels.tobytes()))
+            return ep
+
+        def recording_dropout_mask(arch, n_rows, *key):
+            mask = real_dropout_mask(arch, n_rows, *key)
+            drawn.append((key, mask.tobytes()))
+            return mask
+
+        monkeypatch.setattr(maml, "sample_task", recording_sample_task)
+        monkeypatch.setattr(maml, "dropout_mask", recording_dropout_mask)
+        cfg = engine_cfg(2, outer_iterations=8, tasks_per_meta_batch=3)
+        maml.meta_train(ENGINE_POOL, cfg, arch=self.ARCH)
+        uninterrupted = drawn[:]
+        first_half = dataclasses.replace(cfg, outer_iterations=4)
+        theta, _ = maml.meta_train(ENGINE_POOL, first_half, arch=self.ARCH)
+        drawn.clear()
+        maml.meta_train(ENGINE_POOL, first_half, arch=self.ARCH, initial=theta, start_iteration=4)
+        # per iteration: 3 episodes, then 2 steps' masks for each of them
+        assert len(uninterrupted) == 8 * (3 + 3 * 2)
+        assert drawn == uninterrupted[4 * (3 + 3 * 2):]
+
+
 class TestScratchReuse:
     """Passes write their activations into scratch kept between calls; every
     array a caller keeps must stay as it was when later passes reuse it."""
@@ -593,7 +727,7 @@ class TestScratchReuse:
             "backward": maml.backward(params, X, y, mask),
             "_forward_pass": maml._forward_pass(params, X, mask)[3],
             "inner_adapt": maml.inner_adapt(
-                maml.ModelParams(params.values[0], self.ARCH), support, 0.1, 2, seed
+                maml.ModelParams(params.values[0], self.ARCH), support, 0.1, 2, (seed,)
             ).values,
         }
 
@@ -611,7 +745,8 @@ class TestScratchReuse:
         cfg = engine_cfg(2, False)
         arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3)
         theta = maml.init_params(arch, 96)
-        eps = [maml.sample_task(ENGINE_POOL, cfg, 200 + j, task_index=j) for j in range(6)]
+        eps = [maml.sample_task(ENGINE_POOL, cfg, maml._rng(200 + j), task_index=j)
+               for j in range(6)]
         expected = reference_meta_batch(theta, eps, cfg)
         monkeypatch.setattr(maml, "_STACK_CELLS", 4 * 12 * 6)
         grad, loss, accuracy = maml._meta_batch(theta, eps, cfg)
