@@ -128,7 +128,8 @@ class SingleClassPool(ValidationError):
 # meta-training
 
 class Diverged(MelemadError):
-    """A meta-iteration produced a NaN or Inf meta-loss or meta-gradient."""
+    """A meta-iteration produced a NaN or Inf meta-loss or meta-gradient, or
+    an evaluation episode a NaN or Inf query probability."""
 
 
 # metrics

@@ -10,12 +10,15 @@ small-model verification.
 
 All parameter vectors are immutable snapshots; every update returns a new
 vector. ModelParams, forward and backward take an optional leading episode
-axis, so one inner loop (_descend) adapts a stack of episodes per
-forward/backward call; inner_adapt adapts a stack of one. Meta-training
-stacks a meta-batch's episodes (at most _STACK_CELLS rows x widest hidden
-layer x episodes per stack) and reduces the meta-gradient, loss and accuracy
-in episode order from zeros, so results are byte-identical at any stack
-size. A NaN or Inf meta-loss or meta-gradient raises Diverged.
+axis. An Episode holds row indices into its pool. Meta-training and
+evaluation share one engine (_adapted_stacks): it gathers a stack of
+episodes' rows into (T, n, m) arrays, at most _STACK_CELLS rows x widest
+hidden layer x episodes at a time, and adapts them with inner_adapt, the one
+inner loop. Meta-training adds the query gradient and reduces the
+meta-gradient, loss and accuracy in episode order from zeros; evaluation
+adds the query forward pass. Both are byte-identical to one episode at a
+time, at any stack size. A NaN or Inf meta-loss, meta-gradient or
+evaluation probability raises Diverged.
 
 Randomness comes from generators keyed by the root seed, a stream tag and
 the draw's coordinates (_rng), never from a generator built only to draw
@@ -29,8 +32,9 @@ episode is scored, or on where a run was resumed.
 
 Each pass writes its per-layer pre-activations, activations and deltas into
 float64 scratch buffers kept between calls (_scratch), with the same ufunc
-and matmul calls, so the bits do not change. At paper scale these arrays are
-megabytes each; allocated afresh, the allocator hands them back to the OS
+and matmul calls, so the bits do not change; a stack's gathered rows and
+dropout masks live there too. At paper scale these arrays are megabytes
+each; allocated afresh, the allocator hands them back to the OS
 after every pass and the next pass page-faults them in again, which cost
 more time than the arithmetic. The scratch pins one pass's activations
 (each buffer at its largest pass so far) between calls and is not
@@ -69,9 +73,10 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPSILON = 1e-8
 
-# rows x widest hidden layer x episodes in one stacked forward/backward pass;
-# bounds the activation arrays, so a paper-scale task runs one episode a stack
-_STACK_CELLS = 1 << 16
+# rows x widest hidden layer x episodes in one stack, in meta-training and
+# evaluation alike; bounds the gathered rows, masks and activation arrays, so
+# a paper-scale task runs one episode a stack
+_STACK_CELLS = 1 << 14
 
 # one float64 buffer per tag, grown to the largest pass it has served
 _SCRATCH: dict[str, np.ndarray] = {}
@@ -170,8 +175,10 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Episode:
-    support: LabeledDataset
-    query: LabeledDataset
+    """Row indices into the pool it was drawn from; task_index keys its masks."""
+
+    support: np.ndarray
+    query: np.ndarray
     task_index: int
 
 
@@ -248,12 +255,18 @@ def init_params(arch: MlpArchitecture, seed: int) -> ModelParams:
     return ModelParams(np.concatenate(pieces), arch)
 
 
-def dropout_mask(arch: MlpArchitecture, n_rows: int, *key: int) -> np.ndarray | None:
-    """Inverted-scaling keep mask for the first hidden layer, drawn from the
-    generator the key names, or None if the architecture has no dropout."""
+def dropout_mask(arch: MlpArchitecture, n_rows: int, keys: list[tuple[int, ...]],
+                 step: int) -> np.ndarray | None:
+    """Inverted-scaling keep masks for the first hidden layer of a stack of
+    episodes at inner step `step`, (len(keys), n_rows, h0), episode t's drawn
+    from the generator keyed keys[t] + (step,); None if the architecture has
+    no dropout. The masks are step's scratch buffer, valid until the next
+    call for the same step."""
     if arch.dropout_rate == 0.0:
         return None
-    mask = _rng(*key).random((n_rows, arch.hidden_dims[0]))
+    mask = _scratch(f"mask{step}", (len(keys), n_rows, arch.hidden_dims[0]))
+    for t, key in enumerate(keys):
+        _rng(*key, step).random(out=mask[t])
     np.greater_equal(mask, arch.dropout_rate, out=mask)
     return np.divide(mask, 1.0 - arch.dropout_rate, out=mask)
 
@@ -372,56 +385,27 @@ def backward(
 
 def inner_adapt(
     theta: ModelParams,
-    support: LabeledDataset,
-    alpha: float,
-    inner_steps: int = 1,
-    dropout_key: tuple[int, ...] | None = None,
-) -> ModelParams:
-    """Task adaptation: inner_steps gradient-descent steps on support BCE.
-
-    dropout_key None disables dropout during adaptation; otherwise step s
-    draws its mask from the key plus s. The input theta is never modified.
-    """
-    path, _ = _descend(
-        ModelParams._trusted(theta.values[None], theta.arch),
-        support.features[None],
-        support.labels[None],
-        alpha,
-        inner_steps,
-        None if dropout_key is None else [dropout_key],
-    )
-    return ModelParams(path[-1][0], theta.arch)
-
-
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """np.stack, but a stack of one is a view: at paper scale a copy of each
-    episode's rows and dropout mask would only raise peak memory."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _descend(
-    theta: ModelParams,
     X: np.ndarray,
     y: np.ndarray,
     alpha: float,
     inner_steps: int,
     dropout_keys: list[tuple[int, ...]] | None,
 ) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
-    """The one inner loop, behind inner_adapt and the meta-gradient: adapts a
-    stack of T episodes at once (theta (T, P), supports X (T, n, m), labels
-    (T, n)); episode t draws step s's dropout mask from dropout_keys[t] + (s,),
-    so a mask is a pure function of its episode and step.
+    """The one inner loop: inner_steps gradient-descent steps on support BCE
+    for a stack of T episodes at once (theta (T, P), supports X (T, n, m),
+    labels (T, n)). dropout_keys None disables dropout; otherwise episode t
+    draws step s's mask from dropout_keys[t] + (s,), so a mask is a pure
+    function of its episode and step. theta is never modified.
 
     Returns the parameter stack before each step followed by the adapted
-    stack (inner_steps + 1 arrays), and the (T, n, h0) mask of each step.
+    stack (inner_steps + 1 arrays), and each step's (T, n, h0) mask, a
+    scratch view (dropout_mask), or None.
     """
     arch = theta.arch
     path = [theta.values]
     masks: list[np.ndarray | None] = []
     for step in range(inner_steps):
-        mask = None
-        if dropout_keys is not None and arch.dropout_rate > 0.0:
-            mask = _stack([dropout_mask(arch, X.shape[1], *key, step) for key in dropout_keys])
+        mask = None if dropout_keys is None else dropout_mask(arch, X.shape[1], dropout_keys, step)
         grad = backward(ModelParams._trusted(path[-1], arch), X, y, mask)
         masks.append(mask)
         path.append(path[-1] - alpha * grad)
@@ -448,10 +432,11 @@ def sample_task(
     rng: np.random.Generator,
     task_index: int = 0,
 ) -> Episode:
-    """Draw one episode from rng: samples_per_task rows without replacement,
-    stratified to the pool ratio, split disjointly into support and query.
-    Each class's rows come from rng.choice over the class's row count, which
-    draws O(rows taken) random numbers, not one per row of the pool."""
+    """Draw one episode's row indices from rng: samples_per_task rows
+    without replacement, stratified to the pool ratio, split disjointly into
+    support and query. Each class's rows come from rng.choice over the
+    class's row count, which draws O(rows taken) random numbers, not one per
+    row of the pool."""
     if pool.n < cfg.samples_per_task:
         raise PoolTooSmall(f"pool has {pool.n} rows, task needs {cfg.samples_per_task}")
     neg, pos = pool.class_rows
@@ -465,17 +450,11 @@ def sample_task(
     sup_pos, sup_neg = _stratified_take(task_pos, task_neg, cfg.support_size)
     qry_pos, qry_neg = _stratified_take(task_pos - sup_pos, task_neg - sup_neg, cfg.query_size)
 
-    support_rows = np.concatenate([pos_pick[:sup_pos], neg_pick[:sup_neg]])
-    query_rows = np.concatenate(
+    support = np.concatenate([pos_pick[:sup_pos], neg_pick[:sup_neg]])
+    query = np.concatenate(
         [pos_pick[sup_pos : sup_pos + qry_pos], neg_pick[sup_neg : sup_neg + qry_neg]]
     )
-    support_rows = rng.permutation(support_rows)
-    query_rows = rng.permutation(query_rows)
-    return Episode(
-        support=pool.select_rows(support_rows),
-        query=pool.select_rows(query_rows),
-        task_index=task_index,
-    )
+    return Episode(rng.permutation(support), rng.permutation(query), task_index)
 
 
 def _hvp(
@@ -517,54 +496,63 @@ def _adam_update(
     return new_values, AdamState(m=m, v=v, step=step)
 
 
-def _meta_batch(theta: ModelParams, episodes: list[Episode], cfg: MamlConfig):
-    """Meta-gradient, meta-loss and query accuracy of a meta-batch, scored a
-    stack of episodes at a time and reduced in episode order from zeros, so
-    the result does not depend on the stack size. The episodes must share
-    their support and query sizes.
-    """
-    sizes = {(ep.support.n, ep.query.n) for ep in episodes}
-    if len(sizes) != 1:
-        raise LengthMismatch(f"episodes of one meta-batch differ in size: {sorted(sizes)}")
-    (n_support, n_query), = sizes
-    per_stack = max(1, _STACK_CELLS // (max(n_support, n_query) * max(theta.arch.hidden_dims)))
+def _adapted_stacks(theta: ModelParams, pool: LabeledDataset, episodes: list[Episode],
+                    cfg: MamlConfig, stream: int):
+    """Adapt theta to episodes drawn from pool, a stack at a time: as many
+    episodes as keep cfg's larger set size x widest hidden layer x episodes
+    within _STACK_CELLS. Episode masks are keyed in stream (_mask_key).
 
+    Yields each stack's episodes, inner path and masks (inner_adapt), and its
+    support and query rows (T, n, m) and labels (T, n). The rows and masks
+    are scratch views, valid until the next stack; mode="clip" lets take
+    write the rows straight into the scratch instead of buffering them (the
+    indices are in range).
+    """
+    arch = theta.arch
+    per_stack = max(1, _STACK_CELLS // (max(cfg.support_size, cfg.query_size)
+                                        * max(arch.hidden_dims)))
+    for start in range(0, len(episodes), per_stack):
+        stack = episodes[start : start + per_stack]
+        support = np.stack([ep.support for ep in stack])
+        query = np.stack([ep.query for ep in stack])
+        Xs = np.take(pool.features, support, axis=0, mode="clip",
+                     out=_scratch("support", (*support.shape, pool.m)))
+        Xq = np.take(pool.features, query, axis=0, mode="clip",
+                     out=_scratch("query", (*query.shape, pool.m)))
+        ys, yq = pool.labels[support], pool.labels[query]
+        thetas = np.broadcast_to(theta.values, (len(stack), theta.values.shape[0]))
+        keys = [_mask_key(cfg.seed, stream, ep.task_index) for ep in stack]
+        path, masks = inner_adapt(
+            ModelParams._trusted(thetas, arch), Xs, ys, cfg.alpha, cfg.inner_steps, keys
+        )
+        yield stack, path, masks, (Xs, ys), (Xq, yq)
+
+
+def _meta_batch(theta: ModelParams, pool: LabeledDataset, episodes: list[Episode],
+                cfg: MamlConfig):
+    """Meta-gradient, meta-loss and query accuracy of a meta-batch drawn from
+    pool, reduced in episode order from zeros, so the result does not depend
+    on the stack size."""
+    arch = theta.arch
     meta_grad = np.zeros_like(theta.values)
     meta_loss = 0.0
     correct = 0
-    for start in range(0, len(episodes), per_stack):
-        grads, probs, labels = _score_stack(theta, episodes[start : start + per_stack], cfg)
+    stacks = _adapted_stacks(theta, pool, episodes, cfg, _STREAM_TASK)
+    for _, path, masks, (Xs, ys), (Xq, yq) in stacks:
+        adapted = ModelParams._trusted(path[-1], arch)
+        probs = forward(adapted, Xq)
+        grads = backward(adapted, Xq, yq)
+        if not cfg.first_order:
+            # the second-order path needs every step of the inner trajectory
+            for step in range(cfg.inner_steps - 1, -1, -1):
+                step_params = ModelParams._trusted(path[step], arch)
+                grads = grads - cfg.alpha * _hvp(step_params, Xs, ys, masks[step], grads)
         for t in range(len(grads)):
             meta_grad += grads[t]
-            meta_loss += bce_loss(probs[t], labels[t])
-            correct += int(np.sum((probs[t] >= 0.5) == (labels[t] == 1)))
+            meta_loss += bce_loss(probs[t], yq[t])
+            correct += int(np.sum((probs[t] >= 0.5) == (yq[t] == 1)))
     t = len(episodes)
-    return meta_grad / t, meta_loss / t, correct / (t * n_query)
-
-
-def _score_stack(theta: ModelParams, stack: list[Episode], cfg: MamlConfig):
-    """Adapt theta to each episode of the stack; returns each episode's
-    meta-gradient (T, P), query probabilities (T, n) and query labels."""
-    arch = theta.arch
-    dropout_keys = [_mask_key(cfg.seed, _STREAM_TASK, ep.task_index) for ep in stack]
-    Xs = _stack([ep.support.features for ep in stack])
-    ys = _stack([ep.support.labels for ep in stack])
-    Xq = _stack([ep.query.features for ep in stack])
-    yq = _stack([ep.query.labels for ep in stack])
-
-    # the second-order path needs every step of the inner trajectory
-    thetas = np.broadcast_to(theta.values, (len(stack), theta.values.shape[0]))
-    path, masks = _descend(
-        ModelParams._trusted(thetas, arch), Xs, ys, cfg.alpha, cfg.inner_steps, dropout_keys
-    )
-    adapted = ModelParams._trusted(path[-1], arch)
-    probs = forward(adapted, Xq)
-    grad = backward(adapted, Xq, yq)
-    if not cfg.first_order:
-        for step in range(cfg.inner_steps - 1, -1, -1):
-            step_params = ModelParams._trusted(path[step], arch)
-            grad = grad - cfg.alpha * _hvp(step_params, Xs, ys, masks[step], grad)
-    return grad, probs, yq
+    return meta_grad / t, meta_loss / t, correct / (t * cfg.query_size)
 
 
 def meta_train(
@@ -597,7 +585,7 @@ def meta_train(
             )
             for j in range(batch)
         ]
-        meta_grad, meta_loss, accuracy = _meta_batch(theta, episodes, cfg)
+        meta_grad, meta_loss, accuracy = _meta_batch(theta, train_pool, episodes, cfg)
         if not (math.isfinite(meta_loss) and np.all(np.isfinite(meta_grad))):
             raise Diverged(
                 f"meta-training diverged at iteration {it}: "
@@ -615,19 +603,27 @@ def meta_evaluate(
     cfg: MamlConfig,
     episodes: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Adapt per evaluation episode and predict its query set; returns the
-    concatenated query probabilities and ground-truth labels. Episode j draws
-    its rows from the generator keyed (seed, _STREAM_EVAL, j)."""
+    """Adapt theta to each evaluation episode and predict its query set, a
+    stack of episodes at a time; returns the concatenated query probabilities
+    and ground-truth labels, in episode order. Episode j draws its rows from
+    the generator keyed (seed, _STREAM_EVAL, j). Raises Diverged, naming the
+    episode, when one of its query probabilities is NaN or Inf."""
     if episodes is None:
         episodes = max(1, math.ceil(test_pool.n / cfg.samples_per_task))
+    drawn = [sample_task(test_pool, cfg, _rng(cfg.seed, _STREAM_EVAL, j), task_index=j)
+             for j in range(episodes)]
     probs_parts = []
     label_parts = []
-    for j in range(episodes):
-        ep = sample_task(test_pool, cfg, _rng(cfg.seed, _STREAM_EVAL, j), task_index=j)
-        dropout_key = _mask_key(cfg.seed, _STREAM_EVAL, j)
-        adapted = inner_adapt(theta, ep.support, cfg.alpha, cfg.inner_steps, dropout_key)
-        probs_parts.append(forward(adapted, ep.query.features))
-        label_parts.append(ep.query.labels)
+    stacks = _adapted_stacks(theta, test_pool, drawn, cfg, _STREAM_EVAL)
+    for stack, path, _, _, (Xq, yq) in stacks:
+        probs = forward(ModelParams._trusted(path[-1], theta.arch), Xq)
+        finite = np.isfinite(probs).all(axis=1)
+        if not finite.all():
+            episode = stack[int(np.argmin(finite))].task_index
+            raise Diverged(f"evaluation diverged at episode {episode}: "
+                           "its query probabilities are NaN or Inf")
+        probs_parts.append(probs.ravel())
+        label_parts.append(yq.ravel())
     return np.concatenate(probs_parts), np.concatenate(label_parts)
 
 

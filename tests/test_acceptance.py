@@ -142,7 +142,7 @@ def smooth_instance(seed, with_dropout):
         X = rng.normal(0, 1.5, (n, m))
         y = rng.integers(0, 2, n)
         dropout_seed = int(rng.integers(0, 2**31))
-        mask = maml.dropout_mask(arch, n, dropout_seed) if with_dropout else None
+        mask = maml.dropout_mask(arch, n, [(dropout_seed,)], 0)[0] if with_dropout else None
         _, pre, p_raw, _ = maml._forward_pass(params, X, mask)
         kink_gap = min(float(np.abs(z).min()) for z in pre)
         clamp_gap = min(float(p_raw.min() - 1e-7), float(1 - 1e-7 - p_raw.max()))
@@ -157,7 +157,7 @@ def test_criterion_03_gradient_correctness():
     for seed in range(100):
         with_dropout = seed % 3 == 0
         arch, params, X, y, dropout_seed = smooth_instance(seed, with_dropout)
-        mask = maml.dropout_mask(arch, X.shape[0], dropout_seed) if with_dropout else None
+        mask = maml.dropout_mask(arch, len(X), [(dropout_seed,)], 0)[0] if with_dropout else None
         analytic = maml.backward(params, X, y, mask)
 
         numeric = np.zeros_like(analytic)
@@ -192,12 +192,14 @@ def test_criterion_04_bilevel_gradient_check():
     Xs, Xq = rng.normal(0, 1.2, (6, 1)), rng.normal(0, 1.2, (6, 1))
     ys, yq = rng.integers(0, 2, 6), rng.integers(0, 2, 6)
     ys[:2], yq[:2] = [0, 1], [0, 1]
-    episode = maml.Episode(
-        dataset.LabeledDataset(Xs, ys), dataset.LabeledDataset(Xq, yq), 0
-    )
+    # one pool of the support rows then the query rows, and their indices
+    pool = dataset.LabeledDataset(np.concatenate([Xs, Xq]), np.concatenate([ys, yq]))
+    episode = maml.Episode(np.arange(6), np.arange(6, 12), 0)
 
     def composed(values):
-        adapted = maml.inner_adapt(maml.ModelParams(values, arch), episode.support, alpha, 1)
+        path, _ = maml.inner_adapt(maml.ModelParams(values[None], arch), Xs[None], ys[None],
+                                   alpha, 1, None)
+        adapted = maml.ModelParams(path[-1][0], arch)
         return maml.bce_loss(maml.forward(adapted, Xq), yq)
 
     step = 1e-5
@@ -209,7 +211,7 @@ def test_criterion_04_bilevel_gradient_check():
         down[i] -= step
         fd[i] = (composed(up) - composed(down)) / (2 * step)
 
-    meta_grad = maml._meta_batch(theta, [episode], cfg)[0]
+    meta_grad = maml._meta_batch(theta, pool, [episode], cfg)[0]
     rel = np.abs(meta_grad - fd) / (np.maximum(np.abs(meta_grad), np.abs(fd)) + 1e-8)
     assert float(rel.max()) < 1e-3
     ok(4, f"second-order meta-gradient matched bilevel finite differences "
@@ -375,9 +377,10 @@ def test_criterion_09_identity_and_degenerate_contracts():
     arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.0)
     theta = maml.init_params(arch, 9)
     rng = np.random.default_rng(9)
-    support = dataset.LabeledDataset(rng.normal(size=(12, 4)), rng.integers(0, 2, 12))
-    adapted = maml.inner_adapt(theta, support, alpha=0.0, inner_steps=4)
-    assert np.array_equal(adapted.values, theta.values)
+    X, y = rng.normal(size=(12, 4)), rng.integers(0, 2, 12)
+    path, _ = maml.inner_adapt(maml.ModelParams(theta.values[None], arch), X[None], y[None],
+                               alpha=0.0, inner_steps=4, dropout_keys=None)
+    assert np.array_equal(path[-1][0], theta.values)
 
     # tau above every importance -> EmptySelection
     ds, _ = dataset.synthesize(dataset.SyntheticSpec(n=150, m=6, informative=2, seed=9))

@@ -270,15 +270,29 @@ class TestMetaTrainEvaluate:
         assert (a / "test_pool.bin").read_bytes() == (b / "test_pool.bin").read_bytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "evaluate --alpha"])
     def test_divergence_exits_1_without_outputs(self, tmp_path, small_config, capsys, flag):
         data_dir = tmp_path / "d"
         run(*synth_args(data_dir, fmt="bin"))
         out = tmp_path / "run"
-        code = run("meta-train", "--config", small_config, "--input",
-                   data_dir / "synthetic.bin", "--out-dir", out, flag, "1e300")
+        if flag.startswith("evaluate"):
+            # a healthy checkpoint of the default architecture, evaluated at a
+            # rate that drives its query probabilities to NaN (the small
+            # architecture saturates to finite ones instead)
+            config = tmp_path / "wide.json"
+            config.write_text(json.dumps(with_entry("maml", "hidden_dims", [64, 32, 16])))
+            trained = tmp_path / "trained"
+            assert run("meta-train", "--config", config, "--input",
+                       data_dir / "synthetic.bin", "--out-dir", trained) == 0
+            code = run("evaluate", "--checkpoint", trained / "checkpoint.ckpt",
+                       "--data", trained / "test_pool.bin", "--out-dir", out, "--alpha", "1e300")
+            message = "diverged at episode"
+        else:
+            code = run("meta-train", "--config", small_config, "--input",
+                       data_dir / "synthetic.bin", "--out-dir", out, flag, "1e300")
+            message = "diverged at iteration"
         assert code == 1
-        assert "diverged at iteration" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_threads_accepted_by_every_stage(self, tmp_path, small_config):

@@ -30,6 +30,30 @@ def random_pool(n, m, seed, balance=0.5):
     return make_ds(X, labels)
 
 
+def one_mask(arch, n, key, step=0):
+    """Episode key's dropout mask at inner step `step`, as a fresh (n, h0)
+    array (dropout_mask's stack is scratch), or None without dropout."""
+    mask = maml.dropout_mask(arch, n, [key], step)
+    return None if mask is None else mask[0].copy()
+
+
+def reference_mask(arch, n, key, step):
+    """Episode key's mask at inner step `step`, drawn as it was before masks
+    were stacked: one fresh array from the generator keyed key + (step,)."""
+    mask = maml._rng(*key, step).random((n, arch.hidden_dims[0]))
+    return (mask >= arch.dropout_rate) / (1.0 - arch.dropout_rate)
+
+
+def adapt(theta, X, y, alpha, inner_steps, dropout_key=None):
+    """inner_adapt on a stack of one episode; the adapted parameters."""
+    path, _ = maml.inner_adapt(
+        maml.ModelParams._trusted(theta.values[None], theta.arch),
+        np.asarray(X, dtype=float)[None], np.asarray(y)[None], alpha, inner_steps,
+        None if dropout_key is None else [dropout_key],
+    )
+    return maml.ModelParams(path[-1][0], theta.arch)
+
+
 def loss_at(values, arch, X, y, mask=None):
     params = maml.ModelParams(values, arch)
     return maml.bce_loss(maml._forward_pass(params, X, mask)[3], y)
@@ -63,7 +87,7 @@ def smooth_instance(seed, with_dropout=False):
         X = rng.normal(0, 1.5, (n, m))
         y = rng.integers(0, 2, n)
         dropout_seed = int(rng.integers(0, 2**31))
-        mask = maml.dropout_mask(arch, n, dropout_seed) if with_dropout else None
+        mask = one_mask(arch, n, (dropout_seed,)) if with_dropout else None
         inputs, pre, p_raw, _ = maml._forward_pass(params, X, mask)
         min_gap = min(float(np.abs(z).min()) for z in pre)
         clamp_gap = min(float(p_raw.min() - 1e-7), float(1 - 1e-7 - p_raw.max()))
@@ -136,13 +160,13 @@ class TestForward:
 
     def test_dropout_changes_training_output_only(self):
         no_dropout = maml.MlpArchitecture(input_dim=4, hidden_dims=(8, 3), dropout_rate=0.0)
-        assert maml.dropout_mask(no_dropout, 6, 1) is None
+        assert maml.dropout_mask(no_dropout, 6, [(1,)], 0) is None
         arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(8, 3), dropout_rate=0.5)
         params = maml.init_params(arch, 3)
         X = np.random.default_rng(2).normal(size=(6, 4))
-        mask = maml.dropout_mask(arch, 6, 1)
-        np.testing.assert_array_equal(mask, maml.dropout_mask(arch, 6, 1))
-        assert not np.array_equal(mask, maml.dropout_mask(arch, 6, 2))
+        mask = one_mask(arch, 6, (1,))
+        np.testing.assert_array_equal(mask, one_mask(arch, 6, (1,)))
+        assert not np.array_equal(mask, one_mask(arch, 6, (2,)))
         infer = maml.forward(params, X)
         np.testing.assert_array_equal(infer, maml._forward_pass(params, X, None)[3])
         assert not np.array_equal(maml._forward_pass(params, X, mask)[3], infer)
@@ -186,7 +210,7 @@ class TestBackward:
         for seed in range(100):
             with_dropout = seed % 3 == 0
             arch, params, X, y, dropout_seed = smooth_instance(seed, with_dropout)
-            mask = maml.dropout_mask(arch, X.shape[0], dropout_seed) if with_dropout else None
+            mask = one_mask(arch, X.shape[0], (dropout_seed,)) if with_dropout else None
             analytic = maml.backward(params, X, y, mask)
             numeric = fd_gradient(params.values, arch, X, y, mask=mask)
             rel = np.abs(analytic - numeric) / (np.maximum(np.abs(analytic), np.abs(numeric)) + 1e-8)
@@ -221,15 +245,13 @@ class TestBackward:
 class TestInnerAdapt:
     def test_alpha_zero_is_identity(self):
         arch, params, X, y, _ = smooth_instance(11)
-        support = make_ds(X, y)
-        adapted = maml.inner_adapt(params, support, alpha=0.0, inner_steps=3)
+        adapted = adapt(params, X, y, alpha=0.0, inner_steps=3)
         np.testing.assert_array_equal(adapted.values, params.values)
 
     def test_single_step_matches_fd_composition(self):
         arch, params, X, y, _ = smooth_instance(12)
-        support = make_ds(X, y)
         alpha = 0.05
-        adapted = maml.inner_adapt(params, support, alpha, inner_steps=1)
+        adapted = adapt(params, X, y, alpha, inner_steps=1)
         g_fd = fd_gradient(params.values, arch, X, y)
         np.testing.assert_allclose(adapted.values, params.values - alpha * g_fd, atol=1e-7)
 
@@ -238,14 +260,14 @@ class TestInnerAdapt:
         arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(8, 4), dropout_rate=0.0)
         params = maml.init_params(arch, 5)
         before = maml.bce_loss(maml.forward(params, pool.features), pool.labels)
-        adapted = maml.inner_adapt(params, pool, alpha=1e-4, inner_steps=1)
+        adapted = adapt(params, pool.features, pool.labels, alpha=1e-4, inner_steps=1)
         after = maml.bce_loss(maml.forward(adapted, pool.features), pool.labels)
         assert after <= before
 
     def test_input_params_not_mutated(self):
         arch, params, X, y, _ = smooth_instance(14)
         snapshot = params.values.tobytes()
-        maml.inner_adapt(params, make_ds(X, y), alpha=0.1, inner_steps=2)
+        adapt(params, X, y, alpha=0.1, inner_steps=2)
         assert params.values.tobytes() == snapshot
 
 
@@ -256,25 +278,25 @@ class TestSampleTask:
         pool = random_pool(100, 3, seed=20)
         for task_seed in range(10):
             ep = maml.sample_task(pool, self.CFG, maml._rng(task_seed))
-            sup = {tuple(row) for row in ep.support.features}
-            qry = {tuple(row) for row in ep.query.features}
+            sup = {tuple(row) for row in pool.features[ep.support]}
+            qry = {tuple(row) for row in pool.features[ep.query]}
             assert not (sup & qry)
-            assert ep.support.n == 10 and ep.query.n == 10
+            assert ep.support.size == 10 and ep.query.size == 10
 
     def test_stratification_within_one(self):
         pool = random_pool(200, 2, seed=21, balance=0.5)
         ratio = pool.labels.mean()
         ep = maml.sample_task(pool, self.CFG, maml._rng(3))
         expected = 10 * ratio
-        assert abs(int(ep.support.labels.sum()) - expected) <= 1.5
-        assert abs(int(ep.query.labels.sum()) - expected) <= 1.5
+        assert abs(int(pool.labels[ep.support].sum()) - expected) <= 1.5
+        assert abs(int(pool.labels[ep.query].sum()) - expected) <= 1.5
 
     def test_deterministic(self):
         pool = random_pool(80, 3, seed=22)
         a = maml.sample_task(pool, self.CFG, maml._rng(9))
         b = maml.sample_task(pool, self.CFG, maml._rng(9))
-        np.testing.assert_array_equal(a.support.features, b.support.features)
-        np.testing.assert_array_equal(a.query.features, b.query.features)
+        np.testing.assert_array_equal(pool.features[a.support], pool.features[b.support])
+        np.testing.assert_array_equal(pool.features[a.query], pool.features[b.query])
 
     def test_pool_too_small(self):
         pool = random_pool(10, 2, seed=23)
@@ -298,16 +320,16 @@ class TestSampleTask:
         support_hits = np.zeros(n)
         for j in range(episodes):
             ep = maml.sample_task(pool, self.CFG, maml._rng(5, maml._STREAM_TASK, 0, j))
-            support = ep.support.features[:, 0].astype(int)
-            query = ep.query.features[:, 0].astype(int)
+            support = pool.features[ep.support, 0].astype(int)
+            query = pool.features[ep.query, 0].astype(int)
             assert np.unique(np.concatenate([support, query])).size == 20
             support_hits[support] += 1
             task_hits[support] += 1
             task_hits[query] += 1
         for cls in (0, 1):
             rows = np.flatnonzero(labels == cls)
-            k_support = int(np.sum(ep.support.labels == cls))
-            k_task = k_support + int(np.sum(ep.query.labels == cls))
+            k_support = int(np.sum(pool.labels[ep.support] == cls))
+            k_task = k_support + int(np.sum(pool.labels[ep.query] == cls))
             for hits, k in ((task_hits, k_task), (support_hits, k_support)):
                 # every episode takes k of the class's rows
                 assert hits[rows].sum() == episodes * k
@@ -322,28 +344,33 @@ class TestSampleTask:
             maml.MamlConfig(alpha=-1.0)
 
 
+def episode_pool(Xs, ys, Xq, yq, task_index=0):
+    """A pool of the support rows followed by the query rows, and the
+    Episode that indexes them."""
+    pool = make_ds(np.concatenate([Xs, Xq]), np.concatenate([ys, yq]))
+    n_support = len(ys)
+    episode = maml.Episode(np.arange(n_support), np.arange(n_support, pool.n), task_index)
+    return pool, episode
+
+
 def manual_episode(seed, n_support=6, n_query=6, m=3):
     rng = np.random.default_rng(seed)
     X = rng.normal(0, 1, (n_support + n_query, m))
     y = rng.integers(0, 2, n_support + n_query)
     y[:2] = [0, 1]
-    return maml.Episode(
-        support=make_ds(X[:n_support], y[:n_support]),
-        query=make_ds(X[n_support:], y[n_support:]),
-        task_index=0,
-    )
+    return episode_pool(X[:n_support], y[:n_support], X[n_support:], y[n_support:])
 
 
-def reference_descend(theta, support, alpha, inner_steps, dropout_key):
+def reference_descend(theta, X, y, alpha, inner_steps, dropout_key):
     """The per-episode inner loop from before episodes were stacked."""
     path = [theta.values]
     masks = []
     for step in range(inner_steps):
         mask = None
-        if dropout_key is not None:
-            mask = maml.dropout_mask(theta.arch, support.n, *dropout_key, step)
+        if dropout_key is not None and theta.arch.dropout_rate > 0.0:
+            mask = reference_mask(theta.arch, X.shape[0], dropout_key, step)
         params = maml.ModelParams(path[-1], theta.arch)
-        grad = maml.backward(params, support.features, support.labels, mask)
+        grad = maml.backward(params, X, y, mask)
         masks.append(mask)
         path.append(path[-1] - alpha * grad)
     return path, masks
@@ -359,7 +386,7 @@ def reference_hvp(params, X, y, mask, vec):
     return (g_plus - g_minus) / (2.0 * r)
 
 
-def reference_meta_batch(theta, episodes, cfg):
+def reference_meta_batch(theta, pool, episodes, cfg):
     """The per-episode meta-batch from before episodes were stacked: adapt,
     score and differentiate one episode at a time on 2-D arrays, then reduce
     in episode order from zeros."""
@@ -369,22 +396,21 @@ def reference_meta_batch(theta, episodes, cfg):
     correct = 0
     total = 0
     for ep in episodes:
-        dropout_key = None
-        if arch.dropout_rate > 0.0:
-            dropout_key = (cfg.seed, maml._STREAM_DROPOUT, maml._STREAM_TASK, ep.task_index)
-        path, masks = reference_descend(theta, ep.support, cfg.alpha, cfg.inner_steps, dropout_key)
+        Xs, ys = pool.features[ep.support], pool.labels[ep.support]
+        Xq, yq = pool.features[ep.query], pool.labels[ep.query]
+        dropout_key = (cfg.seed, maml._STREAM_DROPOUT, maml._STREAM_TASK, ep.task_index)
+        path, masks = reference_descend(theta, Xs, ys, cfg.alpha, cfg.inner_steps, dropout_key)
         adapted = maml.ModelParams(path[-1], arch)
-        probs = maml.forward(adapted, ep.query.features)
-        grad = maml.backward(adapted, ep.query.features, ep.query.labels)
+        probs = maml.forward(adapted, Xq)
+        grad = maml.backward(adapted, Xq, yq)
         if not cfg.first_order:
             for step in range(cfg.inner_steps - 1, -1, -1):
                 grad = grad - cfg.alpha * reference_hvp(
-                    maml.ModelParams(path[step], arch), ep.support.features,
-                    ep.support.labels, masks[step], grad,
+                    maml.ModelParams(path[step], arch), Xs, ys, masks[step], grad,
                 )
         meta_grad += grad
-        meta_loss += maml.bce_loss(probs, ep.query.labels)
-        correct += int(np.sum((probs >= 0.5) == (ep.query.labels == 1)))
+        meta_loss += maml.bce_loss(probs, yq)
+        correct += int(np.sum((probs >= 0.5) == (yq == 1)))
         total += probs.shape[0]
     t = len(episodes)
     return meta_grad / t, meta_loss / t, correct / total
@@ -395,7 +421,7 @@ class TestMetaStep:
         return maml.MlpArchitecture(input_dim=m, hidden_dims=hidden, dropout_rate=0.0)
 
     def test_single_task_first_order_reduction(self):
-        ep = manual_episode(31)
+        pool, ep = manual_episode(31)
         dropout_arch = maml.MlpArchitecture(input_dim=3, hidden_dims=(4, 2), dropout_rate=0.3)
         cases = [(self.no_dropout_arch(), 1), (dropout_arch, 1), (dropout_arch, 2)]
         for arch, inner_steps in cases:
@@ -404,25 +430,29 @@ class TestMetaStep:
                 first_order=True, inner_steps=inner_steps,
             )
             theta = maml.init_params(arch, 30)
-            meta_grad = maml._meta_batch(theta, [ep], cfg)[0]
-            dropout_key = None
-            if arch.dropout_rate > 0.0:
-                # the training path's dropout key for this episode
-                dropout_key = (cfg.seed, maml._STREAM_DROPOUT, maml._STREAM_TASK, ep.task_index)
-            adapted = maml.inner_adapt(theta, ep.support, cfg.alpha, cfg.inner_steps, dropout_key)
-            expected = maml.backward(adapted, ep.query.features, ep.query.labels)
+            meta_grad = maml._meta_batch(theta, pool, [ep], cfg)[0]
+            # the training path's dropout key for this episode
+            dropout_key = (cfg.seed, maml._STREAM_DROPOUT, maml._STREAM_TASK, ep.task_index)
+            Xs, ys = pool.features[ep.support], pool.labels[ep.support]
+            adapted = adapt(theta, Xs, ys, cfg.alpha, cfg.inner_steps, dropout_key)
+            expected = maml.backward(adapted, pool.features[ep.query], pool.labels[ep.query])
             np.testing.assert_array_equal(meta_grad, expected)
 
     def test_alpha_zero_reduces_to_pooled_query_gradient(self):
         arch = self.no_dropout_arch()
         theta = maml.init_params(arch, 32)
-        eps = [manual_episode(33), manual_episode(34)]
+        (pool_a, ep_a), (pool_b, ep_b) = manual_episode(33), manual_episode(34)
+        # one pool of both episodes' rows, the second episode's indices shifted
+        pool = make_ds(np.concatenate([pool_a.features, pool_b.features]),
+                       np.concatenate([pool_a.labels, pool_b.labels]))
+        shifted = maml.Episode(ep_b.support + pool_a.n, ep_b.query + pool_a.n, 1)
         cfg = maml.MamlConfig(
             alpha=0.0, samples_per_task=12, support_size=6, query_size=6, first_order=True
         )
-        meta_grad = maml._meta_batch(theta, eps, cfg)[0]
+        meta_grad = maml._meta_batch(theta, pool, [ep_a, shifted], cfg)[0]
         expected = np.mean(
-            [maml.backward(theta, ep.query.features, ep.query.labels) for ep in eps], axis=0
+            [maml.backward(theta, p.features[e.query], p.labels[e.query])
+             for p, e in ((pool_a, ep_a), (pool_b, ep_b))], axis=0
         )
         np.testing.assert_allclose(meta_grad, expected, atol=1e-15)
 
@@ -458,11 +488,10 @@ class TestMetaStep:
         yq = rng.integers(0, 2, 6)
         ys[:2] = [0, 1]
         yq[:2] = [0, 1]
-        ep = maml.Episode(make_ds(Xs, ys), make_ds(Xq, yq), 0)
+        pool, ep = episode_pool(Xs, ys, Xq, yq)
 
         def composed(values):
-            inner = maml.ModelParams(values, arch)
-            adapted = maml.inner_adapt(inner, ep.support, alpha, 1)
+            adapted = adapt(maml.ModelParams(values, arch), Xs, ys, alpha, 1)
             return maml.bce_loss(maml.forward(adapted, Xq), yq)
 
         step = 1e-5
@@ -474,14 +503,14 @@ class TestMetaStep:
             down[i] -= step
             fd[i] = (composed(up) - composed(down)) / (2 * step)
 
-        meta_grad = maml._meta_batch(theta, [ep], cfg)[0]
+        meta_grad = maml._meta_batch(theta, pool, [ep], cfg)[0]
         rel = np.abs(meta_grad - fd) / (np.maximum(np.abs(meta_grad), np.abs(fd)) + 1e-8)
         assert float(rel.max()) < 1e-3
 
     def test_first_and_second_order_converge_as_alpha_shrinks(self):
         arch = self.no_dropout_arch()
         theta = maml.init_params(arch, 41)
-        ep = manual_episode(42)
+        pool, ep = manual_episode(42)
         diffs = []
         for alpha in (1e-3, 1e-4, 1e-5):
             grads = {}
@@ -493,7 +522,7 @@ class TestMetaStep:
                     query_size=6,
                     first_order=first,
                 )
-                grads[first] = maml._meta_batch(theta, [ep], cfg)[0]
+                grads[first] = maml._meta_batch(theta, pool, [ep], cfg)[0]
             diffs.append(float(np.linalg.norm(grads[True] - grads[False])))
         assert diffs[0] > diffs[1] > diffs[2]
 
@@ -510,7 +539,9 @@ class TestMetaStep:
 
 
 ENGINE_POOL = random_pool(200, 4, seed=70)
-STACK_CELLS = (1, 7, 2 * 12 * 6, maml._STACK_CELLS, 1 << 30)
+# 144 cells stack the engine tests' episodes two at a time; 1 << 16 and
+# 1 << 30, like the default, put all of them in one stack
+STACK_CELLS = (1, 7, 2 * 12 * 6, 1 << 16, 1 << 30)
 
 
 def engine_cfg(inner_steps=1, first_order=True, **kw):
@@ -522,7 +553,7 @@ def engine_cfg(inner_steps=1, first_order=True, **kw):
 
 
 class TestStackEngine:
-    """The stacked meta-batch against the per-episode reference, byte for byte."""
+    """The stacked engine against the per-episode reference, byte for byte."""
 
     def arch(self, dropout):
         return maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3 * dropout)
@@ -540,9 +571,9 @@ class TestStackEngine:
         cfg = engine_cfg(inner_steps, first_order)
         theta = maml.init_params(self.arch(dropout), 71)
         eps = self.episodes(cfg)
-        expected = reference_meta_batch(theta, eps, cfg)
+        expected = reference_meta_batch(theta, ENGINE_POOL, eps, cfg)
         monkeypatch.setattr(maml, "_STACK_CELLS", cells)
-        grad, loss, accuracy = maml._meta_batch(theta, eps, cfg)
+        grad, loss, accuracy = maml._meta_batch(theta, ENGINE_POOL, eps, cfg)
         assert grad.tobytes() == expected[0].tobytes()
         assert repr(loss) == repr(expected[1])
         assert repr(accuracy) == repr(expected[2])
@@ -560,12 +591,33 @@ class TestStackEngine:
         assert repr(log.meta_loss) == repr(ref_log.meta_loss)
         assert repr(log.query_accuracy) == repr(ref_log.query_accuracy)
 
+    @pytest.mark.parametrize("cells", STACK_CELLS)
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_meta_evaluate_matches_reference(self, monkeypatch, cells, dropout):
+        cfg = engine_cfg(2)
+        theta = maml.init_params(self.arch(dropout), 79)
+        expected_probs, expected_labels = [], []
+        for j in range(7):
+            ep = maml.sample_task(ENGINE_POOL, cfg, maml._rng(cfg.seed, maml._STREAM_EVAL, j))
+            Xs, ys = ENGINE_POOL.features[ep.support], ENGINE_POOL.labels[ep.support]
+            key = (cfg.seed, maml._STREAM_DROPOUT, maml._STREAM_EVAL, j)
+            path, _ = reference_descend(theta, Xs, ys, cfg.alpha, cfg.inner_steps, key)
+            adapted = maml.ModelParams(path[-1], theta.arch)
+            expected_probs.append(maml.forward(adapted, ENGINE_POOL.features[ep.query]))
+            expected_labels.append(ENGINE_POOL.labels[ep.query])
+        monkeypatch.setattr(maml, "_STACK_CELLS", cells)
+        probs, labels = maml.meta_evaluate(theta, ENGINE_POOL, cfg, episodes=7)
+        assert probs.tobytes() == np.concatenate(expected_probs).tobytes()
+        assert labels.dtype == ENGINE_POOL.labels.dtype
+        assert labels.tobytes() == np.concatenate(expected_labels).tobytes()
+
     @pytest.mark.parametrize("dropout_key", [None, (17,)], ids=["None", "17"])
     def test_inner_adapt_matches_reference(self, dropout_key):
         theta = maml.init_params(self.arch(True), 72)
-        support = self.episodes(engine_cfg(), 1)[0].support
-        adapted = maml.inner_adapt(theta, support, 0.05, 3, dropout_key)
-        path, _ = reference_descend(theta, support, 0.05, 3, dropout_key)
+        ep = self.episodes(engine_cfg(), 1)[0]
+        X, y = ENGINE_POOL.features[ep.support], ENGINE_POOL.labels[ep.support]
+        adapted = adapt(theta, X, y, 0.05, 3, dropout_key)
+        path, _ = reference_descend(theta, X, y, 0.05, 3, dropout_key)
         assert adapted.values.tobytes() == path[-1].tobytes()
 
     def test_stacked_forward_backward_match_per_episode(self):
@@ -574,12 +626,13 @@ class TestStackEngine:
         values = maml.init_params(arch, 74).values + rng.normal(0, 0.1, (3, arch.param_count))
         X = rng.normal(size=(3, 9, 4))
         y = rng.integers(0, 2, (3, 9))
-        mask = np.stack([maml.dropout_mask(arch, 9, s) for s in (1, 2, 3)])
+        mask = maml.dropout_mask(arch, 9, [(1,), (2,), (3,)], 0).copy()
         stacked = maml.ModelParams(values, arch)
         probs = maml.forward(stacked, X)
         grads = maml.backward(stacked, X, y, mask)
         assert probs.shape == (3, 9) and grads.shape == (3, arch.param_count)
         for t in range(3):
+            assert mask[t].tobytes() == reference_mask(arch, 9, (t + 1,), 0).tobytes()
             single = maml.ModelParams(values[t], arch)
             assert probs[t].tobytes() == maml.forward(single, X[t]).tobytes()
             assert grads[t].tobytes() == maml.backward(single, X[t], y[t], mask[t]).tobytes()
@@ -594,14 +647,6 @@ class TestStackEngine:
         with pytest.raises(LengthMismatch):
             maml.backward(stacked, np.zeros((2, 5, 4)), np.zeros((2, 4)))
 
-    def test_unequal_episode_sizes_rejected(self):
-        theta = maml.init_params(self.arch(False), 75)
-        cfg = engine_cfg()
-        with pytest.raises(LengthMismatch):
-            maml._meta_batch(theta, [manual_episode(76, m=4), manual_episode(77, 5, m=4)], cfg)
-        with pytest.raises(LengthMismatch):
-            maml._meta_batch(theta, [manual_episode(76, m=4), manual_episode(77, 6, 4, m=4)], cfg)
-
     def test_stack_size_bounded_by_cells(self, monkeypatch):
         # 5000 support rows x 64 hidden units exceed the bound on their own
         assert 5000 * 64 > maml._STACK_CELLS
@@ -615,11 +660,11 @@ class TestStackEngine:
         monkeypatch.setattr(maml, "backward", counting_backward)
         theta = maml.init_params(maml.MlpArchitecture(input_dim=4), 78)
         cfg = engine_cfg(tasks_per_meta_batch=4)
-        maml._meta_batch(theta, self.episodes(cfg, 4), cfg)
+        maml._meta_batch(theta, ENGINE_POOL, self.episodes(cfg, 4), cfg)
         assert stack_sizes == [4, 4]  # 12 rows x 64 units: one stack of four
         stack_sizes.clear()
         monkeypatch.setattr(maml, "_STACK_CELLS", 12 * 64)
-        maml._meta_batch(theta, self.episodes(cfg, 4), cfg)
+        maml._meta_batch(theta, ENGINE_POOL, self.episodes(cfg, 4), cfg)
         assert stack_sizes == [1] * 8
 
 
@@ -636,13 +681,13 @@ class TestEpisodeStreams:
                              task_index=15 + j)
             for j in range(5)
         ]
-        first = maml._meta_batch(theta, eps, cfg)
-        second = maml._meta_batch(theta, eps, cfg)
+        first = maml._meta_batch(theta, ENGINE_POOL, eps, cfg)
+        second = maml._meta_batch(theta, ENGINE_POOL, eps, cfg)
         assert first[0].tobytes() == second[0].tobytes()
         assert repr(first[1:]) == repr(second[1:])
         # the masks follow the episode: the same rows under another index differ
         moved = [dataclasses.replace(ep, task_index=ep.task_index + 5) for ep in eps]
-        assert maml._meta_batch(theta, moved, cfg)[0].tobytes() != first[0].tobytes()
+        assert maml._meta_batch(theta, ENGINE_POOL, moved, cfg)[0].tobytes() != first[0].tobytes()
 
     def test_streams_distinct(self, monkeypatch):
         keys = []
@@ -665,12 +710,11 @@ class TestEpisodeStreams:
         monkeypatch.undo()
         train = maml.sample_task(ENGINE_POOL, cfg, real_rng(cfg.seed, maml._STREAM_TASK, 0, 0))
         evaluation = maml.sample_task(ENGINE_POOL, cfg, real_rng(cfg.seed, maml._STREAM_EVAL, 0))
-        assert train.support.features.tobytes() != evaluation.support.features.tobytes()
-        train_mask = maml.dropout_mask(
-            self.ARCH, 12, cfg.seed, maml._STREAM_DROPOUT, maml._STREAM_TASK, 0, 0
-        )
-        eval_mask = maml.dropout_mask(
-            self.ARCH, 12, cfg.seed, maml._STREAM_DROPOUT, maml._STREAM_EVAL, 0, 0
+        train_rows = ENGINE_POOL.features[train.support]
+        assert train_rows.tobytes() != ENGINE_POOL.features[evaluation.support].tobytes()
+        train_mask, eval_mask = (
+            one_mask(self.ARCH, 12, (cfg.seed, maml._STREAM_DROPOUT, stream, 0))
+            for stream in (maml._STREAM_TASK, maml._STREAM_EVAL)
         )
         assert train_mask.tobytes() != eval_mask.tobytes()
 
@@ -681,13 +725,13 @@ class TestEpisodeStreams:
 
         def recording_sample_task(pool, cfg, rng, task_index=0):
             ep = real_sample_task(pool, cfg, rng, task_index)
-            drawn.append((task_index, ep.support.features.tobytes(), ep.support.labels.tobytes(),
-                          ep.query.features.tobytes(), ep.query.labels.tobytes()))
+            drawn.append((task_index, *(a[rows].tobytes() for rows in (ep.support, ep.query)
+                                        for a in (pool.features, pool.labels))))
             return ep
 
-        def recording_dropout_mask(arch, n_rows, *key):
-            mask = real_dropout_mask(arch, n_rows, *key)
-            drawn.append((key, mask.tobytes()))
+        def recording_dropout_mask(arch, n_rows, keys, step):
+            mask = real_dropout_mask(arch, n_rows, keys, step)
+            drawn.append((keys, step, mask.tobytes()))
             return mask
 
         monkeypatch.setattr(maml, "sample_task", recording_sample_task)
@@ -699,9 +743,9 @@ class TestEpisodeStreams:
         theta, _ = maml.meta_train(ENGINE_POOL, first_half, arch=self.ARCH)
         drawn.clear()
         maml.meta_train(ENGINE_POOL, first_half, arch=self.ARCH, initial=theta, start_iteration=4)
-        # per iteration: 3 episodes, then 2 steps' masks for each of them
-        assert len(uninterrupted) == 8 * (3 + 3 * 2)
-        assert drawn == uninterrupted[4 * (3 + 3 * 2):]
+        # per iteration: 3 episodes, then 2 steps' masks for the stack of all 3
+        assert len(uninterrupted) == 8 * (3 + 2)
+        assert drawn == uninterrupted[4 * (3 + 2):]
 
 
 class TestScratchReuse:
@@ -716,19 +760,22 @@ class TestScratchReuse:
         values = maml.init_params(self.ARCH, 90).values + noise
         X = rng.normal(size=(T, n, 5))
         y = rng.integers(0, 2, (T, n))
-        mask = np.stack([maml.dropout_mask(self.ARCH, n, seed + t) for t in range(T)])
+        mask = maml.dropout_mask(self.ARCH, n, [(seed + t,) for t in range(T)], 0).copy()
         return maml.ModelParams(values, self.ARCH), X, y, mask
 
     def results(self, seed, T, n):
         params, X, y, mask = self.stack(seed, T, n)
-        support = make_ds(X[0], y[0])
+        single = maml.ModelParams(params.values[0], self.ARCH)
+        cfg = maml.MamlConfig(alpha=0.1, samples_per_task=n, support_size=n // 2,
+                              query_size=n - n // 2, inner_steps=2, seed=seed)
+        probs, labels = maml.meta_evaluate(single, random_pool(4 * n, 5, seed), cfg, episodes=T)
         return {
             "forward": maml.forward(params, X),
             "backward": maml.backward(params, X, y, mask),
             "_forward_pass": maml._forward_pass(params, X, mask)[3],
-            "inner_adapt": maml.inner_adapt(
-                maml.ModelParams(params.values[0], self.ARCH), support, 0.1, 2, (seed,)
-            ).values,
+            "inner_adapt": adapt(single, X[0], y[0], 0.1, 2, (seed,)).values,
+            "meta_evaluate probs": probs,
+            "meta_evaluate labels": labels,
         }
 
     def test_kept_results_survive_later_passes(self):
@@ -747,9 +794,9 @@ class TestScratchReuse:
         theta = maml.init_params(arch, 96)
         eps = [maml.sample_task(ENGINE_POOL, cfg, maml._rng(200 + j), task_index=j)
                for j in range(6)]
-        expected = reference_meta_batch(theta, eps, cfg)
+        expected = reference_meta_batch(theta, ENGINE_POOL, eps, cfg)
         monkeypatch.setattr(maml, "_STACK_CELLS", 4 * 12 * 6)
-        grad, loss, accuracy = maml._meta_batch(theta, eps, cfg)
+        grad, loss, accuracy = maml._meta_batch(theta, ENGINE_POOL, eps, cfg)
         assert grad.tobytes() == expected[0].tobytes()
         assert repr((loss, accuracy)) == repr(expected[1:])
 
@@ -763,7 +810,7 @@ class TestScratchReuse:
         rng = np.random.default_rng(98)
         X = rng.normal(size=(n, 40))
         y = rng.integers(0, 2, n)
-        mask = maml.dropout_mask(arch, n, 99)
+        mask = one_mask(arch, n, (99,))
         maml.backward(params, X, y, mask)
         tracemalloc.start()
         try:
@@ -863,6 +910,18 @@ class TestMetaEvaluate:
         theta = maml.ModelParams(np.zeros(arch.param_count), arch)
         probs, labels = maml.meta_evaluate(theta, pool, cfg)
         np.testing.assert_array_equal(probs, 0.5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raises_naming_the_episode(self):
+        # three episodes in one stack: at alpha 1e300 the first two saturate
+        # to finite clamped probabilities, the third scores NaN
+        pool = random_pool(90, 3, seed=62)
+        cfg = maml.MamlConfig(alpha=1e300, samples_per_task=30, support_size=15, query_size=15)
+        theta = maml.init_params(maml.MlpArchitecture(input_dim=3, hidden_dims=(5,)), 4)
+        with pytest.raises(Diverged, match="diverged at episode 2:"):
+            maml.meta_evaluate(theta, pool, cfg)
+        probs, _ = maml.meta_evaluate(theta, pool, cfg, episodes=2)
+        assert np.all(np.isfinite(probs))
 
 
 class TestCheckpoint:
