@@ -14,11 +14,13 @@ axis. An Episode holds row indices into its pool. Meta-training and
 evaluation share one engine (_adapted_stacks): it gathers a stack of
 episodes' rows into (T, n, m) arrays, at most _STACK_CELLS rows x widest
 hidden layer x episodes at a time, and adapts them with inner_adapt, the one
-inner loop. Meta-training adds the query gradient and reduces the
-meta-gradient, loss and accuracy in episode order from zeros; evaluation
-adds the query forward pass. Both are byte-identical to one episode at a
-time, at any stack size. A NaN or Inf meta-loss, meta-gradient or
-evaluation probability raises Diverged.
+inner loop. Meta-training adds one query pass a stack: forward given labels
+returns the query probabilities and gradients from the same pass. It adds
+the gradients and the losses (bce_loss, one per episode of the stack) to the
+meta-gradient and meta-loss in episode order from zeros. Evaluation adds the
+query forward pass. Both are byte-identical to one episode at a time, at any
+stack size. A NaN or Inf meta-loss, meta-gradient or evaluation probability
+raises Diverged.
 
 Randomness comes from generators keyed by the root seed, a stream tag and
 the draw's coordinates (_rng), never from a generator built only to draw
@@ -65,6 +67,7 @@ from .errors import (
     ValidationError,
     check_fields,
 )
+from .gbdt import _sigmoid
 
 PROB_EPS = 1e-7
 
@@ -91,7 +94,16 @@ _STREAM_EVAL = 3  # (seed, EVAL, episode): an evaluation episode's rows
 
 
 def _rng(*key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+    """The generator keyed by key. SeedSequence copies a uint32 array as its
+    words but converts a list one int at a time, for the same state; a value
+    that does not fit one word (2**32 or more, or negative) goes to it as a
+    list, to be split into words or rejected there."""
+    key = [int(k) for k in key]
+    try:
+        words = np.array(key, dtype=np.uint32)
+    except OverflowError:
+        words = key
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 def _mask_key(seed: int, stream: int, episode: int) -> tuple[int, ...]:
@@ -281,15 +293,6 @@ def _scratch(tag: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _forward_pass(params: ModelParams, X: np.ndarray, mask: np.ndarray | None):
     """Returns (layer inputs, pre-activations, raw probs, clamped probs);
     the hidden layers' inputs and pre-activations are scratch views."""
@@ -324,18 +327,27 @@ def _check_input(params: ModelParams, X) -> np.ndarray:
     return X
 
 
-def forward(params: ModelParams, X: np.ndarray) -> np.ndarray:
+def forward(params: ModelParams, X: np.ndarray, labels=None):
     """Per-row inference probability in (0,1), clamped at 1e-7 from either
-    end, without dropout; (n,) for one parameter vector, (T, n) for a stack."""
-    return _forward_pass(params, _check_input(params, X), None)[3]
+    end, without dropout; (n,) for one parameter vector, (T, n) for a stack.
+    Given labels, returns (probs, backward's gradient at those labels) from
+    the one pass."""
+    X = _check_input(params, X)
+    if labels is None:
+        return _forward_pass(params, X, None)[3]
+    return _probs_and_grad(params, X, labels, None)
 
 
-def bce_loss(probs, labels) -> float:
-    probs = np.asarray(probs, dtype=np.float64).ravel()
-    labels = np.asarray(labels, dtype=np.float64).ravel()
-    if probs.shape[0] != labels.shape[0]:
-        raise LengthMismatch(f"{probs.shape[0]} probs vs {labels.shape[0]} labels")
-    return float(-np.mean(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs)))
+def bce_loss(probs, labels):
+    """Mean BCE over the last axis: a float for one set of rows (n,), one
+    loss per episode (T,) for a stack (T, n). Each row of a stack reduces as
+    it would alone, so the losses are the per-episode losses bit for bit."""
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if probs.shape != labels.shape:
+        raise LengthMismatch(f"{probs.shape} probs vs {labels.shape} labels")
+    loss = -np.mean(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs), axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def backward(
@@ -350,13 +362,19 @@ def backward(
     Pass the same mask the paired forward used; rows where the output clamp
     is active contribute zero gradient, matching the clamped loss exactly.
     """
-    X = _check_input(params, X)
+    return _probs_and_grad(params, _check_input(params, X), labels, dropout_mask)[1]
+
+
+def _probs_and_grad(params: ModelParams, X: np.ndarray, labels,
+                    mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """One forward pass over checked rows X and its backpropagation: the
+    clamped probabilities and the gradient of their mean BCE at labels."""
     y = np.asarray(labels, dtype=np.float64)
     if X.ndim == 2:
         y = y.ravel()
     if y.shape != X.shape[:-1]:
         raise LengthMismatch(f"{X.shape[:-1]} rows vs {y.shape} labels")
-    inputs, pre, p_raw, p = _forward_pass(params, X, dropout_mask)
+    inputs, pre, p_raw, p = _forward_pass(params, X, mask)
     n = X.shape[-2]
 
     layers = params.layers()
@@ -371,14 +389,14 @@ def backward(
             break
         z = pre[i - 1]
         d = np.matmul(d, np.swapaxes(W, -1, -2), out=_scratch(f"d{i - 1}", z.shape))
-        if i == 1 and dropout_mask is not None:
-            np.multiply(d, dropout_mask, out=d)
+        if i == 1 and mask is not None:
+            np.multiply(d, mask, out=d)
         # the ReLU gate as 1.0/0.0, written over the pre-activations that
         # this pass reads for the last time here
         np.multiply(d, np.greater(z, 0.0, out=z), out=d)
 
     lead = X.shape[:-2]
-    return np.concatenate(
+    return p, np.concatenate(
         [part for gw, gb in grads for part in (gw.reshape(*lead, -1), gb)], axis=-1
     )
 
@@ -389,13 +407,13 @@ def inner_adapt(
     y: np.ndarray,
     alpha: float,
     inner_steps: int,
-    dropout_keys: list[tuple[int, ...]] | None,
+    dropout_keys: list[tuple[int, ...]],
 ) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
     """The one inner loop: inner_steps gradient-descent steps on support BCE
     for a stack of T episodes at once (theta (T, P), supports X (T, n, m),
-    labels (T, n)). dropout_keys None disables dropout; otherwise episode t
-    draws step s's mask from dropout_keys[t] + (s,), so a mask is a pure
-    function of its episode and step. theta is never modified.
+    labels (T, n)). Episode t draws step s's mask from dropout_keys[t] +
+    (s,), so a mask is a pure function of its episode and step; an
+    architecture without dropout draws none. theta is never modified.
 
     Returns the parameter stack before each step followed by the adapted
     stack (inner_steps + 1 arrays), and each step's (T, n, h0) mask, a
@@ -405,7 +423,7 @@ def inner_adapt(
     path = [theta.values]
     masks: list[np.ndarray | None] = []
     for step in range(inner_steps):
-        mask = None if dropout_keys is None else dropout_mask(arch, X.shape[1], dropout_keys, step)
+        mask = dropout_mask(arch, X.shape[1], dropout_keys, step)
         grad = backward(ModelParams._trusted(path[-1], arch), X, y, mask)
         masks.append(mask)
         path.append(path[-1] - alpha * grad)
@@ -539,18 +557,16 @@ def _meta_batch(theta: ModelParams, pool: LabeledDataset, episodes: list[Episode
     correct = 0
     stacks = _adapted_stacks(theta, pool, episodes, cfg, _STREAM_TASK)
     for _, path, masks, (Xs, ys), (Xq, yq) in stacks:
-        adapted = ModelParams._trusted(path[-1], arch)
-        probs = forward(adapted, Xq)
-        grads = backward(adapted, Xq, yq)
+        probs, grads = forward(ModelParams._trusted(path[-1], arch), Xq, yq)
         if not cfg.first_order:
             # the second-order path needs every step of the inner trajectory
             for step in range(cfg.inner_steps - 1, -1, -1):
                 step_params = ModelParams._trusted(path[step], arch)
                 grads = grads - cfg.alpha * _hvp(step_params, Xs, ys, masks[step], grads)
-        for t in range(len(grads)):
-            meta_grad += grads[t]
-            meta_loss += bce_loss(probs[t], yq[t])
-            correct += int(np.sum((probs[t] >= 0.5) == (yq[t] == 1)))
+        for grad, loss in zip(grads, bce_loss(probs, yq).tolist()):
+            meta_grad += grad
+            meta_loss += loss
+        correct += int(np.count_nonzero((probs >= 0.5) == (yq == 1)))
     t = len(episodes)
     return meta_grad / t, meta_loss / t, correct / (t * cfg.query_size)
 

@@ -198,7 +198,7 @@ def test_criterion_04_bilevel_gradient_check():
 
     def composed(values):
         path, _ = maml.inner_adapt(maml.ModelParams(values[None], arch), Xs[None], ys[None],
-                                   alpha, 1, None)
+                                   alpha, 1, [(0,)])
         adapted = maml.ModelParams(path[-1][0], arch)
         return maml.bce_loss(maml.forward(adapted, Xq), yq)
 
@@ -379,7 +379,7 @@ def test_criterion_09_identity_and_degenerate_contracts():
     rng = np.random.default_rng(9)
     X, y = rng.normal(size=(12, 4)), rng.integers(0, 2, 12)
     path, _ = maml.inner_adapt(maml.ModelParams(theta.values[None], arch), X[None], y[None],
-                               alpha=0.0, inner_steps=4, dropout_keys=None)
+                               alpha=0.0, inner_steps=4, dropout_keys=[(0,)])
     assert np.array_equal(path[-1][0], theta.values)
 
     # tau above every importance -> EmptySelection

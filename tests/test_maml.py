@@ -44,12 +44,13 @@ def reference_mask(arch, n, key, step):
     return (mask >= arch.dropout_rate) / (1.0 - arch.dropout_rate)
 
 
-def adapt(theta, X, y, alpha, inner_steps, dropout_key=None):
-    """inner_adapt on a stack of one episode; the adapted parameters."""
+def adapt(theta, X, y, alpha, inner_steps, dropout_key=(0,)):
+    """inner_adapt on a stack of one episode; the adapted parameters. An
+    architecture without dropout draws no mask from dropout_key."""
     path, _ = maml.inner_adapt(
         maml.ModelParams._trusted(theta.values[None], theta.arch),
         np.asarray(X, dtype=float)[None], np.asarray(y)[None], alpha, inner_steps,
-        None if dropout_key is None else [dropout_key],
+        [dropout_key],
     )
     return maml.ModelParams(path[-1][0], theta.arch)
 
@@ -201,6 +202,21 @@ class TestBceLoss:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             maml.bce_loss([0.5], [1, 0])
+
+    # 8 and 9 rows sit either side of numpy's unrolled sum, 5000 past its
+    # pairwise block
+    @pytest.mark.parametrize("n", [1, 8, 9, 50, 5000])
+    def test_stack_matches_per_episode(self, n):
+        rng = np.random.default_rng(n)
+        probs = np.clip(rng.random((3, n)), maml.PROB_EPS, 1.0 - maml.PROB_EPS)
+        labels = rng.integers(0, 2, (3, n))
+        losses = maml.bce_loss(probs, labels)
+        per_episode = np.array([maml.bce_loss(p, y) for p, y in zip(probs, labels)])
+        # one episode's rows reduced the way the loss was computed before stacks
+        alone = np.array([-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+                          for p, y in zip(probs, labels.astype(np.float64))])
+        assert losses.shape == (3,)
+        assert losses.tobytes() == per_episode.tobytes() == alone.tobytes()
 
 
 class TestBackward:
@@ -611,12 +627,13 @@ class TestStackEngine:
         assert labels.dtype == ENGINE_POOL.labels.dtype
         assert labels.tobytes() == np.concatenate(expected_labels).tobytes()
 
+    # None: no mask, from an architecture without dropout
     @pytest.mark.parametrize("dropout_key", [None, (17,)], ids=["None", "17"])
     def test_inner_adapt_matches_reference(self, dropout_key):
-        theta = maml.init_params(self.arch(True), 72)
+        theta = maml.init_params(self.arch(dropout_key is not None), 72)
         ep = self.episodes(engine_cfg(), 1)[0]
         X, y = ENGINE_POOL.features[ep.support], ENGINE_POOL.labels[ep.support]
-        adapted = adapt(theta, X, y, 0.05, 3, dropout_key)
+        adapted = adapt(theta, X, y, 0.05, 3, dropout_key or (17,))
         path, _ = reference_descend(theta, X, y, 0.05, 3, dropout_key)
         assert adapted.values.tobytes() == path[-1].tobytes()
 
@@ -637,6 +654,37 @@ class TestStackEngine:
             assert probs[t].tobytes() == maml.forward(single, X[t]).tobytes()
             assert grads[t].tobytes() == maml.backward(single, X[t], y[t], mask[t]).tobytes()
 
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["single", "T1", "T3"])
+    def test_fused_query_pass_matches_forward_then_backward(self, lead):
+        arch = self.arch(True)
+        rng = np.random.default_rng(75)
+        values = maml.init_params(arch, 76).values + rng.normal(0, 0.1, (*lead, arch.param_count))
+        X = rng.normal(size=(*lead, 9, 4))
+        y = rng.integers(0, 2, (*lead, 9))
+        params = maml.ModelParams(values, arch)
+        probs, grads = maml.forward(params, X, y)
+        assert probs.tobytes() == maml.forward(params, X).tobytes()
+        assert grads.tobytes() == maml.backward(params, X, y).tobytes()
+
+    @pytest.mark.parametrize("cells", [1, 1 << 16], ids=["T1", "T5"])
+    @pytest.mark.parametrize("first_order", [True, False])
+    def test_meta_batch_matches_two_pass_query(self, monkeypatch, cells, first_order):
+        cfg = engine_cfg(2, first_order)
+        theta = maml.init_params(self.arch(True), 77)
+        eps = self.episodes(cfg)
+        monkeypatch.setattr(maml, "_STACK_CELLS", cells)
+        fused = maml._meta_batch(theta, ENGINE_POOL, eps, cfg)
+        real_forward = maml.forward
+
+        def two_pass(params, X, labels=None):
+            probs = real_forward(params, X)
+            return probs if labels is None else (probs, maml.backward(params, X, labels))
+
+        monkeypatch.setattr(maml, "forward", two_pass)
+        expected = maml._meta_batch(theta, ENGINE_POOL, eps, cfg)
+        assert fused[0].tobytes() == expected[0].tobytes()
+        assert repr(fused[1:]) == repr(expected[1:])
+
     def test_stack_shape_mismatch_rejected(self):
         arch = self.arch(False)
         stacked = maml.ModelParams(np.zeros((2, arch.param_count)), arch)
@@ -646,26 +694,34 @@ class TestStackEngine:
             maml.forward(stacked, np.zeros((5, 4)))
         with pytest.raises(LengthMismatch):
             maml.backward(stacked, np.zeros((2, 5, 4)), np.zeros((2, 4)))
+        with pytest.raises(LengthMismatch):
+            maml.forward(stacked, np.zeros((2, 5, 4)), np.zeros((2, 4)))
 
     def test_stack_size_bounded_by_cells(self, monkeypatch):
         # 5000 support rows x 64 hidden units exceed the bound on their own
         assert 5000 * 64 > maml._STACK_CELLS
-        stack_sizes = []
-        real_backward = maml.backward
+        passes = []
+        real_backward, real_forward = maml.backward, maml.forward
 
         def counting_backward(params, X, labels, dropout_mask=None):
-            stack_sizes.append(X.shape[0])
+            passes.append(("backward", X.shape[0]))
             return real_backward(params, X, labels, dropout_mask)
 
+        def counting_forward(params, X, labels=None):
+            passes.append(("forward", X.shape[0]))
+            return real_forward(params, X, labels)
+
         monkeypatch.setattr(maml, "backward", counting_backward)
+        monkeypatch.setattr(maml, "forward", counting_forward)
         theta = maml.init_params(maml.MlpArchitecture(input_dim=4), 78)
         cfg = engine_cfg(tasks_per_meta_batch=4)
         maml._meta_batch(theta, ENGINE_POOL, self.episodes(cfg, 4), cfg)
-        assert stack_sizes == [4, 4]  # 12 rows x 64 units: one stack of four
-        stack_sizes.clear()
+        # 12 rows x 64 units: one stack of four, a support and a query pass
+        assert passes == [("backward", 4), ("forward", 4)]
+        passes.clear()
         monkeypatch.setattr(maml, "_STACK_CELLS", 12 * 64)
         maml._meta_batch(theta, ENGINE_POOL, self.episodes(cfg, 4), cfg)
-        assert stack_sizes == [1] * 8
+        assert passes == [("backward", 1), ("forward", 1)] * 4
 
 
 class TestEpisodeStreams:
@@ -717,6 +773,14 @@ class TestEpisodeStreams:
             for stream in (maml._STREAM_TASK, maml._STREAM_EVAL)
         )
         assert train_mask.tobytes() != eval_mask.tobytes()
+
+    # MamlConfig.seed may be 2**32 or more, a key value two words long
+    @pytest.mark.parametrize("value", [0, 2**32 - 1, 2**32, 2**40])
+    @pytest.mark.parametrize("kind", [int, np.int64])
+    def test_rng_matches_seed_sequence_of_ints(self, value, kind):
+        key = (kind(value), maml._STREAM_DROPOUT, kind(value), 7)
+        expected = np.random.default_rng(np.random.SeedSequence([value, 2, value, 7]))
+        assert maml._rng(*key).random(16).tobytes() == expected.random(16).tobytes()
 
     def test_resumed_run_samples_the_same_episodes(self, monkeypatch):
         drawn = []

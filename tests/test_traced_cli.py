@@ -3,7 +3,9 @@
 perfbench/traced_cli.py wraps melemad functions by name, and run.py's
 layer_values reads the span tree by name: the forward, backward, sample_task
 and inner_adapt calls under maml.meta_train, and the inner_adapt calls under
-maml.meta_evaluate. A change to melemad.maml that stops calling them through
+maml.meta_evaluate. Meta-training makes two passes a stack: the support
+backward inside inner_adapt and the query forward, which also returns the
+query gradient. A change to melemad.maml that stops calling them through
 the module breaks a traced benchmark run; these tests fail first. They run
 traced_cli.py as it is, in a child process, on a small pipeline.
 """
@@ -77,6 +79,16 @@ def test_meta_train_layers_under_meta_train(trees):
     assert ("maml.inner_adapt", "maml.meta_train") in parents
     assert ("maml.backward", "maml.inner_adapt") in parents
     assert ("maml.forward", "maml.meta_train") in parents
+
+
+def test_meta_train_makes_two_passes_per_stack(trees):
+    # first-order: the support backward inside inner_adapt and one query
+    # forward that also returns the query gradient, so no query backward
+    train, _ = trees
+    assert ("maml.backward", "maml.meta_train") not in {(name, parent)
+                                                        for name, parent, _ in train}
+    under = [name for name, _, root in train if root == "maml.meta_train"]
+    assert under.count("maml.forward") == under.count("maml.inner_adapt") > 0
 
 
 def test_evaluate_adapts_under_meta_evaluate(trees):
