@@ -9,7 +9,10 @@ second copy or a re-scan. load_csv parses a CSV with numpy's
 C reader into one float64 matrix and validates it with array operations;
 where that reader could disagree with the per-cell reader, the per-cell
 reader parses the file and names the row and column at fault. load_binary
-converts its float32 body into the float64 matrix a block of rows at a time.
+converts its float32 body into the float64 matrix a block of rows at a time,
+and save_binary its matrix into the float32 body. synthesize wraps the matrix
+it generates without a copy, checked for finite values a block of rows at a
+time.
 """
 from __future__ import annotations
 
@@ -331,10 +334,16 @@ def save_binary(ds: LabeledDataset, path) -> None:
         raise DimensionOverflow(f"n={ds.n}, m={ds.m} exceed the u32 header fields")
     path = Path(path)
     header = _MAGIC + struct.pack("<III", _BINARY_VERSION, ds.n, ds.m)
-    body = ds.features.astype("<f4").tobytes(order="C")
+    # a block of rows at a time: the whole body as float32 and then as bytes
+    # held the matrix's size again next to it
+    rows = max(1, _BLOCK_CELLS // ds.m)
+    block = np.empty((min(rows, ds.n), ds.m), dtype="<f4")
     with path.open("wb") as fh:
         fh.write(header)
-        fh.write(body)
+        for start in range(0, ds.n, rows):
+            part = block[: min(rows, ds.n - start)]
+            part[...] = ds.features[start : start + part.shape[0]]
+            fh.write(part)
         fh.write(ds.labels.astype(np.uint8).tobytes())
 
 
@@ -364,15 +373,22 @@ def load_binary(path) -> LabeledDataset:
         for start in range(0, n, rows):
             part = block[: min(rows, n - start)]
             _read_exactly(fh, part, path)
-            # the constructor's checks, made block by block
-            if not np.isfinite(part).all():
-                raise ValidationError("features contain NaN or Inf")
+            _check_finite(part)
             feats[start : start + part.shape[0]] = part
         labels = np.empty(n, dtype=np.uint8)
         _read_exactly(fh, labels, path)
     if not (labels <= 1).all():
         raise ValidationError("labels must all be 0 or 1")
     return LabeledDataset._trusted(feats, labels, None)
+
+
+def _check_finite(features: np.ndarray) -> None:
+    """The constructor's finiteness check, made a block of rows at a time, so
+    its mask is a block's, not the matrix's."""
+    rows = max(1, _BLOCK_CELLS // features.shape[1])
+    for start in range(0, features.shape[0], rows):
+        if not np.isfinite(features[start : start + rows]).all():
+            raise ValidationError("features contain NaN or Inf")
 
 
 def _read_exactly(fh, out: np.ndarray, path: Path) -> None:
@@ -482,4 +498,6 @@ def synthesize(spec: SyntheticSpec) -> tuple[LabeledDataset, np.ndarray]:
         # rank by logit with a random key breaking exact ties deterministically
         order = np.lexsort((rng.random(spec.n), logit))
         labels[order[spec.n - n_pos:]] = 1
-    return LabeledDataset(X, labels), informative.astype(np.int64)
+    # X is this function's own, so it is wrapped, not copied
+    _check_finite(X)
+    return LabeledDataset._trusted(X, labels, None), informative.astype(np.int64)

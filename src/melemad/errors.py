@@ -132,6 +132,10 @@ class Diverged(MelemadError):
     an evaluation episode a NaN or Inf query probability."""
 
 
+class Saturated(MelemadError):
+    """Most of an evaluation's query probabilities sit at the clamp bounds."""
+
+
 # metrics
 
 class EmptyConfusion(ValidationError):

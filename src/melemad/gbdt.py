@@ -9,7 +9,15 @@ per-feature sort order: a split partitions the parent's orders stably into
 the two children (the pre-sorted lists of SLIQ and of XGBoost's exact greedy
 search), so a node's search costs its own rows, not the fit's. A node scores
 a block of columns per numpy call, with the block's scratch bounded at
-_BLOCK_CELLS feature-by-row cells. Ties go to the lowest feature, then the
+_BLOCK_CELLS feature-by-row cells. Per tree, g and h sit side by side in one
+complex array g + 1j*h, so a block gathers both in sorted order with one take
+and prefix-sums both with one cumsum; complex addition adds the two parts
+apart, so the sums are bit for bit those of g and of h. A boundary between
+equal values is no split candidate. The root searches the same order over
+the same boundaries in every tree of a fit, so its tie mask is computed
+once per fit from the values and kept packed 8 boundaries a byte; the other
+nodes compare their sorted values. The threshold is read from X at the two
+rows beside the winning boundary. Ties go to the lowest feature, then the
 lowest threshold. Feature importance is total split gain, normalized.
 Training uses no randomness, so identical inputs give byte-identical models.
 """
@@ -93,6 +101,25 @@ class _TreeGrower:
         self._flat = X.reshape(-1)
         self._cols = np.arange(self.m)[:, None]
         self._flag = np.zeros(self.n, dtype=bool)
+        # every tree's root searches col_order over the same window, so its
+        # tie mask is the same in every tree of the fit; packed 8 boundaries
+        # a byte, it holds an eighth of a bool mask's bytes
+        self._root_ties = None
+        if self._can_split(self.n, 0):
+            lo, hi = self._window(self.n)
+            width = self._width(self.n)
+            self._root_ties = np.empty((self.m, (hi - lo + 7) // 8), dtype=np.uint8)
+            for j0 in range(0, self.m, width):
+                ties = self._ties(col_order[j0 : j0 + width], j0, lo, hi)
+                self._root_ties[j0 : j0 + width] = np.packbits(ties, axis=1)
+
+    def _window(self, n_node: int) -> tuple[int, int]:
+        # t = number of rows sent left, lo..hi - 1
+        return self.cfg.min_samples_leaf, n_node - self.cfg.min_samples_leaf + 1
+
+    @staticmethod
+    def _width(n_node: int) -> int:
+        return max(1, _BLOCK_CELLS // n_node)
 
     def _can_split(self, n_rows: int, depth: int) -> bool:
         return depth < self.cfg.max_depth and n_rows >= 2 * self.cfg.min_samples_leaf
@@ -119,13 +146,19 @@ class _TreeGrower:
         # their per-feature sort order (None otherwise)
         root_order = self.col_order if self._can_split(self.n, 0) else None
         stack = [(new_node(), np.arange(self.n), root_order, 0)]
+        # g and h side by side, so one gather and one cumsum serve both:
+        # complex addition adds the parts apart, so the sums are g's and h's
+        gh = np.empty(self.n, dtype=np.complex128)
+        gh.real = g
+        gh.imag = h
         while stack:
             node, rows, order, depth = stack.pop()
             G = g[rows].sum()
             H = h[rows].sum()
             split = None
             if order is not None:
-                split = self._best_split(order, g, h, G, H)
+                ties = self._root_ties if depth == 0 else None
+                split = self._best_split(order, gh, G, H, ties)
             if split is None:
                 value = -G / (H + _LAMBDA)
                 leaf_value[node] = value
@@ -174,7 +207,7 @@ class _TreeGrower:
             return left_order, right_order
         flag = self._flag
         flag[left_rows] = True
-        width = max(1, _BLOCK_CELLS // n_node)
+        width = self._width(n_node)
         for j0 in range(0, self.m, width):
             block = order[j0 : j0 + width].reshape(-1)
             sel = flag.take(block)
@@ -186,24 +219,40 @@ class _TreeGrower:
         flag[left_rows] = False
         return left_order, right_order
 
-    def _best_split(self, order, g, h, G, H):
-        """order holds the node's rows sorted per feature, one row per feature."""
-        min_leaf = self.cfg.min_samples_leaf
+    def _ties(self, idx, j0, lo, hi):
+        """Per boundary lo..hi - 1 of a block of sorted columns from j0: True
+        where the value equals the one before it, so no split falls there."""
+        cells = np.multiply(idx, self.m, dtype=np.intp)
+        cells += self._cols[j0 : j0 + idx.shape[0]]
+        v = self._flat.take(cells)
+        return v[:, lo:hi] <= v[:, lo - 1 : hi - 1]
+
+    def _best_split(self, order, gh, G, H, root_ties):
+        """order holds the node's rows sorted per feature, one row per feature;
+        gh holds g + 1j * h per row; root_ties is the root's packed tie mask,
+        or None below the root."""
         n_node = order.shape[1]
         parent_score = G * G / (H + _LAMBDA)
-        # t = number of rows sent left, min_leaf..n_node - min_leaf
-        lo, hi = min_leaf, n_node - min_leaf + 1
-        width = max(1, _BLOCK_CELLS // n_node)
+        lo, hi = self._window(n_node)
+        width = self._width(n_node)
 
         best_gain = 0.0
         best = None
         for j0 in range(0, self.m, width):
             idx = order[j0 : j0 + width]
-            cells = np.multiply(idx, self.m, dtype=np.intp)
-            cells += self._cols[j0 : j0 + width]
-            v = self._flat.take(cells)
-            GL = g.take(idx).cumsum(axis=1)[:, lo - 1 : hi - 1]
-            HL = h.take(idx).cumsum(axis=1)[:, lo - 1 : hi - 1]
+            if root_ties is None:
+                tie = self._ties(idx, j0, lo, hi)
+            else:
+                packed = root_ties[j0 : j0 + width]
+                tie = np.unpackbits(packed, axis=1, count=hi - lo).view(bool)
+            sums = gh.take(idx)
+            np.cumsum(sums, axis=1, out=sums)
+            # contiguous copies: the arithmetic below runs faster on them
+            # than on the strided .real and .imag views; the sums are freed
+            # before it allocates, so the block's scratch peaks no higher
+            GL = sums.real[:, lo - 1 : hi - 1].copy()
+            HL = sums.imag[:, lo - 1 : hi - 1].copy()
+            del sums
             # 0.5 * (GL^2 / (HL + lambda) + (G - GL)^2 / (H - HL + lambda)
             #        - parent_score), in place
             gains = np.subtract(G, GL)
@@ -218,14 +267,14 @@ class _TreeGrower:
             gains -= parent_score
             gains *= 0.5
             # a boundary must separate distinct values
-            gains[v[:, lo:hi] <= v[:, lo - 1 : hi - 1]] = -np.inf
+            np.copyto(gains, -np.inf, where=tie)
             # row-major first max: lowest feature, then lowest threshold
             b, k = np.unravel_index(int(np.argmax(gains)), gains.shape)
             if gains[b, k] > best_gain:  # strict, so an earlier block wins ties
                 best_gain = float(gains[b, k])
-                tk = lo + k
-                thr = (v[b, tk - 1] + v[b, tk]) / 2.0
-                best = (best_gain, j0 + int(b), float(thr))
+                feat, tk = j0 + int(b), lo + k
+                thr = (self.X[idx[b, tk - 1], feat] + self.X[idx[b, tk], feat]) / 2.0
+                best = (best_gain, feat, float(thr))
         return best
 
 

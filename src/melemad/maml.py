@@ -20,7 +20,8 @@ the gradients and the losses (bce_loss, one per episode of the stack) to the
 meta-gradient and meta-loss in episode order from zeros. Evaluation adds the
 query forward pass. Both are byte-identical to one episode at a time, at any
 stack size. A NaN or Inf meta-loss, meta-gradient or evaluation probability
-raises Diverged.
+raises Diverged; an evaluation with more than SATURATION_LIMIT of its query
+probabilities clamped to the bounds raises Saturated.
 
 Randomness comes from generators keyed by the root seed, a stream tag and
 the draw's coordinates (_rng), never from a generator built only to draw
@@ -63,6 +64,7 @@ from .errors import (
     Diverged,
     LengthMismatch,
     PoolTooSmall,
+    Saturated,
     SingleClassPool,
     ValidationError,
     check_fields,
@@ -70,6 +72,9 @@ from .errors import (
 from .gbdt import _sigmoid
 
 PROB_EPS = 1e-7
+# evaluation fails when more than this fraction of its query probabilities
+# is clamped to PROB_EPS or 1 - PROB_EPS
+SATURATION_LIMIT = 0.5
 
 # Adam moment decay rates and denominator guard
 _ADAM_BETA1 = 0.9
@@ -623,7 +628,8 @@ def meta_evaluate(
     stack of episodes at a time; returns the concatenated query probabilities
     and ground-truth labels, in episode order. Episode j draws its rows from
     the generator keyed (seed, _STREAM_EVAL, j). Raises Diverged, naming the
-    episode, when one of its query probabilities is NaN or Inf."""
+    episode, when one of its query probabilities is NaN or Inf, and
+    Saturated when more than SATURATION_LIMIT of all of them are clamped."""
     if episodes is None:
         episodes = max(1, math.ceil(test_pool.n / cfg.samples_per_task))
     drawn = [sample_task(test_pool, cfg, _rng(cfg.seed, _STREAM_EVAL, j), task_index=j)
@@ -640,7 +646,12 @@ def meta_evaluate(
                            "its query probabilities are NaN or Inf")
         probs_parts.append(probs.ravel())
         label_parts.append(yq.ravel())
-    return np.concatenate(probs_parts), np.concatenate(label_parts)
+    probs = np.concatenate(probs_parts)
+    clamped = np.count_nonzero((probs == PROB_EPS) | (probs == 1.0 - PROB_EPS))
+    if clamped > SATURATION_LIMIT * probs.size:
+        raise Saturated(f"evaluation saturated: {clamped} of {probs.size} query "
+                        f"probabilities are clamped to {PROB_EPS} or 1 - {PROB_EPS}")
+    return probs, np.concatenate(label_parts)
 
 
 def save_checkpoint(path, params: ModelParams, cfg: MamlConfig, iteration: int) -> None:

@@ -295,6 +295,20 @@ class TestMetaTrainEvaluate:
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_saturated_evaluation_exits_1_without_outputs(self, tmp_path, trained, capsys):
+        # the small architecture adapted at alpha 1e300 scores finite query
+        # probabilities, every one clamped to PROB_EPS or 1 - PROB_EPS
+        _, run_dir = trained
+        out = tmp_path / "eval"
+        code = run("evaluate", "--checkpoint", run_dir / "checkpoint.ckpt",
+                   "--data", run_dir / "test_pool.bin", "--out-dir", out, "--alpha", "1e300")
+        assert code == 1
+        assert "evaluation saturated: " in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+        assert run("evaluate", "--checkpoint", run_dir / "checkpoint.ckpt",
+                   "--data", run_dir / "test_pool.bin", "--out-dir", out) == 0
+
     def test_threads_accepted_by_every_stage(self, tmp_path, small_config):
         data_dir = tmp_path / "d"
         run(*synth_args(data_dir, fmt="bin"))

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,6 +25,17 @@ from melemad.errors import (
 
 def make_ds(features, labels, names=None):
     return dataset.LabeledDataset(np.asarray(features, dtype=float), np.asarray(labels), names)
+
+
+def traced_peak(fn, *args):
+    """fn's result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 class TestLabeledDataset:
@@ -542,6 +554,26 @@ class TestBinary:
         dataset.save_binary(back, tmp_path / "again.bin")
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("block_cells", [1, 4, 9, 1 << 16])
+    def test_block_writes_match_one_float32_body(self, tmp_path, monkeypatch, block_cells):
+        # a row view and a column subset, written a block of rows at a time,
+        # hold the bytes of the whole matrix converted at once
+        rng = np.random.default_rng(3)
+        ds = make_ds(rng.standard_normal((11, 4)) * 1e30, rng.integers(0, 2, 11))
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", block_cells)
+        for part in (ds.select_rows(slice(2, 9)), ds.select_columns([3, 0, 2])):
+            path = tmp_path / "part.bin"
+            dataset.save_binary(part, path)
+            body = part.features.astype("<f4").tobytes(order="C")
+            assert path.read_bytes()[16:] == body + part.labels.tobytes()
+
+    def test_save_holds_one_block_next_to_the_matrix(self, tmp_path):
+        rng = np.random.default_rng(4)
+        ds = make_ds(rng.standard_normal((4000, 100)), rng.integers(0, 2, 4000))
+        _, peak = traced_peak(dataset.save_binary, ds, tmp_path / "d.bin")
+        # the whole float32 body and its bytes copy held 0.5 + 0.5 x the matrix
+        assert peak <= 0.1 * ds.features.nbytes
+
     @pytest.mark.parametrize(
         "offset, value, message",
         [(16 + 4 * 5, np.float32(np.nan).tobytes(), "features contain NaN or Inf"),
@@ -722,6 +754,22 @@ class TestSynthesize:
         sorted_labels = ds.labels[order]
         changes = int(np.sum(np.diff(sorted_labels.astype(int)) != 0))
         assert changes == 1  # one clean threshold on that column
+
+    def test_holds_one_copy_of_its_matrix(self):
+        spec = dataset.SyntheticSpec(n=4000, m=500, informative=10, seed=6)
+        (ds, _), peak = traced_peak(dataset.synthesize, spec)
+        assert not ds.features.flags.writeable and ds.features.flags.c_contiguous
+        # a copy into the constructor and its n x m finiteness mask held 2.1 x
+        assert peak <= 1.3 * ds.features.nbytes
+
+    @pytest.mark.parametrize("row", [0, 5, 10])
+    def test_finiteness_checked_in_every_block(self, monkeypatch, row):
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", 6)  # two rows of three a block
+        X = np.zeros((11, 3))
+        dataset._check_finite(X)
+        X[row, 1] = np.inf
+        with pytest.raises(ValidationError, match="features contain NaN or Inf"):
+            dataset._check_finite(X)
 
     def test_informative_bounds_validated(self):
         with pytest.raises(ValidationError):

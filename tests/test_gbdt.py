@@ -116,15 +116,17 @@ def assert_same_models(a, b):
             assert getattr(x, name).tobytes() == getattr(y, name).tobytes(), name
 
 
-def reference_best_split(self, order, g, h, G, H):
+def reference_best_split(self, order, gh, G, H, root_ties):
     """Exact greedy split search with one Python iteration per feature.
 
-    Only the node's row set is taken from order. Node rows are sorted per
-    feature by a stable argsort of the rows in ascending index order, so
-    equal values keep row order. Features are visited lowest first and a
-    later one must beat the best gain strictly: the lowest feature wins ties,
-    then the lowest threshold.
+    Only the node's row set is taken from order, and g and h from the parts
+    of gh; root_ties is ignored, so every node compares its own values.
+    Node rows are sorted per feature by a stable argsort of the rows in
+    ascending index order, so equal values keep row order. Features are
+    visited lowest first and a later one must beat the best gain strictly:
+    the lowest feature wins ties, then the lowest threshold.
     """
+    g, h = gh.real, gh.imag
     min_leaf = self.cfg.min_samples_leaf
     rows = np.sort(order[0])
     n_node = rows.size
@@ -407,6 +409,77 @@ class TestBlockSplitSearch:
         assert root.feature_index[root.left[0]] == -1
         assert root.feature_index[root.right[0]] >= 0
         assert_same_models(model, reference)
+
+    @pytest.mark.parametrize("kind", ["discrete", "tie-heavy"])
+    def test_root_ties_gathered_once_per_fit(self, monkeypatch, kind):
+        # the root's tie mask comes from one values gather per block when the
+        # fit starts; every tree's root reuses it, ties and all
+        rng = np.random.default_rng(17)
+        n, m = 120, 9
+        X = features_of_kind(kind, rng, n, m)
+        y = ((X[:, 0] - X[:, 4] + rng.standard_normal(n)) > 0.0).astype(int)
+        cfg = gbdt.GbdtConfig(n_trees=8, max_depth=3, learning_rate=0.5, min_samples_leaf=3)
+        ds = make_ds(X, y)
+        root_ties = {}
+        ties = gbdt._TreeGrower._ties
+
+        def recording_ties(self, idx, j0, lo, hi):
+            tie = ties(self, idx, j0, lo, hi)
+            if idx.shape[1] == n:
+                assert j0 not in root_ties
+                root_ties[j0] = tie
+            return tie
+
+        monkeypatch.setattr(gbdt, "_BLOCK_CELLS", 4 * n)
+        with monkeypatch.context() as mp:
+            mp.setattr(gbdt._TreeGrower, "_ties", recording_ties)
+            model = gbdt.train(ds, cfg)
+        assert sorted(root_ties) == [0, 4, 8]  # one gather per block of the root
+        assert all(tie.any() for tie in root_ties.values())
+        assert all(tree.feature_index[0] >= 0 for tree in model.trees)
+        _, reference = train_both(monkeypatch, ds, cfg)
+        assert_same_models(model, reference)
+
+    def test_successive_fits_share_no_root_ties(self, monkeypatch):
+        # min_samples_leaf sets the root's window of boundaries (lo..hi), so
+        # a mask kept from the first fit would be the wrong one for the next
+        rng = np.random.default_rng(18)
+        X = features_of_kind("discrete", rng, 80, 6)
+        y = ((X[:, 1] + X[:, 2] + rng.standard_normal(80)) > 4.0).astype(int)
+        ds = make_ds(X, y)
+        for min_leaf in (1, 9, 2):
+            cfg = gbdt.GbdtConfig(
+                n_trees=4, max_depth=3, learning_rate=0.5, min_samples_leaf=min_leaf
+            )
+            model, reference = train_both(monkeypatch, ds, cfg)
+            assert_same_models(model, reference)
+
+    @pytest.mark.parametrize("kind", ["continuous", "discrete", "tie-heavy"])
+    def test_threshold_is_the_midpoint_of_sorted_node_values(self, kind):
+        # the threshold is read from X at the two winning rows; it must be the
+        # midpoint of the two distinct sorted values of the node it splits
+        rng = np.random.default_rng(19)
+        X = features_of_kind(kind, rng, 150, 5)
+        y = ((X[:, 0] + X[:, 3] + rng.standard_normal(150)) > 1.0).astype(int)
+        cfg = gbdt.GbdtConfig(n_trees=4, max_depth=4, learning_rate=0.5, min_samples_leaf=2)
+        model = gbdt.train(make_ds(X, y), cfg)
+        splits = 0
+        for tree in model.trees:
+            node_rows = {0: np.arange(150)}
+            for node in range(tree.feature_index.shape[0]):
+                feat, rows = int(tree.feature_index[node]), node_rows[node]
+                if feat < 0:
+                    continue
+                thr = tree.threshold[node]
+                values = np.unique(X[rows, feat])  # sorted, distinct
+                k = int(np.searchsorted(values, thr))
+                assert 0 < k < values.size
+                assert thr == (values[k - 1] + values[k]) / 2.0
+                go_left = X[rows, feat] < thr
+                node_rows[tree.left[node]] = rows[go_left]
+                node_rows[tree.right[node]] = rows[~go_left]
+                splits += 1
+        assert splits > 4
 
     def test_chunk_on_a_row_view_equals_one_on_a_copy(self):
         rng = np.random.default_rng(15)

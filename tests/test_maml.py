@@ -13,6 +13,7 @@ from melemad.errors import (
     Diverged,
     LengthMismatch,
     PoolTooSmall,
+    Saturated,
     SingleClassPool,
     ValidationError,
 )
@@ -984,8 +985,24 @@ class TestMetaEvaluate:
         theta = maml.init_params(maml.MlpArchitecture(input_dim=3, hidden_dims=(5,)), 4)
         with pytest.raises(Diverged, match="diverged at episode 2:"):
             maml.meta_evaluate(theta, pool, cfg)
-        probs, _ = maml.meta_evaluate(theta, pool, cfg, episodes=2)
-        assert np.all(np.isfinite(probs))
+        # finite, so not diverged, but every probability is clamped
+        with pytest.raises(Saturated, match="saturated: 30 of 30 query probabilities"):
+            maml.meta_evaluate(theta, pool, cfg, episodes=2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("limit, raises", [(29 / 30, True), (1.0, False)])
+    def test_saturation_limit_is_a_strict_fraction(self, monkeypatch, limit, raises):
+        # two episodes of 15 query rows, all 30 probabilities clamped
+        pool = random_pool(90, 3, seed=62)
+        cfg = maml.MamlConfig(alpha=1e300, samples_per_task=30, support_size=15, query_size=15)
+        theta = maml.init_params(maml.MlpArchitecture(input_dim=3, hidden_dims=(5,)), 4)
+        monkeypatch.setattr(maml, "SATURATION_LIMIT", limit)
+        if raises:
+            with pytest.raises(Saturated):
+                maml.meta_evaluate(theta, pool, cfg, episodes=2)
+        else:
+            probs, _ = maml.meta_evaluate(theta, pool, cfg, episodes=2)
+            assert np.all(np.isin(probs, [maml.PROB_EPS, 1.0 - maml.PROB_EPS]))
 
 
 class TestCheckpoint:
