@@ -6,7 +6,8 @@ types, and each override flag's argparse dest is the config key it sets.
 Every stage seeds its randomness from the global seed hashed with the stage
 name, writes outputs to a temp file and renames on success, and exits 0 on
 success, 1 on runtime failure, 2 on validation failure (among them an
-unknown config key, or a config value of the wrong type).
+unknown config key, a config value of the wrong type, or a float that is
+not finite).
 """
 from __future__ import annotations
 
@@ -107,14 +108,6 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _load_checkpoint(path: str) -> tuple[maml.ModelParams, maml.MamlConfig, int]:
-    """maml.load_checkpoint, with the stored config checked as a config
-    file's maml values are."""
-    params, config, iteration = maml.load_checkpoint(path)
-    check_fields(f"checkpoint {path} config", config, typing.get_type_hints(maml.MamlConfig))
-    return params, maml.MamlConfig(**config), iteration
-
-
 def _build(cls, section: dict, **derived):
     """cls from the section's keys that are its fields, plus derived fields."""
     names = {f.name for f in fields(cls)}
@@ -158,7 +151,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         informative=args.informative,
         noise_sigma=args.noise_sigma,
         class_balance=args.balance,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     out = _out_dir(args.output_dir)
     ds, informative = dataset.synthesize(spec)
@@ -186,17 +179,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     out = _out_dir(cfg["output_dir"])
     _atomic_save(out / "selected_features.json", lambda p: cfsgb.save_selection(selected, p))
     _atomic_save(out / "projected.bin", lambda p: dataset.save_binary(projected, p))
-    report_json = json.dumps(
-        {
-            "k": report.k,
-            "chunk_sizes": report.chunk_sizes,
-            "chunk_selected_counts": report.chunk_selected_counts,
-            "r": report.r,
-            "tau": tau,
-        },
-        sort_keys=True,
-        indent=2,
-    )
+    report_json = json.dumps({**asdict(report), "tau": tau}, sort_keys=True, indent=2)
     _atomic_save(
         out / "cfsgb_report.json",
         lambda p: p.write_text(report_json + "\n", encoding="utf-8"),
@@ -221,7 +204,7 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
     initial = None
     start_iteration = 0
     if args.resume:
-        initial, _, start_iteration = _load_checkpoint(args.resume)
+        initial, _, start_iteration = maml.load_checkpoint(args.resume)
         if initial.arch != arch:
             raise ValidationError("checkpoint architecture does not match config")
 
@@ -252,7 +235,7 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    params, ckpt_cfg, _ = _load_checkpoint(args.checkpoint)
+    params, ckpt_cfg, _ = maml.load_checkpoint(args.checkpoint)
     section = cfg["maml"]
     if args.config is None:
         # no config file: the checkpoint's embedded config stands in for it

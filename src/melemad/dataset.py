@@ -1,18 +1,19 @@
 """Labeled feature matrices: loading, persistence, scaling, splitting, synthesis.
 
 Datasets are immutable after construction (the backing arrays are marked
-read-only). The constructor copies and validates its input; a row or column
-subset of a dataset (select_rows, select_columns) and a scaled dataset
-(apply_scaler) are already valid, so each is built from its freshly computed
-matrix, or for a slice of rows from views of the parent's arrays, without a
-second copy or a re-scan. load_csv parses a CSV with numpy's
-C reader into one float64 matrix and validates it with array operations;
-where that reader could disagree with the per-cell reader, the per-cell
-reader parses the file and names the row and column at fault. load_binary
-converts its float32 body into the float64 matrix a block of rows at a time,
-and save_binary its matrix into the float32 body. synthesize wraps the matrix
-it generates without a copy, checked for finite values a block of rows at a
-time.
+read-only). Every dataset is built through one check, LabeledDataset._wrap:
+shape, finite values a block of rows at a time, labels 0 or 1 and the
+length of the names. It wraps the arrays it is given without a copy. The
+public constructor copies its input first, so the read-only flag never
+reaches the caller's arrays; a row or column subset (select_rows,
+select_columns), a scaled dataset (apply_scaler) and the matrices load_csv,
+load_binary and synthesize build are already their own, so each is wrapped
+as it is, and a slice of rows stays a view of the parent's arrays. load_csv
+parses a CSV with numpy's C reader into one float64 matrix and validates it
+with array operations; where that reader could disagree with the per-cell
+reader, the per-cell reader parses the file and names the row and column at
+fault. load_binary converts its float32 body into the float64 matrix a
+block of rows at a time, and save_binary its matrix into the float32 body.
 """
 from __future__ import annotations
 
@@ -58,35 +59,37 @@ class LabeledDataset:
     feature_names: list[str] | None = None
 
     def __post_init__(self):
-        # copy so the read-only flag below never leaks onto caller arrays
-        feats = np.array(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels)
-        if feats.ndim != 2:
-            raise ValidationError(f"features must be 2-D, got ndim={feats.ndim}")
-        if feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise ValidationError(f"need n >= 1 and m >= 1, got shape {feats.shape}")
-        if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
-            raise ValidationError(
-                f"labels length {labs.shape} does not match {feats.shape[0]} rows"
-            )
-        if not np.all(np.isfinite(feats)):
-            raise ValidationError("features contain NaN or Inf")
-        if not np.isin(labs, (0, 1)).all():
-            raise ValidationError("labels must all be 0 or 1")
-        if self.feature_names is not None and len(self.feature_names) != feats.shape[1]:
-            raise ValidationError("feature_names length does not match column count")
-        labs = labs.astype(np.uint8)
-        feats.setflags(write=False)
-        labs.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
+        # copies, so the read-only flags _wrap sets never reach caller arrays
+        ds = self._wrap(
+            np.array(self.features, dtype=np.float64), np.array(self.labels), self.feature_names
+        )
+        object.__setattr__(self, "features", ds.features)
+        object.__setattr__(self, "labels", ds.labels)
 
     @classmethod
-    def _trusted(cls, features, labels, feature_names) -> "LabeledDataset":
-        """Wrap arrays already known to be valid, without copy or checks."""
-        ds = object.__new__(cls)
+    def _wrap(cls, features: np.ndarray, labels: np.ndarray, feature_names) -> "LabeledDataset":
+        """Check float64 features and their labels and wrap them read-only,
+        without a copy. Finiteness is checked a block of rows at a time, so
+        the check's mask is a block's, not the matrix's."""
+        if features.ndim != 2:
+            raise ValidationError(f"features must be 2-D, got ndim={features.ndim}")
+        n, m = features.shape
+        if n < 1 or m < 1:
+            raise ValidationError(f"need n >= 1 and m >= 1, got shape {features.shape}")
+        if labels.ndim != 1 or labels.shape[0] != n:
+            raise ValidationError(f"labels length {labels.shape} does not match {n} rows")
+        rows = max(1, _BLOCK_CELLS // m)
+        for start in range(0, n, rows):
+            if not np.isfinite(features[start : start + rows]).all():
+                raise ValidationError("features contain NaN or Inf")
+        if not ((labels == 0) | (labels == 1)).all():
+            raise ValidationError("labels must all be 0 or 1")
+        if feature_names is not None and len(feature_names) != m:
+            raise ValidationError("feature_names length does not match column count")
+        labels = labels.astype(np.uint8, copy=False)
         features.setflags(write=False)
         labels.setflags(write=False)
+        ds = object.__new__(cls)
         object.__setattr__(ds, "features", features)
         object.__setattr__(ds, "labels", labels)
         object.__setattr__(ds, "feature_names", feature_names)
@@ -111,22 +114,15 @@ class LabeledDataset:
     def select_rows(self, indices) -> "LabeledDataset":
         """The given rows; a slice gives read-only views, not copies."""
         idx = indices if isinstance(indices, slice) else np.asarray(indices)
-        feats, labs = self.features[idx], self.labels[idx]
-        if feats.ndim != 2 or feats.shape[0] == 0:
-            # the validating constructor rejects an empty or mis-shaped subset
-            return LabeledDataset(feats, labs, self.feature_names)
-        return LabeledDataset._trusted(feats, labs, self.feature_names)
+        return LabeledDataset._wrap(self.features[idx], self.labels[idx], self.feature_names)
 
     def select_columns(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices)
-        feats = self.features[:, idx]
-        if feats.ndim != 2 or feats.shape[1] == 0:
-            # the validating constructor rejects an empty or mis-shaped subset
-            return LabeledDataset(feats, self.labels)
         names = None
         if self.feature_names is not None:
-            names = [self.feature_names[int(j)] for j in idx]
-        return LabeledDataset._trusted(feats, self.labels, names)
+            # indexed as the columns are, whatever the indices' dtype or shape
+            names = np.array(self.feature_names, dtype=object)[idx].tolist()
+        return LabeledDataset._wrap(self.features[:, idx], self.labels, names)
 
 
 @dataclass(frozen=True)
@@ -176,8 +172,8 @@ class SyntheticSpec:
             raise ValidationError("need n >= 1 and m >= 1")
         if not 0 <= self.informative <= self.m:
             raise ValidationError("informative must be in [0, m]")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0.0 < self.class_balance < 1.0:
             raise ValidationError("class_balance must be strictly between 0 and 1")
         if self.seed < 0:
@@ -269,7 +265,7 @@ def _load_csv_matrix(path: Path, label_idx: int, feature_names: list[str]):
     labels = labels.astype(np.uint8)
     # a C-contiguous matrix, as the per-cell reader builds
     features = np.delete(data, label_idx, axis=1)
-    return LabeledDataset._trusted(features, labels, feature_names)
+    return LabeledDataset._wrap(features, labels, feature_names)
 
 
 def _load_csv_cells(path: Path, label_column) -> LabeledDataset:
@@ -373,22 +369,10 @@ def load_binary(path) -> LabeledDataset:
         for start in range(0, n, rows):
             part = block[: min(rows, n - start)]
             _read_exactly(fh, part, path)
-            _check_finite(part)
             feats[start : start + part.shape[0]] = part
         labels = np.empty(n, dtype=np.uint8)
         _read_exactly(fh, labels, path)
-    if not (labels <= 1).all():
-        raise ValidationError("labels must all be 0 or 1")
-    return LabeledDataset._trusted(feats, labels, None)
-
-
-def _check_finite(features: np.ndarray) -> None:
-    """The constructor's finiteness check, made a block of rows at a time, so
-    its mask is a block's, not the matrix's."""
-    rows = max(1, _BLOCK_CELLS // features.shape[1])
-    for start in range(0, features.shape[0], rows):
-        if not np.isfinite(features[start : start + rows]).all():
-            raise ValidationError("features contain NaN or Inf")
+    return LabeledDataset._wrap(feats, labels, None)
 
 
 def _read_exactly(fh, out: np.ndarray, path: Path) -> None:
@@ -412,7 +396,7 @@ def apply_scaler(ds: LabeledDataset, sp: ScalerParams) -> LabeledDataset:
     scaled = (ds.features - sp.per_column_min) / safe_span
     scaled = np.where(span > 0, scaled, 0.0)
     np.clip(scaled, 0.0, 1.0, out=scaled)
-    return LabeledDataset._trusted(scaled, ds.labels, ds.feature_names)
+    return LabeledDataset._wrap(scaled, ds.labels, ds.feature_names)
 
 
 def save_scaler(sp: ScalerParams, path) -> None:
@@ -499,5 +483,4 @@ def synthesize(spec: SyntheticSpec) -> tuple[LabeledDataset, np.ndarray]:
         order = np.lexsort((rng.random(spec.n), logit))
         labels[order[spec.n - n_pos:]] = 1
     # X is this function's own, so it is wrapped, not copied
-    _check_finite(X)
-    return LabeledDataset._trusted(X, labels, None), informative.astype(np.int64)
+    return LabeledDataset._wrap(X, labels, None), informative.astype(np.int64)

@@ -4,6 +4,7 @@ Each class corresponds to one contract violation; callers that want to catch
 "anything this library raises" can catch MelemadError. check_fields is the one
 key-and-type check that config files and checkpoint headers go through.
 """
+import math
 import types
 import typing
 
@@ -18,11 +19,14 @@ class ValidationError(MelemadError):
 
 def _is_a(value, hint) -> bool:
     """Whether a config value fits a field annotation. A bool is not an int,
-    an int is a float, and a tuple field takes a list."""
+    an int is a float, a float field takes only a finite value, and a tuple
+    field takes a list."""
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
     if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        return isinstance(value, int) or math.isfinite(value)
     if isinstance(hint, types.UnionType):
         return any(_is_a(value, h) for h in typing.get_args(hint))
     if typing.get_origin(hint) is tuple:

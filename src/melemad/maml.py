@@ -213,8 +213,9 @@ class MamlConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValidationError("learning rates must be non-negative")
+        for name in ("alpha", "beta"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and non-negative")
         if self.outer_iterations < 0:
             raise ValidationError("outer_iterations must be >= 0")
         if self.tasks_per_meta_batch < 1:
@@ -632,6 +633,8 @@ def meta_evaluate(
     Saturated when more than SATURATION_LIMIT of all of them are clamped."""
     if episodes is None:
         episodes = max(1, math.ceil(test_pool.n / cfg.samples_per_task))
+    if episodes < 1:
+        raise ValidationError(f"episodes must be >= 1, got {episodes}")
     drawn = [sample_task(test_pool, cfg, _rng(cfg.seed, _STREAM_EVAL, j), task_index=j)
              for j in range(episodes)]
     probs_parts = []
@@ -658,11 +661,7 @@ def save_checkpoint(path, params: ModelParams, cfg: MamlConfig, iteration: int) 
     """Single-line JSON header, newline, then the flat parameters as
     little-endian float32."""
     header = {
-        "architecture": {
-            "input_dim": params.arch.input_dim,
-            "hidden_dims": list(params.arch.hidden_dims),
-            "dropout_rate": params.arch.dropout_rate,
-        },
+        "architecture": asdict(params.arch),
         "config": asdict(cfg),
         "iteration": iteration,
     }
@@ -672,12 +671,12 @@ def save_checkpoint(path, params: ModelParams, cfg: MamlConfig, iteration: int) 
         fh.write(params.values.astype("<f4").tobytes())
 
 
-def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
-    """The parameters, the stored config as a dict (for the caller to check
-    before building a MamlConfig from it) and the iteration. A header that is
-    not a JSON object holding the keys save_checkpoint writes, an architecture
-    value that does not fit its field's type, or a payload that does not hold
-    the architecture's parameters, raises ValidationError.
+def load_checkpoint(path) -> tuple[ModelParams, MamlConfig, int]:
+    """The parameters, the stored config and the iteration. A header that is
+    not a JSON object holding the keys save_checkpoint writes, an
+    architecture or config value that does not fit its field's type or
+    range, or a payload that does not hold the architecture's parameters,
+    raises ValidationError.
     """
     blob = Path(path).read_bytes()
     split = blob.find(b"\n")
@@ -690,6 +689,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
                      typing.get_type_hints(MlpArchitecture))
         arch = MlpArchitecture(**architecture)
         config, iteration = dict(header["config"]), header["iteration"]
+        check_fields(f"checkpoint {path} config", config, typing.get_type_hints(MamlConfig))
         check_fields(f"checkpoint {path}", {"iteration": iteration}, {"iteration": int})
     except KeyError as exc:
         raise ValidationError(f"{path}: checkpoint header has no key {exc}") from None
@@ -704,4 +704,4 @@ def load_checkpoint(path) -> tuple[ModelParams, dict, int]:
             f"its architecture needs {4 * arch.param_count}"
         )
     values = np.frombuffer(blob, dtype="<f4", offset=split + 1).astype(np.float64)
-    return ModelParams(values, arch), config, iteration
+    return ModelParams(values, arch), MamlConfig(**config), iteration

@@ -8,12 +8,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyConfusion, LengthMismatch, SingleClass
+from .errors import EmptyConfusion, LengthMismatch, SingleClass, ValidationError
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,8 @@ def auc(roc: np.ndarray) -> float:
 
 
 def compute_report(probs, labels, threshold: float = 0.5) -> MetricsReport:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValidationError(f"threshold must be in [0, 1], got {threshold}")
     cm = confusion(probs, labels, threshold)
     accuracy, precision, recall, f1, mcc = scalar_metrics(cm)
     roc = roc_curve(probs, labels)
@@ -128,20 +130,8 @@ def compute_report(probs, labels, threshold: float = 0.5) -> MetricsReport:
 
 
 def report_to_json(report: MetricsReport) -> str:
-    payload = {
-        "accuracy": report.accuracy,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "mcc": report.mcc,
-        "auc": report.auc,
-        "confusion": {
-            "tp": report.confusion.tp,
-            "tn": report.confusion.tn,
-            "fp": report.confusion.fp,
-            "fn": report.confusion.fn,
-        },
-    }
+    payload = asdict(report)
+    del payload["roc_points"]
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

@@ -358,6 +358,8 @@ BAD_CONFIGS = {
     "string seed": ("seed", with_entry(None, "seed", "abc")),
     "bool seed": ("seed", with_entry(None, "seed", True)),
     "negative seed": ("seed", with_entry(None, "seed", -3)),
+    "NaN for a float": ("beta", with_entry("maml", "beta", float("nan"))),
+    "Infinity for a float": ("learning_rate", with_entry("gbdt", "learning_rate", float("inf"))),
 }
 
 STAGE_ARGV = {
@@ -367,6 +369,20 @@ STAGE_ARGV = {
         "evaluate", "--checkpoint", run_dir / "checkpoint.ckpt",
         "--data", run_dir / "test_pool.bin",
     ],
+}
+
+# each a stage, a flag value it must reject, and what the error names
+BAD_FLAGS = {
+    "beta nan": ("meta-train", ["--beta", "nan"], "'beta'"),
+    "beta inf": ("meta-train", ["--beta", "inf"], "'beta'"),
+    "alpha nan": ("meta-train", ["--alpha", "nan"], "'alpha'"),
+    "noise sigma nan": ("synth", ["--noise-sigma", "nan"], "noise_sigma"),
+    "noise sigma inf": ("synth", ["--noise-sigma", "inf"], "noise_sigma"),
+    "threshold nan": ("evaluate", ["--threshold", "nan"], "threshold"),
+    "threshold above 1": ("evaluate", ["--threshold", "2"], "threshold"),
+    "threshold below 0": ("evaluate", ["--threshold", "-1"], "threshold"),
+    "zero episodes": ("evaluate", ["--episodes", "0"], "episodes"),
+    "negative episodes": ("evaluate", ["--episodes", "-1"], "episodes"),
 }
 
 # the defaults the CLI documented when it kept its own copy of them
@@ -489,6 +505,41 @@ class TestConfig:
         assert run(*argv, "--out-dir", out) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+    def test_invalid_flag_exits_2_without_outputs(self, tmp_path, trained, capsys, case):
+        stage, flags, named = BAD_FLAGS[case]
+        if stage == "synth":
+            argv = ["synth", "--n", 50, "--m", 4, "--informative", 2]
+        else:
+            argv = STAGE_ARGV[stage](*trained)
+        out = tmp_path / "out"
+        assert run(*argv, *flags, "--out-dir", out) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_dir_precedence(self, tmp_path, trained, monkeypatch):
+        # --out-dir, then the config's output_dir, then MELEMAD_OUT_DIR, then
+        # the working directory
+        flag, conf, env, cwd = dirs = [tmp_path / d for d in ("flag", "conf", "env", "cwd")]
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(with_entry(None, "output_dir", str(conf))))
+        argv = STAGE_ARGV["evaluate"](*trained)
+        for extra, env_set, expected in [
+            (["--config", config, "--out-dir", flag], True, flag),
+            (["--config", config], True, conf),
+            ([], True, env),
+            ([], False, cwd),
+        ]:
+            if env_set:
+                monkeypatch.setenv("MELEMAD_OUT_DIR", str(env))
+            else:
+                monkeypatch.delenv("MELEMAD_OUT_DIR", raising=False)
+            assert run(*argv, *extra) == 0
+            assert [d for d in dirs if (d / "metrics_report.json").exists()] == [expected]
+            (expected / "metrics_report.json").unlink()
 
     def test_int_for_a_float_and_null_for_an_optional_accepted(self, tmp_path, trained):
         data, _ = trained

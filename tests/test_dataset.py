@@ -48,14 +48,30 @@ class TestLabeledDataset:
             make_ds([[1.0]], [2])
         with pytest.raises(ValidationError):
             dataset.LabeledDataset(np.zeros((0, 3)), np.zeros(0))
+        with pytest.raises(ValidationError,
+                           match="^feature_names length does not match column count$"):
+            make_ds([[1.0, 2.0]], [0], ["a"])
 
     def test_immutable_and_copies_input(self):
         X = np.array([[1.0, 2.0]])
-        ds = make_ds(X, [1])
+        y = np.array([1], dtype=np.uint8)
+        ds = dataset.LabeledDataset(X, y)
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
-        X[0, 0] = 9.0  # caller's array stays writeable
-        assert ds.features[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            ds.labels[0] = 0
+        # the caller's arrays, uint8 labels too, stay writeable and apart
+        X[0, 0] = 9.0
+        y[0] = 0
+        assert ds.features[0, 0] == 1.0 and ds.labels[0] == 1
+        assert not np.shares_memory(ds.labels, y)
+
+    def test_holds_one_copy_of_its_input(self):
+        rng = np.random.default_rng(7)
+        X, y = rng.standard_normal((4000, 500)), rng.integers(0, 2, 4000)
+        ds, peak = traced_peak(dataset.LabeledDataset, X, y)
+        # the copy and an n x m finiteness mask held 1.125 x the matrix
+        assert peak <= 1.05 * ds.features.nbytes
 
 
 class TestSelectRows:
@@ -88,16 +104,17 @@ class TestSelectRows:
         assert sub.feature_names == ["a", "b", "c"]
         with pytest.raises(ValueError):
             sub.features[0, 0] = 1.0
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^need n >= 1 and m >= 1, got shape \(0, 3\)$"):
             ds.select_rows(slice(3, 3))
 
     def test_empty_and_2d_indices_rejected(self):
         ds = self.make()
-        with pytest.raises(ValidationError):
+        empty = r"^need n >= 1 and m >= 1, got shape \(0, 3\)$"
+        with pytest.raises(ValidationError, match=empty):
             ds.select_rows(np.array([], dtype=int))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=empty):
             ds.select_rows(np.zeros(8, dtype=bool))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^features must be 2-D, got ndim=3$"):
             ds.select_rows(np.array([[0, 1], [2, 3]]))
 
     def test_class_rows(self):
@@ -121,6 +138,7 @@ class TestSelectColumns:
         np.testing.assert_array_equal(sub.features, ds.features[:, [3, 1]])
         assert sub.labels is ds.labels
         assert sub.feature_names == ["d", "b"]
+        assert ds.select_columns([False, True, False, True]).feature_names == ["b", "d"]
 
     def test_arrays_read_only(self):
         sub = self.make().select_columns(np.array([0, 2]))
@@ -131,11 +149,12 @@ class TestSelectColumns:
 
     def test_empty_and_2d_indices_rejected(self):
         ds = self.make()
-        with pytest.raises(ValidationError):
+        empty = r"^need n >= 1 and m >= 1, got shape \(5, 0\)$"
+        with pytest.raises(ValidationError, match=empty):
             ds.select_columns(np.array([], dtype=int))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=empty):
             ds.select_columns(np.zeros(4, dtype=bool))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^features must be 2-D, got ndim=3$"):
             ds.select_columns(np.array([[0, 1], [2, 3]]))
 
 
@@ -765,12 +784,19 @@ class TestSynthesize:
     @pytest.mark.parametrize("row", [0, 5, 10])
     def test_finiteness_checked_in_every_block(self, monkeypatch, row):
         monkeypatch.setattr(dataset, "_BLOCK_CELLS", 6)  # two rows of three a block
-        X = np.zeros((11, 3))
-        dataset._check_finite(X)
+        X, y = np.zeros((11, 3)), np.zeros(11)
+        dataset.LabeledDataset(X, y)
         X[row, 1] = np.inf
         with pytest.raises(ValidationError, match="features contain NaN or Inf"):
-            dataset._check_finite(X)
+            dataset.LabeledDataset(X, y)
+        with pytest.raises(ValidationError, match="features contain NaN or Inf"):
+            dataset.LabeledDataset._wrap(X, y, None)
 
     def test_informative_bounds_validated(self):
         with pytest.raises(ValidationError):
             dataset.SyntheticSpec(n=10, m=5, informative=6)
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValidationError, match="noise_sigma must be finite and >= 0"):
+            dataset.SyntheticSpec(n=10, m=5, informative=2, noise_sigma=sigma)

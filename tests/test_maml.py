@@ -357,8 +357,10 @@ class TestSampleTask:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             maml.MamlConfig(samples_per_task=10, support_size=6, query_size=6)
-        with pytest.raises(ValidationError):
-            maml.MamlConfig(alpha=-1.0)
+        for key in ("alpha", "beta"):
+            for value in (-1.0, math.nan, math.inf):
+                with pytest.raises(ValidationError, match=f"{key} must be finite"):
+                    maml.MamlConfig(**{key: value})
 
 
 def episode_pool(Xs, ys, Xq, yq, task_index=0):
@@ -976,6 +978,14 @@ class TestMetaEvaluate:
         probs, labels = maml.meta_evaluate(theta, pool, cfg)
         np.testing.assert_array_equal(probs, 0.5)
 
+    @pytest.mark.parametrize("episodes", [0, -1])
+    def test_episode_count_must_be_positive(self, episodes):
+        pool = random_pool(60, 2, seed=61)
+        cfg = maml.MamlConfig(samples_per_task=20, support_size=10, query_size=10)
+        theta = maml.init_params(maml.MlpArchitecture(input_dim=2, hidden_dims=(4,)), 1)
+        with pytest.raises(ValidationError, match=f"episodes must be >= 1, got {episodes}"):
+            maml.meta_evaluate(theta, pool, cfg, episodes=episodes)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_naming_the_episode(self):
         # three episodes in one stack: at alpha 1e300 the first two saturate
@@ -1015,7 +1025,7 @@ class TestCheckpoint:
         loaded, loaded_cfg, iteration = maml.load_checkpoint(path)
         assert iteration == 12
         assert loaded.arch == arch
-        assert maml.MamlConfig(**loaded_cfg) == cfg
+        assert loaded_cfg == cfg
         np.testing.assert_array_equal(
             loaded.values, params.values.astype(np.float32).astype(np.float64)
         )

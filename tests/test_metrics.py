@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from melemad import metrics
-from melemad.errors import EmptyConfusion, LengthMismatch, SingleClass
+from melemad.errors import EmptyConfusion, LengthMismatch, SingleClass, ValidationError
 
 
 # independent oracles: plain-python recount and pairwise ranking statistic
@@ -210,3 +210,8 @@ class TestReport:
         assert lines[0] == "fpr,tpr"
         assert lines[1].startswith("0.0,")
         assert lines[-1] == "1.0,1.0"
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, 2.0])
+    def test_rejects_a_threshold_outside_the_unit_interval(self, threshold):
+        with pytest.raises(ValidationError, match="threshold must be in"):
+            metrics.compute_report([0.4, 0.6], [0, 1], threshold)
