@@ -193,10 +193,11 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
     seed = cfg["seed"]
     split_spec = _build(dataset.SplitSpec, cfg["split"], seed=derive_seed(seed, "split"))
     maml_cfg = _build(maml.MamlConfig, cfg["maml"], seed=derive_seed(seed, "meta-train"))
-    ds = _load_dataset(args.input, args.label_column)
-    arch = _build(maml.MlpArchitecture, cfg["maml"], input_dim=ds.m)
-
-    train_pool, test_pool = dataset.stratified_split(ds, split_spec)
+    # the loaded dataset is not kept: meta-training reads only the split pools
+    train_pool, test_pool = dataset.stratified_split(
+        _load_dataset(args.input, args.label_column), split_spec
+    )
+    arch = _build(maml.MlpArchitecture, cfg["maml"], input_dim=train_pool.m)
     scaler = dataset.fit_scaler(train_pool)
     train_pool = dataset.apply_scaler(train_pool, scaler)
     test_pool = dataset.apply_scaler(test_pool, scaler)
@@ -235,6 +236,8 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    # before anything is adapted: compute_report checks it only at the end
+    metrics.check_threshold(args.threshold)
     params, ckpt_cfg, _ = maml.load_checkpoint(args.checkpoint)
     section = cfg["maml"]
     if args.config is None:

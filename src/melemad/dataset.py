@@ -9,11 +9,13 @@ reaches the caller's arrays; a row or column subset (select_rows,
 select_columns), a scaled dataset (apply_scaler) and the matrices load_csv,
 load_binary and synthesize build are already their own, so each is wrapped
 as it is, and a slice of rows stays a view of the parent's arrays. load_csv
-parses a CSV with numpy's C reader into one float64 matrix and validates it
-with array operations; where that reader could disagree with the per-cell
-reader, the per-cell reader parses the file and names the row and column at
-fault. load_binary converts its float32 body into the float64 matrix a
-block of rows at a time, and save_binary its matrix into the float32 body.
+parses a CSV with numpy's C reader into one float64 matrix, validates it
+with array operations and compacts its feature columns into the front of
+that matrix's buffer a block of rows at a time, so it holds one copy; where
+that reader could disagree with the per-cell reader, the per-cell reader
+parses the file and names the row and column at fault. load_binary
+converts its float32 body into the float64 matrix a block of rows at a
+time, and save_binary its matrix into the float32 body.
 """
 from __future__ import annotations
 
@@ -127,7 +129,8 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class ScalerParams:
-    """Per-column min/max fitted on one dataset."""
+    """Per-column min/max fitted on one dataset; each column's span max - min
+    must be finite, since apply_scaler divides by it."""
 
     per_column_min: np.ndarray
     per_column_max: np.ndarray
@@ -141,6 +144,13 @@ class ScalerParams:
             raise ValidationError("scaler min/max contain NaN or Inf")
         if np.any(lo > hi):
             raise ValidationError("per-column min exceeds max")
+        # apply_scaler divides by the span, which must not overflow
+        with np.errstate(over="ignore"):
+            wide = np.flatnonzero(~np.isfinite(hi - lo))
+        if wide.size:
+            raise ValidationError(
+                f"scaler span max - min overflows to Inf in column {int(wide[0])}"
+            )
         object.__setattr__(self, "per_column_min", lo)
         object.__setattr__(self, "per_column_max", hi)
 
@@ -263,8 +273,15 @@ def _load_csv_matrix(path: Path, label_idx: int, feature_names: list[str]):
     if not np.isfinite(data).all() or not ((labels == 0.0) | (labels == 1.0)).all():
         return None
     labels = labels.astype(np.uint8)
-    # a C-contiguous matrix, as the per-cell reader builds
-    features = np.delete(data, label_idx, axis=1)
+    # compact the feature columns into the front of the loaded buffer, a
+    # block of rows at a time, for a C-contiguous matrix as the per-cell
+    # reader builds: a block's rows land before any row a later block reads
+    n, width = data.shape
+    features = data.reshape(-1)[: n * (width - 1)].reshape(n, width - 1)
+    columns = np.delete(np.arange(width), label_idx)
+    rows = max(1, _BLOCK_CELLS // width)
+    for start in range(0, n, rows):
+        features[start : start + rows] = data[start : start + rows, columns]
     return LabeledDataset._wrap(features, labels, feature_names)
 
 

@@ -33,18 +33,24 @@ keyed by (stream, episode index, s), in training and evaluation alike
 (_mask_key), so a mask does not depend on the stack size, on how often an
 episode is scored, or on where a run was resumed.
 
-Each pass writes its per-layer pre-activations, activations and deltas into
-float64 scratch buffers kept between calls (_scratch), with the same ufunc
-and matmul calls, so the bits do not change; a stack's gathered rows and
-dropout masks live there too. At paper scale these arrays are megabytes
-each; allocated afresh, the allocator hands them back to the OS
-after every pass and the next pass page-faults them in again, which cost
-more time than the arithmetic. The scratch pins one pass's activations
-(each buffer at its largest pass so far) between calls and is not
-thread-safe: passes must run on one thread. Every array a caller keeps
-(forward's probabilities, backward's gradient, adapted parameters) is fresh;
-the layer inputs and pre-activations _forward_pass also returns live in the
-scratch and are overwritten by the next pass.
+A pass holds one float64 scratch buffer per hidden layer, kept between
+calls (_scratch): the bias add, the ReLU and the dropout run in place in
+it, and backpropagation overwrites it with the layer's delta once the
+weight gradient above has read it, the ReLU gate taken as a bool array from
+the activations being positive. Dropout masks are bool keep masks, and
+backward's dropout_mask argument is one; a pass multiplies by the keep mask
+and then by 1 / (1 - dropout_rate). Every value comes out bit for bit as
+with separate pre-activation, activation and delta buffers and a float64
+inverted-scaling mask: x*1*s is x*s, x*0*s is x*0, and where a unit is
+dropped its delta is already 0 or NaN, which the gate leaves as it is. A
+stack's gathered rows and keep masks live in the scratch too. At paper
+scale these arrays are megabytes each; allocated afresh, the allocator
+hands them back to the OS after every pass and the next pass page-faults
+them in again, which cost more time than the arithmetic. The scratch pins one pass's buffers (each at its largest pass
+so far) between calls and is not thread-safe: passes must run on one
+thread. Every array a caller keeps (forward's probabilities, backward's
+gradient, adapted parameters) is fresh; the layer inputs _forward_pass also
+returns live in the scratch and are overwritten by the next pass.
 """
 from __future__ import annotations
 
@@ -86,8 +92,10 @@ _ADAM_EPSILON = 1e-8
 # a paper-scale task runs one episode a stack
 _STACK_CELLS = 1 << 14
 
-# one float64 buffer per tag, grown to the largest pass it has served
+# one buffer per tag, grown to the largest pass it has served
 _SCRATCH: dict[str, np.ndarray] = {}
+# cells of dropout_mask's float64 draw buffer, which a block of rows fills
+_DRAW_CELLS = 1 << 12
 
 # stream tags, second in every generator key after the root seed; the keys
 # of one tag share one length, since SeedSequence zero-pads keys shorter
@@ -275,50 +283,60 @@ def init_params(arch: MlpArchitecture, seed: int) -> ModelParams:
 
 def dropout_mask(arch: MlpArchitecture, n_rows: int, keys: list[tuple[int, ...]],
                  step: int) -> np.ndarray | None:
-    """Inverted-scaling keep masks for the first hidden layer of a stack of
-    episodes at inner step `step`, (len(keys), n_rows, h0), episode t's drawn
-    from the generator keyed keys[t] + (step,); None if the architecture has
-    no dropout. The masks are step's scratch buffer, valid until the next
-    call for the same step."""
+    """Keep masks for the first hidden layer of a stack of episodes at inner
+    step `step`: bool (len(keys), n_rows, h0), True where a unit is kept;
+    None if the architecture has no dropout. Episode t's uniforms come from
+    the generator keyed keys[t] + (step,), drawn a block of rows at a time
+    into one small float64 buffer: the same stream as one draw of the whole
+    (n_rows, h0) array. Forward and backward multiply by the keep mask and
+    then by 1 / (1 - dropout_rate). The masks are step's scratch buffer,
+    valid until the next call for the same step."""
     if arch.dropout_rate == 0.0:
         return None
-    mask = _scratch(f"mask{step}", (len(keys), n_rows, arch.hidden_dims[0]))
+    h0 = arch.hidden_dims[0]
+    keep = _scratch(f"keep{step}", (len(keys), n_rows, h0), bool)
+    rows = max(1, _DRAW_CELLS // h0)
+    draw = _scratch("uniforms", (min(rows, n_rows), h0))
     for t, key in enumerate(keys):
-        _rng(*key, step).random(out=mask[t])
-    np.greater_equal(mask, arch.dropout_rate, out=mask)
-    return np.divide(mask, 1.0 - arch.dropout_rate, out=mask)
+        rng = _rng(*key, step)
+        for start in range(0, n_rows, rows):
+            block = draw[: min(rows, n_rows - start)]
+            rng.random(out=block)
+            np.greater_equal(block, arch.dropout_rate,
+                             out=keep[t, start : start + block.shape[0]])
+    return keep
 
 
-def _scratch(tag: str, shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised C-contiguous float64 array of `shape` in tag's
-    buffer, valid until the next call with the same tag."""
+def _scratch(tag: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An uninitialised C-contiguous array of `shape` in tag's buffer, valid
+    until the next call with the same tag."""
     size = math.prod(shape)
     buf = _SCRATCH.get(tag)
     if buf is None or buf.size < size:
-        buf = _SCRATCH[tag] = np.empty(size)
+        buf = _SCRATCH[tag] = np.empty(size, dtype)
     return buf[:size].reshape(shape)
 
 
-def _forward_pass(params: ModelParams, X: np.ndarray, mask: np.ndarray | None):
-    """Returns (layer inputs, pre-activations, raw probs, clamped probs);
-    the hidden layers' inputs and pre-activations are scratch views."""
+def _forward_pass(params: ModelParams, X: np.ndarray, keep: np.ndarray | None):
+    """One pass over checked rows X, with dropout where a keep mask is given.
+    Returns params' layers, the layer inputs and the raw and clamped probs.
+    Each hidden layer's activations are one scratch buffer (a{i}): the bias
+    add, the ReLU and the dropout run in place in it."""
     layers = params.layers()
     inputs = [X]
-    pre = []
     a = X
     for i, (W, b) in enumerate(layers[:-1]):
-        shape = (*a.shape[:-1], W.shape[-1])
-        z = np.matmul(a, W, out=_scratch(f"z{i}", shape))
-        np.add(z, b[..., None, :], out=z)
-        pre.append(z)
-        a = np.maximum(z, 0.0, out=_scratch(f"a{i}", shape))
-        if i == 0 and mask is not None:
-            np.multiply(a, mask, out=a)
+        a = np.matmul(a, W, out=_scratch(f"a{i}", (*a.shape[:-1], W.shape[-1])))
+        np.add(a, b[..., None, :], out=a)
+        np.maximum(a, 0.0, out=a)
+        if i == 0 and keep is not None:
+            np.multiply(a, keep, out=a)
+            np.multiply(a, 1.0 / (1.0 - params.arch.dropout_rate), out=a)
         inputs.append(a)
     W_out, b_out = layers[-1]
     z_out = (a @ W_out + b_out[..., None, :])[..., 0]
     p_raw = _sigmoid(z_out)
-    return inputs, pre, p_raw, np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS)
+    return layers, inputs, p_raw, np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS)
 
 
 def _check_input(params: ModelParams, X) -> np.ndarray:
@@ -365,46 +383,53 @@ def backward(
     """Exact gradient of mean BCE over the forward pass, flat layout; for a
     stack, one gradient per episode (T, P), each over its own rows.
 
-    Pass the same mask the paired forward used; rows where the output clamp
-    is active contribute zero gradient, matching the clamped loss exactly.
+    dropout_mask is the bool keep mask (dropout_mask) the paired forward
+    used, or None; rows where the output clamp is active contribute zero
+    gradient, matching the clamped loss exactly.
     """
+    if dropout_mask is not None and dropout_mask.dtype != bool:
+        raise ValidationError(f"dropout_mask must be a bool keep mask, got {dropout_mask.dtype}")
     return _probs_and_grad(params, _check_input(params, X), labels, dropout_mask)[1]
 
 
 def _probs_and_grad(params: ModelParams, X: np.ndarray, labels,
-                    mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+                    keep: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """One forward pass over checked rows X and its backpropagation: the
-    clamped probabilities and the gradient of their mean BCE at labels."""
+    clamped probabilities and the gradient of their mean BCE at labels. Each
+    layer's weight and bias gradients are written into their views of the
+    one (..., P) output. Layer i's delta is written over its activations
+    once the weight gradient above it has read them, so a pass holds one
+    buffer per hidden layer."""
     y = np.asarray(labels, dtype=np.float64)
     if X.ndim == 2:
         y = y.ravel()
     if y.shape != X.shape[:-1]:
         raise LengthMismatch(f"{X.shape[:-1]} rows vs {y.shape} labels")
-    inputs, pre, p_raw, p = _forward_pass(params, X, mask)
+    layers, inputs, p_raw, p = _forward_pass(params, X, keep)
     n = X.shape[-2]
 
-    layers = params.layers()
-    grads = [None] * len(layers)
+    grad = np.empty((*X.shape[:-2], params.arch.param_count))
+    grad_layers = ModelParams._trusted(grad, params.arch).layers()
     interior = (p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)
     d = (np.where(interior, p - y, 0.0) / n)[..., None]
 
     for i in range(len(layers) - 1, -1, -1):
-        W, _ = layers[i]
-        grads[i] = (np.swapaxes(inputs[i], -1, -2) @ d, d.sum(axis=-2))
+        grad_W, grad_b = grad_layers[i]
+        np.matmul(np.swapaxes(inputs[i], -1, -2), d, out=grad_W)
+        np.sum(d, axis=-2, out=grad_b)
         if i == 0:
             break
-        z = pre[i - 1]
-        d = np.matmul(d, np.swapaxes(W, -1, -2), out=_scratch(f"d{i - 1}", z.shape))
-        if i == 1 and mask is not None:
-            np.multiply(d, mask, out=d)
-        # the ReLU gate as 1.0/0.0, written over the pre-activations that
-        # this pass reads for the last time here
-        np.multiply(d, np.greater(z, 0.0, out=z), out=d)
-
-    lead = X.shape[:-2]
-    return p, np.concatenate(
-        [part for gw, gb in grads for part in (gw.reshape(*lead, -1), gb)], axis=-1
-    )
+        # the ReLU gate of the layer below, taken from its activations (a
+        # dropped unit's is 0, where its delta is already 0 or NaN), which
+        # its delta then overwrites
+        a = inputs[i]
+        gate = np.greater(a, 0.0, out=_scratch("gate", a.shape, bool))
+        d = np.matmul(d, np.swapaxes(layers[i][0], -1, -2), out=a)
+        if i == 1 and keep is not None:
+            np.multiply(d, keep, out=d)
+            np.multiply(d, 1.0 / (1.0 - params.arch.dropout_rate), out=d)
+        np.multiply(d, gate, out=d)
+    return p, grad
 
 
 def inner_adapt(
@@ -422,16 +447,16 @@ def inner_adapt(
     architecture without dropout draws none. theta is never modified.
 
     Returns the parameter stack before each step followed by the adapted
-    stack (inner_steps + 1 arrays), and each step's (T, n, h0) mask, a
-    scratch view (dropout_mask), or None.
+    stack (inner_steps + 1 arrays), and each step's bool (T, n, h0) keep
+    mask, a scratch view (dropout_mask), or None.
     """
     arch = theta.arch
     path = [theta.values]
     masks: list[np.ndarray | None] = []
     for step in range(inner_steps):
-        mask = dropout_mask(arch, X.shape[1], dropout_keys, step)
-        grad = backward(ModelParams._trusted(path[-1], arch), X, y, mask)
-        masks.append(mask)
+        keep = dropout_mask(arch, X.shape[1], dropout_keys, step)
+        grad = backward(ModelParams._trusted(path[-1], arch), X, y, keep)
+        masks.append(keep)
         path.append(path[-1] - alpha * grad)
     return path, masks
 
@@ -485,11 +510,12 @@ def _hvp(
     params: ModelParams,
     X: np.ndarray,
     y: np.ndarray,
-    mask: np.ndarray | None,
+    keep: np.ndarray | None,
     vec: np.ndarray,
 ) -> np.ndarray:
     """Hessian-vector product of each stacked episode's support loss via
-    central differences of the analytic gradient.
+    central differences of the analytic gradient, under the step's keep
+    mask (or None).
 
     Each episode's step comes from its own 1-D norm: the axis= form of
     np.linalg.norm sums in another order and would change the bits.
@@ -501,8 +527,8 @@ def _hvp(
             for p, norm in zip(params.values, norms)
         ]
     )[:, None]
-    g_plus = backward(ModelParams._trusted(params.values + r * vec, params.arch), X, y, mask)
-    g_minus = backward(ModelParams._trusted(params.values - r * vec, params.arch), X, y, mask)
+    g_plus = backward(ModelParams._trusted(params.values + r * vec, params.arch), X, y, keep)
+    g_minus = backward(ModelParams._trusted(params.values - r * vec, params.arch), X, y, keep)
     out = (g_plus - g_minus) / (2.0 * r)
     out[np.array(norms) == 0.0] = 0.0
     return out

@@ -111,9 +111,14 @@ def auc(roc: np.ndarray) -> float:
     return float(np.trapezoid(roc[:, 1], roc[:, 0]))
 
 
-def compute_report(probs, labels, threshold: float = 0.5) -> MetricsReport:
+def check_threshold(threshold: float) -> None:
+    """Raise ValidationError unless threshold is in [0, 1]; NaN is not."""
     if not 0.0 <= threshold <= 1.0:
         raise ValidationError(f"threshold must be in [0, 1], got {threshold}")
+
+
+def compute_report(probs, labels, threshold: float = 0.5) -> MetricsReport:
+    check_threshold(threshold)
     cm = confusion(probs, labels, threshold)
     accuracy, precision, recall, f1, mcc = scalar_metrics(cm)
     roc = roc_curve(probs, labels)

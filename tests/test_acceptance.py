@@ -129,6 +129,19 @@ def test_criterion_02_metric_oracle_equivalence():
 
 # ---------------------------------------------------------------- criterion 3
 
+def pre_activations(params, X, keep):
+    """Each hidden layer's pre-activations, computed from params.layers():
+    the pass overwrites its own."""
+    pre = []
+    a = X
+    for i, (W, b) in enumerate(params.layers()[:-1]):
+        pre.append(a @ W + b)
+        a = np.maximum(pre[-1], 0.0)
+        if i == 0 and keep is not None:
+            a = a * (keep / (1.0 - params.arch.dropout_rate))
+    return pre
+
+
 def smooth_instance(seed, with_dropout):
     for attempt in range(50):
         rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
@@ -143,8 +156,8 @@ def smooth_instance(seed, with_dropout):
         y = rng.integers(0, 2, n)
         dropout_seed = int(rng.integers(0, 2**31))
         mask = maml.dropout_mask(arch, n, [(dropout_seed,)], 0)[0] if with_dropout else None
-        _, pre, p_raw, _ = maml._forward_pass(params, X, mask)
-        kink_gap = min(float(np.abs(z).min()) for z in pre)
+        p_raw = maml._forward_pass(params, X, mask)[2]
+        kink_gap = min(float(np.abs(z).min()) for z in pre_activations(params, X, mask))
         clamp_gap = min(float(p_raw.min() - 1e-7), float(1 - 1e-7 - p_raw.max()))
         if kink_gap > 1e-3 and clamp_gap > 1e-4:
             return arch, params, X, y, dropout_seed

@@ -309,6 +309,33 @@ class TestMetaTrainEvaluate:
         assert run("evaluate", "--checkpoint", run_dir / "checkpoint.ckpt",
                    "--data", run_dir / "test_pool.bin", "--out-dir", out) == 0
 
+    def test_overflowing_scaler_span_exits_2_naming_the_column(self, tmp_path, small_config,
+                                                               capsys):
+        # each class's rows sit at one end, so the train split holds both ends
+        data = tmp_path / "wide.csv"
+        data.write_text("f0,label\n-1e308,0\n1e308,1\n-1e308,0\n1e308,1\n")
+        out = tmp_path / "run"
+        code = run("meta-train", "--config", small_config, "--input", data, "--out-dir", out)
+        assert code == 2
+        assert "overflows to Inf in column 0" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("threshold", ["1.5", "nan"])
+    def test_threshold_checked_before_adapting(self, tmp_path, trained, monkeypatch, capsys,
+                                               threshold):
+        def refuse(*args, **kwargs):
+            raise AssertionError("meta_evaluate ran")
+
+        monkeypatch.setattr(maml, "meta_evaluate", refuse)
+        _, run_dir = trained
+        out = tmp_path / "eval"
+        code = run("evaluate", "--checkpoint", run_dir / "checkpoint.ckpt",
+                   "--data", run_dir / "test_pool.bin", "--out-dir", out,
+                   "--threshold", threshold)
+        assert code == 2
+        assert "threshold must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_threads_accepted_by_every_stage(self, tmp_path, small_config):
         data_dir = tmp_path / "d"
         run(*synth_args(data_dir, fmt="bin"))

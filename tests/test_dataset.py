@@ -215,6 +215,39 @@ class TestCsv:
             assert back.feature_names == ["f0", "f1", "f2", "f3"]
 
 
+    @pytest.mark.parametrize("label_at", [0, 3, 7], ids=["first", "middle", "last"])
+    def test_compacted_a_block_at_a_time(self, tmp_path, monkeypatch, label_at):
+        # 64-cell blocks: 8 rows of the 8-column file a block, 13 blocks
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", 64)
+        rng = np.random.default_rng(label_at)
+        ds = make_ds(rng.standard_normal((100, 7)), rng.integers(0, 2, 100))
+        lines = []
+        for row, label in zip([[f"f{j}" for j in range(7)], *ds.features.tolist()],
+                              ["label", *ds.labels.tolist()]):
+            cells = [str(v) if isinstance(v, str) else repr(v) for v in row]
+            lines.append(",".join([*cells[:label_at], str(label), *cells[label_at:]]))
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset, "_load_csv_cells", refuse)
+            loaded = dataset.load_csv(path)
+        cells = dataset._load_csv_cells(path, "label")
+        assert loaded.features.flags.c_contiguous and loaded.features.dtype == np.float64
+        assert loaded.features.tobytes() == ds.features.tobytes() == cells.features.tobytes()
+        assert loaded.labels.tobytes() == ds.labels.tobytes()
+        assert loaded.feature_names == cells.feature_names == [f"f{j}" for j in range(7)]
+
+    def test_load_holds_one_copy_of_the_matrix(self, tmp_path):
+        rng = np.random.default_rng(9)
+        ds = make_ds(rng.standard_normal((15000, 40)), rng.integers(0, 2, 15000))
+        path = tmp_path / "d.csv"
+        dataset.save_csv(ds, path)
+        loaded, peak = traced_peak(dataset.load_csv, path)
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        # np.loadtxt alone peaks at about 1.22x the feature matrix
+        assert peak <= 1.3 * ds.features.nbytes
+
+
 def reference_save_csv(ds, path, label_column="label"):
     """The csv.writer-per-row writer that save_csv replaced."""
     names = ds.feature_names or [f"f{j}" for j in range(ds.m)]
@@ -649,6 +682,18 @@ class TestScaler:
             dataset.ScalerParams(np.array([-np.inf]), np.array([1.0]))
         with pytest.raises(ValidationError):
             dataset.ScalerParams(np.array([0.0]), np.array([np.nan]))
+
+    def test_overflowing_span_rejected_naming_the_column(self):
+        ds = make_ds([[-1e308], [1e308], [-1e308], [1e308]], [0, 1, 0, 1])
+        with pytest.raises(ValidationError, match="overflows to Inf in column 0$"):
+            dataset.fit_scaler(ds)
+        # a loaded scaler too
+        with pytest.raises(ValidationError, match="overflows to Inf in column 1$"):
+            dataset.ScalerParams(np.array([0.0, -1e308]), np.array([1.0, 1e308]))
+        # the widest finite span is accepted and scales as before
+        sp = dataset.fit_scaler(make_ds([[-1e308], [7e307], [0.0]], [0, 1, 0]))
+        out = dataset.apply_scaler(make_ds([[0.0]], [1]), sp)
+        assert out.features.tobytes() == np.array([[1e308 / (7e307 + 1e308)]]).tobytes()
 
     def test_dimension_mismatch(self):
         sp = dataset.fit_scaler(make_ds([[1.0, 2.0]], [0]))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,17 +33,30 @@ def random_pool(n, m, seed, balance=0.5):
 
 
 def one_mask(arch, n, key, step=0):
-    """Episode key's dropout mask at inner step `step`, as a fresh (n, h0)
+    """Episode key's keep mask at inner step `step`, as a fresh bool (n, h0)
     array (dropout_mask's stack is scratch), or None without dropout."""
     mask = maml.dropout_mask(arch, n, [key], step)
     return None if mask is None else mask[0].copy()
 
 
 def reference_mask(arch, n, key, step):
-    """Episode key's mask at inner step `step`, drawn as it was before masks
-    were stacked: one fresh array from the generator keyed key + (step,)."""
-    mask = maml._rng(*key, step).random((n, arch.hidden_dims[0]))
-    return (mask >= arch.dropout_rate) / (1.0 - arch.dropout_rate)
+    """Episode key's keep mask at inner step `step`, drawn as it was before
+    masks were stacked or drawn a block at a time: one fresh array from the
+    generator keyed key + (step,)."""
+    return maml._rng(*key, step).random((n, arch.hidden_dims[0])) >= arch.dropout_rate
+
+
+def pre_activations(params, X, keep=None):
+    """Each hidden layer's pre-activations for one parameter vector, computed
+    from params.layers() (a pass keeps none), dropout as in the pass."""
+    pre = []
+    a = X
+    for i, (W, b) in enumerate(params.layers()[:-1]):
+        pre.append(a @ W + b)
+        a = np.maximum(pre[-1], 0.0)
+        if i == 0 and keep is not None:
+            a = a * (keep / (1.0 - params.arch.dropout_rate))
+    return pre
 
 
 def adapt(theta, X, y, alpha, inner_steps, dropout_key=(0,)):
@@ -90,8 +104,8 @@ def smooth_instance(seed, with_dropout=False):
         y = rng.integers(0, 2, n)
         dropout_seed = int(rng.integers(0, 2**31))
         mask = one_mask(arch, n, (dropout_seed,)) if with_dropout else None
-        inputs, pre, p_raw, _ = maml._forward_pass(params, X, mask)
-        min_gap = min(float(np.abs(z).min()) for z in pre)
+        p_raw = maml._forward_pass(params, X, mask)[2]
+        min_gap = min(float(np.abs(z).min()) for z in pre_activations(params, X, mask))
         clamp_gap = min(float(p_raw.min() - 1e-7), float(1 - 1e-7 - p_raw.max()))
         if min_gap > 1e-3 and clamp_gap > 1e-4:
             return arch, params, X, y, dropout_seed
@@ -887,6 +901,109 @@ class TestScratchReuse:
         finally:
             tracemalloc.stop()
         assert peak - baseline < n * arch.hidden_dims[0] * 8
+
+
+def two_buffer_pass(params, X, y, keep):
+    """The pass as it was before activations became deltas: a buffer per
+    pre-activation, activation and delta, a float64 inverted-scaling mask
+    and a gradient concatenated from its parts; the oracle for the bytes of
+    the one-buffer pass. Returns the clamped probs and the gradient."""
+    mask = None if keep is None else keep / (1.0 - params.arch.dropout_rate)
+    layers = params.layers()
+    inputs, pre = [X], []
+    a = X
+    for i, (W, b) in enumerate(layers[:-1]):
+        z = np.matmul(a, W)
+        np.add(z, b[..., None, :], out=z)
+        pre.append(z)
+        a = np.maximum(z, 0.0)
+        if i == 0 and mask is not None:
+            a = a * mask
+        inputs.append(a)
+    W_out, b_out = layers[-1]
+    p_raw = maml._sigmoid((a @ W_out + b_out[..., None, :])[..., 0])
+    p = np.clip(p_raw, maml.PROB_EPS, 1.0 - maml.PROB_EPS)
+    interior = (p_raw > maml.PROB_EPS) & (p_raw < 1.0 - maml.PROB_EPS)
+    d = (np.where(interior, p - y, 0.0) / X.shape[-2])[..., None]
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        grads[i] = (np.swapaxes(inputs[i], -1, -2) @ d, d.sum(axis=-2))
+        if i == 0:
+            break
+        d = d @ np.swapaxes(layers[i][0], -1, -2)
+        if i == 1 and mask is not None:
+            d = d * mask
+        d = d * (pre[i - 1] > 0.0).astype(np.float64)
+    lead = X.shape[:-2]
+    return p, np.concatenate(
+        [part for gw, gb in grads for part in (gw.reshape(*lead, -1), gb)], axis=-1
+    )
+
+
+class TestOneBufferPass:
+    """A pass holds one float64 buffer per hidden layer, whose activations
+    its deltas overwrite, and bool keep masks; its bytes are the two-buffer
+    pass's."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no-dropout", "dropout"])
+    @pytest.mark.parametrize("lead,n", [((), 7), ((1,), 5000), ((3,), 9)],
+                             ids=["single", "T1-5000", "T3"])
+    def test_matches_two_buffer_oracle(self, rate, lead, n):
+        arch = maml.MlpArchitecture(input_dim=5, hidden_dims=(8, 4, 3), dropout_rate=rate)
+        rng = np.random.default_rng(n + len(lead))
+        values = maml.init_params(arch, 120).values + rng.normal(0, 0.3, (*lead, arch.param_count))
+        params = maml.ModelParams(values, arch)
+        X = rng.normal(0, 2, (*lead, n, 5))
+        y = rng.integers(0, 2, (*lead, n)).astype(np.float64)
+        keep = None
+        if rate:
+            T = lead[0] if lead else 1
+            keep = maml.dropout_mask(arch, n, [(121, t) for t in range(T)], 0).copy()
+            keep = keep.reshape(*lead, n, 8)
+        # row 0 drives unit 0 of the first layer to +inf, which row 0 keeps;
+        # row 1 drives it to +inf under a zero keep; row 2 holds a NaN
+        W0 = params.layers()[0][0]
+        X[..., :2, :] = 0.0
+        X[..., :2, 0] = np.inf * np.sign(W0[..., 0, :1])
+        assert np.all(np.isposinf((X[..., :2, :] @ W0)[..., 0]))
+        X[..., 2, 1] = np.nan
+        if keep is not None:
+            keep[..., 0, 0] = True
+            keep[..., 1, 0] = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected_p, expected_grad = two_buffer_pass(params, X, y, keep)
+            oracle_p, oracle_grad = two_buffer_pass(params, X, y, None)
+            probs, grad = maml.forward(params, X, y)
+            assert probs.tobytes() == oracle_p.tobytes()
+            assert grad.tobytes() == oracle_grad.tobytes()
+            assert maml.forward(params, X).tobytes() == oracle_p.tobytes()
+            assert maml.backward(params, X, y, keep).tobytes() == expected_grad.tobytes()
+            assert maml._forward_pass(params, X, keep)[3].tobytes() == expected_p.tobytes()
+
+    def test_rejects_a_float_mask(self):
+        arch = maml.MlpArchitecture(input_dim=3, hidden_dims=(4,), dropout_rate=0.5)
+        X, y = np.zeros((2, 3)), np.array([0, 1])
+        keep = one_mask(arch, 2, (1,))
+        with pytest.raises(ValidationError, match="bool keep mask"):
+            maml.backward(maml.init_params(arch, 0), X, y, keep / 0.5)
+
+    @pytest.mark.parametrize("size,m", [(20, 4), (5000, 15)], ids=["T4", "paper-tall"])
+    def test_scratch_holds_one_buffer_per_hidden_layer(self, monkeypatch, size, m):
+        monkeypatch.setattr(maml, "_SCRATCH", {})
+        arch = maml.MlpArchitecture(input_dim=m)
+        cfg = maml.MamlConfig(samples_per_task=2 * size, support_size=size, query_size=size,
+                              tasks_per_meta_batch=4, seed=122)
+        pool = random_pool(2 * size + 10, m, seed=123)
+        eps = [maml.sample_task(pool, cfg, maml._rng(124, j), task_index=j) for j in range(4)]
+        maml._meta_batch(maml.init_params(arch, 125), pool, eps, cfg)
+        T = min(4, max(1, maml._STACK_CELLS // (size * max(arch.hidden_dims))))
+        assert not [tag for tag in maml._SCRATCH if re.fullmatch(r"[zd]\d+", tag)]
+        assert {buf.dtype for buf in maml._SCRATCH.values()} == {np.dtype(np.float64),
+                                                                 np.dtype(bool)}
+        float_bytes = sum(buf.nbytes for buf in maml._SCRATCH.values()
+                          if buf.dtype == np.float64)
+        rows = 2 * T * size * m
+        assert float_bytes <= 8 * (rows + T * size * sum(arch.hidden_dims) + maml._DRAW_CELLS)
 
 
 class TestMetaTrain:
