@@ -6,8 +6,8 @@ types, and each override flag's argparse dest is the config key it sets.
 Every stage seeds its randomness from the global seed hashed with the stage
 name, writes outputs to a temp file and renames on success, and exits 0 on
 success, 1 on runtime failure, 2 on validation failure (among them an
-unknown config key, a config value of the wrong type, or a float that is
-not finite).
+input path that is not a regular file, an unknown config key, a config
+value of the wrong type, or a float that is not finite).
 """
 from __future__ import annotations
 
@@ -137,8 +137,6 @@ def _atomic_save(path: Path, saver) -> None:
 
 def _load_dataset(path: str, label_column: str = "label") -> dataset.LabeledDataset:
     p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"input file not found: {p}")
     if p.suffix.lower() == ".csv":
         return dataset.load_csv(p, label_column)
     return dataset.load_binary(p)
@@ -343,6 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # the flags that name a file a stage reads
+        for flag in ("input", "data", "checkpoint", "resume", "config"):
+            path = getattr(args, flag, None)
+            if path is not None and not Path(path).is_file():
+                raise ValidationError(f"--{flag} {path} is missing or not a regular file")
         return args.func(args)
     except (ValidationError, FileNotFoundError, BadMagic, TruncatedFile) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -158,7 +158,6 @@ class ScalerParams:
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float = 0.8
-    stratified: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -438,30 +437,24 @@ def _train_count(total: int, fraction: float) -> int:
 
 def stratified_split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Seeded train/test partition; per-class proportions within one sample of
-    train_fraction when stratified."""
+    train_fraction."""
     rng = np.random.default_rng(spec.seed)
-    if spec.stratified:
-        train_parts = []
-        test_parts = []
-        for cls in (0, 1):
-            cls_idx = np.flatnonzero(ds.labels == cls)
-            if cls_idx.size == 0:
-                continue
-            if cls_idx.size < 2:
-                raise ClassTooSmall(
-                    f"class {cls} has {cls_idx.size} sample(s); need >= 2 to stratify"
-                )
-            perm = rng.permutation(cls_idx)
-            k = _train_count(cls_idx.size, spec.train_fraction)
-            train_parts.append(perm[:k])
-            test_parts.append(perm[k:])
-        train_idx = np.sort(np.concatenate(train_parts))
-        test_idx = np.sort(np.concatenate(test_parts))
-    else:
-        perm = rng.permutation(ds.n)
-        k = _train_count(ds.n, spec.train_fraction)
-        train_idx = np.sort(perm[:k])
-        test_idx = np.sort(perm[k:])
+    train_parts = []
+    test_parts = []
+    for cls in (0, 1):
+        cls_idx = np.flatnonzero(ds.labels == cls)
+        if cls_idx.size == 0:
+            continue
+        if cls_idx.size < 2:
+            raise ClassTooSmall(
+                f"class {cls} has {cls_idx.size} sample(s); need >= 2 to stratify"
+            )
+        perm = rng.permutation(cls_idx)
+        k = _train_count(cls_idx.size, spec.train_fraction)
+        train_parts.append(perm[:k])
+        test_parts.append(perm[k:])
+    train_idx = np.sort(np.concatenate(train_parts))
+    test_idx = np.sort(np.concatenate(test_parts))
     return ds.select_rows(train_idx), ds.select_rows(test_idx)
 
 

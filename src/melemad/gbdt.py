@@ -76,7 +76,9 @@ class GbdtModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
+    # in z's dtype: maml's complex-step Hessian-vector product runs it on
+    # complex128
+    out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])

@@ -1,56 +1,37 @@
 """Meta-learned MLP binary classifier.
 
-Inner loop: plain gradient descent on support-set BCE at rate alpha.
-Outer loop: Adam step at rate beta on the mean query loss across a batch of
-episodes. The default meta-gradient is first-order (query gradient at the
-adapted parameters); the second-order path, which differentiates through the
-inner update with Hessian-vector products taken by central differences of
-the analytic gradient, sits behind first_order=False and is intended for
-small-model verification.
+Inner loop: plain gradient descent on support-set BCE at rate alpha
+(inner_adapt, the one inner loop). Outer loop: an Adam step at rate beta on
+the mean query loss of a meta-batch of episodes. The default meta-gradient
+is first-order (the query gradient at the adapted parameters);
+first_order=False differentiates through the inner update, with exact
+Hessian-vector products by complex step (_hvp), for small-model
+verification.
 
-All parameter vectors are immutable snapshots; every update returns a new
-vector. ModelParams, forward and backward take an optional leading episode
-axis. An Episode holds row indices into its pool. Meta-training and
-evaluation share one engine (_adapted_stacks): it gathers a stack of
-episodes' rows into (T, n, m) arrays, at most _STACK_CELLS rows x widest
-hidden layer x episodes at a time, and adapts them with inner_adapt, the one
-inner loop. Meta-training adds one query pass a stack: forward given labels
-returns the query probabilities and gradients from the same pass. It adds
-the gradients and the losses (bce_loss, one per episode of the stack) to the
-meta-gradient and meta-loss in episode order from zeros. Evaluation adds the
-query forward pass. Both are byte-identical to one episode at a time, at any
-stack size. A NaN or Inf meta-loss, meta-gradient or evaluation probability
+Shapes: ModelParams, forward and backward take an optional leading episode
+axis, parameters (P,) with rows (n, m) or a stack (T, P) with rows
+(T, n, m). Parameter vectors are immutable snapshots: every update returns
+a new one. An Episode holds row indices into its pool. meta_train and
+meta_evaluate adapt their episodes a stack at a time (_adapted_stacks);
+their results do not depend on the stack size.
+
+Keys: every random draw comes from a generator keyed by the root seed, a
+stream tag and the draw's coordinates (_rng). An episode's rows are keyed by
+(iteration, slot) in meta-training and by its number in evaluation; inner
+step s's dropout mask by (stream, episode index, s) (_mask_key). So no draw
+depends on the stack size, on how often an episode is scored, or on where a
+run was resumed.
+
+Failures: a NaN or Inf meta-loss, meta-gradient or evaluation probability
 raises Diverged; an evaluation with more than SATURATION_LIMIT of its query
 probabilities clamped to the bounds raises Saturated.
 
-Randomness comes from generators keyed by the root seed, a stream tag and
-the draw's coordinates (_rng), never from a generator built only to draw
-another seed. An episode draws its rows from one generator, keyed by
-(iteration, slot) in meta-training and by its number in evaluation, taking
-each class's rows with rng.choice, so it costs its own rows, not its
-pool's. Inner step s of an episode draws its dropout mask from a generator
-keyed by (stream, episode index, s), in training and evaluation alike
-(_mask_key), so a mask does not depend on the stack size, on how often an
-episode is scored, or on where a run was resumed.
-
-A pass holds one float64 scratch buffer per hidden layer, kept between
-calls (_scratch): the bias add, the ReLU and the dropout run in place in
-it, and backpropagation overwrites it with the layer's delta once the
-weight gradient above has read it, the ReLU gate taken as a bool array from
-the activations being positive. Dropout masks are bool keep masks, and
-backward's dropout_mask argument is one; a pass multiplies by the keep mask
-and then by 1 / (1 - dropout_rate). Every value comes out bit for bit as
-with separate pre-activation, activation and delta buffers and a float64
-inverted-scaling mask: x*1*s is x*s, x*0*s is x*0, and where a unit is
-dropped its delta is already 0 or NaN, which the gate leaves as it is. A
-stack's gathered rows and keep masks live in the scratch too. At paper
-scale these arrays are megabytes each; allocated afresh, the allocator
-hands them back to the OS after every pass and the next pass page-faults
-them in again, which cost more time than the arithmetic. The scratch pins one pass's buffers (each at its largest pass
-so far) between calls and is not thread-safe: passes must run on one
-thread. Every array a caller keeps (forward's probabilities, backward's
-gradient, adapted parameters) is fresh; the layer inputs _forward_pass also
-returns live in the scratch and are overwritten by the next pass.
+Scratch: passes work in buffers kept between calls, one per tag (_scratch),
+so passes must run on one thread. Every array a caller keeps
+(probabilities, gradients, adapted parameters) is fresh; _forward_pass's
+layer inputs and dropout_mask's masks are scratch, valid until the next
+pass. test_maml holds the arguments that the stacked, one-buffer passes are
+bit for bit the per-episode, separate-buffer ones.
 """
 from __future__ import annotations
 
@@ -96,6 +77,8 @@ _STACK_CELLS = 1 << 14
 _SCRATCH: dict[str, np.ndarray] = {}
 # cells of dropout_mask's float64 draw buffer, which a block of rows fills
 _DRAW_CELLS = 1 << 12
+# _hvp's imaginary step; the product's truncation error is of order its square
+_HVP_STEP = 1e-20
 
 # stream tags, second in every generator key after the root seed; the keys
 # of one tag share one length, since SeedSequence zero-pads keys shorter
@@ -288,13 +271,12 @@ def dropout_mask(arch: MlpArchitecture, n_rows: int, keys: list[tuple[int, ...]]
     None if the architecture has no dropout. Episode t's uniforms come from
     the generator keyed keys[t] + (step,), drawn a block of rows at a time
     into one small float64 buffer: the same stream as one draw of the whole
-    (n_rows, h0) array. Forward and backward multiply by the keep mask and
-    then by 1 / (1 - dropout_rate). The masks are step's scratch buffer,
-    valid until the next call for the same step."""
+    (n_rows, h0) array, so a step's mask can be drawn again from its keys.
+    The masks are one scratch buffer, valid until the next call."""
     if arch.dropout_rate == 0.0:
         return None
     h0 = arch.hidden_dims[0]
-    keep = _scratch(f"keep{step}", (len(keys), n_rows, h0), bool)
+    keep = _scratch("keep", (len(keys), n_rows, h0), bool)
     rows = max(1, _DRAW_CELLS // h0)
     draw = _scratch("uniforms", (min(rows, n_rows), h0))
     for t, key in enumerate(keys):
@@ -309,7 +291,11 @@ def dropout_mask(arch: MlpArchitecture, n_rows: int, keys: list[tuple[int, ...]]
 
 def _scratch(tag: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """An uninitialised C-contiguous array of `shape` in tag's buffer, valid
-    until the next call with the same tag."""
+    until the next call with the same tag. A complex buffer goes under its
+    own tag (tag + "j"), so a complex pass neither evicts nor reuses a real
+    one."""
+    if np.dtype(dtype).kind == "c":
+        tag += "j"
     size = math.prod(shape)
     buf = _SCRATCH.get(tag)
     if buf is None or buf.size < size:
@@ -321,12 +307,13 @@ def _forward_pass(params: ModelParams, X: np.ndarray, keep: np.ndarray | None):
     """One pass over checked rows X, with dropout where a keep mask is given.
     Returns params' layers, the layer inputs and the raw and clamped probs.
     Each hidden layer's activations are one scratch buffer (a{i}): the bias
-    add, the ReLU and the dropout run in place in it."""
+    add, the ReLU and the dropout run in place in it, in the parameters'
+    dtype."""
     layers = params.layers()
     inputs = [X]
     a = X
     for i, (W, b) in enumerate(layers[:-1]):
-        a = np.matmul(a, W, out=_scratch(f"a{i}", (*a.shape[:-1], W.shape[-1])))
+        a = np.matmul(a, W, out=_scratch(f"a{i}", (*a.shape[:-1], W.shape[-1]), W.dtype))
         np.add(a, b[..., None, :], out=a)
         np.maximum(a, 0.0, out=a)
         if i == 0 and keep is not None:
@@ -408,7 +395,7 @@ def _probs_and_grad(params: ModelParams, X: np.ndarray, labels,
     layers, inputs, p_raw, p = _forward_pass(params, X, keep)
     n = X.shape[-2]
 
-    grad = np.empty((*X.shape[:-2], params.arch.param_count))
+    grad = np.empty((*X.shape[:-2], params.arch.param_count), params.values.dtype)
     grad_layers = ModelParams._trusted(grad, params.arch).layers()
     interior = (p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)
     d = (np.where(interior, p - y, 0.0) / n)[..., None]
@@ -439,26 +426,24 @@ def inner_adapt(
     alpha: float,
     inner_steps: int,
     dropout_keys: list[tuple[int, ...]],
-) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+) -> list[np.ndarray]:
     """The one inner loop: inner_steps gradient-descent steps on support BCE
     for a stack of T episodes at once (theta (T, P), supports X (T, n, m),
     labels (T, n)). Episode t draws step s's mask from dropout_keys[t] +
-    (s,), so a mask is a pure function of its episode and step; an
-    architecture without dropout draws none. theta is never modified.
+    (s,) (dropout_mask), so a mask is a pure function of its episode and
+    step and can be drawn again; an architecture without dropout draws none.
+    theta is never modified.
 
     Returns the parameter stack before each step followed by the adapted
-    stack (inner_steps + 1 arrays), and each step's bool (T, n, h0) keep
-    mask, a scratch view (dropout_mask), or None.
+    stack: inner_steps + 1 arrays.
     """
     arch = theta.arch
     path = [theta.values]
-    masks: list[np.ndarray | None] = []
     for step in range(inner_steps):
         keep = dropout_mask(arch, X.shape[1], dropout_keys, step)
         grad = backward(ModelParams._trusted(path[-1], arch), X, y, keep)
-        masks.append(keep)
         path.append(path[-1] - alpha * grad)
-    return path, masks
+    return path
 
 
 def _stratified_take(avail_pos: int, avail_neg: int, take: int) -> tuple[int, int]:
@@ -513,25 +498,21 @@ def _hvp(
     keep: np.ndarray | None,
     vec: np.ndarray,
 ) -> np.ndarray:
-    """Hessian-vector product of each stacked episode's support loss via
-    central differences of the analytic gradient, under the step's keep
-    mask (or None).
+    """Hessian-vector product of each stacked episode's support loss under
+    the step's keep mask (or None), by complex step (Squire & Trapp 1998):
+    the imaginary part of one gradient pass at params + i*h*vec, over h. Its
+    truncation error is of relative order h**2, far below rounding, and no
+    difference of two gradients is taken, so the product is exact to
+    rounding; a zero vec gives exact zeros.
 
-    Each episode's step comes from its own 1-D norm: the axis= form of
-    np.linalg.norm sums in another order and would change the bits.
+    numpy orders complex numbers by their real parts first, so the ReLU
+    (np.maximum), its gate (a > 0), the output clamp and its interior test
+    follow the primal pass, and the product is that of the piecewise-smooth
+    loss on the primal's piece; only where a real part is exactly 0 does the
+    imaginary part break the tie.
     """
-    norms = [float(np.linalg.norm(v)) for v in vec]
-    r = np.array(
-        [
-            1e-6 * (1.0 + float(np.abs(p).max())) / norm if norm else 1.0
-            for p, norm in zip(params.values, norms)
-        ]
-    )[:, None]
-    g_plus = backward(ModelParams._trusted(params.values + r * vec, params.arch), X, y, keep)
-    g_minus = backward(ModelParams._trusted(params.values - r * vec, params.arch), X, y, keep)
-    out = (g_plus - g_minus) / (2.0 * r)
-    out[np.array(norms) == 0.0] = 0.0
-    return out
+    values = params.values + (1j * _HVP_STEP) * vec
+    return backward(ModelParams._trusted(values, params.arch), X, y, keep).imag / _HVP_STEP
 
 
 def _adam_update(
@@ -552,11 +533,11 @@ def _adapted_stacks(theta: ModelParams, pool: LabeledDataset, episodes: list[Epi
     episodes as keep cfg's larger set size x widest hidden layer x episodes
     within _STACK_CELLS. Episode masks are keyed in stream (_mask_key).
 
-    Yields each stack's episodes, inner path and masks (inner_adapt), and its
-    support and query rows (T, n, m) and labels (T, n). The rows and masks
-    are scratch views, valid until the next stack; mode="clip" lets take
-    write the rows straight into the scratch instead of buffering them (the
-    indices are in range).
+    Yields each stack's episodes, inner path (inner_adapt), mask keys (step
+    s's masks are dropout_mask(arch, n, keys, s) again), and its support and
+    query rows (T, n, m) and labels (T, n). The rows are scratch views, valid
+    until the next stack; mode="clip" lets take write them straight into the
+    scratch instead of buffering them (the indices are in range).
     """
     arch = theta.arch
     per_stack = max(1, _STACK_CELLS // (max(cfg.support_size, cfg.query_size)
@@ -572,10 +553,10 @@ def _adapted_stacks(theta: ModelParams, pool: LabeledDataset, episodes: list[Epi
         ys, yq = pool.labels[support], pool.labels[query]
         thetas = np.broadcast_to(theta.values, (len(stack), theta.values.shape[0]))
         keys = [_mask_key(cfg.seed, stream, ep.task_index) for ep in stack]
-        path, masks = inner_adapt(
+        path = inner_adapt(
             ModelParams._trusted(thetas, arch), Xs, ys, cfg.alpha, cfg.inner_steps, keys
         )
-        yield stack, path, masks, (Xs, ys), (Xq, yq)
+        yield stack, path, keys, (Xs, ys), (Xq, yq)
 
 
 def _meta_batch(theta: ModelParams, pool: LabeledDataset, episodes: list[Episode],
@@ -588,13 +569,14 @@ def _meta_batch(theta: ModelParams, pool: LabeledDataset, episodes: list[Episode
     meta_loss = 0.0
     correct = 0
     stacks = _adapted_stacks(theta, pool, episodes, cfg, _STREAM_TASK)
-    for _, path, masks, (Xs, ys), (Xq, yq) in stacks:
+    for _, path, keys, (Xs, ys), (Xq, yq) in stacks:
         probs, grads = forward(ModelParams._trusted(path[-1], arch), Xq, yq)
         if not cfg.first_order:
             # the second-order path needs every step of the inner trajectory
             for step in range(cfg.inner_steps - 1, -1, -1):
+                keep = dropout_mask(arch, Xs.shape[1], keys, step)
                 step_params = ModelParams._trusted(path[step], arch)
-                grads = grads - cfg.alpha * _hvp(step_params, Xs, ys, masks[step], grads)
+                grads = grads - cfg.alpha * _hvp(step_params, Xs, ys, keep, grads)
         for grad, loss in zip(grads, bce_loss(probs, yq).tolist()):
             meta_grad += grad
             meta_loss += loss

@@ -210,8 +210,8 @@ def test_criterion_04_bilevel_gradient_check():
     episode = maml.Episode(np.arange(6), np.arange(6, 12), 0)
 
     def composed(values):
-        path, _ = maml.inner_adapt(maml.ModelParams(values[None], arch), Xs[None], ys[None],
-                                   alpha, 1, [(0,)])
+        path = maml.inner_adapt(maml.ModelParams(values[None], arch), Xs[None], ys[None],
+                                alpha, 1, [(0,)])
         adapted = maml.ModelParams(path[-1][0], arch)
         return maml.bce_loss(maml.forward(adapted, Xq), yq)
 
@@ -330,7 +330,7 @@ def maml_e2e_pools():
         dataset.SyntheticSpec(n=4000, m=20, informative=3, noise_sigma=0.0,
                               class_balance=0.5, seed=11)
     )
-    train, test = dataset.stratified_split(ds, dataset.SplitSpec(0.8, True, 2))
+    train, test = dataset.stratified_split(ds, dataset.SplitSpec(0.8, 2))
     scaler = dataset.fit_scaler(train)
     return dataset.apply_scaler(train, scaler), dataset.apply_scaler(test, scaler)
 
@@ -391,8 +391,8 @@ def test_criterion_09_identity_and_degenerate_contracts():
     theta = maml.init_params(arch, 9)
     rng = np.random.default_rng(9)
     X, y = rng.normal(size=(12, 4)), rng.integers(0, 2, 12)
-    path, _ = maml.inner_adapt(maml.ModelParams(theta.values[None], arch), X[None], y[None],
-                               alpha=0.0, inner_steps=4, dropout_keys=[(0,)])
+    path = maml.inner_adapt(maml.ModelParams(theta.values[None], arch), X[None], y[None],
+                            alpha=0.0, inner_steps=4, dropout_keys=[(0,)])
     assert np.array_equal(path[-1][0], theta.values)
 
     # tau above every importance -> EmptySelection

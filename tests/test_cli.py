@@ -373,6 +373,7 @@ BAD_CONFIGS = {
     "removed dropout_in_adapt": (
         "dropout_in_adapt", with_entry("maml", "dropout_in_adapt", False)
     ),
+    "removed split stratified": ("stratified", with_entry("split", "stratified", True)),
     "section not an object": ("gbdt", {**SMALL_CONFIG, "gbdt": [10, 2]}),
     "string for an int": ("n_trees", with_entry("gbdt", "n_trees", "5")),
     "bool for an int": ("n_trees", with_entry("gbdt", "n_trees", True)),
@@ -424,7 +425,7 @@ DOCUMENTED_DEFAULTS = {
         "min_samples_leaf": 5,
     },
     "selection": {"tau": None, "top_k": None},
-    "split": {"train_fraction": 0.8, "stratified": True},
+    "split": {"train_fraction": 0.8},
     "maml": {
         "alpha": 0.0001,
         "beta": 0.001,
@@ -543,6 +544,23 @@ class TestConfig:
         out = tmp_path / "out"
         assert run(*argv, *flags, "--out-dir", out) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage,flag", [
+        ("select", "--input"), ("meta-train", "--input"), ("meta-train", "--resume"),
+        ("evaluate", "--data"), ("evaluate", "--checkpoint"), ("evaluate", "--config"),
+    ])
+    def test_directory_input_exits_2_naming_it(self, tmp_path, trained, capsys, stage, flag):
+        argv = STAGE_ARGV[stage](*trained)
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        if flag in argv:
+            argv[argv.index(flag) + 1] = directory
+        else:
+            argv += [flag, directory]
+        out = tmp_path / "out"
+        assert run(*argv, "--out-dir", out) == 2
+        assert f"{flag} {directory} is missing or not a regular file" in capsys.readouterr().err
         assert not out.exists()
 
     def test_output_dir_precedence(self, tmp_path, trained, monkeypatch):

@@ -727,7 +727,7 @@ class TestSplit:
         rng = np.random.default_rng(2)
         labels = np.array([0] * 50 + [1] * 50)
         ds = make_ds(rng.standard_normal((100, 2)), labels)
-        train, test = dataset.stratified_split(ds, dataset.SplitSpec(0.8, True, 3))
+        train, test = dataset.stratified_split(ds, dataset.SplitSpec(0.8, 3))
         assert train.n == 80 and test.n == 20
         assert int(train.labels.sum()) == 40
 
@@ -736,7 +736,7 @@ class TestSplit:
         rng = np.random.default_rng(3)
         labels = np.array([0] * 50 + [1] * 49)
         ds = make_ds(rng.standard_normal((99, 2)), labels)
-        train, _ = dataset.stratified_split(ds, dataset.SplitSpec(0.8, True, 0))
+        train, _ = dataset.stratified_split(ds, dataset.SplitSpec(0.8, 0))
         neg = int((train.labels == 0).sum())
         pos = int((train.labels == 1).sum())
         assert (neg, pos) == (40, 39)
@@ -744,7 +744,7 @@ class TestSplit:
     def test_same_seed_identical(self):
         rng = np.random.default_rng(4)
         ds = make_ds(rng.standard_normal((60, 3)), rng.integers(0, 2, 60))
-        spec = dataset.SplitSpec(0.7, True, 11)
+        spec = dataset.SplitSpec(0.7, 11)
         a_train, a_test = dataset.stratified_split(ds, spec)
         b_train, b_test = dataset.stratified_split(ds, spec)
         np.testing.assert_array_equal(a_train.features, b_train.features)
@@ -753,7 +753,7 @@ class TestSplit:
     def test_class_too_small(self):
         ds = make_ds([[1.0], [2.0], [3.0]], [0, 0, 1])
         with pytest.raises(ClassTooSmall):
-            dataset.stratified_split(ds, dataset.SplitSpec(0.5, True, 0))
+            dataset.stratified_split(ds, dataset.SplitSpec(0.5, 0))
 
     def test_fraction_bounds(self):
         with pytest.raises(ValidationError):
@@ -765,19 +765,15 @@ class TestSplit:
         st.integers(4, 120),
         st.floats(0.05, 0.95),
         st.integers(0, 2**32 - 1),
-        st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_conserves_totals(self, n, fraction, seed, stratified):
+    def test_conserves_totals(self, n, fraction, seed):
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 2, n)
-        if stratified:
-            labels[:2] = 0
-            labels[2:4] = 1
+        labels[:2] = 0
+        labels[2:4] = 1
         ds = make_ds(rng.standard_normal((n, 2)), labels)
-        train, test = dataset.stratified_split(
-            ds, dataset.SplitSpec(fraction, stratified, seed)
-        )
+        train, test = dataset.stratified_split(ds, dataset.SplitSpec(fraction, seed))
         assert train.n + test.n == n
         assert int(train.labels.sum()) + int(test.labels.sum()) == int(ds.labels.sum())
 

@@ -62,7 +62,7 @@ def pre_activations(params, X, keep=None):
 def adapt(theta, X, y, alpha, inner_steps, dropout_key=(0,)):
     """inner_adapt on a stack of one episode; the adapted parameters. An
     architecture without dropout draws no mask from dropout_key."""
-    path, _ = maml.inner_adapt(
+    path = maml.inner_adapt(
         maml.ModelParams._trusted(theta.values[None], theta.arch),
         np.asarray(X, dtype=float)[None], np.asarray(y)[None], alpha, inner_steps,
         [dropout_key],
@@ -409,16 +409,6 @@ def reference_descend(theta, X, y, alpha, inner_steps, dropout_key):
     return path, masks
 
 
-def reference_hvp(params, X, y, mask, vec):
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        return np.zeros_like(vec)
-    r = 1e-6 * (1.0 + float(np.abs(params.values).max())) / norm
-    g_plus = maml.backward(maml.ModelParams(params.values + r * vec, params.arch), X, y, mask)
-    g_minus = maml.backward(maml.ModelParams(params.values - r * vec, params.arch), X, y, mask)
-    return (g_plus - g_minus) / (2.0 * r)
-
-
 def reference_meta_batch(theta, pool, episodes, cfg):
     """The per-episode meta-batch from before episodes were stacked: adapt,
     score and differentiate one episode at a time on 2-D arrays, then reduce
@@ -438,7 +428,8 @@ def reference_meta_batch(theta, pool, episodes, cfg):
         grad = maml.backward(adapted, Xq, yq)
         if not cfg.first_order:
             for step in range(cfg.inner_steps - 1, -1, -1):
-                grad = grad - cfg.alpha * reference_hvp(
+                # _hvp on one episode's 2-D arrays; TestHvp checks _hvp itself
+                grad = grad - cfg.alpha * maml._hvp(
                     maml.ModelParams(path[step], arch), Xs, ys, masks[step], grad,
                 )
         meta_grad += grad
@@ -569,6 +560,55 @@ class TestMetaStep:
         new_theta, _ = maml.meta_train(random_pool(40, 3, seed=44), cfg, initial=theta)
         assert theta.values.tobytes() == snapshot
         assert new_theta.values.tobytes() != snapshot
+
+
+class TestHvp:
+    """_hvp is the exact Hessian-vector product of the support loss."""
+
+    def stack(self, dropout, T=3, n=9):
+        arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3 * dropout)
+        rng = np.random.default_rng(130 + dropout)
+        values = maml.init_params(arch, 131).values + rng.normal(0, 0.3, (T, arch.param_count))
+        X = rng.normal(0, 1.5, (T, n, 4))
+        y = rng.integers(0, 2, (T, n))
+        keep = maml.dropout_mask(arch, n, [(132, t) for t in range(T)], 0)
+        u, v = rng.normal(size=(2, T, arch.param_count))
+        return maml.ModelParams(values, arch), X, y, None if keep is None else keep.copy(), u, v
+
+    @pytest.mark.parametrize("dropout", [False, True], ids=["no-dropout", "dropout"])
+    def test_symmetric(self, dropout):
+        params, X, y, keep, u, v = self.stack(dropout)
+        uHv = np.einsum("tp,tp->t", u, maml._hvp(params, X, y, keep, v))
+        vHu = np.einsum("tp,tp->t", v, maml._hvp(params, X, y, keep, u))
+        assert np.all(np.abs(uHv - vHu) <= 1e-13 * np.abs(uHv)), (uHv, vHu)
+
+    def test_matches_finite_difference_hessian(self):
+        # the Hessian column by column, by central differences of backward,
+        # at the smooth instances TestBackward checks the gradient on
+        step = 1e-5
+        for seed in range(100):
+            with_dropout = seed % 3 == 0
+            arch, params, X, y, dropout_seed = smooth_instance(seed, with_dropout)
+            mask = one_mask(arch, X.shape[0], (dropout_seed,)) if with_dropout else None
+            H = np.empty((arch.param_count, arch.param_count))
+            for j in range(arch.param_count):
+                up = params.values.copy()
+                up[j] += step
+                down = params.values.copy()
+                down[j] -= step
+                H[:, j] = (maml.backward(maml.ModelParams(up, arch), X, y, mask)
+                           - maml.backward(maml.ModelParams(down, arch), X, y, mask)) / (2 * step)
+            vec = np.random.default_rng(seed).normal(size=arch.param_count)
+            expected = H @ vec
+            err = np.abs(maml._hvp(params, X, y, mask, vec) - expected).max()
+            assert err <= 1e-6 * np.abs(expected).max(), f"seed {seed}: {err:.2e}"
+
+    @pytest.mark.parametrize("dropout", [False, True], ids=["no-dropout", "dropout"])
+    def test_zero_vector_gives_exact_zeros(self, dropout):
+        params, X, y, keep, u, _ = self.stack(dropout)
+        out = maml._hvp(params, X, y, keep, np.zeros_like(u))
+        assert out.dtype == np.float64 and out.shape == u.shape
+        assert not np.any(out)
 
 
 ENGINE_POOL = random_pool(200, 4, seed=70)
@@ -1004,6 +1044,26 @@ class TestOneBufferPass:
                           if buf.dtype == np.float64)
         rows = 2 * T * size * m
         assert float_bytes <= 8 * (rows + T * size * sum(arch.hidden_dims) + maml._DRAW_CELLS)
+
+    def test_first_order_holds_one_keep_buffer(self, monkeypatch):
+        monkeypatch.setattr(maml, "_SCRATCH", {})
+        arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3)
+        cfg = engine_cfg(3)
+        eps = [maml.sample_task(ENGINE_POOL, cfg, maml._rng(126, j), task_index=j)
+               for j in range(4)]
+        maml._meta_batch(maml.init_params(arch, 127), ENGINE_POOL, eps, cfg)
+        assert [tag for tag in maml._SCRATCH if tag.startswith("keep")] == ["keep"]
+
+    def test_second_order_keeps_complex_buffers_under_their_own_tags(self, monkeypatch):
+        monkeypatch.setattr(maml, "_SCRATCH", {})
+        arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3)
+        cfg = engine_cfg(2, False)
+        eps = [maml.sample_task(ENGINE_POOL, cfg, maml._rng(128, j), task_index=j)
+               for j in range(4)]
+        maml._meta_batch(maml.init_params(arch, 129), ENGINE_POOL, eps, cfg)
+        complex_tags = {tag for tag, buf in maml._SCRATCH.items() if buf.dtype.kind == "c"}
+        assert complex_tags == {"a0j", "a1j"}
+        assert maml._SCRATCH["a0"].dtype == maml._SCRATCH["a1"].dtype == np.float64
 
 
 class TestMetaTrain:
