@@ -1,11 +1,11 @@
 """Chunk-wise feature selection driven by gradient-boosting importance.
 
-The dataset is cut into overlapping row chunks, a GBDT is trained per chunk,
-features whose normalized importance clears the threshold in any chunk are
-kept, and the union defines the projected dataset. The threshold is either a
-fixed tau or derived from a top-k target; both select from the same single
-training pass over the chunks. Chunks are trained one after another and
-reduced in chunk order.
+The dataset is cut into row chunks of size p with overlap q, a GBDT is
+trained per chunk, features whose normalized importance clears the
+threshold in any chunk are kept, and the dataset is projected onto their
+union. The threshold is either a fixed tau or derived from a top-k target;
+both select from the same single training pass over the chunks. Chunks are
+trained one after another and reduced in chunk order.
 """
 from __future__ import annotations
 
@@ -17,28 +17,19 @@ import numpy as np
 
 from . import gbdt
 from .dataset import LabeledDataset, _half_up
-from .errors import (
-    ChunkLargerThanData,
-    DegenerateStride,
-    EmptySelection,
-    IndexOutOfRange,
-    ValidationError,
-)
+from .errors import ChunkLargerThanData, DegenerateStride, EmptySelection, ValidationError
 
 
 @dataclass(frozen=True)
 class ChunkSpec:
     p: float = 0.2
     q: float = 0.2
-    k: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
             raise ValidationError("chunk fraction p must be in (0, 1]")
         if not 0.0 <= self.q < 1.0:
             raise ValidationError("overlap fraction q must be in [0, 1)")
-        if self.k is not None and self.k < 1:
-            raise ValidationError("chunk count k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -80,8 +71,8 @@ class CfsgbReport:
 
 def make_chunks(n: int, spec: ChunkSpec) -> list[Chunk]:
     """Chunk rows [0, n) into length-l windows, l = round(p*n), stepping by
-    l - round(q*l); with k set, exactly k windows start at evenly spaced
-    offsets from 0 to n-l. Every row is covered either way."""
+    l - round(q*l); the last window stops at n. Every row is covered, and
+    there is always at least one chunk."""
     if n < 1:
         raise ValidationError("n must be >= 1")
     l = _half_up(spec.p * n)
@@ -89,19 +80,6 @@ def make_chunks(n: int, spec: ChunkSpec) -> list[Chunk]:
         raise ValidationError(f"chunk size p={spec.p} rounds to zero samples at n={n}")
     if l > n:
         raise ChunkLargerThanData(f"chunk length {l} exceeds {n} rows")
-
-    if spec.k is not None:
-        k = spec.k
-        if k == 1:
-            return [Chunk(0, 0, n)]
-        if k * l < n:
-            raise ValidationError(
-                f"k={k} chunks of {l} rows cannot cover {n} rows"
-            )
-        # evenly spaced starts from 0 to n-l; consecutive starts differ by at
-        # most l because k*l >= n, so the windows always tile without gaps
-        starts = [_half_up(i * (n - l) / (k - 1)) for i in range(k)]
-        return [Chunk(i, s, s + l) for i, s in enumerate(starts)]
 
     overlap = _half_up(spec.q * l)
     stride = l - overlap
@@ -125,30 +103,6 @@ def threshold_select(importances: np.ndarray, tau: float) -> np.ndarray:
     return np.flatnonzero((imp >= tau) & (imp > 0))
 
 
-def aggregate(per_chunk: list[np.ndarray]) -> np.ndarray:
-    if not per_chunk:
-        return np.array([], dtype=np.int64)
-    return np.unique(np.concatenate([np.asarray(s, dtype=np.int64) for s in per_chunk]))
-
-
-def project_dataset(ds: LabeledDataset, s: SelectedFeatureSet) -> LabeledDataset:
-    indices = np.asarray(s.global_indices, dtype=np.int64)
-    if indices.size == 0:
-        raise EmptySelection("no features selected; nothing to project")
-    if indices.min() < 0 or indices.max() >= ds.m:
-        raise IndexOutOfRange(f"selected index outside [0, {ds.m})")
-    return ds.select_columns(np.sort(indices))
-
-
-def _chunk_importances(
-    ds: LabeledDataset, chunks: list[Chunk], cfg: gbdt.GbdtConfig
-) -> list[np.ndarray]:
-    return [
-        gbdt.feature_importance(gbdt.train(ds.select_rows(slice(c.start, c.stop)), cfg))
-        for c in chunks
-    ]
-
-
 def run_cfsgb(
     ds: LabeledDataset,
     spec: ChunkSpec,
@@ -166,18 +120,21 @@ def run_cfsgb(
     if top_k is not None and not 1 <= top_k <= ds.m:
         raise ValidationError(f"top_k must be in [1, {ds.m}]")
     chunks = make_chunks(ds.n, spec)
-    importances = _chunk_importances(ds, chunks, cfg)
+    importances = [
+        gbdt.feature_importance(gbdt.train(ds.select_rows(slice(c.start, c.stop)), cfg))
+        for c in chunks
+    ]
     if top_k is not None:
         tau = threshold_for_top_k(importances, top_k)
     per_chunk = []
     for chunk, imp in zip(chunks, importances):
         idx = threshold_select(imp, tau)
         per_chunk.append(ChunkSelection(chunk.index, idx, imp[idx]))
-    union = aggregate([sel.indices for sel in per_chunk])
+    union = np.unique(np.concatenate([sel.indices for sel in per_chunk]))
     if union.size == 0:
         raise EmptySelection(f"threshold {tau} excluded every feature in every chunk")
     selected = SelectedFeatureSet(union, per_chunk, tau)
-    projected = project_dataset(ds, selected)
+    projected = ds.select_columns(union)
     report = CfsgbReport(
         k=len(chunks),
         chunk_sizes=[c.size for c in chunks],

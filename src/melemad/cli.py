@@ -115,7 +115,7 @@ def _build(cls, section: dict, **derived):
 
 
 def _out_dir(output_dir: str | None) -> Path:
-    path = Path(output_dir or os.environ.get("MELEMAD_OUT_DIR") or ".")
+    path = Path(output_dir or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -143,22 +143,12 @@ def _load_dataset(path: str, label_column: str = "label") -> dataset.LabeledData
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = dataset.SyntheticSpec(
-        n=args.n,
-        m=args.m,
-        informative=args.informative,
-        noise_sigma=args.noise_sigma,
-        class_balance=args.balance,
-        seed=args.seed,
-    )
+    spec = _build(dataset.SyntheticSpec, vars(args))
     out = _out_dir(args.output_dir)
     ds, informative = dataset.synthesize(spec)
-    if args.format == "csv":
-        _atomic_save(out / "synthetic.csv", lambda p: dataset.save_csv(ds, p))
-        data_path = out / "synthetic.csv"
-    else:
-        _atomic_save(out / "synthetic.bin", lambda p: dataset.save_binary(ds, p))
-        data_path = out / "synthetic.bin"
+    data_path = out / f"synthetic.{args.format}"
+    save = dataset.save_csv if args.format == "csv" else dataset.save_binary
+    _atomic_save(data_path, lambda p: save(ds, p))
     truth = json.dumps({"informative_indices": [int(i) for i in informative]}, sort_keys=True)
     _atomic_save(out / "informative.json", lambda p: p.write_text(truth + "\n", encoding="utf-8"))
     print(f"wrote {data_path} ({ds.n} rows, {ds.m} features) and informative.json")
@@ -237,11 +227,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # before anything is adapted: compute_report checks it only at the end
     metrics.check_threshold(args.threshold)
     params, ckpt_cfg, _ = maml.load_checkpoint(args.checkpoint)
-    section = cfg["maml"]
-    if args.config is None:
-        # no config file: the checkpoint's embedded config stands in for it
-        section = {**asdict(ckpt_cfg), **section}
-    maml_cfg = _build(maml.MamlConfig, section, seed=ckpt_cfg.seed)
+    # the checkpoint's config (seed included), then the config file's maml
+    # keys, then flags
+    maml_cfg = _build(maml.MamlConfig, {**asdict(ckpt_cfg), **cfg["maml"]})
     test_pool = _load_dataset(args.data, args.label_column)
 
     probs, labels = maml.meta_evaluate(params, test_pool, maml_cfg, episodes=args.episodes)
@@ -290,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--m", type=int, required=True)
     p_synth.add_argument("--informative", type=int, required=True)
     p_synth.add_argument("--noise-sigma", type=float, default=0.5)
-    p_synth.add_argument("--balance", type=float, default=0.5)
+    p_synth.add_argument("--balance", dest="class_balance", type=float, default=0.5)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--format", choices=("csv", "bin"), default="csv")
     p_synth.add_argument("--out-dir", dest="output_dir")
@@ -301,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--input", required=True, help="dataset file (.csv or .bin)")
     p_select.add_argument("--p", dest="chunking.p", type=float)
     p_select.add_argument("--q", dest="chunking.q", type=float)
-    p_select.add_argument("--k", dest="chunking.k", type=int)
     p_select.add_argument("--tau", dest="selection.tau", type=float)
     p_select.add_argument("--top-k", dest="selection.top_k", type=int)
     p_select.add_argument("--n-trees", dest="gbdt.n_trees", type=int)

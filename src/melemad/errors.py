@@ -111,10 +111,6 @@ class ChunkLargerThanData(ValidationError):
     pass
 
 
-class IndexOutOfRange(ValidationError):
-    pass
-
-
 class EmptySelection(MelemadError):
     pass
 

@@ -262,15 +262,14 @@ def test_criterion_06_cfsgb_structural_properties():
     start = time.perf_counter()
     rng = np.random.default_rng(606)
 
-    # chunk coverage over randomized (n, p, q) and explicit k configurations
+    # chunk coverage over randomized (n, p, q) configurations
     coverage_configs = 0
     while coverage_configs < 200:
         n = int(rng.integers(1, 400))
         p = float(rng.uniform(0.02, 1.0))
         q = float(rng.uniform(0.0, 0.95))
-        k = int(rng.integers(1, 12)) if rng.random() < 0.3 else None
         try:
-            chunks = cfsgb.make_chunks(n, cfsgb.ChunkSpec(p=p, q=q, k=k))
+            chunks = cfsgb.make_chunks(n, cfsgb.ChunkSpec(p=p, q=q))
         except (DegenerateStride, ValidationError):
             continue
         cover = np.zeros(n, dtype=bool)

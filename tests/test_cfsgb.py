@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from melemad import cfsgb, dataset, gbdt
-from melemad.errors import (
-    ChunkLargerThanData,
-    DegenerateStride,
-    EmptySelection,
-    IndexOutOfRange,
-    ValidationError,
-)
+from melemad.errors import ChunkLargerThanData, DegenerateStride, EmptySelection, ValidationError
 
 FAST_GBDT = gbdt.GbdtConfig(n_trees=10, max_depth=2, min_samples_leaf=2)
 
@@ -40,20 +34,6 @@ class TestMakeChunks:
         chunks = cfsgb.make_chunks(100, cfsgb.ChunkSpec(p=0.20, q=0.0))
         assert len(chunks) == 5
         assert chunks[0].size == 20
-
-    def test_explicit_k(self):
-        for k in (1, 5, 9, 17):
-            chunks = cfsgb.make_chunks(100, cfsgb.ChunkSpec(p=0.20, q=0.20, k=k))
-            assert len(chunks) == k
-            cover = np.zeros(100, bool)
-            for c in chunks:
-                cover[c.start : c.stop] = True
-            assert cover.all()
-
-    def test_explicit_k_rejected_when_it_cannot_cover(self):
-        # 2 chunks of 20 rows cannot span 100 rows
-        with pytest.raises(ValidationError):
-            cfsgb.make_chunks(100, cfsgb.ChunkSpec(p=0.20, q=0.20, k=2))
 
     def test_degenerate_stride(self):
         # l=4, q=0.9 -> overlap rounds to 4, stride 0
@@ -130,39 +110,61 @@ class TestSelectChunkFeatures:
 
 
 class TestAggregateProject:
+    """run_cfsgb's union of the per-chunk selections, and its projection."""
+
     def test_union(self):
-        got = cfsgb.aggregate([np.array([1, 3]), np.array([3, 5])])
-        assert got.tolist() == [1, 3, 5]
+        ds, _ = synth(300, 12, 3, seed=11)
+        selected, _, report = cfsgb.run_cfsgb(ds, cfsgb.ChunkSpec(p=0.4, q=0.3), FAST_GBDT, 0.01)
+        assert report.k > 1
+        per_chunk = np.concatenate([sel.indices for sel in selected.per_chunk])
+        np.testing.assert_array_equal(selected.global_indices, np.unique(per_chunk))
 
     def test_all_empty(self):
-        assert cfsgb.aggregate([np.array([], dtype=int)] * 3).size == 0
+        # one label everywhere: no feature splits in any chunk, so every
+        # chunk selects nothing even at tau 0 or top_k 1, and nothing is
+        # projected
+        X = np.random.default_rng(2).standard_normal((120, 5))
+        ds = dataset.LabeledDataset(X, np.ones(120, dtype=int))
+        for kwargs in ({"tau": 0.0}, {"top_k": 1}):
+            with pytest.raises(EmptySelection):
+                cfsgb.run_cfsgb(ds, cfsgb.ChunkSpec(p=0.3, q=0.2), FAST_GBDT, **kwargs)
 
     def test_single_chunk_identity(self):
-        assert cfsgb.aggregate([np.array([2, 4])]).tolist() == [2, 4]
+        ds, _ = synth(250, 10, 3, seed=9)
+        selected, _, _ = cfsgb.run_cfsgb(ds, cfsgb.ChunkSpec(p=1.0, q=0.0), FAST_GBDT, 0.01)
+        (only,) = selected.per_chunk
+        np.testing.assert_array_equal(selected.global_indices, only.indices)
 
     def test_projection_basic(self):
-        ds = dataset.LabeledDataset(np.arange(15, dtype=float).reshape(3, 5), [0, 1, 0])
-        sel = cfsgb.SelectedFeatureSet(np.array([0, 2]), [], 0.0)
-        out = cfsgb.project_dataset(ds, sel)
-        assert out.m == 2 and out.n == 3
-        np.testing.assert_array_equal(out.features[:, 0], ds.features[:, 0])
-        np.testing.assert_array_equal(out.features[:, 1], ds.features[:, 2])
-        np.testing.assert_array_equal(out.labels, ds.labels)
+        ds, _ = synth(300, 12, 3, seed=10)
+        selected, projected, _ = cfsgb.run_cfsgb(
+            ds, cfsgb.ChunkSpec(p=0.5, q=0.2), FAST_GBDT, 0.01
+        )
+        assert 0 < selected.r < ds.m
+        assert (projected.n, projected.m) == (ds.n, selected.r)
+        np.testing.assert_array_equal(projected.features, ds.features[:, selected.global_indices])
+        np.testing.assert_array_equal(projected.labels, ds.labels)
 
     def test_projection_all_indices_identity(self):
-        ds = dataset.LabeledDataset(np.random.default_rng(1).random((4, 3)), [0, 1, 0, 1])
-        sel = cfsgb.SelectedFeatureSet(np.arange(3), [], 0.0)
-        np.testing.assert_array_equal(cfsgb.project_dataset(ds, sel).features, ds.features)
+        # tau 0 keeps every feature that splits in some chunk; here all do
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((200, 3))
+        ds = dataset.LabeledDataset(X, (X.sum(axis=1) > 0).astype(int))
+        selected, projected, _ = cfsgb.run_cfsgb(
+            ds, cfsgb.ChunkSpec(p=1.0, q=0.0), FAST_GBDT, 0.0
+        )
+        assert selected.global_indices.tolist() == [0, 1, 2]
+        np.testing.assert_array_equal(projected.features, ds.features)
 
     def test_empty_selection_rejected(self):
-        ds = dataset.LabeledDataset(np.ones((2, 2)), [0, 1])
-        with pytest.raises(EmptySelection):
-            cfsgb.project_dataset(ds, cfsgb.SelectedFeatureSet(np.array([], dtype=int), [], 0.0))
-
-    def test_index_out_of_range(self):
-        ds = dataset.LabeledDataset(np.ones((2, 2)), [0, 1])
-        with pytest.raises(IndexOutOfRange):
-            cfsgb.project_dataset(ds, cfsgb.SelectedFeatureSet(np.array([5]), [], 0.0))
+        # top_k keeps at least one feature whenever any feature splits; a
+        # fixed tau can exclude them all, and that raises naming the tau
+        ds, _ = synth(200, 8, 2, seed=8)
+        spec = cfsgb.ChunkSpec(p=0.5, q=0.0)
+        selected, projected, _ = cfsgb.run_cfsgb(ds, spec, FAST_GBDT, top_k=1)
+        assert selected.r >= 1 and projected.m == selected.r
+        with pytest.raises(EmptySelection, match="threshold 1.5 excluded every feature"):
+            cfsgb.run_cfsgb(ds, spec, FAST_GBDT, tau=1.5)
 
 
 class TestRunCfsgb:
@@ -216,7 +218,10 @@ class TestRunCfsgb:
 
 
 def chunk_importances(ds, spec):
-    return cfsgb._chunk_importances(ds, cfsgb.make_chunks(ds.n, spec), FAST_GBDT)
+    return [
+        gbdt.feature_importance(gbdt.train(ds.select_rows(slice(c.start, c.stop)), FAST_GBDT))
+        for c in cfsgb.make_chunks(ds.n, spec)
+    ]
 
 
 class TestThresholdForTopK:

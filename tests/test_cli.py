@@ -76,6 +76,11 @@ class TestSynth:
         assert (out_a / "synthetic.bin").read_bytes() == (out_b / "synthetic.bin").read_bytes()
         assert (out_a / "informative.json").read_text() == (out_b / "informative.json").read_text()
 
+    def test_balance_sets_the_positive_fraction(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(*synth_args(out, n=200, fmt="bin"), "--balance", 0.2) == 0
+        assert dataset.load_binary(out / "synthetic.bin").labels.sum() == 40
+
     def test_invalid_spec_exits_2_without_files(self, tmp_path):
         out = tmp_path / "o"
         code = run("synth", "--n", 200, "--m", 200, "--informative", 300,
@@ -374,6 +379,7 @@ BAD_CONFIGS = {
         "dropout_in_adapt", with_entry("maml", "dropout_in_adapt", False)
     ),
     "removed split stratified": ("stratified", with_entry("split", "stratified", True)),
+    "removed chunking k": ("k", with_entry("chunking", "k", 3)),
     "section not an object": ("gbdt", {**SMALL_CONFIG, "gbdt": [10, 2]}),
     "string for an int": ("n_trees", with_entry("gbdt", "n_trees", "5")),
     "bool for an int": ("n_trees", with_entry("gbdt", "n_trees", True)),
@@ -417,7 +423,7 @@ BAD_FLAGS = {
 DOCUMENTED_DEFAULTS = {
     "seed": 0,
     "output_dir": None,
-    "chunking": {"p": 0.2, "q": 0.2, "k": None},
+    "chunking": {"p": 0.2, "q": 0.2},
     "gbdt": {
         "n_trees": 100,
         "max_depth": 3,
@@ -564,24 +570,18 @@ class TestConfig:
         assert not out.exists()
 
     def test_output_dir_precedence(self, tmp_path, trained, monkeypatch):
-        # --out-dir, then the config's output_dir, then MELEMAD_OUT_DIR, then
-        # the working directory
-        flag, conf, env, cwd = dirs = [tmp_path / d for d in ("flag", "conf", "env", "cwd")]
+        # --out-dir, then the config's output_dir, then the working directory
+        flag, conf, cwd = dirs = [tmp_path / d for d in ("flag", "conf", "cwd")]
         cwd.mkdir()
         monkeypatch.chdir(cwd)
         config = tmp_path / "config.json"
         config.write_text(json.dumps(with_entry(None, "output_dir", str(conf))))
         argv = STAGE_ARGV["evaluate"](*trained)
-        for extra, env_set, expected in [
-            (["--config", config, "--out-dir", flag], True, flag),
-            (["--config", config], True, conf),
-            ([], True, env),
-            ([], False, cwd),
+        for extra, expected in [
+            (["--config", config, "--out-dir", flag], flag),
+            (["--config", config], conf),
+            ([], cwd),
         ]:
-            if env_set:
-                monkeypatch.setenv("MELEMAD_OUT_DIR", str(env))
-            else:
-                monkeypatch.delenv("MELEMAD_OUT_DIR", raising=False)
             assert run(*argv, *extra) == 0
             assert [d for d in dirs if (d / "metrics_report.json").exists()] == [expected]
             (expected / "metrics_report.json").unlink()
@@ -589,7 +589,7 @@ class TestConfig:
     def test_int_for_a_float_and_null_for_an_optional_accepted(self, tmp_path, trained):
         data, _ = trained
         cfg = with_entry("gbdt", "learning_rate", 1)
-        cfg["chunking"]["k"] = None
+        cfg["selection"]["top_k"] = None
         cfg["maml"].update(alpha=0, hidden_dims=[8])
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
@@ -667,6 +667,29 @@ class TestConfig:
             report = json.loads((out / "metrics_report.json").read_text())
             assert sum(report["confusion"].values()) == scored
 
+    def test_evaluate_config_without_task_sizes_keeps_the_checkpoints(self, tmp_path):
+        # the task sizes come from flags at meta-train, so only the
+        # checkpoint holds them; the defaults' 100-row task would exceed the
+        # 74-row test pool
+        cfg = copy.deepcopy(SMALL_CONFIG)
+        for key in ("samples_per_task", "support_size", "query_size"):
+            del cfg["maml"][key]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        data_dir = tmp_path / "d"
+        assert run(*synth_args(data_dir, n=300, fmt="bin")) == 0
+        run_dir = tmp_path / "run"
+        assert run("meta-train", "--config", config, "--input", data_dir / "synthetic.bin",
+                   "--samples-per-task", 40, "--support-size", 20, "--query-size", 20,
+                   "--out-dir", run_dir) == 0
+        base = ["evaluate", "--checkpoint", run_dir / "checkpoint.ckpt", "--data",
+                run_dir / "test_pool.bin"]
+        bare, with_config = tmp_path / "bare", tmp_path / "with_config"
+        assert run(*base, "--out-dir", bare) == 0
+        assert run(*base, "--config", config, "--out-dir", with_config) == 0
+        for name in ("metrics_report.json", "roc.csv"):
+            assert (bare / name).read_bytes() == (with_config / name).read_bytes(), name
+
     def test_bad_json_exits_2(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
@@ -694,6 +717,13 @@ class TestConfig:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
         assert cli.build_parser().parse_args(["meta-train", "--input", "x", "--seed", "1"]).seed == 1
+
+    def test_removed_k_flag_rejected(self, capsys):
+        # one chunking rule: size p and overlap q, no forced chunk count
+        with pytest.raises(SystemExit) as exc:
+            run("select", "--input", "x.csv", "--tau", "0.01", "--k", 3)
+        assert exc.value.code == 2
+        assert "--k" in capsys.readouterr().err
 
     def test_derive_seed_stable(self):
         assert cli.derive_seed(7, "select") == cli.derive_seed(7, "select")
