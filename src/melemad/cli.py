@@ -21,7 +21,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import cfsgb, dataset, gbdt, maml, metrics
-from .errors import BadMagic, TruncatedFile, ValidationError, check_fields
+from .errors import ValidationError, check_fields
 
 # the keys outside the sections, with their types and defaults
 _TOP_LEVEL = {"seed": (int, 0), "output_dir": (str | None, None)}
@@ -135,7 +135,7 @@ def _atomic_save(path: Path, saver) -> None:
         raise
 
 
-def _load_dataset(path: str, label_column: str = "label") -> dataset.LabeledDataset:
+def _load_dataset(path: str, label_column: str) -> dataset.LabeledDataset:
     p = Path(path)
     if p.suffix.lower() == ".csv":
         return dataset.load_csv(p, label_column)
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
             if path is not None and not Path(path).is_file():
                 raise ValidationError(f"--{flag} {path} is missing or not a regular file")
         return args.func(args)
-    except (ValidationError, FileNotFoundError, BadMagic, TruncatedFile) as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # any other failure is a runtime failure

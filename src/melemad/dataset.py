@@ -1,21 +1,12 @@
 """Labeled feature matrices: loading, persistence, scaling, splitting, synthesis.
 
-Datasets are immutable after construction (the backing arrays are marked
-read-only). Every dataset is built through one check, LabeledDataset._wrap:
-shape, finite values a block of rows at a time, labels 0 or 1 and the
-length of the names. It wraps the arrays it is given without a copy. The
-public constructor copies its input first, so the read-only flag never
-reaches the caller's arrays; a row or column subset (select_rows,
-select_columns), a scaled dataset (apply_scaler) and the matrices load_csv,
-load_binary and synthesize build are already their own, so each is wrapped
-as it is, and a slice of rows stays a view of the parent's arrays. load_csv
-parses a CSV with numpy's C reader into one float64 matrix, validates it
-with array operations and compacts its feature columns into the front of
-that matrix's buffer a block of rows at a time, so it holds one copy; where
-that reader could disagree with the per-cell reader, the per-cell reader
-parses the file and names the row and column at fault. load_binary
-converts its float32 body into the float64 matrix a block of rows at a
-time, and save_binary its matrix into the float32 body.
+A dataset is a float64 matrix (n rows, m columns) and one 0/1 label per
+row, both read-only. Every dataset passes one check, LabeledDataset._wrap:
+a 2-D matrix with n, m >= 1, one label per row, finite values (a block of
+rows at a time) and labels 0 or 1. _wrap takes the arrays it is given
+without a copy; the public constructor copies its input first, so the
+read-only flag never reaches the caller's arrays. A slice of rows is a view
+of its parent's arrays.
 """
 from __future__ import annotations
 
@@ -58,18 +49,15 @@ class LabeledDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    feature_names: list[str] | None = None
 
     def __post_init__(self):
         # copies, so the read-only flags _wrap sets never reach caller arrays
-        ds = self._wrap(
-            np.array(self.features, dtype=np.float64), np.array(self.labels), self.feature_names
-        )
+        ds = self._wrap(np.array(self.features, dtype=np.float64), np.array(self.labels))
         object.__setattr__(self, "features", ds.features)
         object.__setattr__(self, "labels", ds.labels)
 
     @classmethod
-    def _wrap(cls, features: np.ndarray, labels: np.ndarray, feature_names) -> "LabeledDataset":
+    def _wrap(cls, features: np.ndarray, labels: np.ndarray) -> "LabeledDataset":
         """Check float64 features and their labels and wrap them read-only,
         without a copy. Finiteness is checked a block of rows at a time, so
         the check's mask is a block's, not the matrix's."""
@@ -86,15 +74,12 @@ class LabeledDataset:
                 raise ValidationError("features contain NaN or Inf")
         if not ((labels == 0) | (labels == 1)).all():
             raise ValidationError("labels must all be 0 or 1")
-        if feature_names is not None and len(feature_names) != m:
-            raise ValidationError("feature_names length does not match column count")
         labels = labels.astype(np.uint8, copy=False)
         features.setflags(write=False)
         labels.setflags(write=False)
         ds = object.__new__(cls)
         object.__setattr__(ds, "features", features)
         object.__setattr__(ds, "labels", labels)
-        object.__setattr__(ds, "feature_names", feature_names)
         return ds
 
     @property
@@ -116,15 +101,10 @@ class LabeledDataset:
     def select_rows(self, indices) -> "LabeledDataset":
         """The given rows; a slice gives read-only views, not copies."""
         idx = indices if isinstance(indices, slice) else np.asarray(indices)
-        return LabeledDataset._wrap(self.features[idx], self.labels[idx], self.feature_names)
+        return LabeledDataset._wrap(self.features[idx], self.labels[idx])
 
     def select_columns(self, indices) -> "LabeledDataset":
-        idx = np.asarray(indices)
-        names = None
-        if self.feature_names is not None:
-            # indexed as the columns are, whatever the indices' dtype or shape
-            names = np.array(self.feature_names, dtype=object)[idx].tolist()
-        return LabeledDataset._wrap(self.features[:, idx], self.labels, names)
+        return LabeledDataset._wrap(self.features[:, np.asarray(indices)], self.labels)
 
 
 @dataclass(frozen=True)
@@ -199,53 +179,45 @@ def _parse_cell(text: str, row: int, col: int) -> float:
     return value
 
 
-def _read_header(reader, path: Path, label_column) -> tuple[list[str], int]:
-    """The stripped header names and the label column's index."""
+def _read_header(reader, path: Path, label_column: str) -> tuple[int, int]:
+    """The header's width and the index of the column named label_column."""
     try:
-        header = next(reader)
+        header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise ValidationError(f"{path} is empty") from None
-    header = [h.strip() for h in header]
-    if isinstance(label_column, int):
-        if not 0 <= label_column < len(header):
-            raise MissingLabelColumn(f"column index {label_column} out of range")
-        return header, label_column
-    try:
-        return header, header.index(label_column)
-    except ValueError:
-        raise MissingLabelColumn(f"no column named {label_column!r} in {header}") from None
+    if label_column not in header:
+        raise MissingLabelColumn(f"no column named {label_column!r} in {header}")
+    return len(header), header.index(label_column)
 
 
 def load_csv(path, label_column="label") -> LabeledDataset:
-    """Read a headered CSV, pulling the label column out of the feature matrix.
+    """The dataset in a headered CSV. The column whose stripped header name
+    is label_column holds the labels; every other column is a feature.
 
-    label_column may be a header name or a 0-based column index. The data
-    rows are parsed by numpy's C reader straight into one float64 matrix.
-    Wherever that reader could disagree with the per-cell reader (a blank
-    line, a cell it rejects, a non-finite value, a label other than 0 or 1),
-    the per-cell reader parses the file instead, so every error names the
-    row and column at fault and every accepted file loads to the same
-    dataset.
+    The file has at least one data row and one feature column, and every
+    data row the header's width. Each stripped feature cell is a finite
+    number that Python's float() reads, and each label cell one that reads
+    as 0 or 1. A file that breaks a rule raises ValidationError, and a bad
+    row or cell is named by its row (and column).
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header, label_idx = _read_header(reader, path, label_column)
+        width, label_idx = _read_header(reader, path, label_column)
         header_lines = reader.line_num
-    feature_names = [h for i, h in enumerate(header) if i != label_idx]
     # np.loadtxt skips one line of header, so a header with a quoted newline
-    # goes to the per-cell reader, as does a file with no feature column
-    if header_lines == 1 and feature_names:
-        ds = _load_csv_matrix(path, label_idx, feature_names)
+    # goes to the per-cell reader
+    if header_lines == 1:
+        ds = _load_csv_matrix(path, label_idx, width)
         if ds is not None:
             return ds
     return _load_csv_cells(path, label_column)
 
 
-def _load_csv_matrix(path: Path, label_idx: int, feature_names: list[str]):
+def _load_csv_matrix(path: Path, label_idx: int, width: int):
     """The dataset from np.loadtxt, or None where it may differ from what
-    _load_csv_cells gives: a row count or width other than the file's, a
-    non-finite value, or a label other than 0 or 1."""
+    _load_csv_cells gives: a row count or width other than the file's, or a
+    matrix _wrap rejects."""
     try:
         with warnings.catch_warnings():
             # a file without data rows warns; the per-cell reader names it
@@ -266,69 +238,57 @@ def _load_csv_matrix(path: Path, label_idx: int, feature_names: list[str]):
             records = sum(1 for _ in fh) - 1
     except (ValueError, UserWarning):
         return None
-    if data.shape != (records, len(feature_names) + 1) or records < 1:
+    if data.shape != (records, width):
         return None
-    labels = data[:, label_idx]
-    if not np.isfinite(data).all() or not ((labels == 0.0) | (labels == 1.0)).all():
-        return None
-    labels = labels.astype(np.uint8)
+    labels = data[:, label_idx].copy()
     # compact the feature columns into the front of the loaded buffer, a
     # block of rows at a time, for a C-contiguous matrix as the per-cell
     # reader builds: a block's rows land before any row a later block reads
-    n, width = data.shape
-    features = data.reshape(-1)[: n * (width - 1)].reshape(n, width - 1)
+    features = data.reshape(-1)[: records * (width - 1)].reshape(records, width - 1)
     columns = np.delete(np.arange(width), label_idx)
     rows = max(1, _BLOCK_CELLS // width)
-    for start in range(0, n, rows):
+    for start in range(0, records, rows):
         features[start : start + rows] = data[start : start + rows, columns]
-    return LabeledDataset._wrap(features, labels, feature_names)
+    try:
+        return LabeledDataset._wrap(features, labels)
+    except ValidationError:
+        return None
 
 
-def _load_csv_cells(path: Path, label_column) -> LabeledDataset:
+def _load_csv_cells(path: Path, label_column: str) -> LabeledDataset:
     """Parse one cell at a time, raising on the first row or cell at fault."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header, label_idx = _read_header(reader, path, label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
+        width, label_idx = _read_header(reader, path, label_column)
         rows: list[list[float]] = []
-        labels: list[int] = []
+        labels: list[float] = []
         for row_no, cells in enumerate(reader):
-            if len(cells) != len(header):
-                raise RaggedRow(row_no, len(header), len(cells))
+            if len(cells) != width:
+                raise RaggedRow(row_no, width, len(cells))
             label_text = cells[label_idx].strip()
-            if label_text not in ("0", "1"):
-                # accept float spellings of 0/1 but nothing else
-                try:
-                    label_val = float(label_text)
-                except ValueError:
-                    raise NonBinaryLabel(row_no, label_text) from None
-                if label_val not in (0.0, 1.0):
-                    raise NonBinaryLabel(row_no, label_text)
-            else:
-                label_val = float(label_text)
-            labels.append(int(label_val))
+            try:
+                label = float(label_text)
+            except ValueError:
+                raise NonBinaryLabel(row_no, label_text) from None
+            if label not in (0.0, 1.0):
+                raise NonBinaryLabel(row_no, label_text)
+            labels.append(label)
             rows.append(
-                [
-                    _parse_cell(cells[j].strip(), row_no, j)
-                    for j in range(len(header))
-                    if j != label_idx
-                ]
+                [_parse_cell(cells[j].strip(), row_no, j) for j in range(width) if j != label_idx]
             )
 
     if not rows:
         raise ValidationError(f"{path} has a header but no data rows")
-    return LabeledDataset(rows, np.array(labels), feature_names)
+    return LabeledDataset(rows, np.array(labels))
 
 
-def save_csv(ds: LabeledDataset, path, label_column: str = "label") -> None:
-    """Write a CSV that load_csv reads back to an identical dataset.
-
-    Floats use repr (shortest round trip), so reload is exact.
-    """
+def save_csv(ds: LabeledDataset, path) -> None:
+    """Write a CSV that load_csv reads back to an identical dataset: a header
+    f0..f{m-1},label, then one row of repr floats (shortest round trip) and
+    the label per sample."""
     path = Path(path)
-    names = ds.feature_names or [f"f{j}" for j in range(ds.m)]
     with path.open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow([*names, label_column])
+        csv.writer(fh).writerow([*(f"f{j}" for j in range(ds.m)), "label"])
         # a float's repr holds no comma, quote or line break, so the data
         # rows are the bytes csv.writer would write, at a fraction of its cost
         rows = max(1, _BLOCK_CELLS // ds.m)
@@ -388,7 +348,7 @@ def load_binary(path) -> LabeledDataset:
             feats[start : start + part.shape[0]] = part
         labels = np.empty(n, dtype=np.uint8)
         _read_exactly(fh, labels, path)
-    return LabeledDataset._wrap(feats, labels, None)
+    return LabeledDataset._wrap(feats, labels)
 
 
 def _read_exactly(fh, out: np.ndarray, path: Path) -> None:
@@ -408,11 +368,12 @@ def apply_scaler(ds: LabeledDataset, sp: ScalerParams) -> LabeledDataset:
             f"scaler has {sp.per_column_min.shape[0]} columns, dataset has {ds.m}"
         )
     span = sp.per_column_max - sp.per_column_min
-    safe_span = np.where(span > 0, span, 1.0)
-    scaled = (ds.features - sp.per_column_min) / safe_span
-    scaled = np.where(span > 0, scaled, 0.0)
+    # one new matrix, scaled in place
+    scaled = ds.features - sp.per_column_min
+    scaled /= np.where(span > 0, span, 1.0)
+    scaled[:, span == 0] = 0.0
     np.clip(scaled, 0.0, 1.0, out=scaled)
-    return LabeledDataset._wrap(scaled, ds.labels, ds.feature_names)
+    return LabeledDataset._wrap(scaled, ds.labels)
 
 
 def save_scaler(sp: ScalerParams, path) -> None:
@@ -441,8 +402,7 @@ def stratified_split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDatase
     rng = np.random.default_rng(spec.seed)
     train_parts = []
     test_parts = []
-    for cls in (0, 1):
-        cls_idx = np.flatnonzero(ds.labels == cls)
+    for cls, cls_idx in enumerate(ds.class_rows):
         if cls_idx.size == 0:
             continue
         if cls_idx.size < 2:
@@ -493,4 +453,4 @@ def synthesize(spec: SyntheticSpec) -> tuple[LabeledDataset, np.ndarray]:
         order = np.lexsort((rng.random(spec.n), logit))
         labels[order[spec.n - n_pos:]] = 1
     # X is this function's own, so it is wrapped, not copied
-    return LabeledDataset._wrap(X, labels, None), informative.astype(np.int64)
+    return LabeledDataset._wrap(X, labels), informative.astype(np.int64)

@@ -75,7 +75,7 @@ class RaggedRow(ValidationError):
         super().__init__(f"row {row} has {got} cells, expected {expected}")
 
 
-class BadMagic(MelemadError):
+class BadMagic(ValidationError):
     pass
 
 
@@ -83,7 +83,7 @@ class DimensionOverflow(MelemadError):
     pass
 
 
-class TruncatedFile(MelemadError):
+class TruncatedFile(ValidationError):
     pass
 
 

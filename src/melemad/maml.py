@@ -679,6 +679,18 @@ def save_checkpoint(path, params: ModelParams, cfg: MamlConfig, iteration: int) 
         fh.write(params.values.astype("<f4").tobytes())
 
 
+def _header_section(header: dict, key: str, cls, path) -> dict:
+    """header[key] as a dict holding every field of cls, each of its type; a
+    missing key raises KeyError naming it."""
+    values = dict(header[key])
+    hints = typing.get_type_hints(cls)
+    check_fields(f"checkpoint {path} {key}", values, hints)
+    missing = sorted(set(hints) - set(values))
+    if missing:
+        raise KeyError(f"{key}.{missing[0]}")
+    return values
+
+
 def load_checkpoint(path) -> tuple[ModelParams, MamlConfig, int]:
     """The parameters, the stored config and the iteration. A header that is
     not a JSON object holding the keys save_checkpoint writes, an
@@ -692,12 +704,9 @@ def load_checkpoint(path) -> tuple[ModelParams, MamlConfig, int]:
         raise ValidationError(f"{path}: missing checkpoint header")
     try:
         header = json.loads(blob[:split].decode("utf-8"))
-        architecture = dict(header["architecture"])
-        check_fields(f"checkpoint {path} architecture", architecture,
-                     typing.get_type_hints(MlpArchitecture))
-        arch = MlpArchitecture(**architecture)
-        config, iteration = dict(header["config"]), header["iteration"]
-        check_fields(f"checkpoint {path} config", config, typing.get_type_hints(MamlConfig))
+        arch = MlpArchitecture(**_header_section(header, "architecture", MlpArchitecture, path))
+        config = _header_section(header, "config", MamlConfig, path)
+        iteration = header["iteration"]
         check_fields(f"checkpoint {path}", {"iteration": iteration}, {"iteration": int})
     except KeyError as exc:
         raise ValidationError(f"{path}: checkpoint header has no key {exc}") from None

@@ -463,6 +463,12 @@ BAD_CHECKPOINTS = {
     "header not JSON": (lambda blob: b"{not json" + blob[blob.index(b"\n"):],
                         "malformed checkpoint header"),
     "no architecture": (edit_header(lambda h: h.pop("architecture")), "'architecture'"),
+    "config without seed": (edit_header(lambda h: h["config"].pop("seed")), "'config.seed'"),
+    "config without alpha": (edit_header(lambda h: h["config"].pop("alpha")), "'config.alpha'"),
+    "architecture without dropout rate": (
+        edit_header(lambda h: h["architecture"].pop("dropout_rate")),
+        "'architecture.dropout_rate'",
+    ),
     "unknown config key": (
         edit_header(lambda h: h["config"].update(dropout_in_adapt=True)), "'dropout_in_adapt'"
     ),
@@ -567,6 +573,23 @@ class TestConfig:
         out = tmp_path / "out"
         assert run(*argv, "--out-dir", out) == 2
         assert f"{flag} {directory} is missing or not a regular file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda blob: b"MLMX" + blob[4:], "bad magic b'MLMX'"),
+        (lambda blob: blob[:-1], "bytes, found"),
+    ], ids=["bad magic", "truncated"])
+    @pytest.mark.parametrize("stage", sorted(STAGE_ARGV))
+    def test_malformed_binary_input_exits_2(self, tmp_path, trained, capsys, stage, edit,
+                                            named):
+        argv = STAGE_ARGV[stage](*trained)
+        at = argv.index("--data" if stage == "evaluate" else "--input") + 1
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(edit(argv[at].read_bytes()))
+        argv[at] = bad
+        out = tmp_path / "out"
+        assert run(*argv, "--out-dir", out) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_output_dir_precedence(self, tmp_path, trained, monkeypatch):
