@@ -1,12 +1,16 @@
 """Labeled feature matrices: loading, persistence, scaling, splitting, synthesis.
 
-A dataset is a float64 matrix (n rows, m columns) and one 0/1 label per
-row, both read-only. Every dataset passes one check, LabeledDataset._wrap:
-a 2-D matrix with n, m >= 1, one label per row, finite values (a block of
-rows at a time) and labels 0 or 1. _wrap takes the arrays it is given
-without a copy; the public constructor copies its input first, so the
-read-only flag never reaches the caller's arrays. A slice of rows is a view
-of its parent's arrays.
+A dataset is a matrix (n rows, m columns) and one 0/1 label per row, both
+read-only. The matrix is float32 when it comes from a binary file
+(load_binary keeps the file's stored values, at half the bytes) and float64
+otherwise (load_csv, synthesize, the public constructor, apply_scaler);
+select_rows and select_columns keep their parent's dtype, and save_binary
+writes float32 either way. Every dataset passes one check,
+LabeledDataset._wrap: a 2-D matrix with n, m >= 1, one label per row, finite
+values (a block of rows at a time) and labels 0 or 1. _wrap takes the arrays
+it is given without a copy; the public constructor copies its input first,
+so the read-only flag never reaches the caller's arrays. A slice of rows is
+a view of its parent's arrays.
 """
 from __future__ import annotations
 
@@ -38,9 +42,12 @@ from .errors import (
 _MAGIC = b"MLMD"
 _BINARY_VERSION = 1
 _U32_MAX = 2**32 - 1
-# cells save_csv and load_binary convert per block of rows, which bounds
-# their temporaries (Python floats, float32 cells) next to the matrix
+# cells save_csv, save_binary and _wrap's finiteness check handle per block
+# of rows, which bounds their temporaries (Python floats, float32 cells, a
+# mask) next to the matrix
 _BLOCK_CELLS = 1 << 16
+# bytes _count_lines reads per block
+_LINE_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,9 +65,9 @@ class LabeledDataset:
 
     @classmethod
     def _wrap(cls, features: np.ndarray, labels: np.ndarray) -> "LabeledDataset":
-        """Check float64 features and their labels and wrap them read-only,
-        without a copy. Finiteness is checked a block of rows at a time, so
-        the check's mask is a block's, not the matrix's."""
+        """Check float32 or float64 features and their labels and wrap them
+        read-only, without a copy. Finiteness is checked a block of rows at
+        a time, so the check's mask is a block's, not the matrix's."""
         if features.ndim != 2:
             raise ValidationError(f"features must be 2-D, got ndim={features.ndim}")
         n, m = features.shape
@@ -232,12 +239,11 @@ def _load_csv_matrix(path: Path, label_idx: int, width: int):
                 dtype=np.float64,
                 encoding="utf-8",
             )
-        # csv.reader makes a record of every line after the header, a blank
-        # one too; np.loadtxt skips blank lines, so the counts must match
-        with path.open(newline="", encoding="utf-8") as fh:
-            records = sum(1 for _ in fh) - 1
     except (ValueError, UserWarning):
         return None
+    # csv.reader makes a record of every line after the header, a blank one
+    # too; np.loadtxt skips blank lines, so the counts must match
+    records = _count_lines(path) - 1
     if data.shape != (records, width):
         return None
     labels = data[:, label_idx].copy()
@@ -253,6 +259,25 @@ def _load_csv_matrix(path: Path, label_idx: int, width: int):
         return LabeledDataset._wrap(features, labels)
     except ValidationError:
         return None
+
+
+def _count_lines(path: Path) -> int:
+    """The lines that iterating over path in text mode with newline=""
+    yields: each ends at \n, \r\n or a bare \r, and the last may have no
+    ending. Counted from binary blocks, so nothing is decoded (a UTF-8
+    multi-byte sequence holds no \r or \n byte)."""
+    lines = 0
+    last = None  # the previous block's last byte
+    block = bytearray(_LINE_BLOCK_BYTES)
+    with path.open("rb") as fh:
+        while size := fh.readinto(block):
+            data = np.frombuffer(block, np.uint8, size)
+            lf, cr = data == 10, data == 13
+            # every \n and \r ends a line but a \r just before a \n
+            lines += np.count_nonzero(lf) + np.count_nonzero(cr)
+            lines -= np.count_nonzero(cr[:-1] & lf[1:]) + (last == 13 and lf[0])
+            last = int(data[-1])
+    return int(lines) + (last not in (None, 10, 13))
 
 
 def _load_csv_cells(path: Path, label_column: str) -> LabeledDataset:
@@ -320,9 +345,9 @@ def save_binary(ds: LabeledDataset, path) -> None:
 
 
 def load_binary(path) -> LabeledDataset:
-    """Read the save_binary layout. The float32 body is checked and converted
-    into the float64 matrix a block of rows at a time, so nothing the size of
-    the body is held next to it."""
+    """Read the save_binary layout. The dataset's matrix is the file's
+    little-endian float32 body, read in one readinto and checked a block of
+    rows at a time, so nothing the size of the body is held next to it."""
     path = Path(path)
     with path.open("rb") as fh:
         head = fh.read(16)
@@ -339,13 +364,8 @@ def load_binary(path) -> LabeledDataset:
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise TruncatedFile(f"{path}: expected {expected} bytes, found {size}")
-        feats = np.empty((n, m))
-        rows = max(1, _BLOCK_CELLS // m)
-        block = np.empty((min(rows, n), m), dtype="<f4")
-        for start in range(0, n, rows):
-            part = block[: min(rows, n - start)]
-            _read_exactly(fh, part, path)
-            feats[start : start + part.shape[0]] = part
+        feats = np.empty((n, m), dtype="<f4")
+        _read_exactly(fh, feats, path)
         labels = np.empty(n, dtype=np.uint8)
         _read_exactly(fh, labels, path)
     return LabeledDataset._wrap(feats, labels)
@@ -368,7 +388,8 @@ def apply_scaler(ds: LabeledDataset, sp: ScalerParams) -> LabeledDataset:
             f"scaler has {sp.per_column_min.shape[0]} columns, dataset has {ds.m}"
         )
     span = sp.per_column_max - sp.per_column_min
-    # one new matrix, scaled in place
+    # one new float64 matrix (the float64 min promotes a float32 dataset,
+    # exactly), scaled in place
     scaled = ds.features - sp.per_column_min
     scaled /= np.where(span > 0, span, 1.0)
     scaled[:, span == 0] = 0.0

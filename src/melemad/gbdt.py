@@ -18,8 +18,12 @@ the same boundaries in every tree of a fit, so its tie mask is computed
 once per fit from the values and kept packed 8 boundaries a byte; the other
 nodes compare their sorted values. The threshold is read from X at the two
 rows beside the winning boundary. Ties go to the lowest feature, then the
-lowest threshold. Feature importance is total split gain, normalized.
-Training uses no randomness, so identical inputs give byte-identical models.
+lowest threshold. X may be float32 (a binary file's matrix) or float64:
+sorting and tie masks are exact in either, and the threshold midpoint and
+the split test are taken in float64, so a float32 matrix grows the trees of
+its float64 copy byte for byte. Feature importance is total split gain,
+normalized. Training uses no randomness, so identical inputs give
+byte-identical models.
 """
 from __future__ import annotations
 
@@ -170,7 +174,9 @@ class _TreeGrower:
             feature_index[node] = feat
             threshold[node] = thr
             gain[node] = best_gain
-            go_left = self.X[rows, feat] < thr
+            # in float64: a float32 comparison would round thr to float32,
+            # onto the left value when the two values beside it are adjacent
+            go_left = self.X[rows, feat].astype(np.float64, copy=False) < thr
             left_rows, right_rows = rows[go_left], rows[~go_left]
             left_order, right_order = self._partition(
                 order,
@@ -275,8 +281,11 @@ class _TreeGrower:
             if gains[b, k] > best_gain:  # strict, so an earlier block wins ties
                 best_gain = float(gains[b, k])
                 feat, tk = j0 + int(b), lo + k
-                thr = (self.X[idx[b, tk - 1], feat] + self.X[idx[b, tk], feat]) / 2.0
-                best = (best_gain, feat, float(thr))
+                # Python floats: a float32 sum could round the midpoint onto
+                # the left value
+                below, above = self.X[idx[b, tk - 1], feat], self.X[idx[b, tk], feat]
+                thr = (float(below) + float(above)) / 2.0
+                best = (best_gain, feat, thr)
         return best
 
 

@@ -26,8 +26,8 @@ Failures: a NaN or Inf meta-loss, meta-gradient or evaluation probability
 raises Diverged; an evaluation with more than SATURATION_LIMIT of its query
 probabilities clamped to the bounds raises Saturated.
 
-Scratch: passes work in buffers kept between calls, one per tag (_scratch),
-so passes must run on one thread. Every array a caller keeps
+Scratch: passes work in buffers kept between calls, one per tag and dtype
+(_scratch), so passes must run on one thread. Every array a caller keeps
 (probabilities, gradients, adapted parameters) is fresh; _forward_pass's
 layer inputs and dropout_mask's masks are scratch, valid until the next
 pass. test_maml holds the arguments that the stacked, one-buffer passes are
@@ -73,8 +73,8 @@ _ADAM_EPSILON = 1e-8
 # a paper-scale task runs one episode a stack
 _STACK_CELLS = 1 << 14
 
-# one buffer per tag, grown to the largest pass it has served
-_SCRATCH: dict[str, np.ndarray] = {}
+# one buffer per (tag, dtype), grown to the largest pass it has served
+_SCRATCH: dict[tuple[str, np.dtype], np.ndarray] = {}
 # cells of dropout_mask's float64 draw buffer, which a block of rows fills
 _DRAW_CELLS = 1 << 12
 # _hvp's imaginary step; the product's truncation error is of order its square
@@ -290,16 +290,14 @@ def dropout_mask(arch: MlpArchitecture, n_rows: int, keys: list[tuple[int, ...]]
 
 
 def _scratch(tag: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """An uninitialised C-contiguous array of `shape` in tag's buffer, valid
-    until the next call with the same tag. A complex buffer goes under its
-    own tag (tag + "j"), so a complex pass neither evicts nor reuses a real
-    one."""
-    if np.dtype(dtype).kind == "c":
-        tag += "j"
+    """An uninitialised C-contiguous array of `shape` and `dtype` in the
+    buffer kept under (tag, dtype), valid until the next call with the same
+    tag and dtype. So a complex pass neither evicts nor reuses a real one."""
+    key = (tag, np.dtype(dtype))
     size = math.prod(shape)
-    buf = _SCRATCH.get(tag)
+    buf = _SCRATCH.get(key)
     if buf is None or buf.size < size:
-        buf = _SCRATCH[tag] = np.empty(size, dtype)
+        buf = _SCRATCH[key] = np.empty(size, dtype)
     return buf[:size].reshape(shape)
 
 
@@ -406,14 +404,13 @@ def _probs_and_grad(params: ModelParams, X: np.ndarray, labels,
         np.sum(d, axis=-2, out=grad_b)
         if i == 0:
             break
-        # the ReLU gate of the layer below, taken from its activations (a
-        # dropped unit's is 0, where its delta is already 0 or NaN), which
-        # its delta then overwrites
+        # the ReLU gate of the layer below, taken from its activations,
+        # which its delta then overwrites; a dropped unit's activation is 0
+        # (or NaN), so its gate is False and the gate applies the keep mask
         a = inputs[i]
         gate = np.greater(a, 0.0, out=_scratch("gate", a.shape, bool))
         d = np.matmul(d, np.swapaxes(layers[i][0], -1, -2), out=a)
         if i == 1 and keep is not None:
-            np.multiply(d, keep, out=d)
             np.multiply(d, 1.0 / (1.0 - params.arch.dropout_rate), out=d)
         np.multiply(d, gate, out=d)
     return p, grad
@@ -527,6 +524,18 @@ def _adam_update(
     return new_values, AdamState(m=m, v=v, step=step)
 
 
+def _gather(features: np.ndarray, rows: np.ndarray, tag: str) -> np.ndarray:
+    """features[rows] in tag's float64 scratch. mode="clip" lets take write
+    straight into the scratch instead of buffering (the indices are in
+    range). A float32 pool (a binary file's matrix) is gathered in float32
+    and widened exactly, so only the stack's rows are converted."""
+    out = _scratch(tag, (*rows.shape, features.shape[1]))
+    if features.dtype == out.dtype:
+        return np.take(features, rows, axis=0, mode="clip", out=out)
+    out[...] = features[rows]
+    return out
+
+
 def _adapted_stacks(theta: ModelParams, pool: LabeledDataset, episodes: list[Episode],
                     cfg: MamlConfig, stream: int):
     """Adapt theta to episodes drawn from pool, a stack at a time: as many
@@ -535,9 +544,8 @@ def _adapted_stacks(theta: ModelParams, pool: LabeledDataset, episodes: list[Epi
 
     Yields each stack's episodes, inner path (inner_adapt), mask keys (step
     s's masks are dropout_mask(arch, n, keys, s) again), and its support and
-    query rows (T, n, m) and labels (T, n). The rows are scratch views, valid
-    until the next stack; mode="clip" lets take write them straight into the
-    scratch instead of buffering them (the indices are in range).
+    query rows (T, n, m) and labels (T, n). The rows are float64 scratch
+    views (_gather), valid until the next stack.
     """
     arch = theta.arch
     per_stack = max(1, _STACK_CELLS // (max(cfg.support_size, cfg.query_size)
@@ -546,10 +554,8 @@ def _adapted_stacks(theta: ModelParams, pool: LabeledDataset, episodes: list[Epi
         stack = episodes[start : start + per_stack]
         support = np.stack([ep.support for ep in stack])
         query = np.stack([ep.query for ep in stack])
-        Xs = np.take(pool.features, support, axis=0, mode="clip",
-                     out=_scratch("support", (*support.shape, pool.m)))
-        Xq = np.take(pool.features, query, axis=0, mode="clip",
-                     out=_scratch("query", (*query.shape, pool.m)))
+        Xs = _gather(pool.features, support, "support")
+        Xq = _gather(pool.features, query, "query")
         ys, yq = pool.labels[support], pool.labels[query]
         thetas = np.broadcast_to(theta.values, (len(stack), theta.values.shape[0]))
         keys = [_mask_key(cfg.seed, stream, ep.task_index) for ep in stack]

@@ -5,6 +5,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from melemad import cfsgb, cli, dataset, gbdt, maml
@@ -115,6 +116,30 @@ class TestSelect:
         assert code == 0
         selection = json.loads((out / "selected_features.json").read_text())
         assert len(selection["global_indices"]) >= 5
+
+    def test_bin_input_runs_as_its_float64_csv(self, tmp_path, small_config):
+        # a .bin file loads as float32; the same values as a CSV load as
+        # float64, and every stage writes the same bytes from either
+        run(*synth_args(tmp_path / "d", fmt="bin"))
+        narrow = dataset.load_binary(tmp_path / "d" / "synthetic.bin")
+        assert narrow.features.dtype == np.float32
+        wide = dataset.LabeledDataset(narrow.features, narrow.labels)
+        dataset.save_csv(wide, tmp_path / "d" / "synthetic.csv")
+        for name in ("bin", "csv"):
+            data, out = tmp_path / "d" / f"synthetic.{name}", tmp_path / name
+            assert run("select", "--config", small_config, "--input", data, "--out-dir", out) == 0
+            assert run("meta-train", "--config", small_config, "--input", data,
+                       "--out-dir", out) == 0
+        test_pool = dataset.load_binary(tmp_path / "bin" / "test_pool.bin")
+        dataset.save_csv(dataset.LabeledDataset(test_pool.features, test_pool.labels),
+                         tmp_path / "csv" / "test_pool.csv")
+        for name, pool in (("bin", "test_pool.bin"), ("csv", "test_pool.csv")):
+            out = tmp_path / name
+            assert run("evaluate", "--checkpoint", out / "checkpoint.ckpt",
+                       "--data", out / pool, "--out-dir", out) == 0
+        for name in ("selected_features.json", "projected.bin", "scaler.json", "test_pool.bin",
+                     "checkpoint.ckpt", "metrics_report.json", "roc.csv"):
+            assert (tmp_path / "bin" / name).read_bytes() == (tmp_path / "csv" / name).read_bytes()
 
     def test_top_k_trains_each_chunk_once(self, tmp_path, small_config, monkeypatch):
         data_dir = tmp_path / "d"

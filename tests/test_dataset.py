@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from melemad.errors import (
     BadMagic,
     ClassTooSmall,
     DimensionMismatch,
+    DimensionOverflow,
     MissingLabelColumn,
     NonBinaryLabel,
     NonNumericCell,
@@ -250,6 +252,35 @@ class TestCsv:
         # held 3000 x 41 cells
         assert sum(cells) == ds.features.size
         assert max(cells) <= dataset._BLOCK_CELLS
+
+
+class TestCountLines:
+    # each line ending text-mode iteration knows, a quoted newline, a blank
+    # line, and files with and without a final ending
+    CONTENTS = {
+        "lf": b"f1,label\n1,0\n2,1\n",
+        "crlf": b"f1,label\r\n1,0\r\n2,1\r\n",
+        "bare cr": b"f1,label\r1,0\r2,1\r",
+        "mixed": b"f1,label\r\n1,0\r2,1\n\r\n3,0\r\r",
+        "quoted newline": b'f1,label\n"1\n2",0\n"3\r\n4",1\n',
+        "no final newline": b"f1,label\n1,0\n2,1",
+        "no final newline after cr": b"f1,label\r1,0\r\n2,1",
+        "utf-8": "f1,label,\u00e9\n1,0,\u2028\n".encode("utf-8"),
+        "empty": b"",
+        "one ending": b"\n",
+    }
+
+    @pytest.mark.parametrize("block_bytes", [1, 2, 3, 5, 1 << 16])
+    @pytest.mark.parametrize("content", CONTENTS.values(), ids=CONTENTS.keys())
+    def test_counts_the_text_mode_lines(self, tmp_path, monkeypatch, content, block_bytes):
+        # blocks of 1 and 3 bytes split the header's \r\n between two
+        # blocks ("f1,", "lab", "el\r", "\n1,"); 2 and 5 split others
+        path = tmp_path / "d.csv"
+        path.write_bytes(content)
+        monkeypatch.setattr(dataset, "_LINE_BLOCK_BYTES", block_bytes)
+        with path.open(newline="", encoding="utf-8") as fh:
+            expected = sum(1 for _ in fh)
+        assert dataset._count_lines(path) == expected
 
 
 def reference_save_csv(ds, path):
@@ -578,19 +609,41 @@ class TestBinary:
             dataset.load_binary(path)
 
     @pytest.mark.parametrize("block_cells", [1, 4, 9, 1 << 16])
-    def test_block_reads_load_the_float32_values(self, tmp_path, monkeypatch, block_cells):
-        # blocks of one row, of one row (4 // 3), of three rows with a
-        # remainder of one, and of the whole body
+    def test_loads_the_float32_body(self, tmp_path, monkeypatch, block_cells):
+        # checked in blocks of one row, of one row (4 // 3), of three rows
+        # with a remainder of one, and of the whole body
         ds, path = self.saved(tmp_path)
         monkeypatch.setattr(dataset, "_BLOCK_CELLS", block_cells)
         back = dataset.load_binary(path)
-        assert back.features.dtype == np.float64 and back.features.flags.c_contiguous
-        assert back.features.tobytes() == ds.features.astype("<f4").astype(np.float64).tobytes()
+        assert back.features.dtype == np.float32 and back.features.flags.c_contiguous
+        assert back.features.tobytes() == ds.features.astype("<f4").tobytes()
         assert back.labels.dtype == np.uint8
         assert back.labels.tobytes() == ds.labels.tobytes()
         assert not back.features.flags.writeable and not back.labels.flags.writeable
+        # rows, columns and saving keep the float32 values
         dataset.save_binary(back, tmp_path / "again.bin")
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+        for part in (back.select_rows([7, 2]), back.select_rows(slice(3, 9)),
+                     back.select_columns([2, 0])):
+            assert part.features.dtype == np.float32
+
+    def test_load_holds_the_float32_body_alone(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ds = make_ds(rng.standard_normal((4000, 100)), rng.integers(0, 2, 4000))
+        path = tmp_path / "d.bin"
+        dataset.save_binary(ds, path)
+        back, peak = traced_peak(dataset.load_binary, path)
+        # a float64 matrix would be twice the body
+        assert back.features.nbytes == 4 * 4000 * 100
+        assert peak <= 1.1 * back.features.nbytes
+
+    @pytest.mark.parametrize("n, m", [(2**32, 3), (3, 2**32)])
+    def test_dimension_overflow_writes_no_file(self, tmp_path, n, m):
+        # a stand-in: a real dataset this large does not fit in memory
+        path = tmp_path / "d.bin"
+        with pytest.raises(DimensionOverflow, match=f"n={n}, m={m} exceed the u32 header"):
+            dataset.save_binary(SimpleNamespace(n=n, m=m), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("block_cells", [1, 4, 9, 1 << 16])
     def test_block_writes_match_one_float32_body(self, tmp_path, monkeypatch, block_cells):

@@ -492,6 +492,24 @@ class TestBlockSplitSearch:
         cfg = gbdt.GbdtConfig(n_trees=4, max_depth=4, learning_rate=0.5)
         assert_same_models(gbdt.train(view, cfg), gbdt.train(copy, cfg))
 
+    def test_float32_matrix_grows_the_trees_of_its_float64_copy(self):
+        # column 0 separates the classes between 1.0 and the next float32
+        # above it: their midpoint rounds to 1.0 in float32, so a float32
+        # midpoint or split test would send the left value right
+        rng = np.random.default_rng(17)
+        y = rng.integers(0, 2, 300)
+        above = np.nextafter(np.float32(1.0), np.float32(2.0))
+        X = rng.standard_normal((300, 6)).astype(np.float32)
+        X[:, 0] = np.where(y == 1, above, np.float32(1.0))
+        narrow = LabeledDataset._wrap(X, y)
+        cfg = gbdt.GbdtConfig(n_trees=5, max_depth=3, learning_rate=0.5)
+        model = gbdt.train(narrow, cfg)
+        assert_same_models(model, gbdt.train(make_ds(X.astype(np.float64), y), cfg))
+        root = model.trees[0]
+        assert root.feature_index[0] == 0 and 1.0 < root.threshold[0] < above
+        # the root separates the classes: its children are pure leaves
+        assert root.feature_index[root.left[0]] == root.feature_index[root.right[0]] == -1
+
     def test_peak_memory_of_a_fit_stays_within_twice_the_matrix(self):
         # column orders and the per-node partitions are int32 row ids; int64
         # ones would double both and push the peak well past this bound

@@ -1037,7 +1037,7 @@ class TestOneBufferPass:
         eps = [maml.sample_task(pool, cfg, maml._rng(124, j), task_index=j) for j in range(4)]
         maml._meta_batch(maml.init_params(arch, 125), pool, eps, cfg)
         T = min(4, max(1, maml._STACK_CELLS // (size * max(arch.hidden_dims))))
-        assert not [tag for tag in maml._SCRATCH if re.fullmatch(r"[zd]\d+", tag)]
+        assert not [tag for tag, _ in maml._SCRATCH if re.fullmatch(r"[zd]\d+", tag)]
         assert {buf.dtype for buf in maml._SCRATCH.values()} == {np.dtype(np.float64),
                                                                  np.dtype(bool)}
         float_bytes = sum(buf.nbytes for buf in maml._SCRATCH.values()
@@ -1052,7 +1052,7 @@ class TestOneBufferPass:
         eps = [maml.sample_task(ENGINE_POOL, cfg, maml._rng(126, j), task_index=j)
                for j in range(4)]
         maml._meta_batch(maml.init_params(arch, 127), ENGINE_POOL, eps, cfg)
-        assert [tag for tag in maml._SCRATCH if tag.startswith("keep")] == ["keep"]
+        assert [tag for tag, _ in maml._SCRATCH if tag.startswith("keep")] == ["keep"]
 
     def test_second_order_keeps_complex_buffers_under_their_own_tags(self, monkeypatch):
         monkeypatch.setattr(maml, "_SCRATCH", {})
@@ -1061,9 +1061,19 @@ class TestOneBufferPass:
         eps = [maml.sample_task(ENGINE_POOL, cfg, maml._rng(128, j), task_index=j)
                for j in range(4)]
         maml._meta_batch(maml.init_params(arch, 129), ENGINE_POOL, eps, cfg)
-        complex_tags = {tag for tag, buf in maml._SCRATCH.items() if buf.dtype.kind == "c"}
-        assert complex_tags == {"a0j", "a1j"}
-        assert maml._SCRATCH["a0"].dtype == maml._SCRATCH["a1"].dtype == np.float64
+        complex_keys = {key for key, buf in maml._SCRATCH.items() if buf.dtype.kind == "c"}
+        assert complex_keys == {("a0", np.dtype(np.complex128)), ("a1", np.dtype(np.complex128))}
+        assert ("a0", np.dtype(np.float64)) in maml._SCRATCH
+        assert ("a1", np.dtype(np.float64)) in maml._SCRATCH
+        assert all(buf.dtype == dtype for (_, dtype), buf in maml._SCRATCH.items())
+
+    def test_scratch_is_in_the_dtype_asked_for(self, monkeypatch):
+        monkeypatch.setattr(maml, "_SCRATCH", {})
+        wide = maml._scratch("x", (2, 3))
+        for dtype in (np.float32, bool, np.complex128, np.float64):
+            assert maml._scratch("x", (2, 3), dtype).dtype == dtype
+        # a smaller request of the first dtype is a view of the first buffer
+        assert np.shares_memory(maml._scratch("x", (5,)), wide)
 
 
 class TestMetaTrain:
@@ -1190,6 +1200,26 @@ class TestMetaEvaluate:
         else:
             probs, _ = maml.meta_evaluate(theta, pool, cfg, episodes=2)
             assert np.all(np.isin(probs, [maml.PROB_EPS, 1.0 - maml.PROB_EPS]))
+
+
+    def test_a_float32_pool_scores_as_its_float64_copy(self):
+        # a test_pool.bin loads as float32; its rows are widened exactly as
+        # they are gathered, with no float64 copy of the pool
+        wide = random_pool(20000, 10, seed=63)
+        narrow = LabeledDataset._wrap(wide.features.astype(np.float32), wide.labels.copy())
+        wide = make_ds(narrow.features.astype(np.float64), narrow.labels)
+        cfg = maml.MamlConfig(samples_per_task=30, support_size=15, query_size=15, seed=5)
+        theta = maml.init_params(maml.MlpArchitecture(input_dim=10, hidden_dims=(5,)), 6)
+        expected = maml.meta_evaluate(theta, wide, cfg, episodes=40)
+        tracemalloc.start()
+        try:
+            probs, labels = maml.meta_evaluate(theta, narrow, cfg, episodes=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.tobytes() == expected[0].tobytes()
+        assert labels.tobytes() == expected[1].tobytes()
+        assert peak <= 0.5 * narrow.features.nbytes
 
 
 class TestCheckpoint:
