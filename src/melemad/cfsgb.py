@@ -5,7 +5,10 @@ trained per chunk, features whose normalized importance clears the
 threshold in any chunk are kept, and the dataset is projected onto their
 union. The threshold is either a fixed tau or derived from a top-k target;
 both select from the same single training pass over the chunks. Chunks are
-trained one after another and reduced in chunk order.
+trained one after another and reduced in chunk order. The data may be a
+loaded dataset or a binary file's BinaryRows, which holds one chunk at a
+time: selection reads its rows only through select_rows and
+select_columns.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gbdt
-from .dataset import LabeledDataset, _half_up
+from .dataset import BinaryRows, LabeledDataset, _half_up
 from .errors import ChunkLargerThanData, DegenerateStride, EmptySelection, ValidationError
 
 
@@ -104,7 +107,7 @@ def threshold_select(importances: np.ndarray, tau: float) -> np.ndarray:
 
 
 def run_cfsgb(
-    ds: LabeledDataset,
+    ds: LabeledDataset | BinaryRows,
     spec: ChunkSpec,
     cfg: gbdt.GbdtConfig,
     tau: float | None = None,
@@ -114,6 +117,11 @@ def run_cfsgb(
 
     Each chunk is trained once. With top_k set, tau is taken from those same
     importances by threshold_for_top_k, and any tau given is ignored.
+
+    ds is used through n, m, select_rows of a chunk's slice and
+    select_columns only, so a LabeledDataset and a BinaryRows take this one
+    path: from a BinaryRows, each chunk is read, checked and trained, then
+    dropped, and the projection is a second pass over the file.
     """
     if top_k is None and tau is None:
         raise ValidationError("selection needs either tau or top_k")

@@ -12,6 +12,7 @@ value of the wrong type, or a float that is not finite).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -159,9 +160,14 @@ def cmd_select(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     chunk_spec = _build(cfsgb.ChunkSpec, cfg["chunking"])
     gbdt_cfg = _build(gbdt.GbdtConfig, cfg["gbdt"])
-    ds = _load_dataset(args.input, args.label_column)
-
-    selected, projected, report = cfsgb.run_cfsgb(ds, chunk_spec, gbdt_cfg, **cfg["selection"])
+    # a .bin input is read a chunk at a time; a CSV is loaded whole
+    if Path(args.input).suffix.lower() == ".csv":
+        source = contextlib.nullcontext(dataset.load_csv(args.input, args.label_column))
+    else:
+        source = dataset.BinaryRows(args.input)
+    with source as ds:
+        selected, projected, report = cfsgb.run_cfsgb(ds, chunk_spec, gbdt_cfg,
+                                                      **cfg["selection"])
     tau = selected.threshold_used
 
     out = _out_dir(cfg["output_dir"])
@@ -181,21 +187,28 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
     seed = cfg["seed"]
     split_spec = _build(dataset.SplitSpec, cfg["split"], seed=derive_seed(seed, "split"))
     maml_cfg = _build(maml.MamlConfig, cfg["maml"], seed=derive_seed(seed, "meta-train"))
+    initial = None
+    start_iteration = 0
+    if args.resume:
+        initial, ckpt_cfg, start_iteration = maml.load_checkpoint(args.resume)
+        # a resume continues the checkpoint's run: only its length may differ
+        for key, stored in asdict(ckpt_cfg).items():
+            if key != "outer_iterations" and getattr(maml_cfg, key) != stored:
+                name = key if key == "seed" else f"maml.{key}"
+                raise ValidationError(
+                    f"--resume {args.resume}: config key {name!r} differs from the "
+                    f"checkpoint's ({getattr(maml_cfg, key)!r}, stored {stored!r})"
+                )
     # the loaded dataset is not kept: meta-training reads only the split pools
     train_pool, test_pool = dataset.stratified_split(
         _load_dataset(args.input, args.label_column), split_spec
     )
     arch = _build(maml.MlpArchitecture, cfg["maml"], input_dim=train_pool.m)
+    if initial is not None and initial.arch != arch:
+        raise ValidationError("checkpoint architecture does not match config")
     scaler = dataset.fit_scaler(train_pool)
     train_pool = dataset.apply_scaler(train_pool, scaler)
     test_pool = dataset.apply_scaler(test_pool, scaler)
-
-    initial = None
-    start_iteration = 0
-    if args.resume:
-        initial, _, start_iteration = maml.load_checkpoint(args.resume)
-        if initial.arch != arch:
-            raise ValidationError("checkpoint architecture does not match config")
 
     params, log = maml.meta_train(
         train_pool,

@@ -11,6 +11,10 @@ values (a block of rows at a time) and labels 0 or 1. _wrap takes the arrays
 it is given without a copy; the public constructor copies its input first,
 so the read-only flag never reaches the caller's arrays. A slice of rows is
 a view of its parent's arrays.
+
+A binary file can also be read without holding its matrix: BinaryRows reads
+the rows a slice asks for, and a column projection a block of rows at a
+time; load_binary is its read of every row.
 """
 from __future__ import annotations
 
@@ -79,8 +83,7 @@ class LabeledDataset:
         for start in range(0, n, rows):
             if not np.isfinite(features[start : start + rows]).all():
                 raise ValidationError("features contain NaN or Inf")
-        if not ((labels == 0) | (labels == 1)).all():
-            raise ValidationError("labels must all be 0 or 1")
+        _check_labels(labels)
         labels = labels.astype(np.uint8, copy=False)
         features.setflags(write=False)
         labels.setflags(write=False)
@@ -112,6 +115,11 @@ class LabeledDataset:
 
     def select_columns(self, indices) -> "LabeledDataset":
         return LabeledDataset._wrap(self.features[:, np.asarray(indices)], self.labels)
+
+
+def _check_labels(labels: np.ndarray) -> None:
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValidationError("labels must all be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -344,37 +352,88 @@ def save_binary(ds: LabeledDataset, path) -> None:
         fh.write(ds.labels.astype(np.uint8).tobytes())
 
 
+class BinaryRows:
+    """A save_binary file, open to read its rows as they are asked for:
+    n, m, labels, select_rows of a contiguous slice (one seek and one
+    readinto) and select_columns (a second pass, a block of rows at a
+    time). The header, the file's size and the labels are checked when it
+    is opened; each read's rows pass _wrap. Use it as a context manager,
+    which closes the file."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        # unbuffered: a buffer's read-ahead could serve bytes the file has
+        # since lost
+        self._fh = self.path.open("rb", buffering=0)
+        try:
+            head = self._fh.read(16)
+            if len(head) < 16:
+                raise TruncatedFile(f"{self.path}: shorter than the 16-byte header")
+            if head[:4] != _MAGIC:
+                raise BadMagic(f"{self.path}: bad magic {head[:4]!r}")
+            version, n, m = struct.unpack("<III", head[4:16])
+            if version != _BINARY_VERSION:
+                raise BadMagic(f"{self.path}: unsupported version {version}")
+            if n < 1 or m < 1:
+                raise TruncatedFile(f"{self.path}: header claims empty dataset n={n}, m={m}")
+            self.n, self.m = n, m
+            expected = 16 + 4 * n * m + n
+            size = os.fstat(self._fh.fileno()).st_size
+            if size != expected:
+                raise TruncatedFile(f"{self.path}: expected {expected} bytes, found {size}")
+            self.labels = np.empty(n, dtype=np.uint8)
+            self._read(n, self.labels)
+            _check_labels(self.labels)
+            self.labels.setflags(write=False)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> "BinaryRows":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def _read(self, row: int, out: np.ndarray) -> None:
+        """Fill out from the file's bytes from row's first cell on (row n:
+        the labels). One readinto fills it unless the file has shrunk since
+        it was opened, or out exceeds what one read(2) returns (2 GiB)."""
+        self._fh.seek(16 + 4 * self.m * row)
+        buf = out.reshape(-1).view(np.uint8)
+        done = 0
+        while done < buf.size and (got := self._fh.readinto(buf[done:])):
+            done += got
+        if done != buf.size:
+            raise TruncatedFile(f"{self.path}: ended before its {out.nbytes}-byte block")
+
+    def select_rows(self, rows: slice) -> LabeledDataset:
+        start, stop, step = rows.indices(self.n)
+        if step != 1:
+            raise ValidationError(f"rows are read as one contiguous range, got step {step}")
+        feats = np.empty((max(0, stop - start), self.m), dtype="<f4")
+        self._read(start, feats)
+        return LabeledDataset._wrap(feats, self.labels[start:stop])
+
+    def select_columns(self, indices) -> LabeledDataset:
+        columns = np.arange(self.m)[np.asarray(indices)]
+        out = np.empty((self.n, columns.shape[0]), dtype="<f4")
+        rows = max(1, _BLOCK_CELLS // self.m)
+        block = np.empty((min(rows, self.n), self.m), dtype="<f4")
+        for start in range(0, self.n, rows):
+            part = block[: min(rows, self.n - start)]
+            self._read(start, part)
+            out[start : start + part.shape[0]] = part[:, columns]
+        return LabeledDataset._wrap(out, self.labels)
+
+
 def load_binary(path) -> LabeledDataset:
-    """Read the save_binary layout. The dataset's matrix is the file's
-    little-endian float32 body, read in one readinto and checked a block of
-    rows at a time, so nothing the size of the body is held next to it."""
-    path = Path(path)
-    with path.open("rb") as fh:
-        head = fh.read(16)
-        if len(head) < 16:
-            raise TruncatedFile(f"{path}: shorter than the 16-byte header")
-        if head[:4] != _MAGIC:
-            raise BadMagic(f"{path}: bad magic {head[:4]!r}")
-        version, n, m = struct.unpack("<III", head[4:16])
-        if version != _BINARY_VERSION:
-            raise BadMagic(f"{path}: unsupported version {version}")
-        if n < 1 or m < 1:
-            raise TruncatedFile(f"{path}: header claims empty dataset n={n}, m={m}")
-        expected = 16 + 4 * n * m + n
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:
-            raise TruncatedFile(f"{path}: expected {expected} bytes, found {size}")
-        feats = np.empty((n, m), dtype="<f4")
-        _read_exactly(fh, feats, path)
-        labels = np.empty(n, dtype=np.uint8)
-        _read_exactly(fh, labels, path)
-    return LabeledDataset._wrap(feats, labels)
-
-
-def _read_exactly(fh, out: np.ndarray, path: Path) -> None:
-    # the file can shrink between the size check and the read
-    if fh.readinto(out) != out.nbytes:
-        raise TruncatedFile(f"{path}: ended before its {out.nbytes}-byte block")
+    """Read the save_binary layout: BinaryRows' read of every row. The
+    dataset's matrix is the file's little-endian float32 body, read in one
+    readinto and checked a block of rows at a time, so nothing the size of
+    the body is held next to it."""
+    with BinaryRows(path) as source:
+        return source.select_rows(slice(0, source.n))
 
 
 def fit_scaler(ds: LabeledDataset) -> ScalerParams:

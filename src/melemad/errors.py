@@ -133,7 +133,8 @@ class Diverged(MelemadError):
 
 
 class Saturated(MelemadError):
-    """Most of an evaluation's query probabilities sit at the clamp bounds."""
+    """Most of a meta-training iteration's or an evaluation's query
+    probabilities sit at the clamp bounds."""
 
 
 # metrics

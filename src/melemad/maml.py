@@ -23,8 +23,9 @@ depends on the stack size, on how often an episode is scored, or on where a
 run was resumed.
 
 Failures: a NaN or Inf meta-loss, meta-gradient or evaluation probability
-raises Diverged; an evaluation with more than SATURATION_LIMIT of its query
-probabilities clamped to the bounds raises Saturated.
+raises Diverged; a meta-training iteration or an evaluation with more than
+SATURATION_LIMIT of its query probabilities clamped to the bounds raises
+Saturated.
 
 Scratch: passes work in buffers kept between calls, one per tag and dtype
 (_scratch), so passes must run on one thread. Every array a caller keeps
@@ -59,8 +60,8 @@ from .errors import (
 from .gbdt import _sigmoid
 
 PROB_EPS = 1e-7
-# evaluation fails when more than this fraction of its query probabilities
-# is clamped to PROB_EPS or 1 - PROB_EPS
+# a meta-training iteration or an evaluation fails when more than this
+# fraction of its query probabilities is clamped to PROB_EPS or 1 - PROB_EPS
 SATURATION_LIMIT = 0.5
 
 # Adam moment decay rates and denominator guard
@@ -567,13 +568,13 @@ def _adapted_stacks(theta: ModelParams, pool: LabeledDataset, episodes: list[Epi
 
 def _meta_batch(theta: ModelParams, pool: LabeledDataset, episodes: list[Episode],
                 cfg: MamlConfig):
-    """Meta-gradient, meta-loss and query accuracy of a meta-batch drawn from
-    pool, reduced in episode order from zeros, so the result does not depend
-    on the stack size."""
+    """Meta-gradient, meta-loss, query accuracy and the number of clamped
+    query probabilities of a meta-batch drawn from pool, reduced in episode
+    order from zeros, so the result does not depend on the stack size."""
     arch = theta.arch
     meta_grad = np.zeros_like(theta.values)
     meta_loss = 0.0
-    correct = 0
+    correct = clamped = 0
     stacks = _adapted_stacks(theta, pool, episodes, cfg, _STREAM_TASK)
     for _, path, keys, (Xs, ys), (Xq, yq) in stacks:
         probs, grads = forward(ModelParams._trusted(path[-1], arch), Xq, yq)
@@ -587,8 +588,9 @@ def _meta_batch(theta: ModelParams, pool: LabeledDataset, episodes: list[Episode
             meta_grad += grad
             meta_loss += loss
         correct += int(np.count_nonzero((probs >= 0.5) == (yq == 1)))
+        clamped += _clamped(probs)
     t = len(episodes)
-    return meta_grad / t, meta_loss / t, correct / (t * cfg.query_size)
+    return meta_grad / t, meta_loss / t, correct / (t * cfg.query_size), clamped
 
 
 def meta_train(
@@ -605,7 +607,8 @@ def meta_train(
     it * tasks_per_meta_batch + j, with it absolute, so a resumed run samples
     the episodes it would have seen uninterrupted.
     Raises Diverged, naming the iteration, when its meta-loss or
-    meta-gradient is NaN or Inf.
+    meta-gradient is NaN or Inf, and else Saturated when more than
+    SATURATION_LIMIT of its query probabilities are clamped.
     """
     if arch is None:
         arch = MlpArchitecture(input_dim=train_pool.m)
@@ -621,12 +624,14 @@ def meta_train(
             )
             for j in range(batch)
         ]
-        meta_grad, meta_loss, accuracy = _meta_batch(theta, train_pool, episodes, cfg)
+        meta_grad, meta_loss, accuracy, clamped = _meta_batch(theta, train_pool, episodes, cfg)
         if not (math.isfinite(meta_loss) and np.all(np.isfinite(meta_grad))):
             raise Diverged(
                 f"meta-training diverged at iteration {it}: "
                 "the meta-loss or the meta-gradient is NaN or Inf"
             )
+        _check_saturation(f"meta-training saturated at iteration {it}", clamped,
+                          batch * cfg.query_size)
         new_values, adam = _adam_update(theta.values, meta_grad, adam, cfg.beta)
         theta = ModelParams(new_values, theta.arch)
         log.append(it, meta_loss, accuracy, time.perf_counter() - t0)
@@ -664,11 +669,19 @@ def meta_evaluate(
         probs_parts.append(probs.ravel())
         label_parts.append(yq.ravel())
     probs = np.concatenate(probs_parts)
-    clamped = np.count_nonzero((probs == PROB_EPS) | (probs == 1.0 - PROB_EPS))
-    if clamped > SATURATION_LIMIT * probs.size:
-        raise Saturated(f"evaluation saturated: {clamped} of {probs.size} query "
-                        f"probabilities are clamped to {PROB_EPS} or 1 - {PROB_EPS}")
+    _check_saturation("evaluation saturated", _clamped(probs), probs.size)
     return probs, np.concatenate(label_parts)
+
+
+def _clamped(probs: np.ndarray) -> int:
+    """How many of probs sit at a clamp bound, PROB_EPS or 1 - PROB_EPS."""
+    return int(np.count_nonzero((probs == PROB_EPS) | (probs == 1.0 - PROB_EPS)))
+
+
+def _check_saturation(what: str, clamped: int, total: int) -> None:
+    if clamped > SATURATION_LIMIT * total:
+        raise Saturated(f"{what}: {clamped} of {total} query probabilities "
+                        f"are clamped to {PROB_EPS} or 1 - {PROB_EPS}")
 
 
 def save_checkpoint(path, params: ModelParams, cfg: MamlConfig, iteration: int) -> None:

@@ -1,11 +1,18 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from melemad import cfsgb, dataset, gbdt
-from melemad.errors import ChunkLargerThanData, DegenerateStride, EmptySelection, ValidationError
+from melemad.errors import (
+    ChunkLargerThanData,
+    DegenerateStride,
+    EmptySelection,
+    TruncatedFile,
+    ValidationError,
+)
 
 FAST_GBDT = gbdt.GbdtConfig(n_trees=10, max_depth=2, min_samples_leaf=2)
 
@@ -284,3 +291,75 @@ class TestSelectionPersistence:
             assert x["chunk"] == y.chunk_index
             np.testing.assert_array_equal(x["indices"], y.indices)
             np.testing.assert_allclose(x["scores"], y.scores)
+
+
+def saved_bin(tmp_path, n, m, seed):
+    ds, _ = synth(n, m, 3, seed)
+    path = tmp_path / "d.bin"
+    dataset.save_binary(ds, path)
+    return path
+
+
+def selection_bytes(selected, projected, report):
+    per_chunk = [(sel.chunk_index, sel.indices.tobytes(), sel.scores.tobytes())
+                 for sel in selected.per_chunk]
+    return (selected.global_indices.tobytes(), per_chunk, repr(selected.threshold_used),
+            projected.features.dtype, projected.features.tobytes(), projected.labels.tobytes(),
+            report)
+
+
+class TestBinaryRows:
+    """run_cfsgb on a binary file read a chunk at a time."""
+
+    @pytest.mark.parametrize("n, p, q, block_cells, sizes", [
+        (200, 0.25, 0.0, 1 << 16, [50] * 4),
+        (200, 0.2, 0.2, 7, [40] * 6),
+        (200, 1.0, 0.2, 1 << 16, [200]),
+        (103, 0.25, 0.0, 50, [26, 26, 26, 25]),
+    ], ids=["q=0", "q>0", "p=1", "short last chunk"])
+    def test_selects_as_the_loaded_dataset(self, tmp_path, monkeypatch, n, p, q, block_cells,
+                                           sizes):
+        # nine columns: 7 cells project one row a block, 50 cells five rows
+        # a block with a remainder of three
+        path = saved_bin(tmp_path, n, 9, seed=n)
+        spec = cfsgb.ChunkSpec(p=p, q=q)
+        assert [c.size for c in cfsgb.make_chunks(n, spec)] == sizes
+        expected = cfsgb.run_cfsgb(dataset.load_binary(path), spec, FAST_GBDT, top_k=4)
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", block_cells)
+        with dataset.BinaryRows(path) as source:
+            got = cfsgb.run_cfsgb(source, spec, FAST_GBDT, top_k=4)
+        assert selection_bytes(*got) == selection_bytes(*expected)
+
+    def test_holds_a_chunk_not_the_matrix(self, tmp_path):
+        n, m = 10000, 500
+        path = saved_bin(tmp_path, n, m, seed=21)
+
+        def select():
+            with dataset.BinaryRows(path) as source:
+                return cfsgb.run_cfsgb(source, cfsgb.ChunkSpec(), gbdt.GbdtConfig(n_trees=1),
+                                       top_k=10)
+
+        tracemalloc.start()
+        try:
+            _, projected, report = select()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.chunk_sizes == [2000] * 6 and projected.n == n
+        # the loaded float32 matrix alone is 1.0x; a chunk of it is 0.2x
+        assert peak <= 0.9 * 4 * n * m
+
+    def test_file_truncated_after_it_was_opened(self, tmp_path):
+        path = saved_bin(tmp_path, 100, 9, seed=3)
+        with dataset.BinaryRows(path) as source:
+            path.write_bytes(path.read_bytes()[: 16 + 4 * 9 * 60])
+            assert source.select_rows(slice(10, 60)).n == 50
+            with pytest.raises(TruncatedFile, match=f"ended before its {4 * 9 * 50}-byte block"):
+                source.select_rows(slice(50, 100))
+            with pytest.raises(TruncatedFile):
+                source.select_columns([0, 3])
+
+    def test_rows_are_one_contiguous_range(self, tmp_path):
+        with dataset.BinaryRows(saved_bin(tmp_path, 20, 3, seed=4)) as source:
+            with pytest.raises(ValidationError, match="got step 2"):
+                source.select_rows(slice(0, 10, 2))

@@ -206,6 +206,29 @@ class TestSelect:
         code = run("select", "--input", data_dir / "synthetic.csv", "--out-dir", tmp_path / "s")
         assert code == 2
 
+    @pytest.mark.parametrize("offset, value, message, fits", [
+        # row 390 of 400, in the last of the chunks [0, 200), [160, 360) and
+        # [320, 400) only: the first two chunks train before it is read
+        (16 + 4 * (390 * 12 + 2), np.float32(np.nan).tobytes(), "features contain NaN", 2),
+        # labels are read and checked when the file is opened
+        (16 + 4 * 400 * 12 + 390, b"\x02", "labels must all be 0 or 1", 0),
+    ], ids=["nan in the last chunk", "label 2"])
+    def test_bad_bin_value_exits_2_without_outputs(self, tmp_path, small_config, monkeypatch,
+                                                   capsys, offset, value, message, fits):
+        run(*synth_args(tmp_path / "d", fmt="bin"))
+        path = tmp_path / "d" / "synthetic.bin"
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + len(value)] = value
+        path.write_bytes(bytes(blob))
+        train = gbdt.train
+        calls = []
+        monkeypatch.setattr(gbdt, "train", lambda ds, cfg: calls.append(ds.n) or train(ds, cfg))
+        out = tmp_path / "sel"
+        assert run("select", "--config", small_config, "--input", path, "--out-dir", out) == 2
+        assert message in capsys.readouterr().err
+        assert calls == [200] * fits
+        assert not out.exists()
+
     def test_published_hyperparameter_row_on_standin(self, tmp_path):
         # p=0.20, q=0.20, tau=0.00014 transcribed straight into a config
         data_dir = tmp_path / "d"
@@ -269,6 +292,34 @@ class TestMetaTrainEvaluate:
         log_lines = (out2 / "train_log.csv").read_text().strip().splitlines()
         assert log_lines[1].split(",")[0] == "5"
         assert log_lines[-1].split(",")[0] == "7"
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--seed", 4], "config key 'seed' differs"),
+        (["--beta", 0.02], "config key 'maml.beta' differs"),
+        (["--alpha", 0.002], "config key 'maml.alpha' differs"),
+        (["--no-first-order"], "config key 'maml.first_order' differs"),
+    ])
+    def test_resume_with_another_config_exits_2_naming_the_key(self, tmp_path, trained,
+                                                               small_config, capsys, flags,
+                                                               named):
+        data, run_dir = trained
+        out = tmp_path / "out"
+        code = run("meta-train", "--config", small_config, "--input", data / "synthetic.bin",
+                   "--resume", run_dir / "checkpoint.ckpt", *flags, "--out-dir", out)
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_saturated_meta_training_exits_1_without_outputs(self, tmp_path, small_config,
+                                                             capsys):
+        run(*synth_args(tmp_path / "d", fmt="bin"))
+        out = tmp_path / "run"
+        code = run("meta-train", "--config", small_config, "--input",
+                   tmp_path / "d" / "synthetic.bin", "--out-dir", out,
+                   "--alpha", "1e6", "--beta", "1e6", "--iterations", 20)
+        assert code == 1
+        assert "meta-training saturated at iteration 0: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_evaluate_flag_override_without_config(self, tmp_path, small_config):
         data_dir = tmp_path / "d"

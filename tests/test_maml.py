@@ -418,6 +418,7 @@ def reference_meta_batch(theta, pool, episodes, cfg):
     meta_loss = 0.0
     correct = 0
     total = 0
+    clamped = 0
     for ep in episodes:
         Xs, ys = pool.features[ep.support], pool.labels[ep.support]
         Xq, yq = pool.features[ep.query], pool.labels[ep.query]
@@ -436,8 +437,9 @@ def reference_meta_batch(theta, pool, episodes, cfg):
         meta_loss += maml.bce_loss(probs, yq)
         correct += int(np.sum((probs >= 0.5) == (yq == 1)))
         total += probs.shape[0]
+        clamped += int(np.isin(probs, [maml.PROB_EPS, 1.0 - maml.PROB_EPS]).sum())
     t = len(episodes)
-    return meta_grad / t, meta_loss / t, correct / total
+    return meta_grad / t, meta_loss / t, correct / total, clamped
 
 
 class TestMetaStep:
@@ -646,10 +648,11 @@ class TestStackEngine:
         eps = self.episodes(cfg)
         expected = reference_meta_batch(theta, ENGINE_POOL, eps, cfg)
         monkeypatch.setattr(maml, "_STACK_CELLS", cells)
-        grad, loss, accuracy = maml._meta_batch(theta, ENGINE_POOL, eps, cfg)
+        grad, loss, accuracy, clamped = maml._meta_batch(theta, ENGINE_POOL, eps, cfg)
         assert grad.tobytes() == expected[0].tobytes()
         assert repr(loss) == repr(expected[1])
         assert repr(accuracy) == repr(expected[2])
+        assert clamped == expected[3]
 
     @pytest.mark.parametrize("cells", STACK_CELLS)
     def test_meta_train_matches_reference(self, monkeypatch, cells):
@@ -917,9 +920,9 @@ class TestScratchReuse:
                for j in range(6)]
         expected = reference_meta_batch(theta, ENGINE_POOL, eps, cfg)
         monkeypatch.setattr(maml, "_STACK_CELLS", 4 * 12 * 6)
-        grad, loss, accuracy = maml._meta_batch(theta, ENGINE_POOL, eps, cfg)
+        grad, *rest = maml._meta_batch(theta, ENGINE_POOL, eps, cfg)
         assert grad.tobytes() == expected[0].tobytes()
-        assert repr((loss, accuracy)) == repr(expected[1:])
+        assert repr(tuple(rest)) == repr(expected[1:])
 
     def test_backward_allocates_less_than_one_activation(self):
         # at 2000 rows each hidden activation of the default architecture is
@@ -1133,6 +1136,23 @@ class TestMetaTrain:
         )
         with pytest.raises(Diverged, match="iteration 0"):
             maml.meta_train(pool, cfg, arch=maml.MlpArchitecture(4, (8,)))
+
+    @pytest.mark.parametrize("limit, raises", [(0.5, True), (1.0, False)])
+    def test_saturation_raises_naming_the_iteration(self, monkeypatch, limit, raises):
+        # a finite meta-loss and meta-gradient, every query probability clamped
+        pool = random_pool(120, 4, seed=56)
+        cfg = maml.MamlConfig(
+            alpha=1e6, beta=1e6, outer_iterations=3, tasks_per_meta_batch=2,
+            samples_per_task=30, support_size=15, query_size=15,
+        )
+        arch = maml.MlpArchitecture(4, (8,))
+        monkeypatch.setattr(maml, "SATURATION_LIMIT", limit)
+        if raises:
+            with pytest.raises(Saturated, match="saturated at iteration 7: 30 of 30 query"):
+                maml.meta_train(pool, cfg, arch=arch, start_iteration=7)
+        else:
+            _, log = maml.meta_train(pool, cfg, arch=arch, start_iteration=7)
+            assert log.iterations == [7, 8, 9]
 
     def test_resume_continues_iteration_numbering(self):
         pool = random_pool(120, 3, seed=54)
