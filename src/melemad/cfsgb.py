@@ -19,20 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import gbdt
+from .config import ChunkSpec
 from .dataset import BinaryRows, LabeledDataset, _half_up
 from .errors import ChunkLargerThanData, DegenerateStride, EmptySelection, ValidationError
-
-
-@dataclass(frozen=True)
-class ChunkSpec:
-    p: float = 0.2
-    q: float = 0.2
-
-    def __post_init__(self):
-        if not 0.0 < self.p <= 1.0:
-            raise ValidationError("chunk fraction p must be in (0, 1]")
-        if not 0.0 <= self.q < 1.0:
-            raise ValidationError("overlap fraction q must be in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,24 @@
 One JSON config file plus flag overrides. Each config section holds the
 fields of the library types it builds, so every default lives on those
 types, and each override flag's argparse dest is the config key it sets.
-Every stage seeds its randomness from the global seed hashed with the stage
-name, writes outputs to a temp file and renames on success, and exits 0 on
-success, 1 on runtime failure, 2 on validation failure (among them an
-input path that is not a regular file, an unknown config key, a config
-value of the wrong type, or a float that is not finite).
+Every stage checks every section, and loads only the modules its command
+runs: the schema's types come from config, and a command imports its stage
+modules (cfsgb, gbdt, maml, metrics) when it runs.
+
+Seeds: synth uses --seed as given, select draws no random numbers, and
+evaluate reuses the checkpoint's seed. Only meta-train derives seeds, for
+its split and its meta-training, from the top-level seed hashed with the
+stage name (derive_seed). Every stage writes outputs to a temp file and
+renames on success, and exits 0 on success, 1 on runtime failure, 2 on
+validation failure (among them an input path that is not a regular file,
+an unknown config key, a config value of the wrong type, a float that is
+not finite, or an architecture that differs from the checkpoint's).
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
+import functools
 import json
 import os
 import sys
@@ -21,7 +28,7 @@ import typing
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from . import cfsgb, dataset, gbdt, maml, metrics
+from . import dataset
 from .errors import ValidationError, check_fields
 
 # the keys outside the sections, with their types and defaults
@@ -39,24 +46,30 @@ def _fields(*classes) -> dict[str, object]:
     }
 
 
-# Each section holds the fields of the types it builds, by name with their
-# annotations; selection holds the keyword arguments of cfsgb.run_cfsgb. A
-# key left out takes the default its type declares.
-_SECTIONS = {
-    "chunking": _fields(cfsgb.ChunkSpec),
-    "gbdt": _fields(gbdt.GbdtConfig),
-    "selection": {
-        name: hint
-        for name, hint in typing.get_type_hints(cfsgb.run_cfsgb).items()
-        if name in ("tau", "top_k")
-    },
-    "split": _fields(dataset.SplitSpec),
-    "maml": _fields(maml.MamlConfig, maml.MlpArchitecture),
-}
+@functools.cache
+def _sections() -> dict[str, dict[str, object]]:
+    """Each section's keys with their annotations: the fields of the types
+    it builds, and for selection the keyword arguments tau and top_k of
+    cfsgb.run_cfsgb (test_cli checks both). A key left out takes the
+    default its type declares. Built on first use, from config, so that no
+    stage loads another stage's modules to check its section."""
+    from . import config
+
+    return {
+        "chunking": _fields(config.ChunkSpec),
+        "gbdt": _fields(config.GbdtConfig),
+        "selection": {"tau": float | None, "top_k": int | None},
+        "split": _fields(dataset.SplitSpec),
+        "maml": _fields(config.MamlConfig, config.MlpArchitecture),
+    }
 
 
 def derive_seed(seed: int, stage: str) -> int:
     """Stable per-stage seed: sha256 of "<seed>:<stage>" truncated to 32 bits."""
+    # here, not at the top: hashlib maps libcrypto, and only meta-train
+    # derives seeds
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}:{stage}".encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
 
@@ -75,14 +88,15 @@ def load_config(path: str | None) -> dict:
             raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(user, dict):
             raise ValidationError(f"config {path} must be a JSON object")
-    unknown = set(user) - set(_TOP_LEVEL) - set(_SECTIONS)
+    sections = _sections()
+    unknown = set(user) - set(_TOP_LEVEL) - set(sections)
     if unknown:
         raise ValidationError(
             f"config {path} has unknown key(s) {sorted(unknown)}; "
-            f"it accepts {sorted([*_TOP_LEVEL, *_SECTIONS])}"
+            f"it accepts {sorted([*_TOP_LEVEL, *sections])}"
         )
     cfg = {key: user.get(key, default) for key, (_, default) in _TOP_LEVEL.items()}
-    for name in _SECTIONS:
+    for name in sections:
         section = user.get(name, {})
         if not isinstance(section, dict):
             raise ValidationError(f"config {path}: section {name!r} must be a JSON object")
@@ -102,7 +116,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             (cfg[section] if section else cfg)[key] = value
     top_level = {key: hint for key, (hint, _) in _TOP_LEVEL.items()}
     check_fields("config", {key: cfg[key] for key in top_level}, top_level)
-    for name, hints in _SECTIONS.items():
+    for name, hints in _sections().items():
         check_fields(f"config section {name!r}", cfg[name], hints)
     if cfg["seed"] < 0:
         raise ValidationError(f"config key 'seed' must be non-negative, got {cfg['seed']}")
@@ -113,6 +127,19 @@ def _build(cls, section: dict, **derived):
     """cls from the section's keys that are its fields, plus derived fields."""
     names = {f.name for f in fields(cls)}
     return cls(**{k: v for k, v in {**section, **derived}.items() if k in names})
+
+
+def _check_matches(where: str, built, stored, skip: tuple[str, ...] = ()) -> None:
+    """Raise ValidationError naming the first field outside skip in which
+    built, from the config, differs from stored, a checkpoint's: 'seed' for
+    the derived seed, 'maml.<field>' for any other."""
+    for key, value in asdict(stored).items():
+        if key not in skip and getattr(built, key) != value:
+            name = key if key == "seed" else f"maml.{key}"
+            raise ValidationError(
+                f"{where}: config key {name!r} differs from the "
+                f"checkpoint's ({getattr(built, key)!r}, stored {value!r})"
+            )
 
 
 def _out_dir(output_dir: str | None) -> Path:
@@ -157,6 +184,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
+    from . import cfsgb, gbdt
+
     cfg = _resolve_config(args)
     chunk_spec = _build(cfsgb.ChunkSpec, cfg["chunking"])
     gbdt_cfg = _build(gbdt.GbdtConfig, cfg["gbdt"])
@@ -183,6 +212,8 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_meta_train(args: argparse.Namespace) -> int:
+    from . import maml
+
     cfg = _resolve_config(args)
     seed = cfg["seed"]
     split_spec = _build(dataset.SplitSpec, cfg["split"], seed=derive_seed(seed, "split"))
@@ -192,13 +223,8 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
     if args.resume:
         initial, ckpt_cfg, start_iteration = maml.load_checkpoint(args.resume)
         # a resume continues the checkpoint's run: only its length may differ
-        for key, stored in asdict(ckpt_cfg).items():
-            if key != "outer_iterations" and getattr(maml_cfg, key) != stored:
-                name = key if key == "seed" else f"maml.{key}"
-                raise ValidationError(
-                    f"--resume {args.resume}: config key {name!r} differs from the "
-                    f"checkpoint's ({getattr(maml_cfg, key)!r}, stored {stored!r})"
-                )
+        _check_matches(f"--resume {args.resume}", maml_cfg, ckpt_cfg,
+                       skip=("outer_iterations",))
     # the loaded dataset is not kept: meta-training reads only the split pools
     train_pool, test_pool = dataset.stratified_split(
         _load_dataset(args.input, args.label_column), split_spec
@@ -236,6 +262,8 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import maml, metrics
+
     cfg = _resolve_config(args)
     # before anything is adapted: compute_report checks it only at the end
     metrics.check_threshold(args.threshold)
@@ -243,6 +271,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # the checkpoint's config (seed included), then the config file's maml
     # keys, then flags
     maml_cfg = _build(maml.MamlConfig, {**asdict(ckpt_cfg), **cfg["maml"]})
+    # the checkpoint fixes the architecture: a key the config sets must match
+    arch = _build(maml.MlpArchitecture, {**asdict(params.arch), **cfg["maml"]})
+    _check_matches(f"--checkpoint {args.checkpoint}", arch, params.arch)
     test_pool = _load_dataset(args.data, args.label_column)
 
     probs, labels = maml.meta_evaluate(params, test_pool, maml_cfg, episodes=args.episodes)

@@ -468,6 +468,18 @@ def _half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function of gbdt's boosting and maml's output layer, in
+    z's dtype: maml's complex-step Hessian-vector product runs it on
+    complex128. It lives here because both modules import dataset."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def _train_count(total: int, fraction: float) -> int:
     # keep at least one sample on each side when possible
     count = _half_up(total * fraction)

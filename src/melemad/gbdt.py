@@ -23,7 +23,9 @@ sorting and tie masks are exact in either, and the threshold midpoint and
 the split test are taken in float64, so a float32 matrix grows the trees of
 its float64 copy byte for byte. Feature importance is total split gain,
 normalized. Training uses no randomness, so identical inputs give
-byte-identical models.
+byte-identical models. The logistic function is dataset._sigmoid, which
+maml's output layer shares; GbdtConfig is defined in config, with the rest of
+the config schema.
 """
 from __future__ import annotations
 
@@ -31,31 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LabeledDataset
-from .errors import ValidationError
+from .config import GbdtConfig
+from .dataset import LabeledDataset, _sigmoid
 
 _LAMBDA = 1.0
 _PRIOR_CLIP = 1e-6
 # cells (features x node rows) scored per numpy call in the split search
 _BLOCK_CELLS = 1 << 13
-
-
-@dataclass(frozen=True)
-class GbdtConfig:
-    n_trees: int = 100
-    max_depth: int = 3
-    learning_rate: float = 0.1
-    min_samples_leaf: int = 5
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValidationError("n_trees must be >= 1")
-        if self.max_depth < 1:
-            raise ValidationError("max_depth must be >= 1")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValidationError("learning_rate must be in (0, 1]")
-        if self.min_samples_leaf < 1:
-            raise ValidationError("min_samples_leaf must be >= 1")
 
 
 @dataclass
@@ -77,17 +61,6 @@ class GbdtModel:
     config: GbdtConfig
     n_features: int
     train_losses: list[float] = field(default_factory=list)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # in z's dtype: maml's complex-step Hessian-vector product runs it on
-    # complex128
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _log_loss(raw: np.ndarray, y: np.ndarray) -> float:

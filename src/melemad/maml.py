@@ -33,6 +33,10 @@ Scratch: passes work in buffers kept between calls, one per tag and dtype
 layer inputs and dropout_mask's masks are scratch, valid until the next
 pass. test_maml holds the arguments that the stacked, one-buffer passes are
 bit for bit the per-episode, separate-buffer ones.
+
+Imports: the output layer's logistic function is dataset._sigmoid, which
+gbdt's boosting shares, so maml does not import gbdt. MamlConfig and
+MlpArchitecture are defined in config, with the rest of the config schema.
 """
 from __future__ import annotations
 
@@ -46,7 +50,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabeledDataset, _half_up
+from .config import MamlConfig, MlpArchitecture
+from .dataset import LabeledDataset, _half_up, _sigmoid
 from .errors import (
     DimensionMismatch,
     Diverged,
@@ -57,7 +62,6 @@ from .errors import (
     ValidationError,
     check_fields,
 )
-from .gbdt import _sigmoid
 
 PROB_EPS = 1e-7
 # a meta-training iteration or an evaluation fails when more than this
@@ -107,35 +111,6 @@ def _mask_key(seed: int, stream: int, episode: int) -> tuple[int, ...]:
     """The dropout key of an episode of a stream (_STREAM_TASK or
     _STREAM_EVAL); inner step s draws its mask from the key plus s."""
     return (seed, _STREAM_DROPOUT, stream, episode)
-
-
-@dataclass(frozen=True)
-class MlpArchitecture:
-    """Input layer, ReLU hidden stack (dropout after the first hidden layer
-    only), single sigmoid output."""
-
-    input_dim: int
-    hidden_dims: tuple[int, ...] = (64, 32, 16)
-    dropout_rate: float = 0.2
-
-    def __post_init__(self):
-        check_fields("MlpArchitecture", asdict(self), typing.get_type_hints(MlpArchitecture))
-        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
-        if self.input_dim < 1 or any(h < 1 for h in self.hidden_dims):
-            raise ValidationError("layer widths must be positive")
-        if not self.hidden_dims:
-            raise ValidationError("need at least one hidden layer")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValidationError("dropout_rate must be in [0, 1)")
-
-    @property
-    def layer_sizes(self) -> list[tuple[int, int]]:
-        dims = [self.input_dim, *self.hidden_dims, 1]
-        return [(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-
-    @property
-    def param_count(self) -> int:
-        return sum((fi + 1) * fo for fi, fo in self.layer_sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,37 +164,6 @@ class Episode:
     support: np.ndarray
     query: np.ndarray
     task_index: int
-
-
-@dataclass(frozen=True)
-class MamlConfig:
-    alpha: float = 1e-4
-    beta: float = 1e-3
-    outer_iterations: int = 1000
-    tasks_per_meta_batch: int = 4
-    samples_per_task: int = 100
-    support_size: int = 50
-    query_size: int = 50
-    inner_steps: int = 1
-    first_order: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("alpha", "beta"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and non-negative")
-        if self.outer_iterations < 0:
-            raise ValidationError("outer_iterations must be >= 0")
-        if self.tasks_per_meta_batch < 1:
-            raise ValidationError("tasks_per_meta_batch must be >= 1")
-        if self.inner_steps < 1:
-            raise ValidationError("inner_steps must be >= 1")
-        if min(self.samples_per_task, self.support_size, self.query_size) < 1:
-            raise ValidationError("task and set sizes must be >= 1")
-        if self.support_size + self.query_size > self.samples_per_task:
-            raise ValidationError("support_size + query_size exceeds samples_per_task")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

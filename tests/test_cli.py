@@ -1,8 +1,13 @@
 import argparse
 import copy
+import dataclasses
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -712,7 +717,7 @@ class TestConfig:
             if not isinstance(documented, dict):
                 assert cfg[name] == documented, name
                 continue
-            assert set(documented) == set(cli._SECTIONS[name]), name
+            assert set(documented) == set(cli._sections()[name]), name
             for key, value in documented.items():
                 if name == "selection":
                     actual = run_cfsgb_args[key].default
@@ -729,9 +734,32 @@ class TestConfig:
             for action in sub._actions:
                 section, _, key = action.dest.rpartition(".")
                 if section:
-                    assert key in cli._SECTIONS[section], (stage, action.option_strings)
+                    assert key in cli._sections()[section], (stage, action.option_strings)
                     flags += 1
         assert flags > 0
+
+    def test_sections_are_the_fields_of_the_types_they_build(self):
+        # the schema is written out in cli, apart from the code that runs it
+        sections = cli._sections()
+        params = list(inspect.signature(cfsgb.run_cfsgb).parameters)
+        assert params[3:] == ["tau", "top_k"]
+        hints = typing.get_type_hints(cfsgb.run_cfsgb)
+        assert sections["selection"] == {key: hints[key] for key in ("tau", "top_k")}
+        built = {
+            "chunking": [cfsgb.ChunkSpec],
+            "gbdt": [gbdt.GbdtConfig],
+            "split": [dataset.SplitSpec],
+            "maml": [maml.MamlConfig, maml.MlpArchitecture],
+        }
+        assert set(sections) == {"selection", *built}
+        for name, types in built.items():
+            expected = {
+                f.name: typing.get_type_hints(t)[f.name]
+                for t in types
+                for f in dataclasses.fields(t)
+                if f.name not in ("seed", "input_dim")
+            }
+            assert sections[name] == expected, name
 
     def test_readme_example_config_runs(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -789,6 +817,26 @@ class TestConfig:
         for name in ("metrics_report.json", "roc.csv"):
             assert (bare / name).read_bytes() == (with_config / name).read_bytes(), name
 
+    @pytest.mark.parametrize("entry, named", [
+        ({"hidden_dims": [8]}, "maml.hidden_dims"),
+        ({"hidden_dims": [8], "dropout_rate": 0.5}, "maml.hidden_dims"),
+        ({"dropout_rate": 0.5}, "maml.dropout_rate"),
+    ], ids=["hidden_dims", "both", "dropout_rate"])
+    def test_evaluate_config_architecture_must_match_the_checkpoints(self, tmp_path, trained,
+                                                                    capsys, entry, named):
+        # the checkpoint's 8 -> 4 architecture is evaluated, never the config's
+        _, run_dir = trained
+        cfg = copy.deepcopy(SMALL_CONFIG)
+        cfg["maml"].update(entry)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = run("evaluate", "--checkpoint", run_dir / "checkpoint.ckpt", "--data",
+                   run_dir / "test_pool.bin", "--config", path, "--out-dir", out)
+        assert code == 2
+        assert f"config key {named!r} differs from the checkpoint's" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_json_exits_2(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
@@ -828,3 +876,76 @@ class TestConfig:
         assert cli.derive_seed(7, "select") == cli.derive_seed(7, "select")
         assert cli.derive_seed(7, "select") != cli.derive_seed(7, "split")
         assert cli.derive_seed(7, "select") != cli.derive_seed(8, "select")
+
+
+# Under PYTHONDONTWRITEBYTECODE=1 a stage compiles every module it imports,
+# and hashlib maps libcrypto; each stage should pay only for its own code.
+STAGE_CHILD = """
+import json, sys
+from melemad import cli
+code = cli.main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    json.dump([code, sorted(sys.modules)], fh)
+"""
+
+# per stage: modules it must load (so it ran), modules it must not load
+STAGE_MODULES = {
+    "synth": ({"melemad.dataset"},
+              {"melemad.cfsgb", "melemad.gbdt", "melemad.maml", "melemad.metrics"}),
+    "select": ({"melemad.cfsgb", "melemad.gbdt"},
+               {"melemad.maml", "melemad.metrics", "hashlib", "_hashlib"}),
+    "meta-train": ({"melemad.maml"}, {"melemad.cfsgb", "melemad.gbdt", "melemad.metrics"}),
+    "evaluate": ({"melemad.maml", "melemad.metrics"}, {"melemad.cfsgb", "melemad.gbdt"}),
+}
+
+
+def _child(*argv):
+    """Run python with argv in a fresh process that writes no bytecode."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, *map(str, argv)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture(scope="module")
+def stage_modules(tmp_path_factory):
+    """Each stage's exit code and sys.modules, each run in its own process
+    through cli.main on a small pipeline."""
+    tmp = tmp_path_factory.mktemp("stages")
+    config = tmp / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    data, out = tmp / "data", tmp / "out"
+    common = ["--config", config, "--out-dir", out]
+    argvs = {
+        "synth": synth_args(data, fmt="bin"),
+        "select": ["select", "--input", data / "synthetic.bin", *common],
+        "meta-train": ["meta-train", "--input", data / "synthetic.bin", *common],
+        "evaluate": ["evaluate", "--checkpoint", out / "checkpoint.ckpt",
+                     "--data", out / "test_pool.bin", *common],
+    }
+    loaded = {}
+    for stage, argv in argvs.items():
+        record = tmp / f"{stage}.json"
+        _child("-c", STAGE_CHILD, record, *argv)
+        loaded[stage] = json.loads(record.read_text())
+    return loaded
+
+
+class TestStageModules:
+    def test_importing_the_package_loads_no_module(self, tmp_path):
+        record = tmp_path / "modules.json"
+        _child("-c", "import json, sys, melemad\n"
+               "json.dump(sorted(sys.modules), open(sys.argv[1], 'w'))", record)
+        modules = json.loads(record.read_text())
+        assert "melemad" in modules
+        assert [m for m in modules if m.startswith("melemad.")] == []
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_MODULES))
+    def test_a_stage_loads_only_the_modules_it_runs(self, stage_modules, stage):
+        code, modules = stage_modules[stage]
+        assert code == 0
+        needed, unused = STAGE_MODULES[stage]
+        assert needed <= set(modules)
+        assert unused.isdisjoint(modules), sorted(unused & set(modules))
