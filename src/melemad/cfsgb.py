@@ -21,7 +21,7 @@ import numpy as np
 from . import gbdt
 from .config import ChunkSpec
 from .dataset import BinaryRows, LabeledDataset, _half_up
-from .errors import ChunkLargerThanData, DegenerateStride, EmptySelection, ValidationError
+from .errors import EmptySelection, ValidationError
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,12 @@ def make_chunks(n: int, spec: ChunkSpec) -> list[Chunk]:
     if l < 1:
         raise ValidationError(f"chunk size p={spec.p} rounds to zero samples at n={n}")
     if l > n:
-        raise ChunkLargerThanData(f"chunk length {l} exceeds {n} rows")
+        raise ValidationError(f"chunk length {l} exceeds {n} rows")
 
     overlap = _half_up(spec.q * l)
     stride = l - overlap
     if stride < 1:
-        raise DegenerateStride(f"overlap q={spec.q} leaves stride {stride} at l={l}")
+        raise ValidationError(f"overlap q={spec.q} leaves stride {stride} at l={l}")
     chunks = []
     start = 0
     index = 0

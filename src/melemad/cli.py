@@ -14,7 +14,8 @@ stage name (derive_seed). Every stage writes outputs to a temp file and
 renames on success, and exits 0 on success, 1 on runtime failure, 2 on
 validation failure (among them an input path that is not a regular file,
 an unknown config key, a config value of the wrong type, a float that is
-not finite, or an architecture that differs from the checkpoint's).
+not finite, or an architecture or train fraction that differs from the
+checkpoint's).
 """
 from __future__ import annotations
 
@@ -129,13 +130,14 @@ def _build(cls, section: dict, **derived):
     return cls(**{k: v for k, v in {**section, **derived}.items() if k in names})
 
 
-def _check_matches(where: str, built, stored, skip: tuple[str, ...] = ()) -> None:
+def _check_matches(where: str, section: str, built, stored,
+                   skip: tuple[str, ...] = ()) -> None:
     """Raise ValidationError naming the first field outside skip in which
     built, from the config, differs from stored, a checkpoint's: 'seed' for
-    the derived seed, 'maml.<field>' for any other."""
+    the derived seed, '<section>.<field>' for any other."""
     for key, value in asdict(stored).items():
         if key not in skip and getattr(built, key) != value:
-            name = key if key == "seed" else f"maml.{key}"
+            name = key if key == "seed" else f"{section}.{key}"
             raise ValidationError(
                 f"{where}: config key {name!r} differs from the "
                 f"checkpoint's ({getattr(built, key)!r}, stored {value!r})"
@@ -221,17 +223,24 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
     initial = None
     start_iteration = 0
     if args.resume:
-        initial, ckpt_cfg, start_iteration = maml.load_checkpoint(args.resume)
-        # a resume continues the checkpoint's run: only its length may differ
-        _check_matches(f"--resume {args.resume}", maml_cfg, ckpt_cfg,
-                       skip=("outer_iterations",))
+        where = f"--resume {args.resume}"
+        initial, ckpt_cfg, start_iteration, train_fraction = maml.load_checkpoint(args.resume)
+        # a resume continues the checkpoint's run on the same split: only its
+        # length may differ (the split's seed derives from the seed checked here)
+        _check_matches(where, "maml", maml_cfg, ckpt_cfg, skip=("outer_iterations",))
+        _check_matches(where, "split", split_spec, dataset.SplitSpec(train_fraction),
+                       skip=("seed",))
     # the loaded dataset is not kept: meta-training reads only the split pools
     train_pool, test_pool = dataset.stratified_split(
         _load_dataset(args.input, args.label_column), split_spec
     )
     arch = _build(maml.MlpArchitecture, cfg["maml"], input_dim=train_pool.m)
-    if initial is not None and initial.arch != arch:
-        raise ValidationError("checkpoint architecture does not match config")
+    if initial is not None:
+        # no config key sets the input width: the input does
+        if arch.input_dim != initial.arch.input_dim:
+            raise ValidationError(f"{where}: the input has {arch.input_dim} features, "
+                                  f"the checkpoint's model takes {initial.arch.input_dim}")
+        _check_matches(where, "maml", arch, initial.arch)
     scaler = dataset.fit_scaler(train_pool)
     train_pool = dataset.apply_scaler(train_pool, scaler)
     test_pool = dataset.apply_scaler(test_pool, scaler)
@@ -250,7 +259,8 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
     _atomic_save(out / "test_pool.bin", lambda p: dataset.save_binary(test_pool, p))
     _atomic_save(
         out / "checkpoint.ckpt",
-        lambda p: maml.save_checkpoint(p, params, maml_cfg, final_iteration),
+        lambda p: maml.save_checkpoint(p, params, maml_cfg, final_iteration,
+                                       split_spec.train_fraction),
     )
     _atomic_save(out / "train_log.csv", lambda p: log.save_csv(p))
     last_loss = log.meta_loss[-1] if log.meta_loss else float("nan")
@@ -267,13 +277,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     # before anything is adapted: compute_report checks it only at the end
     metrics.check_threshold(args.threshold)
-    params, ckpt_cfg, _ = maml.load_checkpoint(args.checkpoint)
+    params, ckpt_cfg, _, _ = maml.load_checkpoint(args.checkpoint)
     # the checkpoint's config (seed included), then the config file's maml
     # keys, then flags
     maml_cfg = _build(maml.MamlConfig, {**asdict(ckpt_cfg), **cfg["maml"]})
     # the checkpoint fixes the architecture: a key the config sets must match
     arch = _build(maml.MlpArchitecture, {**asdict(params.arch), **cfg["maml"]})
-    _check_matches(f"--checkpoint {args.checkpoint}", arch, params.arch)
+    _check_matches(f"--checkpoint {args.checkpoint}", "maml", arch, params.arch)
     test_pool = _load_dataset(args.data, args.label_column)
 
     probs, labels = maml.meta_evaluate(params, test_pool, maml_cfg, episodes=args.episodes)

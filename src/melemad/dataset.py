@@ -30,18 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    ClassTooSmall,
-    DimensionMismatch,
-    DimensionOverflow,
-    MissingLabelColumn,
-    NonBinaryLabel,
-    NonNumericCell,
-    RaggedRow,
-    TruncatedFile,
-    ValidationError,
-)
+from .errors import MelemadError, ValidationError
 
 _MAGIC = b"MLMD"
 _BINARY_VERSION = 1
@@ -184,13 +173,18 @@ class SyntheticSpec:
             raise ValidationError("seed must be non-negative")
 
 
-def _parse_cell(text: str, row: int, col: int) -> float:
+def _to_float(text: str) -> float:
+    """float(text), or NaN where float() cannot read it."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        raise NonNumericCell(row, col, text) from None
+        return math.nan
+
+
+def _parse_cell(text: str, row: int, col: int) -> float:
+    value = _to_float(text)
     if not math.isfinite(value):
-        raise NonNumericCell(row, col, text)
+        raise ValidationError(f"non-numeric cell at row {row}, column {col}: {text!r}")
     return value
 
 
@@ -201,7 +195,7 @@ def _read_header(reader, path: Path, label_column: str) -> tuple[int, int]:
     except StopIteration:
         raise ValidationError(f"{path} is empty") from None
     if label_column not in header:
-        raise MissingLabelColumn(f"no column named {label_column!r} in {header}")
+        raise ValidationError(f"no column named {label_column!r} in {header}")
     return len(header), header.index(label_column)
 
 
@@ -297,14 +291,11 @@ def _load_csv_cells(path: Path, label_column: str) -> LabeledDataset:
         labels: list[float] = []
         for row_no, cells in enumerate(reader):
             if len(cells) != width:
-                raise RaggedRow(row_no, width, len(cells))
+                raise ValidationError(f"row {row_no} has {len(cells)} cells, expected {width}")
             label_text = cells[label_idx].strip()
-            try:
-                label = float(label_text)
-            except ValueError:
-                raise NonBinaryLabel(row_no, label_text) from None
+            label = _to_float(label_text)
             if label not in (0.0, 1.0):
-                raise NonBinaryLabel(row_no, label_text)
+                raise ValidationError(f"label at row {row_no} is not 0/1: {label_text!r}")
             labels.append(label)
             rows.append(
                 [_parse_cell(cells[j].strip(), row_no, j) for j in range(width) if j != label_idx]
@@ -336,7 +327,7 @@ def save_csv(ds: LabeledDataset, path) -> None:
 def save_binary(ds: LabeledDataset, path) -> None:
     """Fixed binary layout: 16-byte header, float32 LE row-major matrix, label bytes."""
     if ds.n > _U32_MAX or ds.m > _U32_MAX:
-        raise DimensionOverflow(f"n={ds.n}, m={ds.m} exceed the u32 header fields")
+        raise MelemadError(f"n={ds.n}, m={ds.m} exceed the u32 header fields")
     path = Path(path)
     header = _MAGIC + struct.pack("<III", _BINARY_VERSION, ds.n, ds.m)
     # a block of rows at a time: the whole body as float32 and then as bytes
@@ -368,19 +359,19 @@ class BinaryRows:
         try:
             head = self._fh.read(16)
             if len(head) < 16:
-                raise TruncatedFile(f"{self.path}: shorter than the 16-byte header")
+                raise ValidationError(f"{self.path}: shorter than the 16-byte header")
             if head[:4] != _MAGIC:
-                raise BadMagic(f"{self.path}: bad magic {head[:4]!r}")
+                raise ValidationError(f"{self.path}: bad magic {head[:4]!r}")
             version, n, m = struct.unpack("<III", head[4:16])
             if version != _BINARY_VERSION:
-                raise BadMagic(f"{self.path}: unsupported version {version}")
+                raise ValidationError(f"{self.path}: unsupported version {version}")
             if n < 1 or m < 1:
-                raise TruncatedFile(f"{self.path}: header claims empty dataset n={n}, m={m}")
+                raise ValidationError(f"{self.path}: header claims empty dataset n={n}, m={m}")
             self.n, self.m = n, m
             expected = 16 + 4 * n * m + n
             size = os.fstat(self._fh.fileno()).st_size
             if size != expected:
-                raise TruncatedFile(f"{self.path}: expected {expected} bytes, found {size}")
+                raise ValidationError(f"{self.path}: expected {expected} bytes, found {size}")
             self.labels = np.empty(n, dtype=np.uint8)
             self._read(n, self.labels)
             _check_labels(self.labels)
@@ -405,7 +396,7 @@ class BinaryRows:
         while done < buf.size and (got := self._fh.readinto(buf[done:])):
             done += got
         if done != buf.size:
-            raise TruncatedFile(f"{self.path}: ended before its {out.nbytes}-byte block")
+            raise ValidationError(f"{self.path}: ended before its {out.nbytes}-byte block")
 
     def select_rows(self, rows: slice) -> LabeledDataset:
         start, stop, step = rows.indices(self.n)
@@ -443,7 +434,7 @@ def fit_scaler(ds: LabeledDataset) -> ScalerParams:
 def apply_scaler(ds: LabeledDataset, sp: ScalerParams) -> LabeledDataset:
     """Map each column to [0,1]; constant columns go to 0.0, out-of-range clips."""
     if sp.per_column_min.shape[0] != ds.m:
-        raise DimensionMismatch(
+        raise ValidationError(
             f"scaler has {sp.per_column_min.shape[0]} columns, dataset has {ds.m}"
         )
     span = sp.per_column_max - sp.per_column_min
@@ -498,7 +489,7 @@ def stratified_split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDatase
         if cls_idx.size == 0:
             continue
         if cls_idx.size < 2:
-            raise ClassTooSmall(
+            raise ValidationError(
                 f"class {cls} has {cls_idx.size} sample(s); need >= 2 to stratify"
             )
         perm = rng.permutation(cls_idx)

@@ -1,8 +1,16 @@
-"""Exception types raised across the pipeline.
+"""Exception types raised across the pipeline, one for each outcome a caller
+tells apart.
 
-Each class corresponds to one contract violation; callers that want to catch
-"anything this library raises" can catch MelemadError. check_fields is the one
-key-and-type check that config files and checkpoint headers go through.
+ValidationError is bad input: a config, argument, file or pool that breaks
+a documented invariant, and the CLI exits 2; its message names the fault.
+Every other MelemadError is a run that failed on valid input, and the CLI
+exits 1. Three such failures have a type of their own, so that a caller can
+tell them apart: EmptySelection, the legitimate result of a threshold set
+above every importance, which a caller may catch and retry; and Diverged
+and Saturated, the meta-training and evaluation failures a run reports
+loudly instead of writing outputs that look healthy. Catch MelemadError for
+anything this library raises. check_fields is the one key-and-type check
+that config files and checkpoint headers go through.
 """
 import math
 import types
@@ -14,7 +22,22 @@ class MelemadError(Exception):
 
 
 class ValidationError(MelemadError):
-    """A config or argument violates a documented invariant."""
+    """A config, argument, file or data pool violates a documented
+    invariant; the message names the fault."""
+
+
+class EmptySelection(MelemadError):
+    """A selection threshold excluded every feature in every chunk."""
+
+
+class Diverged(MelemadError):
+    """A meta-iteration produced a NaN or Inf meta-loss or meta-gradient, or
+    an evaluation episode a NaN or Inf query probability."""
+
+
+class Saturated(MelemadError):
+    """Most of a meta-training iteration's or an evaluation's query
+    probabilities sit at the clamp bounds."""
 
 
 def _is_a(value, hint) -> bool:
@@ -48,100 +71,3 @@ def check_fields(where: str, values: dict, hints: dict) -> None:
         if not _is_a(value, hint):
             name = hint.__name__ if isinstance(hint, type) else hint
             raise ValidationError(f"{where} key {key!r} must be {name}, got {value!r}")
-
-
-# dataset ingestion / persistence
-
-class MissingLabelColumn(ValidationError):
-    pass
-
-
-class NonNumericCell(ValidationError):
-    def __init__(self, row: int, col: int, value: str = ""):
-        self.row = row
-        self.col = col
-        super().__init__(f"non-numeric cell at row {row}, column {col}: {value!r}")
-
-
-class NonBinaryLabel(ValidationError):
-    def __init__(self, row: int, value: str = ""):
-        self.row = row
-        super().__init__(f"label at row {row} is not 0/1: {value!r}")
-
-
-class RaggedRow(ValidationError):
-    def __init__(self, row: int, expected: int, got: int):
-        self.row = row
-        super().__init__(f"row {row} has {got} cells, expected {expected}")
-
-
-class BadMagic(ValidationError):
-    pass
-
-
-class DimensionOverflow(MelemadError):
-    pass
-
-
-class TruncatedFile(ValidationError):
-    pass
-
-
-# shape / size mismatches
-
-class DimensionMismatch(ValidationError):
-    pass
-
-
-class LengthMismatch(ValidationError):
-    pass
-
-
-class ClassTooSmall(ValidationError):
-    pass
-
-
-# chunking and selection
-
-class DegenerateStride(ValidationError):
-    pass
-
-
-class ChunkLargerThanData(ValidationError):
-    pass
-
-
-class EmptySelection(MelemadError):
-    pass
-
-
-# episodic sampling
-
-class PoolTooSmall(ValidationError):
-    pass
-
-
-class SingleClassPool(ValidationError):
-    pass
-
-
-# meta-training
-
-class Diverged(MelemadError):
-    """A meta-iteration produced a NaN or Inf meta-loss or meta-gradient, or
-    an evaluation episode a NaN or Inf query probability."""
-
-
-class Saturated(MelemadError):
-    """Most of a meta-training iteration's or an evaluation's query
-    probabilities sit at the clamp bounds."""
-
-
-# metrics
-
-class EmptyConfusion(ValidationError):
-    pass
-
-
-class SingleClass(ValidationError):
-    pass

@@ -52,16 +52,7 @@ import numpy as np
 
 from .config import MamlConfig, MlpArchitecture
 from .dataset import LabeledDataset, _half_up, _sigmoid
-from .errors import (
-    DimensionMismatch,
-    Diverged,
-    LengthMismatch,
-    PoolTooSmall,
-    Saturated,
-    SingleClassPool,
-    ValidationError,
-    check_fields,
-)
+from .errors import Diverged, Saturated, ValidationError, check_fields
 
 PROB_EPS = 1e-7
 # a meta-training iteration or an evaluation fails when more than this
@@ -125,7 +116,7 @@ class ModelParams:
         if vals.ndim != 2:
             vals = vals.ravel()
         if vals.shape[-1] != self.arch.param_count:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"expected {self.arch.param_count} parameters, got {vals.shape[-1]}"
             )
         if not np.all(np.isfinite(vals)):
@@ -274,7 +265,7 @@ def _check_input(params: ModelParams, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     lead = params.values.shape[:-1]
     if X.ndim != len(lead) + 2 or X.shape[:-2] != lead or X.shape[-1] != params.arch.input_dim:
-        raise DimensionMismatch(
+        raise ValidationError(
             f"expected {params.arch.input_dim} input columns and leading shape {lead}, "
             f"got shape {X.shape}"
         )
@@ -299,7 +290,7 @@ def bce_loss(probs, labels):
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if probs.shape != labels.shape:
-        raise LengthMismatch(f"{probs.shape} probs vs {labels.shape} labels")
+        raise ValidationError(f"{probs.shape} probs vs {labels.shape} labels")
     loss = -np.mean(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs), axis=-1)
     return float(loss) if loss.ndim == 0 else loss
 
@@ -334,7 +325,7 @@ def _probs_and_grad(params: ModelParams, X: np.ndarray, labels,
     if X.ndim == 2:
         y = y.ravel()
     if y.shape != X.shape[:-1]:
-        raise LengthMismatch(f"{X.shape[:-1]} rows vs {y.shape} labels")
+        raise ValidationError(f"{X.shape[:-1]} rows vs {y.shape} labels")
     layers, inputs, p_raw, p = _forward_pass(params, X, keep)
     n = X.shape[-2]
 
@@ -414,10 +405,10 @@ def sample_task(
     class's row count, which draws O(rows taken) random numbers, not one per
     row of the pool."""
     if pool.n < cfg.samples_per_task:
-        raise PoolTooSmall(f"pool has {pool.n} rows, task needs {cfg.samples_per_task}")
+        raise ValidationError(f"pool has {pool.n} rows, task needs {cfg.samples_per_task}")
     neg, pos = pool.class_rows
     if pos.size == 0 or neg.size == 0:
-        raise SingleClassPool("episode sampling needs both classes in the pool")
+        raise ValidationError("episode sampling needs both classes in the pool")
 
     task_pos, task_neg = _stratified_take(pos.size, neg.size, cfg.samples_per_task)
     pos_pick = pos[rng.choice(pos.size, task_pos, replace=False)]
@@ -628,13 +619,16 @@ def _check_saturation(what: str, clamped: int, total: int) -> None:
                         f"are clamped to {PROB_EPS} or 1 - {PROB_EPS}")
 
 
-def save_checkpoint(path, params: ModelParams, cfg: MamlConfig, iteration: int) -> None:
+def save_checkpoint(path, params: ModelParams, cfg: MamlConfig, iteration: int,
+                    train_fraction: float) -> None:
     """Single-line JSON header, newline, then the flat parameters as
-    little-endian float32."""
+    little-endian float32. The header holds the split's train_fraction too,
+    so a resumed run can check that it splits its input as this one did."""
     header = {
         "architecture": asdict(params.arch),
         "config": asdict(cfg),
         "iteration": iteration,
+        "split": {"train_fraction": train_fraction},
     }
     with Path(path).open("wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
@@ -642,11 +636,10 @@ def save_checkpoint(path, params: ModelParams, cfg: MamlConfig, iteration: int) 
         fh.write(params.values.astype("<f4").tobytes())
 
 
-def _header_section(header: dict, key: str, cls, path) -> dict:
-    """header[key] as a dict holding every field of cls, each of its type; a
+def _header_section(header: dict, key: str, hints: dict, path) -> dict:
+    """header[key] as a dict holding every key of hints, each of its type; a
     missing key raises KeyError naming it."""
     values = dict(header[key])
-    hints = typing.get_type_hints(cls)
     check_fields(f"checkpoint {path} {key}", values, hints)
     missing = sorted(set(hints) - set(values))
     if missing:
@@ -654,11 +647,12 @@ def _header_section(header: dict, key: str, cls, path) -> dict:
     return values
 
 
-def load_checkpoint(path) -> tuple[ModelParams, MamlConfig, int]:
-    """The parameters, the stored config and the iteration. A header that is
-    not a JSON object holding the keys save_checkpoint writes, an
-    architecture or config value that does not fit its field's type or
-    range, or a payload that does not hold the architecture's parameters,
+def load_checkpoint(path) -> tuple[ModelParams, MamlConfig, int, float]:
+    """The parameters, the stored config, the iteration and the split's
+    train_fraction. A header that is not a JSON object holding the keys
+    save_checkpoint writes, an architecture or config value that does not
+    fit its field's type or range, a train_fraction that is not a finite
+    float, or a payload that does not hold the architecture's parameters,
     raises ValidationError.
     """
     blob = Path(path).read_bytes()
@@ -667,8 +661,11 @@ def load_checkpoint(path) -> tuple[ModelParams, MamlConfig, int]:
         raise ValidationError(f"{path}: missing checkpoint header")
     try:
         header = json.loads(blob[:split].decode("utf-8"))
-        arch = MlpArchitecture(**_header_section(header, "architecture", MlpArchitecture, path))
-        config = _header_section(header, "config", MamlConfig, path)
+        arch = MlpArchitecture(**_header_section(
+            header, "architecture", typing.get_type_hints(MlpArchitecture), path))
+        config = _header_section(header, "config", typing.get_type_hints(MamlConfig), path)
+        train_fraction = _header_section(
+            header, "split", {"train_fraction": float}, path)["train_fraction"]
         iteration = header["iteration"]
         check_fields(f"checkpoint {path}", {"iteration": iteration}, {"iteration": int})
     except KeyError as exc:
@@ -684,4 +681,4 @@ def load_checkpoint(path) -> tuple[ModelParams, MamlConfig, int]:
             f"its architecture needs {4 * arch.param_count}"
         )
     values = np.frombuffer(blob, dtype="<f4", offset=split + 1).astype(np.float64)
-    return ModelParams(values, arch), MamlConfig(**config), iteration
+    return ModelParams(values, arch), MamlConfig(**config), iteration, train_fraction

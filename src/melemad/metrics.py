@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyConfusion, LengthMismatch, SingleClass, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def _check_lengths(probs, labels):
     probs = np.asarray(probs, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     if probs.shape[0] != labels.shape[0]:
-        raise LengthMismatch(f"{probs.shape[0]} probs vs {labels.shape[0]} labels")
+        raise ValidationError(f"{probs.shape[0]} probs vs {labels.shape[0]} labels")
     return probs, labels
 
 
@@ -63,7 +63,7 @@ def confusion(probs, labels, threshold: float = 0.5) -> ConfusionMatrix:
 def scalar_metrics(cm: ConfusionMatrix) -> tuple[float, float, float, float, float]:
     """(accuracy, precision, recall, f1, mcc) from raw counts."""
     if cm.total < 1:
-        raise EmptyConfusion("confusion matrix has zero samples")
+        raise ValidationError("confusion matrix has zero samples")
     tp, tn, fp, fn = cm.tp, cm.tn, cm.fp, cm.fn
     accuracy = (tp + tn) / cm.total
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
@@ -88,7 +88,7 @@ def roc_curve(probs, labels) -> np.ndarray:
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
-        raise SingleClass("ROC needs both classes present")
+        raise ValidationError("ROC needs both classes present")
 
     order = np.argsort(-probs, kind="stable")
     sorted_scores = probs[order]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from melemad import cfsgb, cli, dataset, gbdt, maml, metrics
-from melemad.errors import DegenerateStride, EmptySelection, ValidationError
+from melemad.errors import EmptySelection, ValidationError
 
 LAM = 1.0
 
@@ -270,7 +270,7 @@ def test_criterion_06_cfsgb_structural_properties():
         q = float(rng.uniform(0.0, 0.95))
         try:
             chunks = cfsgb.make_chunks(n, cfsgb.ChunkSpec(p=p, q=q))
-        except (DegenerateStride, ValidationError):
+        except ValidationError:
             continue
         cover = np.zeros(n, dtype=bool)
         for c in chunks:
@@ -373,7 +373,7 @@ def test_criterion_08_determinism_across_runs(tmp_path, recovery_instance):
     for run_idx in range(2):
         theta, _, report = run_maml_e2e()
         ckpt = tmp_path / f"model_{run_idx}.ckpt"
-        maml.save_checkpoint(ckpt, theta, MAML_E2E_CFG, 200)
+        maml.save_checkpoint(ckpt, theta, MAML_E2E_CFG, 200, 0.8)
         ckpt_files.append(ckpt.read_bytes())
         report_files.append(metrics.report_to_json(report).encode())
     assert ckpt_files[0] == ckpt_files[1]

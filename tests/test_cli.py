@@ -56,6 +56,37 @@ MALFORMED_CSV = {
     "non-numeric cell": (
         "f1,f2,label\n1,2,0\n3,x7,1\n", "non-numeric cell at row 1, column 1: 'x7'"
     ),
+    "no label column": ("f1,f2\n1,2\n", "no column named 'label' in ['f1', 'f2']"),
+}
+
+
+def csv_text(labels, m=12):
+    """A CSV of m features, all 0.5, and one row per label."""
+    header = ",".join(f"f{j}" for j in range(m)) + ",label\n"
+    return header + "".join("0.5," * m + f"{label}\n" for label in labels)
+
+
+# each failure a stage reports for its input: the stage, the input (CSV text,
+# or an edit of the trained synthetic.bin's bytes), more flags, the exit
+# code and the error line; {path} stands for the input file
+INPUT_FAILURES = {
+    "bad magic": ("select", lambda blob: b"MLMX" + blob[4:], ["--tau", 0.01], 2,
+                  "{path}: bad magic b'MLMX'"),
+    "truncated": ("select", lambda blob: blob[:-1], ["--tau", 0.01], 2,
+                  "{path}: expected 19616 bytes, found 19615"),
+    "class of one row": ("meta-train", csv_text([0] * 10 + [1], m=2), [], 2,
+                         "class 1 has 1 sample(s); need >= 2 to stratify"),
+    "zero stride": ("select", lambda blob: blob, ["--p", 0.01, "--q", 0.99, "--tau", 0.01], 2,
+                    "overlap q=0.99 leaves stride 0 at l=4"),
+    "pool too small": ("evaluate", csv_text([0, 1] * 5), [], 2,
+                       "pool has 10 rows, task needs 40"),
+    "single-class pool": ("evaluate", csv_text([0] * 40), [], 2,
+                          "episode sampling needs both classes in the pool"),
+    "pool of another width": ("evaluate", csv_text([0, 1] * 20, m=3), [], 2,
+                              "expected 12 input columns and leading shape (1,), "
+                              "got shape (1, 20, 3)"),
+    "tau above every importance": ("select", lambda blob: blob, ["--tau", 2, "--n-trees", 2],
+                                   1, "threshold 2.0 excluded every feature in every chunk"),
 }
 
 
@@ -269,7 +300,7 @@ class TestMetaTrainEvaluate:
         assert log_lines[0] == "iteration,meta_loss,query_accuracy,seconds"
         assert len(log_lines) == 1 + 5
 
-        _, _, iteration = maml.load_checkpoint(out / "checkpoint.ckpt")
+        _, _, iteration, _ = maml.load_checkpoint(out / "checkpoint.ckpt")
         assert iteration == 5
 
         code = run("evaluate", "--checkpoint", out / "checkpoint.ckpt",
@@ -292,7 +323,7 @@ class TestMetaTrainEvaluate:
         code = run("meta-train", "--config", small_config, "--input", data_dir / "synthetic.bin",
                    "--out-dir", out2, "--resume", out / "checkpoint.ckpt", "--iterations", 3)
         assert code == 0
-        _, _, iteration = maml.load_checkpoint(out2 / "checkpoint.ckpt")
+        _, _, iteration, _ = maml.load_checkpoint(out2 / "checkpoint.ckpt")
         assert iteration == 8
         log_lines = (out2 / "train_log.csv").read_text().strip().splitlines()
         assert log_lines[1].split(",")[0] == "5"
@@ -303,6 +334,8 @@ class TestMetaTrainEvaluate:
         (["--beta", 0.02], "config key 'maml.beta' differs"),
         (["--alpha", 0.002], "config key 'maml.alpha' differs"),
         (["--no-first-order"], "config key 'maml.first_order' differs"),
+        # another split would put rows the checkpoint trained on in the test pool
+        (["--train-fraction", 0.5], "config key 'split.train_fraction' differs"),
     ])
     def test_resume_with_another_config_exits_2_naming_the_key(self, tmp_path, trained,
                                                                small_config, capsys, flags,
@@ -313,6 +346,28 @@ class TestMetaTrainEvaluate:
                    "--resume", run_dir / "checkpoint.ckpt", *flags, "--out-dir", out)
         assert code == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry, width, message", [
+        ({"hidden_dims": [8]}, 12,
+         "config key 'maml.hidden_dims' differs from the checkpoint's ((8,), stored (8, 4))"),
+        ({"dropout_rate": 0.5}, 12,
+         "config key 'maml.dropout_rate' differs from the checkpoint's (0.5, stored 0.0)"),
+        ({}, 3, "the input has 3 features, the checkpoint's model takes 12"),
+    ], ids=["hidden_dims", "dropout_rate", "input width"])
+    def test_resume_architecture_must_match_the_checkpoints(self, tmp_path, trained, capsys,
+                                                           entry, width, message):
+        _, run_dir = trained
+        cfg = copy.deepcopy(SMALL_CONFIG)
+        cfg["maml"].update(entry)
+        config, data = tmp_path / "config.json", tmp_path / "data.csv"
+        config.write_text(json.dumps(cfg))
+        data.write_text(csv_text([0, 1] * 20, m=width), encoding="utf-8")
+        ckpt, out = run_dir / "checkpoint.ckpt", tmp_path / "out"
+        code = run("meta-train", "--config", config, "--input", data, "--resume", ckpt,
+                   "--out-dir", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --resume {ckpt}: {message}\n"
         assert not out.exists()
 
     def test_saturated_meta_training_exits_1_without_outputs(self, tmp_path, small_config,
@@ -559,6 +614,13 @@ BAD_CHECKPOINTS = {
     "negative seed": (
         edit_header(lambda h: h["config"].update(seed=-1)), "seed must be non-negative"
     ),
+    "no split": (edit_header(lambda h: h.pop("split")), "'split'"),
+    "split without train fraction": (
+        edit_header(lambda h: h["split"].pop("train_fraction")), "'split.train_fraction'"
+    ),
+    "train fraction a string": (
+        edit_header(lambda h: h["split"].update(train_fraction="0.75")), "'train_fraction'"
+    ),
     "negative iteration": (edit_header(lambda h: h.update(iteration=-5)), "iteration -5"),
     "iteration fractional": (edit_header(lambda h: h.update(iteration=2.5)), "'iteration'"),
     "iteration a string": (edit_header(lambda h: h.update(iteration="3")), "'iteration'"),
@@ -671,6 +733,26 @@ class TestConfig:
         out = tmp_path / "out"
         assert run(*argv, "--out-dir", out) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(INPUT_FAILURES))
+    def test_input_failure_exits_with_its_code_and_message(self, tmp_path, trained, capsys,
+                                                           case):
+        stage, content, flags, code, message = INPUT_FAILURES[case]
+        data, run_dir = trained
+        if isinstance(content, str):
+            path = tmp_path / "bad.csv"
+            path.write_text(content, encoding="utf-8")
+        else:
+            path = tmp_path / "bad.bin"
+            path.write_bytes(content((data / "synthetic.bin").read_bytes()))
+        if stage == "evaluate":
+            argv = ["evaluate", "--checkpoint", run_dir / "checkpoint.ckpt", "--data", path]
+        else:
+            argv = [stage, "--input", path]
+        out = tmp_path / "out"
+        assert run(*argv, *flags, "--out-dir", out) == code
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
         assert not out.exists()
 
     def test_output_dir_precedence(self, tmp_path, trained, monkeypatch):

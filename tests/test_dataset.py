@@ -11,18 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from melemad import dataset
-from melemad.errors import (
-    BadMagic,
-    ClassTooSmall,
-    DimensionMismatch,
-    DimensionOverflow,
-    MissingLabelColumn,
-    NonBinaryLabel,
-    NonNumericCell,
-    RaggedRow,
-    TruncatedFile,
-    ValidationError,
-)
+from melemad.errors import MelemadError, ValidationError
 
 
 def make_ds(features, labels):
@@ -167,26 +156,26 @@ class TestCsv:
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,f2\n1,2\n")
-        with pytest.raises(MissingLabelColumn):
+        with pytest.raises(ValidationError, match=r"no column named 'label' in \['f1', 'f2'\]"):
             dataset.load_csv(path, label_column="label")
 
     def test_non_binary_label(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,label\n1,2\n")
-        with pytest.raises(NonBinaryLabel):
+        with pytest.raises(ValidationError, match="label at row 0 is not 0/1: '2'"):
             dataset.load_csv(path)
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,f2,label\n1,abc,0\n")
-        with pytest.raises(NonNumericCell) as err:
+        with pytest.raises(ValidationError,
+                           match="non-numeric cell at row 0, column 1: 'abc'"):
             dataset.load_csv(path)
-        assert err.value.col == 1
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1,f2,label\n1,2,0\n1,0\n")
-        with pytest.raises(RaggedRow):
+        with pytest.raises(ValidationError, match="row 1 has 2 cells, expected 3"):
             dataset.load_csv(path)
 
     def test_write_read_round_trip(self, tmp_path):
@@ -335,12 +324,13 @@ def reference_load_csv(path, label_column="label"):
     and error for error."""
 
     def parse_cell(text, row, col):
+        message = f"non-numeric cell at row {row}, column {col}: {text!r}"
         try:
             value = float(text)
         except ValueError:
-            raise NonNumericCell(row, col, text) from None
+            raise ValidationError(message) from None
         if not math.isfinite(value):
-            raise NonNumericCell(row, col, text)
+            raise ValidationError(message)
         return value
 
     path = Path(path)
@@ -354,21 +344,24 @@ def reference_load_csv(path, label_column="label"):
         try:
             label_idx = header.index(label_column)
         except ValueError:
-            raise MissingLabelColumn(f"no column named {label_column!r} in {header}") from None
+            raise ValidationError(f"no column named {label_column!r} in {header}") from None
 
         rows = []
         labels = []
         for row_no, cells in enumerate(reader):
             if len(cells) != len(header):
-                raise RaggedRow(row_no, len(header), len(cells))
+                raise ValidationError(
+                    f"row {row_no} has {len(cells)} cells, expected {len(header)}"
+                )
             label_text = cells[label_idx].strip()
             if label_text not in ("0", "1"):
+                message = f"label at row {row_no} is not 0/1: {label_text!r}"
                 try:
                     label_val = float(label_text)
                 except ValueError:
-                    raise NonBinaryLabel(row_no, label_text) from None
+                    raise ValidationError(message) from None
                 if label_val not in (0.0, 1.0):
-                    raise NonBinaryLabel(row_no, label_text)
+                    raise ValidationError(message)
             else:
                 label_val = float(label_text)
             labels.append(int(label_val))
@@ -552,7 +545,7 @@ class TestBinary:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "d.bin"
         path.write_bytes(b"NOPE" + bytes(20))
-        with pytest.raises(BadMagic):
+        with pytest.raises(ValidationError, match="bad magic b'NOPE'"):
             dataset.load_binary(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -562,13 +555,13 @@ class TestBinary:
         blob = path.read_bytes()
         # drop one row worth of floats plus its label byte
         path.write_bytes(blob[: 16 + 4 * 9 * 2] + blob[16 + 4 * 10 * 2 : -1])
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(ValidationError, match="expected 106 bytes, found 97"):
             dataset.load_binary(path)
 
     def test_header_shorter_than_16_bytes(self, tmp_path):
         path = tmp_path / "d.bin"
         path.write_bytes(b"MLMD\x01")
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(ValidationError, match="shorter than the 16-byte header"):
             dataset.load_binary(path)
 
     def saved(self, tmp_path, n=10, m=3):
@@ -579,24 +572,22 @@ class TestBinary:
         return ds, path
 
     @pytest.mark.parametrize(
-        "edit, error, message",
+        "edit, message",
         [
-            (lambda b: b[:-1], TruncatedFile, "expected 146 bytes, found 145"),
-            (lambda b: b + b"\0", TruncatedFile, "expected 146 bytes, found 147"),
-            (lambda b: b[:15], TruncatedFile, "shorter than the 16-byte header"),
-            (lambda b: b"MLMX" + b[4:], BadMagic, "bad magic b'MLMX'"),
-            (lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:], BadMagic,
-             "unsupported version 2"),
-            (lambda b: b[:8] + bytes(4) + b[12:], TruncatedFile,
-             "header claims empty dataset n=0, m=3"),
+            (lambda b: b[:-1], "expected 146 bytes, found 145"),
+            (lambda b: b + b"\0", "expected 146 bytes, found 147"),
+            (lambda b: b[:15], "shorter than the 16-byte header"),
+            (lambda b: b"MLMX" + b[4:], "bad magic b'MLMX'"),
+            (lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:], "unsupported version 2"),
+            (lambda b: b[:8] + bytes(4) + b[12:], "header claims empty dataset n=0, m=3"),
         ],
         ids=["one-byte-short", "one-byte-extra", "short-header", "bad-magic", "bad-version",
              "empty"],
     )
-    def test_malformed_file_named(self, tmp_path, edit, error, message):
+    def test_malformed_file_named(self, tmp_path, edit, message):
         _, path = self.saved(tmp_path)
         path.write_bytes(edit(path.read_bytes()))
-        with pytest.raises(error) as err:
+        with pytest.raises(ValidationError) as err:
             dataset.load_binary(path)
         assert str(err.value) == f"{path}: {message}"
 
@@ -605,7 +596,7 @@ class TestBinary:
         full = path.stat()
         path.write_bytes(path.read_bytes()[:-4])
         monkeypatch.setattr(dataset.os, "fstat", lambda fd: full)
-        with pytest.raises(TruncatedFile, match="ended before its 10-byte block"):
+        with pytest.raises(ValidationError, match="ended before its 10-byte block"):
             dataset.load_binary(path)
 
     @pytest.mark.parametrize("block_cells", [1, 4, 9, 1 << 16])
@@ -641,8 +632,10 @@ class TestBinary:
     def test_dimension_overflow_writes_no_file(self, tmp_path, n, m):
         # a stand-in: a real dataset this large does not fit in memory
         path = tmp_path / "d.bin"
-        with pytest.raises(DimensionOverflow, match=f"n={n}, m={m} exceed the u32 header"):
+        with pytest.raises(MelemadError, match=f"n={n}, m={m} exceed the u32 header") as err:
             dataset.save_binary(SimpleNamespace(n=n, m=m), path)
+        # a runtime failure (exit 1), not bad input (exit 2)
+        assert not isinstance(err.value, ValidationError)
         assert not path.exists()
 
     @pytest.mark.parametrize("block_cells", [1, 4, 9, 1 << 16])
@@ -751,7 +744,7 @@ class TestScaler:
 
     def test_dimension_mismatch(self):
         sp = dataset.fit_scaler(make_ds([[1.0, 2.0]], [0]))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="scaler has 2 columns, dataset has 1"):
             dataset.apply_scaler(make_ds([[1.0]], [0]), sp)
 
     def test_persistence_round_trip(self, tmp_path):
@@ -806,7 +799,8 @@ class TestSplit:
 
     def test_class_too_small(self):
         ds = make_ds([[1.0], [2.0], [3.0]], [0, 0, 1])
-        with pytest.raises(ClassTooSmall):
+        with pytest.raises(ValidationError,
+                           match=r"class 1 has 1 sample\(s\); need >= 2 to stratify"):
             dataset.stratified_split(ds, dataset.SplitSpec(0.5, 0))
 
     def test_fraction_bounds(self):

@@ -9,15 +9,7 @@ import pytest
 
 from melemad import maml
 from melemad.dataset import LabeledDataset
-from melemad.errors import (
-    DimensionMismatch,
-    Diverged,
-    LengthMismatch,
-    PoolTooSmall,
-    Saturated,
-    SingleClassPool,
-    ValidationError,
-)
+from melemad.errors import Diverged, Saturated, ValidationError
 
 
 def make_ds(features, labels):
@@ -198,7 +190,8 @@ class TestForward:
     def test_dimension_mismatch(self):
         arch = maml.MlpArchitecture(input_dim=3, hidden_dims=(2,))
         params = maml.init_params(arch, 0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=re.escape(
+                "expected 3 input columns and leading shape (), got shape (2, 5)")):
             maml.forward(params, np.zeros((2, 5)))
 
 
@@ -215,7 +208,7 @@ class TestBceLoss:
         assert loss < 1e-5
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValidationError, match=re.escape("(1,) probs vs (2,) labels")):
             maml.bce_loss([0.5], [1, 0])
 
     # 8 and 9 rows sit either side of numpy's unrolled sum, 5000 past its
@@ -331,12 +324,14 @@ class TestSampleTask:
 
     def test_pool_too_small(self):
         pool = random_pool(10, 2, seed=23)
-        with pytest.raises(PoolTooSmall):
+        with pytest.raises(ValidationError,
+                           match=f"pool has 10 rows, task needs {self.CFG.samples_per_task}"):
             maml.sample_task(pool, self.CFG, maml._rng(0))
 
     def test_single_class_pool(self):
         pool = make_ds(np.random.default_rng(24).random((30, 2)), np.ones(30, dtype=int))
-        with pytest.raises(SingleClassPool):
+        with pytest.raises(ValidationError,
+                           match="episode sampling needs both classes in the pool"):
             maml.sample_task(pool, self.CFG, maml._rng(0))
 
     # a 200-row pool draws its classes' rows through numpy's partial
@@ -748,13 +743,15 @@ class TestStackEngine:
     def test_stack_shape_mismatch_rejected(self):
         arch = self.arch(False)
         stacked = maml.ModelParams(np.zeros((2, arch.param_count)), arch)
-        with pytest.raises(DimensionMismatch):
+        columns = "expected 4 input columns and leading shape (2,), got shape "
+        with pytest.raises(ValidationError, match=re.escape(columns + "(3, 5, 4)")):
             maml.forward(stacked, np.zeros((3, 5, 4)))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=re.escape(columns + "(5, 4)")):
             maml.forward(stacked, np.zeros((5, 4)))
-        with pytest.raises(LengthMismatch):
+        rows = re.escape("(2, 5) rows vs (2, 4) labels")
+        with pytest.raises(ValidationError, match=rows):
             maml.backward(stacked, np.zeros((2, 5, 4)), np.zeros((2, 4)))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValidationError, match=rows):
             maml.forward(stacked, np.zeros((2, 5, 4)), np.zeros((2, 4)))
 
     def test_stack_size_bounded_by_cells(self, monkeypatch):
@@ -1248,9 +1245,10 @@ class TestCheckpoint:
         params = maml.init_params(arch, 77)
         cfg = maml.MamlConfig(samples_per_task=10, support_size=5, query_size=5, seed=77)
         path = tmp_path / "model.ckpt"
-        maml.save_checkpoint(path, params, cfg, iteration=12)
-        loaded, loaded_cfg, iteration = maml.load_checkpoint(path)
+        maml.save_checkpoint(path, params, cfg, iteration=12, train_fraction=0.7)
+        loaded, loaded_cfg, iteration, train_fraction = maml.load_checkpoint(path)
         assert iteration == 12
+        assert train_fraction == 0.7
         assert loaded.arch == arch
         assert loaded_cfg == cfg
         np.testing.assert_array_equal(
@@ -1262,6 +1260,6 @@ class TestCheckpoint:
         params = maml.init_params(arch, 5)
         cfg = maml.MamlConfig(samples_per_task=10, support_size=5, query_size=5)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        maml.save_checkpoint(a, params, cfg, 3)
-        maml.save_checkpoint(b, params, cfg, 3)
+        maml.save_checkpoint(a, params, cfg, 3, 0.8)
+        maml.save_checkpoint(b, params, cfg, 3, 0.8)
         assert a.read_bytes() == b.read_bytes()
