@@ -70,8 +70,6 @@ def make_chunks(n: int, spec: ChunkSpec) -> list[Chunk]:
     l = _half_up(spec.p * n)
     if l < 1:
         raise ValidationError(f"chunk size p={spec.p} rounds to zero samples at n={n}")
-    if l > n:
-        raise ValidationError(f"chunk length {l} exceeds {n} rows")
 
     overlap = _half_up(spec.q * l)
     stride = l - overlap

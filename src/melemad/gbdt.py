@@ -1,31 +1,33 @@
 """Gradient-boosted regression trees for binary classification.
 
-Logistic objective with second-order (Newton) leaf values: per boosting round
-the targets are gradients g = p - y and hessians h = p(1 - p), leaves get
--sum(g) / (sum(h) + lambda), and splits are exact greedy over midpoints of
-consecutive distinct sorted feature values. Each column is sorted once per
-fit, into int32 row ids. A node that may split holds its own rows'
-per-feature sort order: a split partitions the parent's orders stably into
-the two children (the pre-sorted lists of SLIQ and of XGBoost's exact greedy
-search), so a node's search costs its own rows, not the fit's. A node scores
-a block of columns per numpy call, with the block's scratch bounded at
-_BLOCK_CELLS feature-by-row cells. Per tree, g and h sit side by side in one
-complex array g + 1j*h, so a block gathers both in sorted order with one take
-and prefix-sums both with one cumsum; complex addition adds the two parts
-apart, so the sums are bit for bit those of g and of h. A boundary between
-equal values is no split candidate. The root searches the same order over
-the same boundaries in every tree of a fit, so its tie mask is computed
-once per fit from the values and kept packed 8 boundaries a byte; the other
-nodes compare their sorted values. The threshold is read from X at the two
-rows beside the winning boundary. Ties go to the lowest feature, then the
-lowest threshold. X may be float32 (a binary file's matrix) or float64:
-sorting and tie masks are exact in either, and the threshold midpoint and
-the split test are taken in float64, so a float32 matrix grows the trees of
-its float64 copy byte for byte. Feature importance is total split gain,
-normalized. Training uses no randomness, so identical inputs give
-byte-identical models. The logistic function is dataset._sigmoid, which
-maml's output layer shares; GbdtConfig is defined in config, with the rest of
-the config schema.
+Logistic objective with second-order (Newton) leaf values: per boosting
+round the targets are gradients g = p - y and hessians h = p(1 - p), leaves
+get -sum(g) / (sum(h) + lambda), and splits are exact greedy over midpoints
+of consecutive distinct sorted feature values. Each column is sorted once
+per fit, into row ids of the narrowest unsigned type that holds them (uint16
+up to 65,536 rows). A node that may split searches its own rows' per-feature
+sort order (the pre-sorted lists of SLIQ and of XGBoost's exact greedy
+search), so a node's search costs its own rows, not the fit's. Below the
+root, that order is the node's span of one work buffer, which a split
+partitions stably in place, left child first, so a fit holds its orders
+twice however deep its trees grow. A node scores a block of columns per
+numpy call, with the block's scratch bounded at _BLOCK_CELLS feature-by-row
+cells. Per tree, g and h sit side by side in one complex array g + 1j*h, so
+a block gathers both in sorted order with one take and prefix-sums both with
+one cumsum; complex addition adds the two parts apart, so the sums are bit
+for bit those of g and of h. A boundary between equal values is no split
+candidate. The root searches the same order over the same boundaries in
+every tree of a fit, so its tie mask is computed once per fit from the
+values and kept packed 8 boundaries a byte; the other nodes compare their
+sorted values. The threshold is read from X at the two rows beside the
+winning boundary. Ties go to the lowest feature, then the lowest threshold.
+X may be float32 (a binary file's matrix) or float64: sorting and tie masks
+are exact in either, and the threshold midpoint and the split test are taken
+in float64, so a float32 matrix grows the trees of its float64 copy byte for
+byte. Feature importance is total split gain, normalized. Training uses no
+randomness, so identical inputs give byte-identical models. The logistic
+function is dataset._sigmoid, which maml's output layer shares; GbdtConfig
+is defined in config, with the rest of the config schema.
 """
 from __future__ import annotations
 
@@ -84,7 +86,12 @@ class _TreeGrower:
         # tie mask is the same in every tree of the fit; packed 8 boundaries
         # a byte, it holds an eighth of a bool mask's bytes
         self._root_ties = None
+        # below the root, a node's orders are its span of this buffer (see
+        # _partition). Held for the fit: allocated per tree, it left a select
+        # of two 7500 x 40 chunks 0.4 MB higher in peak RSS
+        self._work = None
         if self._can_split(self.n, 0):
+            self._work = np.empty_like(col_order)
             lo, hi = self._window(self.n)
             width = self._width(self.n)
             self._root_ties = np.empty((self.m, (hi - lo + 7) // 8), dtype=np.uint8)
@@ -121,21 +128,24 @@ class _TreeGrower:
             gain.append(0.0)
             return len(feature_index) - 1
 
-        # depth-first; each entry owns its row indices and, if it may split,
-        # their per-feature sort order (None otherwise)
-        root_order = self.col_order if self._can_split(self.n, 0) else None
-        stack = [(new_node(), np.arange(self.n), root_order, 0)]
+        # depth-first; each entry owns its row indices, ascending, and, if it
+        # may split, the start of its span of the work buffer (None otherwise)
+        root_start = 0 if self._can_split(self.n, 0) else None
+        stack = [(new_node(), np.arange(self.n), root_start, 0)]
         # g and h side by side, so one gather and one cumsum serve both:
         # complex addition adds the parts apart, so the sums are g's and h's
         gh = np.empty(self.n, dtype=np.complex128)
         gh.real = g
         gh.imag = h
         while stack:
-            node, rows, order, depth = stack.pop()
+            node, rows, start, depth = stack.pop()
             G = g[rows].sum()
             H = h[rows].sum()
             split = None
-            if order is not None:
+            if start is not None:
+                span = self._work[:, start : start + rows.size]
+                # the root reads col_order itself, which no split rewrites
+                order = self.col_order if depth == 0 else span
                 ties = self._root_ties if depth == 0 else None
                 split = self._best_split(order, gh, G, H, ties)
             if split is None:
@@ -151,18 +161,17 @@ class _TreeGrower:
             # onto the left value when the two values beside it are adjacent
             go_left = self.X[rows, feat].astype(np.float64, copy=False) < thr
             left_rows, right_rows = rows[go_left], rows[~go_left]
-            left_order, right_order = self._partition(
-                order,
-                left_rows,
-                self._can_split(left_rows.size, depth + 1),
-                self._can_split(right_rows.size, depth + 1),
-            )
+            left_splits = self._can_split(left_rows.size, depth + 1)
+            right_splits = self._can_split(right_rows.size, depth + 1)
+            if left_splits or right_splits:
+                self._partition(order, span, left_rows)
             left_id = new_node()
             right_id = new_node()
             left[node] = left_id
             right[node] = right_id
-            stack.append((left_id, left_rows, left_order, depth + 1))
-            stack.append((right_id, right_rows, right_order, depth + 1))
+            right_start = start + left_rows.size
+            stack.append((left_id, left_rows, start if left_splits else None, depth + 1))
+            stack.append((right_id, right_rows, right_start if right_splits else None, depth + 1))
 
         tree = RegressionTree(
             feature_index=np.array(feature_index, dtype=np.int64),
@@ -174,31 +183,26 @@ class _TreeGrower:
         )
         return tree, train_pred
 
-    def _partition(self, order, left_rows, left_splits, right_splits):
-        """The children's per-feature orders, None for a child that cannot
-        split, cut from the node's order a block of columns at a time. The
-        cut is stable, so each child keeps its parent's sorted order."""
+    def _partition(self, order, span, left_rows):
+        """Write the left child's per-feature orders, then the right child's,
+        over span, the node's columns of the work buffer, cut from the node's
+        orders a block of columns at a time. The cut is stable, so each child
+        keeps its parent's sorted order. order is col_order at the root and
+        span itself below it, so both sides of a block are cut into
+        contiguous temps before either is written back."""
         n_node, n_left = order.shape[1], left_rows.size
-        left_order = right_order = None
-        if left_splits:
-            left_order = np.empty((self.m, n_left), dtype=order.dtype)
-        if right_splits:
-            right_order = np.empty((self.m, n_node - n_left), dtype=order.dtype)
-        if not (left_splits or right_splits):
-            return left_order, right_order
         flag = self._flag
         flag[left_rows] = True
         width = self._width(n_node)
         for j0 in range(0, self.m, width):
             block = order[j0 : j0 + width].reshape(-1)
             sel = flag.take(block)
-            if left_order is not None:
-                block.compress(sel, out=left_order[j0 : j0 + width].reshape(-1))
-            if right_order is not None:
-                np.logical_not(sel, out=sel)
-                block.compress(sel, out=right_order[j0 : j0 + width].reshape(-1))
+            to_left = block.compress(sel)
+            np.logical_not(sel, out=sel)
+            to_right = block.compress(sel)
+            span[j0 : j0 + width, :n_left] = to_left.reshape(-1, n_left)
+            span[j0 : j0 + width, n_left:] = to_right.reshape(-1, n_node - n_left)
         flag[left_rows] = False
-        return left_order, right_order
 
     def _ties(self, idx, j0, lo, hi):
         """Per boundary lo..hi - 1 of a block of sorted columns from j0: True
@@ -273,9 +277,10 @@ def train(ds: LabeledDataset, cfg: GbdtConfig | None = None) -> GbdtModel:
     base_score = float(np.log(prior / (1.0 - prior)))
     raw = np.full(ds.n, base_score)
 
-    # feature-major; int32 row ids halve the m x n orders the fit holds, and
-    # sorting a block of columns at a time bounds argsort's intp scratch
-    col_order = np.empty((ds.m, ds.n), dtype=np.int32 if ds.n < 2**31 else np.intp)
+    # feature-major, in the narrowest unsigned type that holds a row id; the
+    # grower's work buffer takes the same type. Sorting a block of columns at
+    # a time bounds argsort's intp scratch
+    col_order = np.empty((ds.m, ds.n), dtype=np.min_scalar_type(ds.n - 1))
     width = max(1, _BLOCK_CELLS // ds.n)
     for j0 in range(0, ds.m, width):
         col_order[j0 : j0 + width] = np.argsort(X.T[j0 : j0 + width], axis=1, kind="stable")

@@ -45,9 +45,21 @@ class TestMakeChunks:
         chunks = cfsgb.make_chunks(25, cfsgb.ChunkSpec(p=1.0, q=0.0))
         assert [(c.start, c.stop) for c in chunks] == [(0, 25)]
 
-    def test_chunk_larger_than_data_guard(self):
+    def test_zero_rows_rejected(self):
         with pytest.raises(ValidationError, match="n must be >= 1"):
             cfsgb.make_chunks(0, cfsgb.ChunkSpec(p=0.5, q=0.0))
+
+    @given(st.integers(1, 500), st.floats(0.0, 1.0, exclude_min=True))
+    @settings(max_examples=300, deadline=None)
+    def test_no_chunk_longer_than_the_data(self, n, p):
+        # p <= 1, so the chunk length round(p*n) never exceeds n
+        try:
+            chunks = cfsgb.make_chunks(n, cfsgb.ChunkSpec(p=p, q=0.0))
+        except ValidationError as err:
+            assert "rounds to zero" in str(err)
+            return
+        assert chunks[0].size == dataset._half_up(p * n)
+        assert all(c.size <= n for c in chunks)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):

@@ -511,8 +511,8 @@ class TestBlockSplitSearch:
         assert root.feature_index[root.left[0]] == root.feature_index[root.right[0]] == -1
 
     def test_peak_memory_of_a_fit_stays_within_twice_the_matrix(self):
-        # column orders and the per-node partitions are int32 row ids; int64
-        # ones would double both and push the peak well past this bound
+        # column orders and the work buffer hold uint16 row ids at this size;
+        # int64 ones would quadruple both and push the peak well past this bound
         rng = np.random.default_rng(16)
         X = rng.standard_normal((7500, 40))
         ds = make_ds(X, ((X[:, 0] + rng.standard_normal(7500)) > 0).astype(int))
@@ -524,3 +524,44 @@ class TestBlockSplitSearch:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * ds.features.nbytes
+
+    def test_peak_memory_of_a_wide_float32_fit_stays_near_its_matrix(self):
+        # col_order and the work buffer hold uint16 row ids, each half the
+        # float32 matrix's bytes; fresh child orders at every split, or int32
+        # ids, would push the peak past twice the matrix
+        rng = np.random.default_rng(20)
+        X = rng.standard_normal((3000, 600)).astype(np.float32)
+        y = ((X[:, 0] + rng.standard_normal(3000)) > 0).astype(np.uint8)
+        ds = LabeledDataset._wrap(X, y)
+        cfg = gbdt.GbdtConfig(n_trees=2, max_depth=3, learning_rate=0.5)
+        tracemalloc.start()
+        try:
+            gbdt.train(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * X.nbytes
+
+    @pytest.mark.parametrize(
+        "n, dtype", [(256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)]
+    )
+    def test_row_ids_take_the_narrowest_unsigned_type(self, monkeypatch, n, dtype):
+        # every node's orders, col_order at the root and the work buffer
+        # below it, hold row ids in the narrowest type that holds row n - 1
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 3))
+        ds = make_ds(X, ((X[:, 1] + rng.standard_normal(n)) > 0).astype(int))
+        cfg = gbdt.GbdtConfig(n_trees=2, max_depth=2, learning_rate=0.5)
+        seen = []
+        best_split = gbdt._TreeGrower._best_split
+
+        def recording_best_split(self, order, gh, G, H, root_ties):
+            seen.append(order.dtype)
+            return best_split(self, order, gh, G, H, root_ties)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(gbdt._TreeGrower, "_best_split", recording_best_split)
+            model = gbdt.train(ds, cfg)
+        assert seen == [np.dtype(dtype)] * 6  # the root and both children, per tree
+        _, reference = train_both(monkeypatch, ds, cfg)
+        assert_same_models(model, reference)
