@@ -30,7 +30,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import dataset
-from .errors import ValidationError, check_fields
+from .errors import ValidationError, check_fields, not_utf8
 
 # the keys outside the sections, with their types and defaults
 _TOP_LEVEL = {"seed": (int, 0), "output_dir": (str | None, None)}
@@ -82,9 +82,10 @@ def load_config(path: str | None) -> dict:
     checks the keys and values inside the sections."""
     user: dict = {}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
         try:
-            user = json.loads(text)
+            user = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise not_utf8(f"config {path}", exc) from None
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(user, dict):
@@ -225,8 +226,9 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
     if args.resume:
         where = f"--resume {args.resume}"
         initial, ckpt_cfg, start_iteration, train_fraction = maml.load_checkpoint(args.resume)
-        # a resume continues the checkpoint's run on the same split: only its
-        # length may differ (the split's seed derives from the seed checked here)
+        # a resume starts from the checkpoint's float32 parameters with a fresh
+        # Adam state, on the checkpoint run's split: only its length may differ
+        # (the split's seed derives from the seed checked here)
         _check_matches(where, "maml", maml_cfg, ckpt_cfg, skip=("outer_iterations",))
         _check_matches(where, "split", split_spec, dataset.SplitSpec(train_fraction),
                        skip=("seed",))
@@ -364,7 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--first-order", dest="maml.first_order", action=argparse.BooleanOptionalAction
     )
     p_train.add_argument("--train-fraction", dest="split.train_fraction", type=float)
-    p_train.add_argument("--resume", help="checkpoint to continue from")
+    p_train.add_argument(
+        "--resume",
+        help="checkpoint whose float32 parameters to start from (with a fresh Adam state)",
+    )
     p_train.set_defaults(func=cmd_meta_train)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint on a test pool")

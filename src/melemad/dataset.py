@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MelemadError, ValidationError
+from .errors import MelemadError, ValidationError, not_utf8
 
 _MAGIC = b"MLMD"
 _BINARY_VERSION = 1
@@ -39,8 +39,6 @@ _U32_MAX = 2**32 - 1
 # of rows, which bounds their temporaries (Python floats, float32 cells, a
 # mask) next to the matrix
 _BLOCK_CELLS = 1 << 16
-# bytes _count_lines reads per block
-_LINE_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,49 +201,49 @@ def load_csv(path, label_column="label") -> LabeledDataset:
     """The dataset in a headered CSV. The column whose stripped header name
     is label_column holds the labels; every other column is a feature.
 
-    The file has at least one data row and one feature column, and every
-    data row the header's width. Each stripped feature cell is a finite
-    number that Python's float() reads, and each label cell one that reads
-    as 0 or 1. A file that breaks a rule raises ValidationError, and a bad
-    row or cell is named by its row (and column).
+    The file is UTF-8 text with at least one data row and one feature
+    column, and every data row the header's width. Each stripped feature
+    cell is a finite number that Python's float() reads, and each label cell
+    one that reads as 0 or 1. A file that breaks a rule raises
+    ValidationError, and a bad row or cell is named by its row (and column).
+
+    The file is opened once: csv.reader reads the header and np.loadtxt the
+    lines after it. Where numpy's matrix may differ from the per-cell
+    reader's, the per-cell reader parses the file again and names the fault.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        width, label_idx = _read_header(reader, path, label_column)
-        header_lines = reader.line_num
-    # np.loadtxt skips one line of header, so a header with a quoted newline
-    # goes to the per-cell reader
-    if header_lines == 1:
-        ds = _load_csv_matrix(path, label_idx, width)
-        if ds is not None:
-            return ds
-    return _load_csv_cells(path, label_column)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            width, label_idx = _read_header(csv.reader(fh), path, label_column)
+            ds = _load_csv_matrix(fh, label_idx, width)
+        return ds if ds is not None else _load_csv_cells(path, label_column)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(str(path), exc) from None
 
 
-def _load_csv_matrix(path: Path, label_idx: int, width: int):
-    """The dataset from np.loadtxt, or None where it may differ from what
-    _load_csv_cells gives: a row count or width other than the file's, or a
-    matrix _wrap rejects."""
+def _load_csv_matrix(lines, label_idx: int, width: int):
+    """The dataset np.loadtxt parses from lines, a CSV's text-mode lines
+    after its header, or None where it may differ from what _load_csv_cells
+    gives: a matrix of other than one row per line (csv.reader makes a
+    record of a blank line, which np.loadtxt skips) or of other than the
+    header's width, or one _wrap rejects."""
+    records = 0
+
+    def counted():
+        nonlocal records
+        for line in lines:
+            records += 1
+            yield line
+
     try:
         with warnings.catch_warnings():
             # a file without data rows warns; the per-cell reader names it
             warnings.simplefilter("error", UserWarning)
             data = np.loadtxt(
-                path,
-                delimiter=",",
-                skiprows=1,
-                comments=None,
-                quotechar='"',
-                ndmin=2,
-                dtype=np.float64,
-                encoding="utf-8",
+                counted(), delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=np.float64
             )
     except (ValueError, UserWarning):
         return None
-    # csv.reader makes a record of every line after the header, a blank one
-    # too; np.loadtxt skips blank lines, so the counts must match
-    records = _count_lines(path) - 1
     if data.shape != (records, width):
         return None
     labels = data[:, label_idx].copy()
@@ -261,25 +259,6 @@ def _load_csv_matrix(path: Path, label_idx: int, width: int):
         return LabeledDataset._wrap(features, labels)
     except ValidationError:
         return None
-
-
-def _count_lines(path: Path) -> int:
-    """The lines that iterating over path in text mode with newline=""
-    yields: each ends at \n, \r\n or a bare \r, and the last may have no
-    ending. Counted from binary blocks, so nothing is decoded (a UTF-8
-    multi-byte sequence holds no \r or \n byte)."""
-    lines = 0
-    last = None  # the previous block's last byte
-    block = bytearray(_LINE_BLOCK_BYTES)
-    with path.open("rb") as fh:
-        while size := fh.readinto(block):
-            data = np.frombuffer(block, np.uint8, size)
-            lf, cr = data == 10, data == 13
-            # every \n and \r ends a line but a \r just before a \n
-            lines += np.count_nonzero(lf) + np.count_nonzero(cr)
-            lines -= np.count_nonzero(cr[:-1] & lf[1:]) + (last == 13 and lf[0])
-            last = int(data[-1])
-    return int(lines) + (last not in (None, 10, 13))
 
 
 def _load_csv_cells(path: Path, label_column: str) -> LabeledDataset:

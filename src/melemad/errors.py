@@ -10,7 +10,8 @@ above every importance, which a caller may catch and retry; and Diverged
 and Saturated, the meta-training and evaluation failures a run reports
 loudly instead of writing outputs that look healthy. Catch MelemadError for
 anything this library raises. check_fields is the one key-and-type check
-that config files and checkpoint headers go through.
+that config files and checkpoint headers go through, and not_utf8 the one
+error for a text file that does not decode.
 """
 import math
 import types
@@ -24,6 +25,14 @@ class MelemadError(Exception):
 class ValidationError(MelemadError):
     """A config, argument, file or data pool violates a documented
     invariant; the message names the fault."""
+
+
+def not_utf8(what: str, exc: UnicodeDecodeError) -> ValidationError:
+    """The error for a text file that is not UTF-8: it names the file and the
+    bytes, but not the codec's position, which a text-mode file counts from
+    its current decode chunk rather than from the file's start."""
+    bad = exc.object[exc.start : exc.end]
+    return ValidationError(f"{what} is not UTF-8 text: {exc.reason} {bad!r}")
 
 
 class EmptySelection(MelemadError):

@@ -718,6 +718,28 @@ class TestConfig:
         assert f"{flag} {directory} is missing or not a regular file" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("stage,flag", [
+        ("select", "--input"), ("meta-train", "--input"), ("evaluate", "--data"),
+        ("select", "--config"), ("meta-train", "--config"), ("evaluate", "--config"),
+    ])
+    def test_file_not_utf8_exits_2_naming_it(self, tmp_path, trained, capsys, stage, flag):
+        argv = STAGE_ARGV[stage](*trained)
+        if flag == "--config":
+            bad = tmp_path / "config.json"
+            bad.write_bytes(b'{"seed": "\xff"}')
+            argv += [flag, bad]
+            named = f"config {bad}"
+        else:
+            bad = tmp_path / "bad.csv"
+            bad.write_bytes(csv_text([0, 1] * 20).encode().replace(b"0.5", b"\xff", 1))
+            argv[argv.index(flag) + 1] = bad
+            named = str(bad)
+        out = tmp_path / "out"
+        assert run(*argv, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {named} is not UTF-8 text: invalid start byte b'\\xff'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit, named", [
         (lambda blob: b"MLMX" + blob[4:], "bad magic b'MLMX'"),
         (lambda blob: blob[:-1], "bytes, found"),

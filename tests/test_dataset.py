@@ -213,6 +213,21 @@ class TestCsv:
         assert loaded.features.tobytes() == ds.features.tobytes() == cells.features.tobytes()
         assert loaded.labels.tobytes() == ds.labels.tobytes() == cells.labels.tobytes()
 
+    def test_opens_a_well_formed_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_text("f1,f2,label\n1,2,0\n3,4,1\n")
+        opened, open_path = [], Path.open
+
+        def counted(self, *args, **kwargs):
+            opened.append(self)
+            return open_path(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counted)
+        monkeypatch.setattr(dataset, "_load_csv_cells", refuse)
+        ds = dataset.load_csv(path)
+        assert ds.features.tolist() == [[1, 2], [3, 4]] and ds.labels.tolist() == [0, 1]
+        assert opened == [path]
+
     def test_load_holds_one_copy_of_the_matrix(self, tmp_path):
         rng = np.random.default_rng(9)
         ds = make_ds(rng.standard_normal((15000, 40)), rng.integers(0, 2, 15000))
@@ -262,14 +277,37 @@ class TestCountLines:
     @pytest.mark.parametrize("block_bytes", [1, 2, 3, 5, 1 << 16])
     @pytest.mark.parametrize("content", CONTENTS.values(), ids=CONTENTS.keys())
     def test_counts_the_text_mode_lines(self, tmp_path, monkeypatch, content, block_bytes):
-        # blocks of 1 and 3 bytes split the header's \r\n between two
-        # blocks ("f1,", "lab", "el\r", "\n1,"); 2 and 5 split others
+        # numpy's rows are the text-mode lines after the header however the
+        # file decodes: chunks of 1 and 3 bytes split the header's \r\n
+        # between two chunks ("f1,", "lab", "el\r", "\n1,"); 2 and 5 split
+        # others, and 1, 2 and 3 split the UTF-8 sequences
         path = tmp_path / "d.csv"
         path.write_bytes(content)
-        monkeypatch.setattr(dataset, "_LINE_BLOCK_BYTES", block_bytes)
         with path.open(newline="", encoding="utf-8") as fh:
-            expected = sum(1 for _ in fh)
-        assert dataset._count_lines(path) == expected
+            lines = sum(1 for _ in fh)
+        expected = load_outcome(reference_load_csv, path, "label")
+        open_path, matrix = Path.open, dataset._load_csv_matrix
+        handed, parsed = [], []
+
+        def chunked(self, *args, **kwargs):
+            fh = open_path(self, *args, **kwargs)
+            fh._CHUNK_SIZE = block_bytes
+            return fh
+
+        def counted(rest, label_idx, width):
+            def each():
+                for line in rest:
+                    handed.append(line)
+                    yield line
+
+            parsed.append(matrix(each(), label_idx, width))
+            return parsed[-1]
+
+        monkeypatch.setattr(Path, "open", chunked)
+        monkeypatch.setattr(dataset, "_load_csv_matrix", counted)
+        assert load_outcome(dataset.load_csv, path, "label") == expected
+        if parsed and parsed[0] is not None:
+            assert parsed[0].n == len(handed) == lines - 1
 
 
 def reference_save_csv(ds, path):
@@ -391,8 +429,9 @@ def load_outcome(loader, path, label_column):
     )
 
 
-def assert_matches_reference(path, label_column="label"):
-    """load_csv against reference_load_csv; True when the per-cell reader ran."""
+def assert_matches_reference(path, label_column="label", expected=None):
+    """load_csv against reference_load_csv, or against the expected outcome
+    where one is given; True when the per-cell reader ran."""
     cells = dataset._load_csv_cells
     calls = []
 
@@ -406,7 +445,7 @@ def assert_matches_reference(path, label_column="label"):
             warnings.simplefilter("always")
             actual = load_outcome(dataset.load_csv, path, label_column)
     assert [str(w.message) for w in caught] == []
-    assert actual == load_outcome(reference_load_csv, path, label_column)
+    assert actual == (expected or load_outcome(reference_load_csv, path, label_column))
     return bool(calls)
 
 
@@ -429,6 +468,8 @@ CSV_CASES = {
     "blank line, no trailing newline": ("f1,label\n1,0\n\n2,1", "label", True),
     "blank crlf line": ("f1,label\r\n1,0\r\n\r\n2,1\r\n", "label", True),
     "bare cr inside a line, then a blank line": ("f1,label\n1,0\r2,1\n\n", "label", True),
+    "mixed line endings": ("f1,label\r\n1,0\r2,1\n3,0\r\n4,1", "label", None),
+    "line separator in a cell": ("f1,label\n1\u2028,0\n2,1\n", "label", None),
     "whitespace-only line": ("f1,label\n1,0\n \t\n", "label", True),
     "Infinity": ("f1,label\nInfinity,0\n", "label", True),
     "-inf": ("f1,label\n1,0\n-inf,1\n", "label", True),
@@ -445,9 +486,10 @@ CSV_CASES = {
     "label 2": ("f1,label\n1,0\n3,2\n", "label", True),
     "arabic-indic digit": ("f1,label\n\u0661,0\n", "label", True),
     "quoted newline in a cell": ('f1,label\n"1\n",0\n2,1\n', "label", True),
-    "quoted newline in the header": ('"f\n1",label\n1,0\n', "label", True),
-    # np.loadtxt reads the header's second line as the data row 1,0
-    "header line that reads as data": ('"f\n"1",0\n2,1\n', "0", True),
+    # csv.reader reads the header from the same handle, so numpy starts
+    # after it, however many lines the header spans
+    "quoted newline in the header": ('"f\n1",label\n1,0\n', "label", False),
+    "header line that reads as data": ('"f\n"1",0\n2,1\n', "0", False),
     "label column only": ("label\n0\n1\n", "label", True),
     "header only": ("f1,label\n", "label", True),
     "header only, no newline": ("f1,label", "label", True),
@@ -455,6 +497,16 @@ CSV_CASES = {
     "missing label column": ("f1,f2\n1,2\n", "label", False),
     # past the first read buffer, so the header decodes
     "invalid utf-8": (b"f1,label\n" + b"1,0\n" * 3000 + b"\xff,1\n", "label", True),
+    # numpy skips the blank line and meets the bad byte; the per-cell reader
+    # names the blank line first
+    "blank line, then invalid utf-8": (
+        b"f1,label\n1,0\n\n" + b"1,0\n" * 3000 + b"\xff,1\n", "label", True
+    ),
+}
+# outcomes that differ from reference_load_csv's on purpose: load_csv names
+# a file that is not UTF-8, where the reference raises UnicodeDecodeError
+NOT_REFERENCE = {
+    "invalid utf-8": "{path} is not UTF-8 text: invalid start byte b'\\xff'",
 }
 
 
@@ -467,7 +519,10 @@ class TestCsvMatchesReference:
             path.write_bytes(text)
         else:
             path.write_text(text, encoding="utf-8", newline="")
-        ran = assert_matches_reference(path, label_column)
+        expected = None
+        if case in NOT_REFERENCE:
+            expected = (ValidationError, NOT_REFERENCE[case].format(path=path))
+        ran = assert_matches_reference(path, label_column, expected)
         if per_cell is not None:
             assert ran == per_cell
 
