@@ -145,6 +145,13 @@ def _check_matches(where: str, section: str, built, stored,
             )
 
 
+def _check_input_dim(where: str, width: int, stored) -> None:
+    # no config key sets the input width: the input does, and must fit stored
+    if width != stored.input_dim:
+        raise ValidationError(f"{where}: the input has {width} features, "
+                              f"the checkpoint's model takes {stored.input_dim}")
+
+
 def _out_dir(output_dir: str | None) -> Path:
     path = Path(output_dir or ".")
     path.mkdir(parents=True, exist_ok=True)
@@ -238,10 +245,7 @@ def cmd_meta_train(args: argparse.Namespace) -> int:
     )
     arch = _build(maml.MlpArchitecture, cfg["maml"], input_dim=train_pool.m)
     if initial is not None:
-        # no config key sets the input width: the input does
-        if arch.input_dim != initial.arch.input_dim:
-            raise ValidationError(f"{where}: the input has {arch.input_dim} features, "
-                                  f"the checkpoint's model takes {initial.arch.input_dim}")
+        _check_input_dim(where, arch.input_dim, initial.arch)
         _check_matches(where, "maml", arch, initial.arch)
     scaler = dataset.fit_scaler(train_pool)
     train_pool = dataset.apply_scaler(train_pool, scaler)
@@ -287,6 +291,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     arch = _build(maml.MlpArchitecture, {**asdict(params.arch), **cfg["maml"]})
     _check_matches(f"--checkpoint {args.checkpoint}", "maml", arch, params.arch)
     test_pool = _load_dataset(args.data, args.label_column)
+    _check_input_dim(f"--data {args.data}", test_pool.m, params.arch)
 
     probs, labels = maml.meta_evaluate(params, test_pool, maml_cfg, episodes=args.episodes)
     report = metrics.compute_report(probs, labels, threshold=args.threshold)

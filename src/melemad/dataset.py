@@ -14,7 +14,8 @@ a view of its parent's arrays.
 
 A binary file can also be read without holding its matrix: BinaryRows reads
 the rows a slice asks for, and a column projection a block of rows at a
-time; load_binary is its read of every row.
+time; load_binary is its read of every row. Each block loop here, as in
+gbdt and maml, cuts its range with _blocks.
 """
 from __future__ import annotations
 
@@ -35,10 +36,17 @@ from .errors import MelemadError, ValidationError, not_utf8
 _MAGIC = b"MLMD"
 _BINARY_VERSION = 1
 _U32_MAX = 2**32 - 1
-# cells save_csv, save_binary and _wrap's finiteness check handle per block
-# of rows, which bounds their temporaries (Python floats, float32 cells, a
-# mask) next to the matrix
+# cells per block of rows in this module's loops (_blocks)
 _BLOCK_CELLS = 1 << 16
+
+
+def _blocks(count: int, width: int, cells: int) -> list[slice]:
+    """range(count) cut into consecutive slices of max(1, cells // width)
+    items, the last trimmed: the one blocking rule of dataset, gbdt and
+    maml, whose loops over items (rows, columns, episodes) of width cells
+    hold about cells cells of temporaries. The first slice is the longest."""
+    step = max(1, cells // width)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +74,8 @@ class LabeledDataset:
             raise ValidationError(f"need n >= 1 and m >= 1, got shape {features.shape}")
         if labels.ndim != 1 or labels.shape[0] != n:
             raise ValidationError(f"labels length {labels.shape} does not match {n} rows")
-        rows = max(1, _BLOCK_CELLS // m)
-        for start in range(0, n, rows):
-            if not np.isfinite(features[start : start + rows]).all():
+        for rows in _blocks(n, m, _BLOCK_CELLS):
+            if not np.isfinite(features[rows]).all():
                 raise ValidationError("features contain NaN or Inf")
         _check_labels(labels)
         labels = labels.astype(np.uint8, copy=False)
@@ -252,9 +259,8 @@ def _load_csv_matrix(lines, label_idx: int, width: int):
     # reader builds: a block's rows land before any row a later block reads
     features = data.reshape(-1)[: records * (width - 1)].reshape(records, width - 1)
     columns = np.delete(np.arange(width), label_idx)
-    rows = max(1, _BLOCK_CELLS // width)
-    for start in range(0, records, rows):
-        features[start : start + rows] = data[start : start + rows, columns]
+    for rows in _blocks(records, width, _BLOCK_CELLS):
+        features[rows] = data[rows, columns]
     try:
         return LabeledDataset._wrap(features, labels)
     except ValidationError:
@@ -294,12 +300,10 @@ def save_csv(ds: LabeledDataset, path) -> None:
         csv.writer(fh).writerow([*(f"f{j}" for j in range(ds.m)), "label"])
         # a float's repr holds no comma, quote or line break, so the data
         # rows are the bytes csv.writer would write, at a fraction of its cost
-        rows = max(1, _BLOCK_CELLS // ds.m)
-        for start in range(0, ds.n, rows):
-            block = slice(start, start + rows)
+        for rows in _blocks(ds.n, ds.m, _BLOCK_CELLS):
             fh.writelines(
                 ",".join(map(repr, row)) + f",{label}\r\n"
-                for row, label in zip(ds.features[block].tolist(), ds.labels[block].tolist())
+                for row, label in zip(ds.features[rows].tolist(), ds.labels[rows].tolist())
             )
 
 
@@ -311,13 +315,13 @@ def save_binary(ds: LabeledDataset, path) -> None:
     header = _MAGIC + struct.pack("<III", _BINARY_VERSION, ds.n, ds.m)
     # a block of rows at a time: the whole body as float32 and then as bytes
     # held the matrix's size again next to it
-    rows = max(1, _BLOCK_CELLS // ds.m)
-    block = np.empty((min(rows, ds.n), ds.m), dtype="<f4")
+    blocks = _blocks(ds.n, ds.m, _BLOCK_CELLS)
+    block = np.empty((blocks[0].stop, ds.m), dtype="<f4")
     with path.open("wb") as fh:
         fh.write(header)
-        for start in range(0, ds.n, rows):
-            part = block[: min(rows, ds.n - start)]
-            part[...] = ds.features[start : start + part.shape[0]]
+        for rows in blocks:
+            part = block[: rows.stop - rows.start]
+            part[...] = ds.features[rows]
             fh.write(part)
         fh.write(ds.labels.astype(np.uint8).tobytes())
 
@@ -388,12 +392,12 @@ class BinaryRows:
     def select_columns(self, indices) -> LabeledDataset:
         columns = np.arange(self.m)[np.asarray(indices)]
         out = np.empty((self.n, columns.shape[0]), dtype="<f4")
-        rows = max(1, _BLOCK_CELLS // self.m)
-        block = np.empty((min(rows, self.n), self.m), dtype="<f4")
-        for start in range(0, self.n, rows):
-            part = block[: min(rows, self.n - start)]
-            self._read(start, part)
-            out[start : start + part.shape[0]] = part[:, columns]
+        blocks = _blocks(self.n, self.m, _BLOCK_CELLS)
+        block = np.empty((blocks[0].stop, self.m), dtype="<f4")
+        for rows in blocks:
+            part = block[: rows.stop - rows.start]
+            self._read(rows.start, part)
+            out[rows] = part[:, columns]
         return LabeledDataset._wrap(out, self.labels)
 
 

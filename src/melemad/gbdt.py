@@ -10,8 +10,9 @@ sort order (the pre-sorted lists of SLIQ and of XGBoost's exact greedy
 search), so a node's search costs its own rows, not the fit's. Below the
 root, that order is the node's span of one work buffer, which a split
 partitions stably in place, left child first, so a fit holds its orders
-twice however deep its trees grow. A node scores a block of columns per
-numpy call, with the block's scratch bounded at _BLOCK_CELLS feature-by-row
+twice however deep its trees grow. The sort, the root tie mask and each
+node's search and partition take a block of columns per numpy call
+(dataset._blocks), its scratch bounded at _BLOCK_CELLS feature-by-row
 cells. Per tree, g and h sit side by side in one complex array g + 1j*h, so
 a block gathers both in sorted order with one take and prefix-sums both with
 one cumsum; complex addition adds the two parts apart, so the sums are bit
@@ -36,11 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import GbdtConfig
-from .dataset import LabeledDataset, _sigmoid
+from .dataset import LabeledDataset, _blocks, _sigmoid
 
 _LAMBDA = 1.0
 _PRIOR_CLIP = 1e-6
-# cells (features x node rows) scored per numpy call in the split search
+# cells (features x node rows) per block of columns (dataset._blocks)
 _BLOCK_CELLS = 1 << 13
 
 
@@ -93,19 +94,14 @@ class _TreeGrower:
         if self._can_split(self.n, 0):
             self._work = np.empty_like(col_order)
             lo, hi = self._window(self.n)
-            width = self._width(self.n)
             self._root_ties = np.empty((self.m, (hi - lo + 7) // 8), dtype=np.uint8)
-            for j0 in range(0, self.m, width):
-                ties = self._ties(col_order[j0 : j0 + width], j0, lo, hi)
-                self._root_ties[j0 : j0 + width] = np.packbits(ties, axis=1)
+            for cols in _blocks(self.m, self.n, _BLOCK_CELLS):
+                ties = self._ties(col_order[cols], cols.start, lo, hi)
+                self._root_ties[cols] = np.packbits(ties, axis=1)
 
     def _window(self, n_node: int) -> tuple[int, int]:
         # t = number of rows sent left, lo..hi - 1
         return self.cfg.min_samples_leaf, n_node - self.cfg.min_samples_leaf + 1
-
-    @staticmethod
-    def _width(n_node: int) -> int:
-        return max(1, _BLOCK_CELLS // n_node)
 
     def _can_split(self, n_rows: int, depth: int) -> bool:
         return depth < self.cfg.max_depth and n_rows >= 2 * self.cfg.min_samples_leaf
@@ -193,15 +189,14 @@ class _TreeGrower:
         n_node, n_left = order.shape[1], left_rows.size
         flag = self._flag
         flag[left_rows] = True
-        width = self._width(n_node)
-        for j0 in range(0, self.m, width):
-            block = order[j0 : j0 + width].reshape(-1)
+        for cols in _blocks(self.m, n_node, _BLOCK_CELLS):
+            block = order[cols].reshape(-1)
             sel = flag.take(block)
             to_left = block.compress(sel)
             np.logical_not(sel, out=sel)
             to_right = block.compress(sel)
-            span[j0 : j0 + width, :n_left] = to_left.reshape(-1, n_left)
-            span[j0 : j0 + width, n_left:] = to_right.reshape(-1, n_node - n_left)
+            span[cols, :n_left] = to_left.reshape(-1, n_left)
+            span[cols, n_left:] = to_right.reshape(-1, n_node - n_left)
         flag[left_rows] = False
 
     def _ties(self, idx, j0, lo, hi):
@@ -219,17 +214,15 @@ class _TreeGrower:
         n_node = order.shape[1]
         parent_score = G * G / (H + _LAMBDA)
         lo, hi = self._window(n_node)
-        width = self._width(n_node)
 
         best_gain = 0.0
         best = None
-        for j0 in range(0, self.m, width):
-            idx = order[j0 : j0 + width]
+        for cols in _blocks(self.m, n_node, _BLOCK_CELLS):
+            idx = order[cols]
             if root_ties is None:
-                tie = self._ties(idx, j0, lo, hi)
+                tie = self._ties(idx, cols.start, lo, hi)
             else:
-                packed = root_ties[j0 : j0 + width]
-                tie = np.unpackbits(packed, axis=1, count=hi - lo).view(bool)
+                tie = np.unpackbits(root_ties[cols], axis=1, count=hi - lo).view(bool)
             sums = gh.take(idx)
             np.cumsum(sums, axis=1, out=sums)
             # contiguous copies: the arithmetic below runs faster on them
@@ -257,7 +250,7 @@ class _TreeGrower:
             b, k = np.unravel_index(int(np.argmax(gains)), gains.shape)
             if gains[b, k] > best_gain:  # strict, so an earlier block wins ties
                 best_gain = float(gains[b, k])
-                feat, tk = j0 + int(b), lo + k
+                feat, tk = cols.start + int(b), lo + k
                 # Python floats: a float32 sum could round the midpoint onto
                 # the left value
                 below, above = self.X[idx[b, tk - 1], feat], self.X[idx[b, tk], feat]
@@ -281,9 +274,8 @@ def train(ds: LabeledDataset, cfg: GbdtConfig | None = None) -> GbdtModel:
     # grower's work buffer takes the same type. Sorting a block of columns at
     # a time bounds argsort's intp scratch
     col_order = np.empty((ds.m, ds.n), dtype=np.min_scalar_type(ds.n - 1))
-    width = max(1, _BLOCK_CELLS // ds.n)
-    for j0 in range(0, ds.m, width):
-        col_order[j0 : j0 + width] = np.argsort(X.T[j0 : j0 + width], axis=1, kind="stable")
+    for cols in _blocks(ds.m, ds.n, _BLOCK_CELLS):
+        col_order[cols] = np.argsort(X.T[cols], axis=1, kind="stable")
     grower = _TreeGrower(X, col_order, cfg)
 
     trees: list[RegressionTree] = []

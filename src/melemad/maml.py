@@ -12,8 +12,8 @@ Shapes: ModelParams, forward and backward take an optional leading episode
 axis, parameters (P,) with rows (n, m) or a stack (T, P) with rows
 (T, n, m). Parameter vectors are immutable snapshots: every update returns
 a new one. An Episode holds row indices into its pool. meta_train and
-meta_evaluate adapt their episodes a stack at a time (_adapted_stacks);
-their results do not depend on the stack size.
+meta_evaluate adapt their episodes a stack at a time (_adapted_stacks, cut
+by dataset._blocks); their results do not depend on the stack size.
 
 Keys: every random draw comes from a generator keyed by the root seed, a
 stream tag and the draw's coordinates (_rng). An episode's rows are keyed by
@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import MamlConfig, MlpArchitecture
-from .dataset import LabeledDataset, _half_up, _sigmoid
+from .dataset import LabeledDataset, _blocks, _half_up, _sigmoid
 from .errors import Diverged, Saturated, ValidationError, check_fields
 
 PROB_EPS = 1e-7
@@ -213,15 +213,14 @@ def dropout_mask(arch: MlpArchitecture, n_rows: int, keys: list[tuple[int, ...]]
         return None
     h0 = arch.hidden_dims[0]
     keep = _scratch("keep", (len(keys), n_rows, h0), bool)
-    rows = max(1, _DRAW_CELLS // h0)
-    draw = _scratch("uniforms", (min(rows, n_rows), h0))
+    blocks = _blocks(n_rows, h0, _DRAW_CELLS)
+    draw = _scratch("uniforms", (blocks[0].stop if blocks else 0, h0))
     for t, key in enumerate(keys):
         rng = _rng(*key, step)
-        for start in range(0, n_rows, rows):
-            block = draw[: min(rows, n_rows - start)]
+        for rows in blocks:
+            block = draw[: rows.stop - rows.start]
             rng.random(out=block)
-            np.greater_equal(block, arch.dropout_rate,
-                             out=keep[t, start : start + block.shape[0]])
+            np.greater_equal(block, arch.dropout_rate, out=keep[t, rows])
     return keep
 
 
@@ -484,10 +483,9 @@ def _adapted_stacks(theta: ModelParams, pool: LabeledDataset, episodes: list[Epi
     views (_gather), valid until the next stack.
     """
     arch = theta.arch
-    per_stack = max(1, _STACK_CELLS // (max(cfg.support_size, cfg.query_size)
-                                        * max(arch.hidden_dims)))
-    for start in range(0, len(episodes), per_stack):
-        stack = episodes[start : start + per_stack]
+    width = max(cfg.support_size, cfg.query_size) * max(arch.hidden_dims)
+    for part in _blocks(len(episodes), width, _STACK_CELLS):
+        stack = episodes[part]
         support = np.stack([ep.support for ep in stack])
         query = np.stack([ep.query for ep in stack])
         Xs = _gather(pool.features, support, "support")

@@ -16,7 +16,8 @@ import pytest
 from melemad import cfsgb, cli, dataset, gbdt, maml, metrics
 from melemad.errors import EmptySelection, ValidationError
 
-LAM = 1.0
+from oracles import (brute_scalars, mann_whitney, oracle_split_candidates, pre_activations,
+                     smooth_instance)
 
 
 def ok(n, message):
@@ -73,27 +74,6 @@ def test_criterion_01_end_to_end_on_standin_corpus(tmp_path):
 
 # ---------------------------------------------------------------- criterion 2
 
-def brute_scalars(tp, tn, fp, fn):
-    total = tp + tn + fp + fn
-    acc = (tp + tn) / total
-    prec = tp / (tp + fp) if tp + fp else 0.0
-    rec = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-    d = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-    mcc = (tp * tn - fp * fn) / math.sqrt(d) if d else 0.0
-    return acc, prec, rec, f1, mcc
-
-
-def mann_whitney(probs, labels):
-    pos = [p for p, y in zip(probs, labels) if y == 1]
-    neg = [p for p, y in zip(probs, labels) if y == 0]
-    total = 0.0
-    for pp in pos:
-        for pn in neg:
-            total += 1.0 if pp > pn else (0.5 if pp == pn else 0.0)
-    return total / (len(pos) * len(neg))
-
-
 def test_criterion_02_metric_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
@@ -128,41 +108,6 @@ def test_criterion_02_metric_oracle_equivalence():
 
 
 # ---------------------------------------------------------------- criterion 3
-
-def pre_activations(params, X, keep):
-    """Each hidden layer's pre-activations, computed from params.layers():
-    the pass overwrites its own."""
-    pre = []
-    a = X
-    for i, (W, b) in enumerate(params.layers()[:-1]):
-        pre.append(a @ W + b)
-        a = np.maximum(pre[-1], 0.0)
-        if i == 0 and keep is not None:
-            a = a * (keep / (1.0 - params.arch.dropout_rate))
-    return pre
-
-
-def smooth_instance(seed, with_dropout):
-    for attempt in range(50):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(1, 6))
-        hidden = tuple(int(h) for h in rng.integers(1, 6, size=int(rng.integers(1, 4))))
-        rate = 0.3 if with_dropout else 0.0
-        arch = maml.MlpArchitecture(input_dim=m, hidden_dims=hidden, dropout_rate=rate)
-        base = maml.init_params(arch, int(rng.integers(0, 2**31)))
-        params = maml.ModelParams(base.values + rng.normal(0, 0.3, base.values.shape), arch)
-        X = rng.normal(0, 1.5, (n, m))
-        y = rng.integers(0, 2, n)
-        dropout_seed = int(rng.integers(0, 2**31))
-        mask = maml.dropout_mask(arch, n, [(dropout_seed,)], 0)[0] if with_dropout else None
-        p_raw = maml._forward_pass(params, X, mask)[2]
-        kink_gap = min(float(np.abs(z).min()) for z in pre_activations(params, X, mask))
-        clamp_gap = min(float(p_raw.min() - 1e-7), float(1 - 1e-7 - p_raw.max()))
-        if kink_gap > 1e-3 and clamp_gap > 1e-4:
-            return arch, params, X, y, dropout_seed
-    raise AssertionError("no smooth instance found")
-
 
 def test_criterion_03_gradient_correctness():
     start = time.perf_counter()
@@ -409,28 +354,6 @@ def test_criterion_09_identity_and_degenerate_contracts():
 
 
 # --------------------------------------------------------------- criterion 10
-
-def oracle_split_candidates(X, y, base_score, min_leaf):
-    p = 1.0 / (1.0 + math.exp(-base_score))
-    g = np.full(len(y), p) - y
-    h = np.full(len(y), p * (1 - p))
-    G, H = g.sum(), h.sum()
-    parent = G * G / (H + LAM)
-    n, m = X.shape
-    candidates = []
-    for j in range(m):
-        vals = sorted(set(X[:, j].tolist()))
-        for a, b in zip(vals, vals[1:]):
-            thr = (a + b) / 2.0
-            left = X[:, j] < thr
-            nl = int(left.sum())
-            if nl < min_leaf or n - nl < min_leaf:
-                continue
-            GL, HL = g[left].sum(), h[left].sum()
-            gain = 0.5 * (GL * GL / (HL + LAM) + (G - GL) ** 2 / (H - HL + LAM) - parent)
-            candidates.append((gain, j, thr))
-    return candidates
-
 
 def test_criterion_10_gbdt_monotone_loss_and_split_oracle():
     rng = np.random.default_rng(1010)

@@ -83,8 +83,8 @@ INPUT_FAILURES = {
     "single-class pool": ("evaluate", csv_text([0] * 40), [], 2,
                           "episode sampling needs both classes in the pool"),
     "pool of another width": ("evaluate", csv_text([0, 1] * 20, m=3), [], 2,
-                              "expected 12 input columns and leading shape (1,), "
-                              "got shape (1, 20, 3)"),
+                              "--data {path}: the input has 3 features, "
+                              "the checkpoint's model takes 12"),
     "tau above every importance": ("select", lambda blob: blob, ["--tau", 2, "--n-trees", 2],
                                    1, "threshold 2.0 excluded every feature in every chunk"),
 }
@@ -541,6 +541,26 @@ STAGE_ARGV = {
     ],
 }
 
+# each a config value of the right type outside its range: the stage that
+# builds the value's type, the section, key and value, and the error line
+OUT_OF_RANGE = {
+    "min_samples_leaf 0": ("select", "gbdt", "min_samples_leaf", 0,
+                           "min_samples_leaf must be >= 1"),
+    "hidden width 0": ("meta-train", "maml", "hidden_dims", [8, 0],
+                       "layer widths must be positive"),
+    "no hidden layer": ("meta-train", "maml", "hidden_dims", [],
+                        "need at least one hidden layer"),
+    "dropout_rate 1": ("meta-train", "maml", "dropout_rate", 1.0,
+                       "dropout_rate must be in [0, 1)"),
+    "outer_iterations -1": ("meta-train", "maml", "outer_iterations", -1,
+                            "outer_iterations must be >= 0"),
+    "tasks_per_meta_batch 0": ("meta-train", "maml", "tasks_per_meta_batch", 0,
+                               "tasks_per_meta_batch must be >= 1"),
+    "inner_steps 0": ("meta-train", "maml", "inner_steps", 0, "inner_steps must be >= 1"),
+    "support_size 0": ("meta-train", "maml", "support_size", 0,
+                       "task and set sizes must be >= 1"),
+}
+
 # each a stage, a flag value it must reject, and what the error names
 BAD_FLAGS = {
     "beta nan": ("meta-train", ["--beta", "nan"], "'beta'"),
@@ -667,6 +687,17 @@ class TestConfig:
         argv = STAGE_ARGV[stage](*trained)
         assert run(*argv, "--config", path, "--out-dir", out) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+    def test_out_of_range_value_exits_2_without_outputs(self, tmp_path, trained, capsys, case):
+        stage, section, key, value, message = OUT_OF_RANGE[case]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(with_entry(section, key, value)))
+        out = tmp_path / "out"
+        argv = STAGE_ARGV[stage](*trained)
+        assert run(*argv, "--config", path, "--out-dir", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
@@ -941,11 +972,26 @@ class TestConfig:
         assert f"config key {named!r} differs from the checkpoint's" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_json_exits_2(self, tmp_path):
-        cfg = tmp_path / "broken.json"
+    def test_bad_json_exits_2(self, tmp_path, capsys):
+        # a real input, so the config is read: a missing one also exits 2
+        cfg, data, out = tmp_path / "broken.json", tmp_path / "x.csv", tmp_path / "out"
         cfg.write_text("{not json")
-        code = run("select", "--config", cfg, "--input", "x.csv")
+        data.write_text(csv_text([0, 1] * 20), encoding="utf-8")
+        code = run("select", "--config", cfg, "--input", data, "--out-dir", out)
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {cfg} is not valid JSON: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
+    def test_json_array_exits_2(self, tmp_path, capsys):
+        cfg, data, out = tmp_path / "list.json", tmp_path / "x.csv", tmp_path / "out"
+        cfg.write_text(json.dumps([SMALL_CONFIG]))
+        data.write_text(csv_text([0, 1] * 20), encoding="utf-8")
+        code = run("select", "--config", cfg, "--input", data, "--out-dir", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: config {cfg} must be a JSON object\n"
+        assert not out.exists()
 
     def test_flag_overrides_config(self, tmp_path, small_config):
         data_dir = tmp_path / "d"

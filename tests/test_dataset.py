@@ -29,6 +29,37 @@ def traced_peak(fn, *args):
     return result, peak
 
 
+def check_blocks(count, width, cells):
+    """_blocks' slices cover range(count) once, in order, each holding at
+    most max(1, cells // width) items and all but the last exactly that many."""
+    step = max(1, cells // width)
+    blocks = dataset._blocks(count, width, cells)
+    assert [i for b in blocks for i in range(count)[b]] == list(range(count))
+    sizes = [b.stop - b.start for b in blocks]
+    assert all(b.step is None and 0 <= b.start < b.stop <= count for b in blocks)
+    assert all(size <= step for size in sizes)
+    assert all(size == step for size in sizes[:-1])
+    return blocks
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("count, width, cells, expected", [
+        (3, 4, 20, [(0, 3)]),
+        (5, 4, 20, [(0, 5)]),
+        (12, 4, 20, [(0, 5), (5, 10), (10, 12)]),
+        (3, 30, 20, [(0, 1), (1, 2), (2, 3)]),
+        (0, 4, 20, []),
+    ], ids=["below one step", "one step", "above one step", "width above cells", "empty"])
+    def test_cuts_the_range_into_steps(self, count, width, cells, expected):
+        blocks = check_blocks(count, width, cells)
+        assert [(b.start, b.stop) for b in blocks] == expected
+
+    @given(st.integers(0, 300), st.integers(1, 60), st.integers(1, 400))
+    @settings(max_examples=200, deadline=None)
+    def test_covers_the_range_once_in_order(self, count, width, cells):
+        check_blocks(count, width, cells)
+
+
 class TestLabeledDataset:
     def test_invariants_enforced(self):
         with pytest.raises(ValidationError):
@@ -851,6 +882,16 @@ class TestSplit:
         b_train, b_test = dataset.stratified_split(ds, spec)
         np.testing.assert_array_equal(a_train.features, b_train.features)
         np.testing.assert_array_equal(a_test.features, b_test.features)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_splits_that_class(self, label):
+        # the absent class contributes no rows to either side
+        ds = make_ds(np.arange(10.0)[:, None], [label] * 10)
+        train, test = dataset.stratified_split(ds, dataset.SplitSpec(0.8, 5))
+        assert (train.n, test.n) == (8, 2)
+        assert set(train.labels) | set(test.labels) == {label}
+        rows = np.concatenate([train.features[:, 0], test.features[:, 0]])
+        assert sorted(rows) == list(range(10))
 
     def test_class_too_small(self):
         ds = make_ds([[1.0], [2.0], [3.0]], [0, 0, 1])

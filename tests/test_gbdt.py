@@ -9,7 +9,7 @@ from melemad import gbdt
 from melemad.dataset import LabeledDataset
 from melemad.errors import ValidationError
 
-LAM = 1.0
+from oracles import LAM, oracle_split_candidates
 
 
 def make_ds(features, labels):
@@ -51,34 +51,6 @@ def fitted_proba(model, ds):
     y = ds.labels.astype(float)
     assert float(np.mean(np.logaddexp(0.0, raw) - y * raw)) == model.train_losses[-1]
     return 1.0 / (1.0 + np.exp(-raw))
-
-
-def oracle_split_candidates(X, y, base_score, min_leaf):
-    """Exhaustive (feature, midpoint) candidates for the first tree's root,
-    replicating the stated split contract from scratch."""
-    p = 1.0 / (1.0 + math.exp(-base_score))
-    g = np.full(len(y), p) - y
-    h = np.full(len(y), p * (1 - p))
-    G, H = g.sum(), h.sum()
-    parent = G * G / (H + LAM)
-    n, m = X.shape
-    candidates = []
-    for j in range(m):
-        vals = sorted(set(X[:, j].tolist()))
-        for a, b in zip(vals, vals[1:]):
-            thr = (a + b) / 2.0
-            left = X[:, j] < thr
-            nl = int(left.sum())
-            if nl < min_leaf or n - nl < min_leaf:
-                continue
-            GL, HL = g[left].sum(), h[left].sum()
-            gain = 0.5 * (
-                GL * GL / (HL + LAM)
-                + (G - GL) ** 2 / (H - HL + LAM)
-                - parent
-            )
-            candidates.append((gain, j, thr))
-    return candidates
 
 
 def assert_split_is_exhaustive_optimum(model, X, y, min_leaf):

@@ -11,6 +11,8 @@ from melemad import maml
 from melemad.dataset import LabeledDataset
 from melemad.errors import Diverged, Saturated, ValidationError
 
+from oracles import one_mask, pre_activations, smooth_instance
+
 
 def make_ds(features, labels):
     return LabeledDataset(np.asarray(features, dtype=float), np.asarray(labels))
@@ -24,31 +26,11 @@ def random_pool(n, m, seed, balance=0.5):
     return make_ds(X, labels)
 
 
-def one_mask(arch, n, key, step=0):
-    """Episode key's keep mask at inner step `step`, as a fresh bool (n, h0)
-    array (dropout_mask's stack is scratch), or None without dropout."""
-    mask = maml.dropout_mask(arch, n, [key], step)
-    return None if mask is None else mask[0].copy()
-
-
 def reference_mask(arch, n, key, step):
     """Episode key's keep mask at inner step `step`, drawn as it was before
     masks were stacked or drawn a block at a time: one fresh array from the
     generator keyed key + (step,)."""
     return maml._rng(*key, step).random((n, arch.hidden_dims[0])) >= arch.dropout_rate
-
-
-def pre_activations(params, X, keep=None):
-    """Each hidden layer's pre-activations for one parameter vector, computed
-    from params.layers() (a pass keeps none), dropout as in the pass."""
-    pre = []
-    a = X
-    for i, (W, b) in enumerate(params.layers()[:-1]):
-        pre.append(a @ W + b)
-        a = np.maximum(pre[-1], 0.0)
-        if i == 0 and keep is not None:
-            a = a * (keep / (1.0 - params.arch.dropout_rate))
-    return pre
 
 
 def adapt(theta, X, y, alpha, inner_steps, dropout_key=(0,)):
@@ -76,32 +58,6 @@ def fd_gradient(values, arch, X, y, step=1e-5, mask=None):
         down[i] -= step
         grad[i] = (loss_at(up, arch, X, y, mask) - loss_at(down, arch, X, y, mask)) / (2 * step)
     return grad
-
-
-def smooth_instance(seed, with_dropout=False):
-    """Draw a small net + batch whose pre-activations stay clear of the ReLU
-    kink and whose outputs stay clear of the probability clamp, so central
-    differences are trustworthy."""
-    for attempt in range(50):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(1, 6))
-        hidden = tuple(int(h) for h in rng.integers(1, 6, size=int(rng.integers(1, 4))))
-        rate = 0.3 if with_dropout else 0.0
-        arch = maml.MlpArchitecture(input_dim=m, hidden_dims=hidden, dropout_rate=rate)
-        params = maml.init_params(arch, int(rng.integers(0, 2**31)))
-        values = params.values + rng.normal(0, 0.3, params.values.shape)
-        params = maml.ModelParams(values, arch)
-        X = rng.normal(0, 1.5, (n, m))
-        y = rng.integers(0, 2, n)
-        dropout_seed = int(rng.integers(0, 2**31))
-        mask = one_mask(arch, n, (dropout_seed,)) if with_dropout else None
-        p_raw = maml._forward_pass(params, X, mask)[2]
-        min_gap = min(float(np.abs(z).min()) for z in pre_activations(params, X, mask))
-        clamp_gap = min(float(p_raw.min() - 1e-7), float(1 - 1e-7 - p_raw.max()))
-        if min_gap > 1e-3 and clamp_gap > 1e-4:
-            return arch, params, X, y, dropout_seed
-    raise AssertionError("could not draw a smooth instance")
 
 
 class TestInitParams:
@@ -165,6 +121,10 @@ class TestForward:
         params = maml.ModelParams(np.zeros(arch.param_count), arch)
         probs = maml.forward(params, np.random.default_rng(0).normal(size=(5, 3)))
         np.testing.assert_array_equal(probs, 0.5)
+
+    def test_zero_rows_draw_an_empty_mask(self):
+        arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(8, 3), dropout_rate=0.5)
+        assert maml.dropout_mask(arch, 0, [(1,), (2,)], 0).shape == (2, 0, 8)
 
     def test_dropout_changes_training_output_only(self):
         no_dropout = maml.MlpArchitecture(input_dim=4, hidden_dims=(8, 3), dropout_rate=0.0)
@@ -362,6 +322,21 @@ class TestSampleTask:
                 rate = k / rows.size
                 sd = math.sqrt(episodes * rate * (1.0 - rate))
                 assert np.abs(hits[rows] - episodes * rate).max() <= 5 * sd, (cls, k)
+
+    @pytest.mark.parametrize("rare", [0, 1])
+    def test_rare_class_kept_in_every_task(self, rare):
+        # one row of 100 holds the rare class: a proportional share of a
+        # 20-row task rounds to 0 rows (or 20 of the common class), so the
+        # take keeps one row of each class
+        pos, neg = (1, 99) if rare else (99, 1)
+        assert maml._stratified_take(pos, neg, 20) == ((1, 19) if rare else (19, 1))
+        labels = np.full(100, 1 - rare)
+        labels[37] = rare
+        pool = make_ds(np.arange(100.0)[:, None], labels)
+        for task_seed in range(5):
+            ep = maml.sample_task(pool, self.CFG, maml._rng(task_seed))
+            rows = np.concatenate([ep.support, ep.query])
+            assert rows.size == 20 and 37 in rows
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from melemad import metrics
 from melemad.errors import ValidationError
 
+from oracles import brute_scalars, mann_whitney
 
-# independent oracles: plain-python recount and pairwise ranking statistic
+
+# independent oracle: a plain-python recount (oracles holds the shared ones)
 
 def brute_confusion(probs, labels, threshold):
     tp = tn = fp = fn = 0
@@ -23,30 +25,6 @@ def brute_confusion(probs, labels, threshold):
         else:
             tn += 1
     return tp, tn, fp, fn
-
-
-def brute_scalars(tp, tn, fp, fn):
-    total = tp + tn + fp + fn
-    acc = (tp + tn) / total
-    prec = tp / (tp + fp) if tp + fp else 0.0
-    rec = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-    d = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-    mcc = (tp * tn - fp * fn) / math.sqrt(d) if d else 0.0
-    return acc, prec, rec, f1, mcc
-
-
-def mann_whitney(probs, labels):
-    pos = [p for p, y in zip(probs, labels) if y == 1]
-    neg = [p for p, y in zip(probs, labels) if y == 0]
-    total = 0.0
-    for pp in pos:
-        for pn in neg:
-            if pp > pn:
-                total += 1.0
-            elif pp == pn:
-                total += 0.5
-    return total / (len(pos) * len(neg))
 
 
 class TestConfusion:
