@@ -6,9 +6,9 @@ threshold in any chunk are kept, and the dataset is projected onto their
 union. The threshold is either a fixed tau or derived from a top-k target;
 both select from the same single training pass over the chunks. Chunks are
 trained one after another and reduced in chunk order. The data may be a
-loaded dataset or a binary file's BinaryRows, which holds one chunk at a
-time: selection reads its rows only through select_rows and
-select_columns.
+loaded dataset or a BinaryRows, of a binary file or of a CSV's spill
+(dataset.spill_csv), which holds one chunk at a time: selection reads its
+rows only through select_rows and select_columns.
 """
 from __future__ import annotations
 

@@ -14,16 +14,21 @@ a view of its parent's arrays.
 
 A binary file can also be read without holding its matrix: BinaryRows reads
 the rows a slice asks for, and a column projection a block of rows at a
-time; load_binary is its read of every row. Each block loop here, as in
-gbdt and maml, cuts its range with _blocks.
+time; load_binary is its read of every row. A CSV is parsed once, a block of
+rows at a time, into a spill: an unnamed temporary file in save_binary's
+layout with a float64 body, which spill_csv returns open as a BinaryRows,
+so a CSV is read as a binary file is; load_csv is its read of every row.
+Each block loop here, as in gbdt and maml, cuts its range with _blocks.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
 import struct
+import tempfile
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,8 +50,14 @@ def _blocks(count: int, width: int, cells: int) -> list[slice]:
     items, the last trimmed: the one blocking rule of dataset, gbdt and
     maml, whose loops over items (rows, columns, episodes) of width cells
     hold about cells cells of temporaries. The first slice is the longest."""
-    step = max(1, cells // width)
+    step = _step(width, cells)
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _step(width: int, cells: int) -> int:
+    """Items of width cells to a block of about cells cells: _blocks' step,
+    and the rows of a CSV block, whose count is not known ahead."""
+    return max(1, cells // width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,20 +74,23 @@ class LabeledDataset:
         object.__setattr__(self, "labels", ds.labels)
 
     @classmethod
-    def _wrap(cls, features: np.ndarray, labels: np.ndarray) -> "LabeledDataset":
+    def _wrap(cls, features: np.ndarray, labels: np.ndarray,
+              finite: bool = False) -> "LabeledDataset":
         """Check float32 or float64 features and their labels and wrap them
         read-only, without a copy. Finiteness is checked a block of rows at
-        a time, so the check's mask is a block's, not the matrix's."""
+        a time, so the check's mask is a block's, not the matrix's; finite
+        says the values were checked already (a spill's, as they were
+        parsed)."""
         if features.ndim != 2:
             raise ValidationError(f"features must be 2-D, got ndim={features.ndim}")
+        _check_shape(features.shape)
         n, m = features.shape
-        if n < 1 or m < 1:
-            raise ValidationError(f"need n >= 1 and m >= 1, got shape {features.shape}")
         if labels.ndim != 1 or labels.shape[0] != n:
             raise ValidationError(f"labels length {labels.shape} does not match {n} rows")
-        for rows in _blocks(n, m, _BLOCK_CELLS):
-            if not np.isfinite(features[rows]).all():
-                raise ValidationError("features contain NaN or Inf")
+        if not finite:
+            for rows in _blocks(n, m, _BLOCK_CELLS):
+                if not np.isfinite(features[rows]).all():
+                    raise ValidationError("features contain NaN or Inf")
         _check_labels(labels)
         labels = labels.astype(np.uint8, copy=False)
         features.setflags(write=False)
@@ -109,6 +123,11 @@ class LabeledDataset:
 
     def select_columns(self, indices) -> "LabeledDataset":
         return LabeledDataset._wrap(self.features[:, np.asarray(indices)], self.labels)
+
+
+def _check_shape(shape: tuple[int, int]) -> None:
+    if shape[0] < 1 or shape[1] < 1:
+        raise ValidationError(f"need n >= 1 and m >= 1, got shape {shape}")
 
 
 def _check_labels(labels: np.ndarray) -> None:
@@ -204,9 +223,14 @@ def _read_header(reader, path: Path, label_column: str) -> tuple[int, int]:
     return len(header), header.index(label_column)
 
 
-def load_csv(path, label_column="label") -> LabeledDataset:
-    """The dataset in a headered CSV. The column whose stripped header name
-    is label_column holds the labels; every other column is a feature.
+def spill_csv(path, label_column="label", spill_dir=None) -> BinaryRows:
+    """The dataset in a headered CSV, parsed once a block of rows at a time
+    into a spill: an unnamed temporary file in spill_dir (None: the default
+    temporary directory), in save_binary's layout with a float64 body. It is
+    returned open, as a BinaryRows to read its rows as they are asked for;
+    the file vanishes when it is closed, and when the process ends. The
+    column whose stripped header name is label_column holds the labels;
+    every other column is a feature.
 
     The file is UTF-8 text with at least one data row and one feature
     column, and every data row the header's width. Each stripped feature
@@ -215,80 +239,115 @@ def load_csv(path, label_column="label") -> LabeledDataset:
     ValidationError, and a bad row or cell is named by its row (and column).
 
     The file is opened once: csv.reader reads the header and np.loadtxt the
-    lines after it. Where numpy's matrix may differ from the per-cell
-    reader's, the per-cell reader parses the file again and names the fault.
+    lines after it, a block at a time (_spill_lines). Where numpy's matrix
+    may differ from the per-cell reader's, the per-cell reader parses the
+    file again from its first data row, into the same spill, and names the
+    fault (_spill_cells).
     """
     path = Path(path)
+    spill = tempfile.TemporaryFile(dir=spill_dir)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             width, label_idx = _read_header(csv.reader(fh), path, label_column)
-            ds = _load_csv_matrix(fh, label_idx, width)
-        return ds if ds is not None else _load_csv_cells(path, label_column)
+            labels = _spill_lines(fh, label_idx, width, spill)
+            if labels is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                _read_header(reader, path, label_column)
+                labels = _spill_cells(reader, label_idx, width, spill, path)
+        spill.write(labels)
+        spill.seek(0)
+        spill.write(_header(len(labels), width - 1))
+        spill.seek(0)
+        return BinaryRows(path, _spill=spill)
     except UnicodeDecodeError as exc:
+        spill.close()
         raise not_utf8(str(path), exc) from None
+    except BaseException:
+        spill.close()
+        raise
 
 
-def _load_csv_matrix(lines, label_idx: int, width: int):
-    """The dataset np.loadtxt parses from lines, a CSV's text-mode lines
-    after its header, or None where it may differ from what _load_csv_cells
-    gives: a matrix of other than one row per line (csv.reader makes a
-    record of a blank line, which np.loadtxt skips) or of other than the
-    header's width, or one _wrap rejects."""
-    records = 0
+def load_csv(path, label_column="label") -> LabeledDataset:
+    """The dataset in a headered CSV (spill_csv's rules): its spill, in the
+    default temporary directory, read back whole into one float64 matrix."""
+    with spill_csv(path, label_column) as source:
+        return source.select_rows(slice(0, source.n))
 
-    def counted():
-        nonlocal records
-        for line in lines:
-            records += 1
+
+def _spill_lines(lines, label_idx: int, width: int, spill):
+    """Parse lines, an iterator over a CSV's text-mode lines after its
+    header, with one np.loadtxt a block of lines at a time, and append each
+    block's float64 features to spill after its header; return the labels.
+    Return None where the outcome may differ from _spill_cells': no lines,
+    a block with an odd count of quote characters (it may end inside a
+    quoted field), a block numpy rejects or that is not valid UTF-8, or one
+    whose matrix has other than one row per line (csv.reader makes a record
+    of a blank line, which np.loadtxt skips) or the header's width, or that
+    _wrap rejects."""
+    columns = np.delete(np.arange(width), label_idx)
+    step = _step(width, _BLOCK_CELLS)
+    labels = bytearray()
+    handed = quotes = 0
+
+    def block(first):
+        # a block's lines, counted as numpy reads them: no list of them is held
+        nonlocal handed, quotes
+        for line in itertools.chain([first], itertools.islice(lines, step - 1)):
+            handed += 1
+            quotes += line.count('"')
             yield line
 
-    try:
-        with warnings.catch_warnings():
-            # a file without data rows warns; the per-cell reader names it
-            warnings.simplefilter("error", UserWarning)
-            data = np.loadtxt(
-                counted(), delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=np.float64
-            )
-    except (ValueError, UserWarning):
-        return None
-    if data.shape != (records, width):
-        return None
-    labels = data[:, label_idx].copy()
-    # compact the feature columns into the front of the loaded buffer, a
-    # block of rows at a time, for a C-contiguous matrix as the per-cell
-    # reader builds: a block's rows land before any row a later block reads
-    features = data.reshape(-1)[: records * (width - 1)].reshape(records, width - 1)
-    columns = np.delete(np.arange(width), label_idx)
-    for rows in _blocks(records, width, _BLOCK_CELLS):
-        features[rows] = data[rows, columns]
-    try:
-        return LabeledDataset._wrap(features, labels)
-    except ValidationError:
-        return None
+    spill.seek(16)
+    with warnings.catch_warnings():
+        # a block without data rows warns; the per-cell reader names it
+        warnings.simplefilter("error", UserWarning)
+        while True:
+            try:
+                # numpy is not handed an empty block, which would warn
+                first = next(lines, None)
+                if first is None:
+                    return labels or None
+                handed = quotes = 0
+                data = np.loadtxt(block(first), delimiter=",", comments=None, quotechar='"',
+                                  ndmin=2, dtype=np.float64)
+                if quotes % 2 or data.shape != (handed, width):
+                    return None
+                ds = LabeledDataset._wrap(data.take(columns, axis=1), data[:, label_idx])
+            # a UnicodeDecodeError, raised as the lines are read, is a ValueError
+            except (ValueError, UserWarning, ValidationError):
+                return None
+            spill.write(ds.features)
+            labels += ds.labels.tobytes()
 
 
-def _load_csv_cells(path: Path, label_column: str) -> LabeledDataset:
-    """Parse one cell at a time, raising on the first row or cell at fault."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        width, label_idx = _read_header(reader, path, label_column)
-        rows: list[list[float]] = []
-        labels: list[float] = []
-        for row_no, cells in enumerate(reader):
-            if len(cells) != width:
-                raise ValidationError(f"row {row_no} has {len(cells)} cells, expected {width}")
-            label_text = cells[label_idx].strip()
-            label = _to_float(label_text)
-            if label not in (0.0, 1.0):
-                raise ValidationError(f"label at row {row_no} is not 0/1: {label_text!r}")
-            labels.append(label)
-            rows.append(
-                [_parse_cell(cells[j].strip(), row_no, j) for j in range(width) if j != label_idx]
-            )
-
-    if not rows:
+def _spill_cells(reader, label_idx: int, width: int, spill, path: Path) -> bytearray:
+    """Parse the records of reader, a csv.reader after the header, one cell
+    at a time into spill after its header, a block of rows at a time, and
+    return the labels; raise on the first row or cell at fault."""
+    step = _step(width, _BLOCK_CELLS)
+    labels = bytearray()
+    rows: list[list[float]] = []
+    spill.seek(16)
+    for row_no, cells in enumerate(reader):
+        if len(cells) != width:
+            raise ValidationError(f"row {row_no} has {len(cells)} cells, expected {width}")
+        label_text = cells[label_idx].strip()
+        label = _to_float(label_text)
+        if label not in (0.0, 1.0):
+            raise ValidationError(f"label at row {row_no} is not 0/1: {label_text!r}")
+        labels.append(int(label))
+        rows.append(
+            [_parse_cell(cells[j].strip(), row_no, j) for j in range(width) if j != label_idx]
+        )
+        if len(rows) == step:
+            spill.write(np.array(rows, dtype=np.float64))
+            rows.clear()
+    spill.write(np.array(rows, dtype=np.float64))
+    if not labels:
         raise ValidationError(f"{path} has a header but no data rows")
-    return LabeledDataset(rows, np.array(labels))
+    _check_shape((len(labels), width - 1))
+    return labels
 
 
 def save_csv(ds: LabeledDataset, path) -> None:
@@ -307,12 +366,17 @@ def save_csv(ds: LabeledDataset, path) -> None:
             )
 
 
+def _header(n: int, m: int) -> bytes:
+    """The 16-byte header of save_binary's layout."""
+    if n > _U32_MAX or m > _U32_MAX:
+        raise MelemadError(f"n={n}, m={m} exceed the u32 header fields")
+    return _MAGIC + struct.pack("<III", _BINARY_VERSION, n, m)
+
+
 def save_binary(ds: LabeledDataset, path) -> None:
     """Fixed binary layout: 16-byte header, float32 LE row-major matrix, label bytes."""
-    if ds.n > _U32_MAX or ds.m > _U32_MAX:
-        raise MelemadError(f"n={ds.n}, m={ds.m} exceed the u32 header fields")
+    header = _header(ds.n, ds.m)
     path = Path(path)
-    header = _MAGIC + struct.pack("<III", _BINARY_VERSION, ds.n, ds.m)
     # a block of rows at a time: the whole body as float32 and then as bytes
     # held the matrix's size again next to it
     blocks = _blocks(ds.n, ds.m, _BLOCK_CELLS)
@@ -332,13 +396,16 @@ class BinaryRows:
     readinto) and select_columns (a second pass, a block of rows at a
     time). The header, the file's size and the labels are checked when it
     is opened; each read's rows pass _wrap. Use it as a context manager,
-    which closes the file."""
+    which closes the file. The file at path has a float32 body; only
+    spill_csv's _spill, read in its place, has a float64 one."""
 
-    def __init__(self, path):
+    def __init__(self, path, _spill=None):
         self.path = Path(path)
+        self._spilled = _spill is not None
+        self._dtype = np.dtype("<f8" if self._spilled else "<f4")
         # unbuffered: a buffer's read-ahead could serve bytes the file has
         # since lost
-        self._fh = self.path.open("rb", buffering=0)
+        self._fh = _spill if self._spilled else self.path.open("rb", buffering=0)
         try:
             head = self._fh.read(16)
             if len(head) < 16:
@@ -351,7 +418,7 @@ class BinaryRows:
             if n < 1 or m < 1:
                 raise ValidationError(f"{self.path}: header claims empty dataset n={n}, m={m}")
             self.n, self.m = n, m
-            expected = 16 + 4 * n * m + n
+            expected = 16 + self._dtype.itemsize * n * m + n
             size = os.fstat(self._fh.fileno()).st_size
             if size != expected:
                 raise ValidationError(f"{self.path}: expected {expected} bytes, found {size}")
@@ -373,7 +440,7 @@ class BinaryRows:
         """Fill out from the file's bytes from row's first cell on (row n:
         the labels). One readinto fills it unless the file has shrunk since
         it was opened, or out exceeds what one read(2) returns (2 GiB)."""
-        self._fh.seek(16 + 4 * self.m * row)
+        self._fh.seek(16 + self._dtype.itemsize * self.m * row)
         buf = out.reshape(-1).view(np.uint8)
         done = 0
         while done < buf.size and (got := self._fh.readinto(buf[done:])):
@@ -385,20 +452,20 @@ class BinaryRows:
         start, stop, step = rows.indices(self.n)
         if step != 1:
             raise ValidationError(f"rows are read as one contiguous range, got step {step}")
-        feats = np.empty((max(0, stop - start), self.m), dtype="<f4")
+        feats = np.empty((max(0, stop - start), self.m), dtype=self._dtype)
         self._read(start, feats)
-        return LabeledDataset._wrap(feats, self.labels[start:stop])
+        return LabeledDataset._wrap(feats, self.labels[start:stop], self._spilled)
 
     def select_columns(self, indices) -> LabeledDataset:
         columns = np.arange(self.m)[np.asarray(indices)]
-        out = np.empty((self.n, columns.shape[0]), dtype="<f4")
+        out = np.empty((self.n, columns.shape[0]), dtype=self._dtype)
         blocks = _blocks(self.n, self.m, _BLOCK_CELLS)
-        block = np.empty((blocks[0].stop, self.m), dtype="<f4")
+        block = np.empty((blocks[0].stop, self.m), dtype=self._dtype)
         for rows in blocks:
             part = block[: rows.stop - rows.start]
             self._read(rows.start, part)
             out[rows] = part[:, columns]
-        return LabeledDataset._wrap(out, self.labels)
+        return LabeledDataset._wrap(out, self.labels, self._spilled)
 
 
 def load_binary(path) -> LabeledDataset:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from melemad import cfsgb, dataset, gbdt
+from melemad import cfsgb, cli, dataset, gbdt
 from melemad.errors import EmptySelection, ValidationError
 
 FAST_GBDT = gbdt.GbdtConfig(n_trees=10, max_depth=2, min_samples_leaf=2)
@@ -354,6 +354,27 @@ class TestBinaryRows:
         assert report.chunk_sizes == [2000] * 6 and projected.n == n
         # the loaded float32 matrix alone is 1.0x; a chunk of it is 0.2x
         assert peak <= 0.9 * 4 * n * m
+
+    def test_csv_holds_a_chunk_not_the_matrix(self, tmp_path):
+        # a CSV select reads its chunks from a float64 spill, as a .bin
+        # select reads them from the file
+        n, m = 4000, 250
+        ds, _ = synth(n, m, 3, seed=22)
+        path = tmp_path / "d.csv"
+        dataset.save_csv(ds, path)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = cli.main(["select", "--input", str(path), "--out-dir", str(out),
+                             "--n-trees", "1", "--top-k", "10"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        report = json.loads((out / "cfsgb_report.json").read_text())
+        assert report["chunk_sizes"] == [800] * 6
+        # the loaded float64 matrix alone is 1.0x; a chunk of it is 0.2x
+        assert peak <= 0.9 * 8 * n * m
 
     def test_file_truncated_after_it_was_opened(self, tmp_path):
         path = saved_bin(tmp_path, 100, 9, seed=3)

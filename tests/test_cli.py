@@ -203,6 +203,42 @@ class TestSelect:
         for name in ("selected_features.json", "projected.bin"):
             assert (by_k / name).read_bytes() == (by_tau / name).read_bytes(), name
 
+    def test_csv_spill_leaves_no_file(self, tmp_path, small_config, monkeypatch, capsys):
+        # the spill is an unnamed file in the output directory: it is not
+        # there while select trains, nor after a run that succeeds or fails
+        run(*synth_args(tmp_path / "d"))
+        data = tmp_path / "d" / "synthetic.csv"
+        out = tmp_path / "sel"
+        outputs = ["cfsgb_report.json", "projected.bin", "selected_features.json"]
+        run_cfsgb, seen = cfsgb.run_cfsgb, []
+
+        def listed(*args, **kwargs):
+            seen.append(sorted(p.name for p in out.iterdir()))
+            return run_cfsgb(*args, **kwargs)
+
+        monkeypatch.setattr(cfsgb, "run_cfsgb", listed)
+        assert run("select", "--config", small_config, "--input", data, "--out-dir", out) == 0
+        assert seen == [[]]
+        assert sorted(p.name for p in out.iterdir()) == outputs
+        # a bad cell in the last of the file's eight blocks of 50 rows: it
+        # is found as the spill is written, before any chunk trains
+        lines = data.read_text().splitlines(keepends=True)
+        assert len(lines) == 401
+        lines[-1] = "x" + lines[-1]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines))
+        with monkeypatch.context() as mp:
+            mp.setattr(dataset, "_BLOCK_CELLS", 13 * 50)
+            assert run("select", "--config", small_config, "--input", bad, "--out-dir", out) == 2
+        assert capsys.readouterr().err.startswith("error: non-numeric cell at row 399, column 0:")
+        assert seen == [[]]
+        assert sorted(p.name for p in out.iterdir()) == outputs
+        assert run("select", "--config", small_config, "--input", data, "--tau", 5.0,
+                   "--out-dir", out) == 1
+        assert "excluded every feature in every chunk" in capsys.readouterr().err
+        assert seen == [[], outputs]
+        assert sorted(p.name for p in out.iterdir()) == outputs
+
     def test_failed_save_leaves_no_partial_files(self, tmp_path, small_config, monkeypatch):
         data_dir = tmp_path / "d"
         run(*synth_args(data_dir))
@@ -235,6 +271,15 @@ class TestSelect:
         assert run("select", "--input", path, "--tau", 0.01, "--out-dir", out) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(MALFORMED_CSV["ragged row"][0])
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert run("select", "--input", path, "--tau", 0.01,
+                   "--out-dir", kept / "made" / "deeper") == 2
+        assert list(kept.iterdir()) == []
 
     def test_needs_tau_or_top_k(self, tmp_path):
         data_dir = tmp_path / "d"
@@ -807,6 +852,32 @@ class TestConfig:
         assert run(*argv, *flags, "--out-dir", out) == code
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a file", "under a file"])
+    @pytest.mark.parametrize("stage, module, work", [
+        ("synth", dataset, "synthesize"),
+        ("select", cfsgb, "run_cfsgb"),
+        ("meta-train", maml, "meta_train"),
+        ("evaluate", maml, "meta_evaluate"),
+    ], ids=["synth", "select", "meta-train", "evaluate"])
+    def test_out_dir_in_a_files_place_exits_2_before_the_work(
+            self, tmp_path, trained, monkeypatch, capsys, stage, module, work, under):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(module, work, refuse)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / "sub" if under else afile
+        if stage == "synth":
+            argv = synth_args(out)
+        else:
+            argv = [*STAGE_ARGV[stage](*trained), "--out-dir", out]
+        before = sorted(tmp_path.iterdir())
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: output directory {out} is a file or lies under one\n"
+        assert sorted(tmp_path.iterdir()) == before and afile.read_text() == "kept"
 
     def test_output_dir_precedence(self, tmp_path, trained, monkeypatch):
         # --out-dir, then the config's output_dir, then the working directory
