@@ -10,13 +10,18 @@ modules (cfsgb, gbdt, maml, metrics) when it runs.
 Seeds: synth uses --seed as given, select draws no random numbers, and
 evaluate reuses the checkpoint's seed. Only meta-train derives seeds, for
 its split and its meta-training, from the top-level seed hashed with the
-stage name (derive_seed). Every stage makes its output directory before
-its work, writes outputs to a temp file and renames on success, and exits
-0 on success, 1 on runtime failure, 2 on validation failure (among them an
-input path that is not a regular file, an output directory that is a file
-or lies under one, an unknown config key, a config value of the wrong
-type, a float that is not finite, or an architecture or train fraction
-that differs from the checkpoint's).
+stage name (derive_seed).
+
+Each stage (cmd_*) takes the flags, the resolved config (synth has none)
+and the output directory, and returns its outputs, {file name: saver},
+and its summary line. main makes the directory before the work and writes
+the outputs after it (_commit): none is renamed until all are written, so
+a stage that fails replaces none of them and removes the directories it
+made. It exits 0 on success, 1 on runtime failure, 2 on validation failure
+(among them an input path that is not a regular file, an output directory
+that is a file or lies under one, an unknown config key, a config value of
+the wrong type, a float that is not finite, or an architecture or train
+fraction that differs from the checkpoint's).
 """
 from __future__ import annotations
 
@@ -68,8 +73,8 @@ def _sections() -> dict[str, dict[str, object]]:
 
 def derive_seed(seed: int, stage: str) -> int:
     """Stable per-stage seed: sha256 of "<seed>:<stage>" truncated to 32 bits."""
-    # here, not at the top: hashlib maps libcrypto, and only meta-train
-    # derives seeds
+    # here, not at the top: hashlib maps libcrypto, and numpy.random loads it
+    # in every stage but select, which this import keeps it out of
     import hashlib
 
     digest = hashlib.sha256(f"{seed}:{stage}".encode("utf-8")).digest()
@@ -174,18 +179,22 @@ def _out_dir(output_dir: str | None):
         raise
 
 
-def _atomic_save(path: Path, saver) -> None:
-    """Run saver(tmp_path) then rename over the target.
+def _commit(out: Path, outputs: dict) -> None:
+    """Run each saver(tmp_path), in order, then rename every temp file over
+    its target: none is renamed until all are written.
 
-    The temp file sits next to the target under a per-process name, and is
-    removed if the saver or the rename fails.
+    Each temp file sits next to its target under a per-process name, and
+    every one is removed if a saver or a rename fails.
     """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp = {name: out / f"{name}.{os.getpid()}.tmp" for name in outputs}
     try:
-        saver(tmp)
-        os.replace(tmp, path)
+        for name, saver in outputs.items():
+            saver(tmp[name])
+        for name in outputs:
+            os.replace(tmp[name], out / name)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for path in tmp.values():
+            path.unlink(missing_ok=True)
         raise
 
 
@@ -196,135 +205,116 @@ def _load_dataset(path: str, label_column: str) -> dataset.LabeledDataset:
     return dataset.load_binary(p)
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    spec = _build(dataset.SyntheticSpec, vars(args))
-    with _out_dir(args.output_dir) as out:
-        ds, informative = dataset.synthesize(spec)
-        data_path = out / f"synthetic.{args.format}"
-        save = dataset.save_csv if args.format == "csv" else dataset.save_binary
-        _atomic_save(data_path, lambda p: save(ds, p))
-        truth = json.dumps({"informative_indices": [int(i) for i in informative]},
-                           sort_keys=True)
-        _atomic_save(out / "informative.json",
-                     lambda p: p.write_text(truth + "\n", encoding="utf-8"))
-    print(f"wrote {data_path} ({ds.n} rows, {ds.m} features) and informative.json")
-    return 0
+def cmd_synth(args: argparse.Namespace, cfg: None, out: Path) -> tuple[dict, str]:
+    ds, informative = dataset.synthesize(_build(dataset.SyntheticSpec, vars(args)))
+    name = f"synthetic.{args.format}"
+    save = dataset.save_csv if args.format == "csv" else dataset.save_binary
+    truth = json.dumps({"informative_indices": [int(i) for i in informative]},
+                       sort_keys=True)
+    outputs = {
+        name: lambda p: save(ds, p),
+        "informative.json": lambda p: p.write_text(truth + "\n", encoding="utf-8"),
+    }
+    return outputs, f"wrote {out / name} ({ds.n} rows, {ds.m} features) and informative.json"
 
 
-def cmd_select(args: argparse.Namespace) -> int:
+def cmd_select(args: argparse.Namespace, cfg: dict, out: Path) -> tuple[dict, str]:
     from . import cfsgb, gbdt
 
-    cfg = _resolve_config(args)
     chunk_spec = _build(cfsgb.ChunkSpec, cfg["chunking"])
     gbdt_cfg = _build(gbdt.GbdtConfig, cfg["gbdt"])
-    with _out_dir(cfg["output_dir"]) as out:
-        # both are read a chunk at a time: a .bin input as it is, a CSV from
-        # its float64 spill, an unnamed file in out that vanishes when closed
-        if Path(args.input).suffix.lower() == ".csv":
-            source = dataset.spill_csv(args.input, args.label_column, out)
-        else:
-            source = dataset.BinaryRows(args.input)
-        with source as ds:
-            selected, projected, report = cfsgb.run_cfsgb(ds, chunk_spec, gbdt_cfg,
-                                                          **cfg["selection"])
-        tau = selected.threshold_used
-        _atomic_save(out / "selected_features.json",
-                     lambda p: cfsgb.save_selection(selected, p))
-        _atomic_save(out / "projected.bin", lambda p: dataset.save_binary(projected, p))
-        report_json = json.dumps({**asdict(report), "tau": tau}, sort_keys=True, indent=2)
-        _atomic_save(
-            out / "cfsgb_report.json",
-            lambda p: p.write_text(report_json + "\n", encoding="utf-8"),
-        )
-    print(f"selected {selected.r}/{ds.m} features across {report.k} chunks (tau={tau:g})")
-    return 0
+    # both are read a chunk at a time: a .bin input as it is, a CSV from
+    # its float64 spill, an unnamed file in out that vanishes when closed
+    if Path(args.input).suffix.lower() == ".csv":
+        source = dataset.spill_csv(args.input, args.label_column, out)
+    else:
+        source = dataset.BinaryRows(args.input)
+    with source as ds:
+        selected, projected, report = cfsgb.run_cfsgb(ds, chunk_spec, gbdt_cfg,
+                                                      **cfg["selection"])
+    tau = selected.threshold_used
+    report_json = json.dumps({**asdict(report), "tau": tau}, sort_keys=True, indent=2)
+    outputs = {
+        "selected_features.json": lambda p: cfsgb.save_selection(selected, p),
+        "projected.bin": lambda p: dataset.save_binary(projected, p),
+        "cfsgb_report.json": lambda p: p.write_text(report_json + "\n", encoding="utf-8"),
+    }
+    return outputs, f"selected {selected.r}/{ds.m} features across {report.k} chunks (tau={tau:g})"
 
 
-def cmd_meta_train(args: argparse.Namespace) -> int:
+def cmd_meta_train(args: argparse.Namespace, cfg: dict, out: Path) -> tuple[dict, str]:
     from . import maml
 
-    cfg = _resolve_config(args)
     seed = cfg["seed"]
     split_spec = _build(dataset.SplitSpec, cfg["split"], seed=derive_seed(seed, "split"))
     maml_cfg = _build(maml.MamlConfig, cfg["maml"], seed=derive_seed(seed, "meta-train"))
     initial = None
     start_iteration = 0
-    with _out_dir(cfg["output_dir"]) as out:
-        if args.resume:
-            where = f"--resume {args.resume}"
-            initial, ckpt_cfg, start_iteration, train_fraction = maml.load_checkpoint(args.resume)
-            # a resume starts from the checkpoint's float32 parameters with a fresh
-            # Adam state, on the checkpoint run's split: only its length may differ
-            # (the split's seed derives from the seed checked here)
-            _check_matches(where, "maml", maml_cfg, ckpt_cfg, skip=("outer_iterations",))
-            _check_matches(where, "split", split_spec, dataset.SplitSpec(train_fraction),
-                           skip=("seed",))
-        # the loaded dataset is not kept: meta-training reads only the split pools
-        train_pool, test_pool = dataset.stratified_split(
-            _load_dataset(args.input, args.label_column), split_spec
-        )
-        arch = _build(maml.MlpArchitecture, cfg["maml"], input_dim=train_pool.m)
-        if initial is not None:
-            _check_input_dim(where, arch.input_dim, initial.arch)
-            _check_matches(where, "maml", arch, initial.arch)
-        scaler = dataset.fit_scaler(train_pool)
-        train_pool = dataset.apply_scaler(train_pool, scaler)
-        test_pool = dataset.apply_scaler(test_pool, scaler)
+    if args.resume:
+        where = f"--resume {args.resume}"
+        initial, ckpt_cfg, start_iteration, train_fraction = maml.load_checkpoint(args.resume)
+        # a resume starts from the checkpoint's float32 parameters with a fresh
+        # Adam state, on the checkpoint run's split: only its length may differ
+        # (the split's seed derives from the seed checked here)
+        _check_matches(where, "maml", maml_cfg, ckpt_cfg, skip=("outer_iterations",))
+        _check_matches(where, "split", split_spec, dataset.SplitSpec(train_fraction),
+                       skip=("seed",))
+    # the loaded dataset is not kept: meta-training reads only the split pools
+    train_pool, test_pool = dataset.stratified_split(
+        _load_dataset(args.input, args.label_column), split_spec
+    )
+    arch = _build(maml.MlpArchitecture, cfg["maml"], input_dim=train_pool.m)
+    if initial is not None:
+        _check_input_dim(where, arch.input_dim, initial.arch)
+        _check_matches(where, "maml", arch, initial.arch)
+    scaler = dataset.fit_scaler(train_pool)
+    train_pool = dataset.apply_scaler(train_pool, scaler)
+    test_pool = dataset.apply_scaler(test_pool, scaler)
 
-        params, log = maml.meta_train(
-            train_pool,
-            maml_cfg,
-            arch=arch,
-            initial=initial,
-            start_iteration=start_iteration,
-        )
-        final_iteration = start_iteration + maml_cfg.outer_iterations
-        _atomic_save(out / "scaler.json", lambda p: dataset.save_scaler(scaler, p))
-        _atomic_save(out / "test_pool.bin", lambda p: dataset.save_binary(test_pool, p))
-        _atomic_save(
-            out / "checkpoint.ckpt",
-            lambda p: maml.save_checkpoint(p, params, maml_cfg, final_iteration,
-                                           split_spec.train_fraction),
-        )
-        _atomic_save(out / "train_log.csv", lambda p: log.save_csv(p))
+    params, log = maml.meta_train(train_pool, maml_cfg, arch=arch, initial=initial,
+                                  start_iteration=start_iteration)
+    final_iteration = start_iteration + maml_cfg.outer_iterations
+    outputs = {
+        "scaler.json": lambda p: dataset.save_scaler(scaler, p),
+        "test_pool.bin": lambda p: dataset.save_binary(test_pool, p),
+        "checkpoint.ckpt": lambda p: maml.save_checkpoint(p, params, maml_cfg, final_iteration,
+                                                          split_spec.train_fraction),
+        "train_log.csv": lambda p: log.save_csv(p),
+    }
     last_loss = log.meta_loss[-1] if log.meta_loss else float("nan")
-    print(
+    return outputs, (
         f"meta-trained to iteration {final_iteration} (last meta-loss {last_loss:.4f}); "
         f"wrote checkpoint.ckpt, train_log.csv, scaler.json, test_pool.bin"
     )
-    return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace, cfg: dict, out: Path) -> tuple[dict, str]:
     from . import maml, metrics
 
-    cfg = _resolve_config(args)
-    with _out_dir(cfg["output_dir"]) as out:
-        # before anything is adapted: compute_report checks it only at the end
-        metrics.check_threshold(args.threshold)
-        params, ckpt_cfg, _, _ = maml.load_checkpoint(args.checkpoint)
-        # the checkpoint's config (seed included), then the config file's maml
-        # keys, then flags
-        maml_cfg = _build(maml.MamlConfig, {**asdict(ckpt_cfg), **cfg["maml"]})
-        # the checkpoint fixes the architecture: a key the config sets must match
-        arch = _build(maml.MlpArchitecture, {**asdict(params.arch), **cfg["maml"]})
-        _check_matches(f"--checkpoint {args.checkpoint}", "maml", arch, params.arch)
-        test_pool = _load_dataset(args.data, args.label_column)
-        _check_input_dim(f"--data {args.data}", test_pool.m, params.arch)
+    # before anything is adapted: compute_report checks it only at the end
+    metrics.check_threshold(args.threshold)
+    params, ckpt_cfg, _, _ = maml.load_checkpoint(args.checkpoint)
+    # the checkpoint's config (seed included), then the config file's maml
+    # keys, then flags
+    maml_cfg = _build(maml.MamlConfig, {**asdict(ckpt_cfg), **cfg["maml"]})
+    # the checkpoint fixes the architecture: a key the config sets must match
+    arch = _build(maml.MlpArchitecture, {**asdict(params.arch), **cfg["maml"]})
+    _check_matches(f"--checkpoint {args.checkpoint}", "maml", arch, params.arch)
+    test_pool = _load_dataset(args.data, args.label_column)
+    _check_input_dim(f"--data {args.data}", test_pool.m, params.arch)
 
-        probs, labels = maml.meta_evaluate(params, test_pool, maml_cfg, episodes=args.episodes)
-        report = metrics.compute_report(probs, labels, threshold=args.threshold)
-        _atomic_save(
-            out / "metrics_report.json",
+    probs, labels = maml.meta_evaluate(params, test_pool, maml_cfg, episodes=args.episodes)
+    report = metrics.compute_report(probs, labels, threshold=args.threshold)
+    outputs = {
+        "metrics_report.json":
             lambda p: p.write_text(metrics.report_to_json(report), encoding="utf-8"),
-        )
-        _atomic_save(out / "roc.csv", lambda p: metrics.save_roc_csv(report, p))
-    print(
+        "roc.csv": lambda p: metrics.save_roc_csv(report, p),
+    }
+    return outputs, (
         f"accuracy={report.accuracy:.4f} precision={report.precision:.4f} "
         f"recall={report.recall:.4f} f1={report.f1:.4f} "
         f"mcc={report.mcc:.4f} auc={report.auc:.4f}"
     )
-    return 0
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -414,7 +404,13 @@ def main(argv=None) -> int:
             path = getattr(args, flag, None)
             if path is not None and not Path(path).is_file():
                 raise ValidationError(f"--{flag} {path} is missing or not a regular file")
-        return args.func(args)
+        # synth takes no config, so it loads no melemad.config
+        cfg = None if args.command == "synth" else _resolve_config(args)
+        with _out_dir(args.output_dir if cfg is None else cfg["output_dir"]) as out:
+            outputs, summary = args.func(args, cfg, out)
+            _commit(out, outputs)
+        print(summary)
+        return 0
     except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

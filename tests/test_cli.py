@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from melemad import cfsgb, cli, dataset, gbdt, maml
+from melemad import cfsgb, cli, dataset, gbdt, maml, metrics
 
 
 def run(*argv):
@@ -252,8 +252,8 @@ class TestSelect:
         code = run("select", "--config", small_config, "--input", data_dir / "synthetic.csv",
                    "--out-dir", out)
         assert code == 1
-        assert not (out / "projected.bin").exists()
-        assert [p.name for p in out.iterdir() if ".tmp" in p.name] == []
+        # nothing was written, so the directory the run made is gone again
+        assert not out.exists()
 
     def test_missing_input_exits_2_without_files(self, tmp_path, small_config):
         out = tmp_path / "sel"
@@ -878,6 +878,29 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err == f"error: output directory {out} is a file or lies under one\n"
         assert sorted(tmp_path.iterdir()) == before and afile.read_text() == "kept"
+
+    # per stage: flags of a first run, flags of a second run that change its
+    # earlier outputs, and a saver of a later output made to fail
+    @pytest.mark.parametrize("stage, first, second, module, saver", [
+        ("select", ["--top-k", 3], ["--top-k", 8], dataset, "save_binary"),
+        ("meta-train", ["--seed", 3], ["--seed", 4], maml, "save_checkpoint"),
+        ("evaluate", [], ["--threshold", 0.3], metrics, "save_roc_csv"),
+    ], ids=["select", "meta-train", "evaluate"])
+    def test_failed_save_replaces_no_output(self, tmp_path, trained, small_config,
+                                            monkeypatch, capsys, stage, first, second,
+                                            module, saver):
+        def disk_full(*args, **kwargs):
+            raise OSError("disk full")
+
+        out = tmp_path / "out"
+        argv = [*STAGE_ARGV[stage](*trained), "--config", small_config, "--out-dir", out]
+        assert run(*argv, *first) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setattr(module, saver, disk_full)
+        assert run(*argv, *second) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert list(out.glob("*.tmp")) == []
 
     def test_output_dir_precedence(self, tmp_path, trained, monkeypatch):
         # --out-dir, then the config's output_dir, then the working directory
