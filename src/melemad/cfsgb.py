@@ -125,7 +125,11 @@ def run_cfsgb(
     for chunk, imp in zip(chunks, importances):
         idx = threshold_select(imp, tau)
         per_chunk.append(ChunkSelection(chunk.index, idx, imp[idx]))
-    union = np.unique(np.concatenate([sel.indices for sel in per_chunk]))
+    # a mask, not np.unique, whose first call imports numpy.ma
+    chosen = np.zeros(ds.m, dtype=bool)
+    for sel in per_chunk:
+        chosen[sel.indices] = True
+    union = np.flatnonzero(chosen)
     if union.size == 0:
         raise EmptySelection(f"threshold {tau} excluded every feature in every chunk")
     selected = SelectedFeatureSet(union, per_chunk, tau)

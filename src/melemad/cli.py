@@ -10,7 +10,9 @@ modules (cfsgb, gbdt, maml, metrics) when it runs.
 Seeds: synth uses --seed as given, select draws no random numbers, and
 evaluate reuses the checkpoint's seed. Only meta-train derives seeds, for
 its split and its meta-training, from the top-level seed hashed with the
-stage name (derive_seed).
+stage name by the counter-based generator that draws from them
+(derive_seed), so only synth, whose data are numpy.random's draws, loads
+numpy.random and, through it, hashlib.
 
 Each stage (cmd_*) takes the flags, the resolved config (synth has none)
 and the output directory, and returns its outputs, {file name: saver},
@@ -72,13 +74,9 @@ def _sections() -> dict[str, dict[str, object]]:
 
 
 def derive_seed(seed: int, stage: str) -> int:
-    """Stable per-stage seed: sha256 of "<seed>:<stage>" truncated to 32 bits."""
-    # here, not at the top: hashlib maps libcrypto, and numpy.random loads it
-    # in every stage but select, which this import keeps it out of
-    import hashlib
-
-    digest = hashlib.sha256(f"{seed}:{stage}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "little")
+    """Stable per-stage seed: the top 32 bits of the key (dataset._key) of
+    the seed followed by the stage name's UTF-8 bytes."""
+    return dataset._key(seed, *stage.encode("utf-8")) >> 32
 
 
 def load_config(path: str | None) -> dict:

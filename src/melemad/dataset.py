@@ -521,6 +521,79 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+# The counter-based generator of stratified_split, maml and cli.derive_seed
+# (Salmon et al., SC 2011), with SplitMix64's gamma and finalizer (Steele,
+# Lea & Flood, OOPSLA 2014). Draw i of a key is the finalizer of
+# key + (i + 1) * gamma mod 2**64, so a draw is a function of its key and
+# its number alone. numpy's uint64 arithmetic wraps mod 2**64 as it should.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_U64 = 2**64 - 1
+# the finalizer's rounds: z ^= z >> shift, then z *= the multiplier, if any
+_ROUNDS = ((30, np.uint64(_MIX[0])), (27, np.uint64(_MIX[1])), (31, None))
+# draws _draws hashes at a time; its counters (i + 1) * gamma of draws
+# i = 0, 1, ... of key 0 and its shift buffer, kept between calls, hold as
+# many cells
+_DRAW_BLOCK = 1 << 13
+_COUNTERS = _SHIFTS = np.zeros(0, np.uint64)
+
+
+def _mix(z: int) -> int:
+    """SplitMix64's finalizer of z, a Python int below 2**64."""
+    z = ((z ^ (z >> 30)) * _MIX[0]) & _U64
+    z = ((z ^ (z >> 27)) * _MIX[1]) & _U64
+    return z ^ (z >> 31)
+
+
+def _key(*coords: int) -> int:
+    """The 64-bit key of coords, (seed, stream tag, coordinates...), each a
+    non-negative int: a hash chain from 0 in which the key of coords + (c,)
+    is draw c of the key of coords. A coordinate of 2**64 or more is
+    absorbed a 64-bit word at a time, low word first."""
+    key = 0
+    for c in map(int, coords):
+        if c < 0:
+            raise ValidationError(f"a key coordinate must be non-negative, got {c}")
+        key = _mix((key + ((c & _U64) + 1) * _GAMMA) & _U64)
+        while c := c >> 64:
+            key = _mix((key + ((c & _U64) + 1) * _GAMMA) & _U64)
+    return key
+
+
+def _draws(key: int, count: int, start: int = 0, out=None) -> np.ndarray:
+    """Draws start, ..., start + count - 1 of key as uint64, in out (a
+    uint64 array of count cells) or a new array, hashed _DRAW_BLOCK at a
+    time: the same draws whatever the block."""
+    global _COUNTERS, _SHIFTS
+    if _COUNTERS.size < min(count, _DRAW_BLOCK):
+        _COUNTERS = np.arange(1, _DRAW_BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        _SHIFTS = np.empty(_DRAW_BLOCK, np.uint64)
+    z = np.empty(count, np.uint64) if out is None else out
+    for block in _blocks(count, 1, _DRAW_BLOCK):
+        part = z[block]
+        shifts = _SHIFTS[: part.size]
+        offset = (key + (start + block.start) * _GAMMA) & _U64
+        np.add(_COUNTERS[: part.size], np.uint64(offset), out=part)
+        for shift, mult in _ROUNDS:
+            np.right_shift(part, shift, out=shifts)
+            np.bitwise_xor(part, shifts, out=part)
+            if mult is not None:
+                np.multiply(part, mult, out=part)
+    return z
+
+
+def _uniforms(key: int, count: int) -> np.ndarray:
+    """Draws 0, ..., count - 1 of key as float64 uniforms in [0, 1), each
+    built from its top 53 bits as numpy builds its doubles."""
+    return (_draws(key, count) >> np.uint64(11)) * 2.0**-53
+
+
+def _least_draw(p: float) -> np.uint64:
+    """The least draw whose uniform is at least p, for 0 <= p < 1: a draw
+    is at least it exactly where its uniform is at least p."""
+    return np.uint64(math.ceil(p * 2**53) << 11)
+
+
 def _train_count(total: int, fraction: float) -> int:
     # keep at least one sample on each side when possible
     count = _half_up(total * fraction)
@@ -531,8 +604,8 @@ def _train_count(total: int, fraction: float) -> int:
 
 def stratified_split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Seeded train/test partition; per-class proportions within one sample of
-    train_fraction."""
-    rng = np.random.default_rng(spec.seed)
+    train_fraction. Class c's i-th row is keyed by draw i of the key
+    (seed, c), and its rows with the smallest keys train."""
     train_parts = []
     test_parts = []
     for cls, cls_idx in enumerate(ds.class_rows):
@@ -542,10 +615,10 @@ def stratified_split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDatase
             raise ValidationError(
                 f"class {cls} has {cls_idx.size} sample(s); need >= 2 to stratify"
             )
-        perm = rng.permutation(cls_idx)
         k = _train_count(cls_idx.size, spec.train_fraction)
-        train_parts.append(perm[:k])
-        test_parts.append(perm[k:])
+        order = np.argpartition(_draws(_key(spec.seed, cls), cls_idx.size), k)
+        train_parts.append(cls_idx[order[:k]])
+        test_parts.append(cls_idx[order[k:]])
     train_idx = np.sort(np.concatenate(train_parts))
     test_idx = np.sort(np.concatenate(test_parts))
     return ds.select_rows(train_idx), ds.select_rows(test_idx)

@@ -15,12 +15,13 @@ a new one. An Episode holds row indices into its pool. meta_train and
 meta_evaluate adapt their episodes a stack at a time (_adapted_stacks, cut
 by dataset._blocks); their results do not depend on the stack size.
 
-Keys: every random draw comes from a generator keyed by the root seed, a
-stream tag and the draw's coordinates (_rng). An episode's rows are keyed by
-(iteration, slot) in meta-training and by its number in evaluation; inner
-step s's dropout mask by (stream, episode index, s) (_mask_key). So no draw
-depends on the stack size, on how often an episode is scored, or on where a
-run was resumed.
+Keys: every random draw is a draw of a key (dataset._key) of the root
+seed, a stream tag and the draw's coordinates, counter-based: draw i of a
+key is a hash of the key and i (dataset._draws). An episode's rows are keyed
+by (iteration, slot) in meta-training and by its number in evaluation;
+inner step s's dropout mask by (stream, episode index, s) (_mask_key). So
+no draw depends on the stack size, on how often an episode is scored, or on
+where a run was resumed.
 
 Failures: a NaN or Inf meta-loss, meta-gradient or evaluation probability
 raises Diverged; a meta-training iteration or an evaluation with more than
@@ -51,7 +52,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import MamlConfig, MlpArchitecture
-from .dataset import LabeledDataset, _blocks, _half_up, _sigmoid
+from .dataset import (LabeledDataset, _blocks, _draws, _half_up, _key, _least_draw, _sigmoid,
+                      _uniforms)
 from .errors import Diverged, Saturated, ValidationError, check_fields
 
 PROB_EPS = 1e-7
@@ -71,31 +73,17 @@ _STACK_CELLS = 1 << 14
 
 # one buffer per (tag, dtype), grown to the largest pass it has served
 _SCRATCH: dict[tuple[str, np.dtype], np.ndarray] = {}
-# cells of dropout_mask's float64 draw buffer, which a block of rows fills
-_DRAW_CELLS = 1 << 12
+# cells of dropout_mask's uint64 draw buffer, which a block of rows fills
+_DRAW_CELLS = 1 << 13
 # _hvp's imaginary step; the product's truncation error is of order its square
 _HVP_STEP = 1e-20
 
-# stream tags, second in every generator key after the root seed; the keys
-# of one tag share one length, since SeedSequence zero-pads keys shorter
-# than four words ([s, 3, j] draws what [s, 3, j, 0] draws)
+# stream tags, second in every key after the root seed; the keys of one tag
+# share one length, so no key drawn from is another's prefix
 _STREAM_INIT = 0  # (seed, INIT): initial weights
 _STREAM_TASK = 1  # (seed, TASK, iteration, slot): a meta-train episode's rows
 _STREAM_DROPOUT = 2  # (seed, DROPOUT, TASK or EVAL, episode, step): a mask
 _STREAM_EVAL = 3  # (seed, EVAL, episode): an evaluation episode's rows
-
-
-def _rng(*key: int) -> np.random.Generator:
-    """The generator keyed by key. SeedSequence copies a uint32 array as its
-    words but converts a list one int at a time, for the same state; a value
-    that does not fit one word (2**32 or more, or negative) goes to it as a
-    list, to be split into words or rejected there."""
-    key = [int(k) for k in key]
-    try:
-        words = np.array(key, dtype=np.uint32)
-    except OverflowError:
-        words = key
-    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 def _mask_key(seed: int, stream: int, episode: int) -> tuple[int, ...]:
@@ -190,13 +178,17 @@ class TrainLog:
 
 
 def init_params(arch: MlpArchitecture, seed: int) -> ModelParams:
-    """Scaled-uniform weights, bound sqrt(6 / (fan_in + fan_out)); zero biases."""
-    rng = _rng(seed, _STREAM_INIT)
+    """Scaled-uniform weights, bound sqrt(6 / (fan_in + fan_out)); zero biases.
+    The weights, layer after layer, are the uniforms of the key (seed,
+    _STREAM_INIT), each mapped to [-bound, bound) as numpy's uniform maps it."""
+    u = _uniforms(_key(seed, _STREAM_INIT), sum(fi * fo for fi, fo in arch.layer_sizes))
     pieces = []
+    start = 0
     for fan_in, fan_out in arch.layer_sizes:
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        pieces.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
+        pieces.append(-bound + 2.0 * bound * u[start : start + fan_in * fan_out])
         pieces.append(np.zeros(fan_out))
+        start += fan_in * fan_out
     return ModelParams(np.concatenate(pieces), arch)
 
 
@@ -204,23 +196,25 @@ def dropout_mask(arch: MlpArchitecture, n_rows: int, keys: list[tuple[int, ...]]
                  step: int) -> np.ndarray | None:
     """Keep masks for the first hidden layer of a stack of episodes at inner
     step `step`: bool (len(keys), n_rows, h0), True where a unit is kept;
-    None if the architecture has no dropout. Episode t's uniforms come from
-    the generator keyed keys[t] + (step,), drawn a block of rows at a time
-    into one small float64 buffer: the same stream as one draw of the whole
-    (n_rows, h0) array, so a step's mask can be drawn again from its keys.
-    The masks are one scratch buffer, valid until the next call."""
+    None if the architecture has no dropout. Unit u of row r of episode t
+    is kept where draw r * h0 + u of the key keys[t] + (step,) has a uniform
+    of at least dropout_rate. The draws are hashed a block of rows at a time
+    into one small uint64 buffer, so a step's mask can be drawn again from
+    its keys, whatever the block. The masks are one scratch buffer, valid
+    until the next call."""
     if arch.dropout_rate == 0.0:
         return None
     h0 = arch.hidden_dims[0]
     keep = _scratch("keep", (len(keys), n_rows, h0), bool)
     blocks = _blocks(n_rows, h0, _DRAW_CELLS)
-    draw = _scratch("uniforms", (blocks[0].stop if blocks else 0, h0))
+    draws = _scratch("draws", (blocks[0].stop * h0 if blocks else 0,), np.uint64)
+    least = _least_draw(arch.dropout_rate)
     for t, key in enumerate(keys):
-        rng = _rng(*key, step)
+        mask_key = _key(*key, step)
         for rows in blocks:
-            block = draw[: rows.stop - rows.start]
-            rng.random(out=block)
-            np.greater_equal(block, arch.dropout_rate, out=keep[t, rows])
+            size = (rows.stop - rows.start) * h0
+            block = _draws(mask_key, size, rows.start * h0, draws[:size])
+            np.greater_equal(block.reshape(-1, h0), least, out=keep[t, rows])
     return keep
 
 
@@ -392,17 +386,28 @@ def _stratified_take(avail_pos: int, avail_neg: int, take: int) -> tuple[int, in
     return take_pos, take - take_pos
 
 
-def sample_task(
-    pool: LabeledDataset,
-    cfg: MamlConfig,
-    rng: np.random.Generator,
-    task_index: int = 0,
-) -> Episode:
-    """Draw one episode's row indices from rng: samples_per_task rows
-    without replacement, stratified to the pool ratio, split disjointly into
-    support and query. Each class's rows come from rng.choice over the
-    class's row count, which draws O(rows taken) random numbers, not one per
-    row of the pool."""
+def _smallest(keys: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k smallest of keys, distinct draws, smallest first.
+    They are nearly always among the keys below twice the k-th smallest's
+    expected value, about 2k of them, which one comparison finds and a short
+    argsort orders; else argpartition finds them."""
+    if 2 * k < keys.size:
+        near = (keys < np.uint64((2 * k << 64) // keys.size)).nonzero()[0]
+        if near.size >= k:
+            return near[keys[near].argsort()[:k]]
+    part = np.argpartition(keys, k)[:k] if k < keys.size else np.arange(keys.size)
+    return part[keys[part].argsort()]
+
+
+def sample_task(pool: LabeledDataset, cfg: MamlConfig, key: int, task_index: int = 0) -> Episode:
+    """Draw one episode's row indices from the draws of key: samples_per_task
+    rows without replacement, stratified to the pool ratio, split disjointly
+    into support and query. Draw i keys the i-th row of the label-0 rows
+    followed by the label-1 rows; each class's picks are its rows with the
+    smallest keys, in key order, and its first picks are its support (picks
+    beyond the support and query would go unused, so none is taken). The
+    next support_size + query_size draws shuffle the support, then the
+    query."""
     if pool.n < cfg.samples_per_task:
         raise ValidationError(f"pool has {pool.n} rows, task needs {cfg.samples_per_task}")
     neg, pos = pool.class_rows
@@ -410,17 +415,18 @@ def sample_task(
         raise ValidationError("episode sampling needs both classes in the pool")
 
     task_pos, task_neg = _stratified_take(pos.size, neg.size, cfg.samples_per_task)
-    pos_pick = pos[rng.choice(pos.size, task_pos, replace=False)]
-    neg_pick = neg[rng.choice(neg.size, task_neg, replace=False)]
-
     sup_pos, sup_neg = _stratified_take(task_pos, task_neg, cfg.support_size)
     qry_pos, qry_neg = _stratified_take(task_pos - sup_pos, task_neg - sup_neg, cfg.query_size)
 
+    n = pool.n
+    draws = _draws(key, n + cfg.support_size + cfg.query_size)
+    neg_pick = neg[_smallest(draws[: neg.size], sup_neg + qry_neg)]
+    pos_pick = pos[_smallest(draws[neg.size : n], sup_pos + qry_pos)]
     support = np.concatenate([pos_pick[:sup_pos], neg_pick[:sup_neg]])
-    query = np.concatenate(
-        [pos_pick[sup_pos : sup_pos + qry_pos], neg_pick[sup_neg : sup_neg + qry_neg]]
-    )
-    return Episode(rng.permutation(support), rng.permutation(query), task_index)
+    query = np.concatenate([pos_pick[sup_pos:], neg_pick[sup_neg:]])
+    shuffle = draws[n:]
+    return Episode(support[shuffle[: support.size].argsort()],
+                   query[shuffle[support.size :].argsort()], task_index)
 
 
 def _hvp(
@@ -535,7 +541,7 @@ def meta_train(
 ) -> tuple[ModelParams, TrainLog]:
     """Run cfg.outer_iterations meta-steps with freshly sampled episodes.
 
-    Episode j of iteration it draws its rows from the generator keyed
+    Episode j of iteration it draws its rows from the key
     (seed, _STREAM_TASK, it, j) and its dropout masks from its task_index
     it * tasks_per_meta_batch + j, with it absolute, so a resumed run samples
     the episodes it would have seen uninterrupted.
@@ -553,7 +559,7 @@ def meta_train(
         t0 = time.perf_counter()
         episodes = [
             sample_task(
-                train_pool, cfg, _rng(cfg.seed, _STREAM_TASK, it, j), task_index=it * batch + j
+                train_pool, cfg, _key(cfg.seed, _STREAM_TASK, it, j), task_index=it * batch + j
             )
             for j in range(batch)
         ]
@@ -580,14 +586,14 @@ def meta_evaluate(
     """Adapt theta to each evaluation episode and predict its query set, a
     stack of episodes at a time; returns the concatenated query probabilities
     and ground-truth labels, in episode order. Episode j draws its rows from
-    the generator keyed (seed, _STREAM_EVAL, j). Raises Diverged, naming the
+    the key (seed, _STREAM_EVAL, j). Raises Diverged, naming the
     episode, when one of its query probabilities is NaN or Inf, and
     Saturated when more than SATURATION_LIMIT of all of them are clamped."""
     if episodes is None:
         episodes = max(1, math.ceil(test_pool.n / cfg.samples_per_task))
     if episodes < 1:
         raise ValidationError(f"episodes must be >= 1, got {episodes}")
-    drawn = [sample_task(test_pool, cfg, _rng(cfg.seed, _STREAM_EVAL, j), task_index=j)
+    drawn = [sample_task(test_pool, cfg, _key(cfg.seed, _STREAM_EVAL, j), task_index=j)
              for j in range(episodes)]
     probs_parts = []
     label_parts = []

@@ -67,6 +67,72 @@ def oracle_split_candidates(X, y, base_score, min_leaf):
     return candidates
 
 
+# ----------------------------------------------------------------- generator
+
+GAMMA = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(state, count):
+    """The next count outputs of SplitMix64 (Steele, Lea & Flood 2014) from
+    state, as the reference loop computes them: add gamma to the state, then
+    finalize a copy, one Python int at a time."""
+    out = []
+    for _ in range(count):
+        state = (state + GAMMA) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def draws(key, count, start=0):
+    """Draws start, ..., start + count - 1 of key: SplitMix64's outputs
+    from the state key + start * gamma."""
+    return splitmix64((key + start * GAMMA) & MASK64, count)
+
+
+def key_of(*coords):
+    """A key's hash chain: from 0, each coordinate's 64-bit words, low word
+    first, each taking the chain to its draw of that number."""
+    key = 0
+    for c in coords:
+        c = int(c)
+        while True:
+            key = draws(key, 1, start=c & MASK64)[0]
+            c >>= 64
+            if not c:
+                break
+    return key
+
+
+def inclusion_chi_square(hits, trials, k):
+    """Pearson's statistic of the per-row inclusion counts hits of N rows,
+    over trials that each take k of the N rows without replacement, and
+    its bounds. Each count has variance trials * p * (1 - p), p = k / N, and
+    two counts a covariance of -1 / (N - 1) times that (they sum to
+    trials * k), so the statistic scaled by (N - 1) / N is about chi-square
+    with N - 1 degrees of freedom; the bounds are 5 of its standard
+    deviations from its mean, so too even a spread fails as too uneven does."""
+    hits = np.asarray(hits, dtype=np.float64)
+    n = hits.size
+    p = k / n
+    stat = float(((hits - trials * p) ** 2).sum()) / (trials * p * (1 - p)) * (n - 1) / n
+    df = n - 1
+    return stat, df - 5 * math.sqrt(2 * df), df + 5 * math.sqrt(2 * df)
+
+
+def reference_mask(arch, n, key, step):
+    """Episode key's keep mask at inner step `step`, one cell at a time:
+    unit u of row r is kept where draw r * h0 + u of key + (step,), as a
+    53-bit uniform, is at least the dropout rate."""
+    h0 = arch.hidden_dims[0]
+    cells = draws(key_of(*key, step), n * h0)
+    keep = [(bits >> 11) * 2.0**-53 >= arch.dropout_rate for bits in cells]
+    return np.array(keep, dtype=bool).reshape(n, h0)
+
+
 # ---------------------------------------------------------------------- maml
 
 def one_mask(arch, n, key, step=0):

@@ -15,6 +15,8 @@ import pytest
 
 from melemad import cfsgb, cli, dataset, gbdt, maml, metrics
 
+from oracles import key_of
+
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
@@ -483,12 +485,13 @@ class TestMetaTrainEvaluate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_saturated_evaluation_exits_1_without_outputs(self, tmp_path, trained, capsys):
-        # the small architecture adapted at alpha 1e300 scores finite query
-        # probabilities, every one clamped to PROB_EPS or 1 - PROB_EPS
+        # the small architecture adapted at alpha 1e6 scores finite query
+        # probabilities, every one clamped to PROB_EPS or 1 - PROB_EPS (at
+        # 1e300 whether some overflow to NaN depends on the episodes' draws)
         _, run_dir = trained
         out = tmp_path / "eval"
         code = run("evaluate", "--checkpoint", run_dir / "checkpoint.ckpt",
-                   "--data", run_dir / "test_pool.bin", "--out-dir", out, "--alpha", "1e300")
+                   "--data", run_dir / "test_pool.bin", "--out-dir", out, "--alpha", "1e6")
         assert code == 1
         assert "evaluation saturated: " in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
@@ -1121,9 +1124,16 @@ class TestConfig:
         assert cli.derive_seed(7, "select") != cli.derive_seed(7, "split")
         assert cli.derive_seed(7, "select") != cli.derive_seed(8, "select")
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**70])
+    @pytest.mark.parametrize("stage", ["split", "meta-train"])
+    def test_derive_seed_is_the_top_of_the_oracle_key(self, seed, stage):
+        assert cli.derive_seed(seed, stage) == key_of(seed, *stage.encode("utf-8")) >> 32
+        assert 0 <= cli.derive_seed(seed, stage) < 2**32
 
-# Under PYTHONDONTWRITEBYTECODE=1 a stage compiles every module it imports,
-# and hashlib maps libcrypto; each stage should pay only for its own code.
+
+# Under PYTHONDONTWRITEBYTECODE=1 a stage compiles every module it imports;
+# numpy.random loads secrets, hmac and hashlib, which maps libcrypto, and
+# numpy.ma costs about 1 MB; each stage should pay only for its own code.
 STAGE_CHILD = """
 import json, sys
 from melemad import cli
@@ -1132,14 +1142,19 @@ with open(sys.argv[1], "w") as fh:
     json.dump([code, sorted(sys.modules)], fh)
 """
 
+# numpy.random and the modules it loads, which only synth's draws need
+RANDOM = {"numpy.random", "secrets", "hashlib", "_hashlib"}
+
 # per stage: modules it must load (so it ran), modules it must not load
 STAGE_MODULES = {
-    "synth": ({"melemad.dataset"},
-              {"melemad.cfsgb", "melemad.gbdt", "melemad.maml", "melemad.metrics"}),
+    "synth": ({"melemad.dataset", "numpy.random"},
+              {"melemad.cfsgb", "melemad.gbdt", "melemad.maml", "melemad.metrics", "numpy.ma"}),
     "select": ({"melemad.cfsgb", "melemad.gbdt"},
-               {"melemad.maml", "melemad.metrics", "hashlib", "_hashlib"}),
-    "meta-train": ({"melemad.maml"}, {"melemad.cfsgb", "melemad.gbdt", "melemad.metrics"}),
-    "evaluate": ({"melemad.maml", "melemad.metrics"}, {"melemad.cfsgb", "melemad.gbdt"}),
+               {"melemad.maml", "melemad.metrics", "numpy.ma", *RANDOM}),
+    "meta-train": ({"melemad.maml"},
+                   {"melemad.cfsgb", "melemad.gbdt", "melemad.metrics", "numpy.ma", *RANDOM}),
+    "evaluate": ({"melemad.maml", "melemad.metrics"},
+                 {"melemad.cfsgb", "melemad.gbdt", "numpy.ma", *RANDOM}),
 }
 
 
@@ -1177,19 +1192,32 @@ def stage_modules(tmp_path_factory):
     return loaded
 
 
+def _modules_after(tmp_path, statement):
+    """sys.modules of a fresh process after statement."""
+    record = tmp_path / "modules.json"
+    _child("-c", f"import json, sys\n{statement}\n"
+           "json.dump(sorted(sys.modules), open(sys.argv[1], 'w'))", record)
+    return json.loads(record.read_text())
+
+
+@pytest.fixture(scope="module")
+def numpy_modules(tmp_path_factory):
+    """The modules a bare `import numpy` loads: a numpy that loads one of
+    them itself waives it from every stage's unused set."""
+    return set(_modules_after(tmp_path_factory.mktemp("numpy"), "import numpy"))
+
+
 class TestStageModules:
     def test_importing_the_package_loads_no_module(self, tmp_path):
-        record = tmp_path / "modules.json"
-        _child("-c", "import json, sys, melemad\n"
-               "json.dump(sorted(sys.modules), open(sys.argv[1], 'w'))", record)
-        modules = json.loads(record.read_text())
+        modules = _modules_after(tmp_path, "import melemad")
         assert "melemad" in modules
         assert [m for m in modules if m.startswith("melemad.")] == []
 
     @pytest.mark.parametrize("stage", sorted(STAGE_MODULES))
-    def test_a_stage_loads_only_the_modules_it_runs(self, stage_modules, stage):
+    def test_a_stage_loads_only_the_modules_it_runs(self, stage_modules, numpy_modules, stage):
         code, modules = stage_modules[stage]
         assert code == 0
         needed, unused = STAGE_MODULES[stage]
         assert needed <= set(modules)
+        unused = unused - numpy_modules
         assert unused.isdisjoint(modules), sorted(unused & set(modules))

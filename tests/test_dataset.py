@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from melemad import dataset
 from melemad.errors import MelemadError, ValidationError
 
+from oracles import draws as oracle_draws, inclusion_chi_square, key_of
+
 
 def make_ds(features, labels):
     return dataset.LabeledDataset(np.asarray(features, dtype=float), np.asarray(labels))
@@ -959,7 +961,75 @@ class TestScaler:
         np.testing.assert_allclose(again.features, scaled.features, atol=1e-9)
 
 
+class TestCounterDraws:
+    """The counter-based generator against a pure-Python SplitMix64."""
+
+    def test_known_answer(self):
+        # SplitMix64's first outputs from state 0: the draws of key 0
+        expected = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert oracle_draws(0, 3) == expected
+        assert dataset._draws(0, 3).tolist() == expected
+        assert dataset._key(0) == expected[0]
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 12])
+    @pytest.mark.parametrize("key", [0, 1, 2**64 - 1, key_of(5, 1, 2, 3)],
+                             ids=["0", "1", "max", "chained"])
+    @pytest.mark.parametrize("start,count", [(0, 0), (0, 1), (3, 9), (2**40, 5), (1, 4099)])
+    def test_draws_match_the_oracle(self, monkeypatch, block, key, start, count):
+        monkeypatch.setattr(dataset, "_DRAW_BLOCK", block)
+        drawn = dataset._draws(key, count, start)
+        assert drawn.dtype == np.uint64
+        assert drawn.tolist() == oracle_draws(key, count, start)
+        out = np.empty(count, np.uint64)
+        assert dataset._draws(key, count, start, out=out) is out
+        assert out.tolist() == drawn.tolist()
+
+    def test_uniforms_are_the_top_53_bits(self):
+        key = key_of(9, 0)
+        expected = [(bits >> 11) * 2.0**-53 for bits in oracle_draws(key, 1000)]
+        uniforms = dataset._uniforms(key, 1000)
+        assert uniforms.dtype == np.float64 and uniforms.tolist() == expected
+        assert 0.0 <= uniforms.min() and uniforms.max() < 1.0
+
+    @pytest.mark.parametrize("p", [0.0, 2**-60, 0.2, 0.5, 0.7, 1 - 2**-53])
+    def test_least_draw_is_the_uniform_threshold(self, p):
+        least = int(dataset._least_draw(p))
+        assert (least >> 11) * 2.0**-53 >= p
+        if least:
+            assert ((least - 1) >> 11) * 2.0**-53 < p
+        bits = np.array([0, max(least - 1, 0), least, least + 1, 2**64 - 1], np.uint64)
+        assert (bits >= dataset._least_draw(p)).tolist() == [
+            (int(b) >> 11) * 2.0**-53 >= p for b in bits]
+
+    @pytest.mark.parametrize("coords", [(0,), (3, 1, 0, 7), (2**32, 2), (2**64,), (2**64 + 5, 1),
+                                        (2**130 - 1, 0, 2**63)])
+    def test_key_matches_the_oracle(self, coords):
+        assert dataset._key(*coords) == key_of(*coords)
+        assert dataset._key(*coords) < 2**64
+
+    def test_key_takes_numpy_ints_and_rejects_negatives(self):
+        assert dataset._key(np.int64(7), np.uint32(2)) == dataset._key(7, 2)
+        with pytest.raises(ValidationError, match="non-negative, got -1"):
+            dataset._key(3, -1)
+
+
 class TestSplit:
+    def test_per_row_inclusion_within_chi_square(self):
+        # each class's train rows over many split seeds: every row trains
+        # about as often as the class's train share says
+        labels = np.array([0] * 37 + [1] * 23)
+        ds = make_ds(np.arange(60.0)[:, None], labels)
+        trials = 600
+        hits = np.zeros(60)
+        for seed in range(trials):
+            train, _ = dataset.stratified_split(ds, dataset.SplitSpec(0.7, seed))
+            hits[train.features[:, 0].astype(int)] += 1
+        for cls, k in ((0, 26), (1, 16)):
+            rows = np.flatnonzero(labels == cls)
+            assert hits[rows].sum() == trials * k
+            stat, low, high = inclusion_chi_square(hits[rows], trials, k)
+            assert low <= stat <= high, (cls, stat)
+
     def test_even_split_exact(self):
         rng = np.random.default_rng(2)
         labels = np.array([0] * 50 + [1] * 50)

@@ -7,11 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from melemad import maml
+from melemad import dataset, maml
 from melemad.dataset import LabeledDataset
 from melemad.errors import Diverged, Saturated, ValidationError
 
-from oracles import one_mask, pre_activations, smooth_instance
+from oracles import (inclusion_chi_square, key_of, one_mask, pre_activations, reference_mask,
+                     smooth_instance)
 
 
 def make_ds(features, labels):
@@ -24,13 +25,6 @@ def random_pool(n, m, seed, balance=0.5):
     labels = (rng.random(n) < balance).astype(int)
     labels[:2] = [0, 1]
     return make_ds(X, labels)
-
-
-def reference_mask(arch, n, key, step):
-    """Episode key's keep mask at inner step `step`, drawn as it was before
-    masks were stacked or drawn a block at a time: one fresh array from the
-    generator keyed key + (step,)."""
-    return maml._rng(*key, step).random((n, arch.hidden_dims[0])) >= arch.dropout_rate
 
 
 def adapt(theta, X, y, alpha, inner_steps, dropout_key=(0,)):
@@ -125,6 +119,27 @@ class TestForward:
     def test_zero_rows_draw_an_empty_mask(self):
         arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(8, 3), dropout_rate=0.5)
         assert maml.dropout_mask(arch, 0, [(1,), (2,)], 0).shape == (2, 0, 8)
+
+    @pytest.mark.parametrize("rate", [0.05, 0.2, 0.5, 0.9])
+    def test_keep_fraction_near_one_minus_rate(self, rate):
+        arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(64, 3), dropout_rate=rate)
+        keep = maml.dropout_mask(arch, 2000, [(5,), (6,)], 0)
+        cells = keep.size
+        sd = math.sqrt(cells * rate * (1.0 - rate))
+        assert abs(int(keep.sum()) - cells * (1.0 - rate)) <= 5 * sd
+
+    @pytest.mark.parametrize("draw_block", [1, 5, 1 << 12])
+    @pytest.mark.parametrize("cells", [1, 6, 7, 50, 1 << 12, 1 << 20])
+    def test_mask_identical_whatever_the_draw_block(self, monkeypatch, cells, draw_block):
+        # one row or several to a block of rows, a block cut mid-row by the
+        # generator's own blocks or not, all against the per-cell oracle
+        arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3)
+        monkeypatch.setattr(maml, "_DRAW_CELLS", cells)
+        monkeypatch.setattr(dataset, "_DRAW_BLOCK", draw_block)
+        keys = [(8, 2, 1, t) for t in range(3)]
+        keep = maml.dropout_mask(arch, 23, keys, 4)
+        for t, key in enumerate(keys):
+            assert keep[t].tolist() == reference_mask(arch, 23, key, 4).tolist()
 
     def test_dropout_changes_training_output_only(self):
         no_dropout = maml.MlpArchitecture(input_dim=4, hidden_dims=(8, 3), dropout_rate=0.0)
@@ -261,7 +276,7 @@ class TestSampleTask:
     def test_disjoint_support_query(self):
         pool = random_pool(100, 3, seed=20)
         for task_seed in range(10):
-            ep = maml.sample_task(pool, self.CFG, maml._rng(task_seed))
+            ep = maml.sample_task(pool, self.CFG, maml._key(task_seed))
             sup = {tuple(row) for row in pool.features[ep.support]}
             qry = {tuple(row) for row in pool.features[ep.query]}
             assert not (sup & qry)
@@ -270,15 +285,15 @@ class TestSampleTask:
     def test_stratification_within_one(self):
         pool = random_pool(200, 2, seed=21, balance=0.5)
         ratio = pool.labels.mean()
-        ep = maml.sample_task(pool, self.CFG, maml._rng(3))
+        ep = maml.sample_task(pool, self.CFG, maml._key(3))
         expected = 10 * ratio
         assert abs(int(pool.labels[ep.support].sum()) - expected) <= 1.5
         assert abs(int(pool.labels[ep.query].sum()) - expected) <= 1.5
 
     def test_deterministic(self):
         pool = random_pool(80, 3, seed=22)
-        a = maml.sample_task(pool, self.CFG, maml._rng(9))
-        b = maml.sample_task(pool, self.CFG, maml._rng(9))
+        a = maml.sample_task(pool, self.CFG, maml._key(9))
+        b = maml.sample_task(pool, self.CFG, maml._key(9))
         np.testing.assert_array_equal(pool.features[a.support], pool.features[b.support])
         np.testing.assert_array_equal(pool.features[a.query], pool.features[b.query])
 
@@ -286,16 +301,17 @@ class TestSampleTask:
         pool = random_pool(10, 2, seed=23)
         with pytest.raises(ValidationError,
                            match=f"pool has 10 rows, task needs {self.CFG.samples_per_task}"):
-            maml.sample_task(pool, self.CFG, maml._rng(0))
+            maml.sample_task(pool, self.CFG, maml._key(0))
 
     def test_single_class_pool(self):
         pool = make_ds(np.random.default_rng(24).random((30, 2)), np.ones(30, dtype=int))
         with pytest.raises(ValidationError,
                            match="episode sampling needs both classes in the pool"):
-            maml.sample_task(pool, self.CFG, maml._rng(0))
+            maml.sample_task(pool, self.CFG, maml._key(0))
 
-    # a 200-row pool draws its classes' rows through numpy's partial
-    # shuffle, a 5000-row pool through Floyd's algorithm
+    # a 200-row pool's classes take a tenth of their rows, often beyond
+    # twice the expected bound of their keys; a 5000-row pool's take under
+    # one percent, nearly always from the keys below that bound (_smallest)
     @pytest.mark.parametrize("n", [200, 5000])
     def test_row_inclusion_uniform(self, n):
         episodes = 4000
@@ -305,7 +321,7 @@ class TestSampleTask:
         task_hits = np.zeros(n)
         support_hits = np.zeros(n)
         for j in range(episodes):
-            ep = maml.sample_task(pool, self.CFG, maml._rng(5, maml._STREAM_TASK, 0, j))
+            ep = maml.sample_task(pool, self.CFG, maml._key(5, maml._STREAM_TASK, 0, j))
             support = pool.features[ep.support, 0].astype(int)
             query = pool.features[ep.query, 0].astype(int)
             assert np.unique(np.concatenate([support, query])).size == 20
@@ -323,6 +339,49 @@ class TestSampleTask:
                 sd = math.sqrt(episodes * rate * (1.0 - rate))
                 assert np.abs(hits[rows] - episodes * rate).max() <= 5 * sd, (cls, k)
 
+    @pytest.mark.parametrize("cfg", [
+        maml.MamlConfig(samples_per_task=20, support_size=10, query_size=10),
+        maml.MamlConfig(samples_per_task=30, support_size=7, query_size=12),
+        maml.MamlConfig(samples_per_task=90, support_size=45, query_size=44),
+    ], ids=["20-10-10", "30-7-12", "90-45-44"])
+    @pytest.mark.parametrize("balance", [0.05, 0.3, 0.5, 0.9])
+    def test_picks_distinct_in_range_and_split_as_stratified_take(self, cfg, balance):
+        pool = random_pool(97, 2, seed=int(100 * balance), balance=balance)
+        pos, neg = int(pool.labels.sum()), pool.n - int(pool.labels.sum())
+        task_pos, task_neg = maml._stratified_take(pos, neg, cfg.samples_per_task)
+        sup_pos, sup_neg = maml._stratified_take(task_pos, task_neg, cfg.support_size)
+        qry_pos, _ = maml._stratified_take(task_pos - sup_pos, task_neg - sup_neg,
+                                           cfg.query_size)
+        for j in range(40):
+            ep = maml.sample_task(pool, cfg, maml._key(31, j), task_index=j)
+            rows = np.concatenate([ep.support, ep.query])
+            assert ep.support.size == cfg.support_size and ep.query.size == cfg.query_size
+            assert np.unique(rows).size == rows.size
+            assert rows.min() >= 0 and rows.max() < pool.n
+            assert int(pool.labels[ep.support].sum()) == sup_pos
+            assert int(pool.labels[ep.query].sum()) == qry_pos
+
+    def test_per_row_inclusion_within_chi_square(self):
+        # 220 negatives and 80 positives: within a class, each row joins
+        # about as many tasks, supports and queries as any other
+        labels = np.array([0] * 220 + [1] * 80)
+        pool = make_ds(np.arange(300.0)[:, None], labels)
+        cfg = maml.MamlConfig(samples_per_task=30, support_size=10, query_size=10)
+        trials = 3000
+        hits = {name: np.zeros(300) for name in ("support", "query")}
+        for j in range(trials):
+            ep = maml.sample_task(pool, cfg, maml._key(41, maml._STREAM_TASK, 0, j))
+            hits["support"][ep.support] += 1
+            hits["query"][ep.query] += 1
+        hits["task"] = hits["support"] + hits["query"]
+        for name, counts in hits.items():
+            for cls in (0, 1):
+                rows = np.flatnonzero(labels == cls)
+                k = int(counts[rows].sum()) // trials
+                assert counts[rows].sum() == trials * k
+                stat, low, high = inclusion_chi_square(counts[rows], trials, k)
+                assert low <= stat <= high, (name, cls, stat)
+
     @pytest.mark.parametrize("rare", [0, 1])
     def test_rare_class_kept_in_every_task(self, rare):
         # one row of 100 holds the rare class: a proportional share of a
@@ -334,7 +393,7 @@ class TestSampleTask:
         labels[37] = rare
         pool = make_ds(np.arange(100.0)[:, None], labels)
         for task_seed in range(5):
-            ep = maml.sample_task(pool, self.CFG, maml._rng(task_seed))
+            ep = maml.sample_task(pool, self.CFG, maml._key(task_seed))
             rows = np.concatenate([ep.support, ep.query])
             assert rows.size == 20 and 37 in rows
 
@@ -604,7 +663,7 @@ class TestStackEngine:
         return maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3 * dropout)
 
     def episodes(self, cfg, count=5):
-        return [maml.sample_task(ENGINE_POOL, cfg, maml._rng(100 + j), task_index=j)
+        return [maml.sample_task(ENGINE_POOL, cfg, maml._key(100 + j), task_index=j)
                 for j in range(count)]
 
     @pytest.mark.parametrize("cells", STACK_CELLS)
@@ -644,7 +703,7 @@ class TestStackEngine:
         theta = maml.init_params(self.arch(dropout), 79)
         expected_probs, expected_labels = [], []
         for j in range(7):
-            ep = maml.sample_task(ENGINE_POOL, cfg, maml._rng(cfg.seed, maml._STREAM_EVAL, j))
+            ep = maml.sample_task(ENGINE_POOL, cfg, maml._key(cfg.seed, maml._STREAM_EVAL, j))
             Xs, ys = ENGINE_POOL.features[ep.support], ENGINE_POOL.labels[ep.support]
             key = (cfg.seed, maml._STREAM_DROPOUT, maml._STREAM_EVAL, j)
             path, _ = reference_descend(theta, Xs, ys, cfg.alpha, cfg.inner_steps, key)
@@ -765,7 +824,7 @@ class TestEpisodeStreams:
         cfg = engine_cfg(2, False)
         theta = maml.init_params(self.ARCH, 110)
         eps = [
-            maml.sample_task(ENGINE_POOL, cfg, maml._rng(cfg.seed, maml._STREAM_TASK, 3, j),
+            maml.sample_task(ENGINE_POOL, cfg, maml._key(cfg.seed, maml._STREAM_TASK, 3, j),
                              task_index=15 + j)
             for j in range(5)
         ]
@@ -779,25 +838,23 @@ class TestEpisodeStreams:
 
     def test_streams_distinct(self, monkeypatch):
         keys = []
-        real_rng = maml._rng
+        real_key = maml._key
 
-        def recording_rng(*key):
-            keys.append(tuple(int(k) for k in key))
-            return real_rng(*key)
+        def recording_key(*coords):
+            keys.append(real_key(*coords))
+            return keys[-1]
 
-        monkeypatch.setattr(maml, "_rng", recording_rng)
+        monkeypatch.setattr(maml, "_key", recording_key)
         cfg = engine_cfg(2, outer_iterations=2, tasks_per_meta_batch=3)
         theta, _ = maml.meta_train(ENGINE_POOL, cfg, arch=self.ARCH)
         maml.meta_evaluate(theta, ENGINE_POOL, cfg, episodes=3)
         # init; 6 episodes' rows and 2 masks each; 3 evaluation episodes' the same
         assert len(keys) == 1 + 6 * 3 + 3 * 3
-        # SeedSequence zero-pads short keys, so compare the states they seed
-        states = {tuple(np.random.SeedSequence(list(key)).generate_state(4)) for key in keys}
-        assert len(states) == len(keys)
+        assert len(set(keys)) == len(keys)
 
         monkeypatch.undo()
-        train = maml.sample_task(ENGINE_POOL, cfg, real_rng(cfg.seed, maml._STREAM_TASK, 0, 0))
-        evaluation = maml.sample_task(ENGINE_POOL, cfg, real_rng(cfg.seed, maml._STREAM_EVAL, 0))
+        train = maml.sample_task(ENGINE_POOL, cfg, real_key(cfg.seed, maml._STREAM_TASK, 0, 0))
+        evaluation = maml.sample_task(ENGINE_POOL, cfg, real_key(cfg.seed, maml._STREAM_EVAL, 0))
         train_rows = ENGINE_POOL.features[train.support]
         assert train_rows.tobytes() != ENGINE_POOL.features[evaluation.support].tobytes()
         train_mask, eval_mask = (
@@ -806,13 +863,13 @@ class TestEpisodeStreams:
         )
         assert train_mask.tobytes() != eval_mask.tobytes()
 
-    # MamlConfig.seed may be 2**32 or more, a key value two words long
+    # MamlConfig.seed may be 2**32 or more, or 2**64 or more (a key value
+    # two words long, test_dataset's TestCounterDraws)
     @pytest.mark.parametrize("value", [0, 2**32 - 1, 2**32, 2**40])
     @pytest.mark.parametrize("kind", [int, np.int64])
-    def test_rng_matches_seed_sequence_of_ints(self, value, kind):
+    def test_key_matches_the_oracle_chain(self, value, kind):
         key = (kind(value), maml._STREAM_DROPOUT, kind(value), 7)
-        expected = np.random.default_rng(np.random.SeedSequence([value, 2, value, 7]))
-        assert maml._rng(*key).random(16).tobytes() == expected.random(16).tobytes()
+        assert maml._key(*key) == key_of(value, 2, value, 7)
 
     def test_resumed_run_samples_the_same_episodes(self, monkeypatch):
         drawn = []
@@ -888,7 +945,7 @@ class TestScratchReuse:
         cfg = engine_cfg(2, False)
         arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3)
         theta = maml.init_params(arch, 96)
-        eps = [maml.sample_task(ENGINE_POOL, cfg, maml._rng(200 + j), task_index=j)
+        eps = [maml.sample_task(ENGINE_POOL, cfg, maml._key(200 + j), task_index=j)
                for j in range(6)]
         expected = reference_meta_batch(theta, ENGINE_POOL, eps, cfg)
         monkeypatch.setattr(maml, "_STACK_CELLS", 4 * 12 * 6)
@@ -1009,22 +1066,26 @@ class TestOneBufferPass:
         cfg = maml.MamlConfig(samples_per_task=2 * size, support_size=size, query_size=size,
                               tasks_per_meta_batch=4, seed=122)
         pool = random_pool(2 * size + 10, m, seed=123)
-        eps = [maml.sample_task(pool, cfg, maml._rng(124, j), task_index=j) for j in range(4)]
+        eps = [maml.sample_task(pool, cfg, maml._key(124, j), task_index=j) for j in range(4)]
         maml._meta_batch(maml.init_params(arch, 125), pool, eps, cfg)
         T = min(4, max(1, maml._STACK_CELLS // (size * max(arch.hidden_dims))))
         assert not [tag for tag, _ in maml._SCRATCH if re.fullmatch(r"[zd]\d+", tag)]
-        assert {buf.dtype for buf in maml._SCRATCH.values()} == {np.dtype(np.float64),
-                                                                 np.dtype(bool)}
+        assert {buf.dtype for buf in maml._SCRATCH.values()} == {
+            np.dtype(np.float64), np.dtype(bool), np.dtype(np.uint64)}
         float_bytes = sum(buf.nbytes for buf in maml._SCRATCH.values()
                           if buf.dtype == np.float64)
         rows = 2 * T * size * m
-        assert float_bytes <= 8 * (rows + T * size * sum(arch.hidden_dims) + maml._DRAW_CELLS)
+        assert float_bytes <= 8 * (rows + T * size * sum(arch.hidden_dims))
+        # the dropout draws: one block of rows, hashed at a time
+        draws = [(tag, buf.nbytes) for (tag, dtype), buf in maml._SCRATCH.items()
+                 if dtype == np.uint64]
+        assert [tag for tag, _ in draws] == ["draws"] and draws[0][1] <= 8 * maml._DRAW_CELLS
 
     def test_first_order_holds_one_keep_buffer(self, monkeypatch):
         monkeypatch.setattr(maml, "_SCRATCH", {})
         arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3)
         cfg = engine_cfg(3)
-        eps = [maml.sample_task(ENGINE_POOL, cfg, maml._rng(126, j), task_index=j)
+        eps = [maml.sample_task(ENGINE_POOL, cfg, maml._key(126, j), task_index=j)
                for j in range(4)]
         maml._meta_batch(maml.init_params(arch, 127), ENGINE_POOL, eps, cfg)
         assert [tag for tag, _ in maml._SCRATCH if tag.startswith("keep")] == ["keep"]
@@ -1033,7 +1094,7 @@ class TestOneBufferPass:
         monkeypatch.setattr(maml, "_SCRATCH", {})
         arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3)
         cfg = engine_cfg(2, False)
-        eps = [maml.sample_task(ENGINE_POOL, cfg, maml._rng(128, j), task_index=j)
+        eps = [maml.sample_task(ENGINE_POOL, cfg, maml._key(128, j), task_index=j)
                for j in range(4)]
         maml._meta_batch(maml.init_params(arch, 129), ENGINE_POOL, eps, cfg)
         complex_keys = {key for key, buf in maml._SCRATCH.items() if buf.dtype.kind == "c"}
@@ -1168,8 +1229,9 @@ class TestMetaEvaluate:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_naming_the_episode(self):
         # three episodes in one stack: at alpha 1e300 the first two saturate
-        # to finite clamped probabilities, the third scores NaN
-        pool = random_pool(90, 3, seed=62)
+        # to finite clamped probabilities, the third scores NaN (which episode
+        # overflows depends on its draws: this pool is one where the third does)
+        pool = random_pool(90, 3, seed=164)
         cfg = maml.MamlConfig(alpha=1e300, samples_per_task=30, support_size=15, query_size=15)
         theta = maml.init_params(maml.MlpArchitecture(input_dim=3, hidden_dims=(5,)), 4)
         with pytest.raises(Diverged, match="diverged at episode 2:"):
