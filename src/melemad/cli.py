@@ -10,9 +10,8 @@ modules (cfsgb, gbdt, maml, metrics) when it runs.
 Seeds: synth uses --seed as given, select draws no random numbers, and
 evaluate reuses the checkpoint's seed. Only meta-train derives seeds, for
 its split and its meta-training, from the top-level seed hashed with the
-stage name by the counter-based generator that draws from them
-(derive_seed), so only synth, whose data are numpy.random's draws, loads
-numpy.random and, through it, hashlib.
+stage name (derive_seed). Every draw comes from the one counter-based
+generator in dataset, so no stage loads numpy's random package or hashlib.
 
 Each stage (cmd_*) takes the flags, the resolved config (synth has none)
 and the output directory, and returns its outputs, {file name: saver},
@@ -138,13 +137,12 @@ def _build(cls, section: dict, **derived):
 def _check_matches(where: str, section: str, built, stored,
                    skip: tuple[str, ...] = ()) -> None:
     """Raise ValidationError naming the first field outside skip in which
-    built, from the config, differs from stored, a checkpoint's: 'seed' for
-    the derived seed, '<section>.<field>' for any other."""
+    built, from the config, differs from stored, a checkpoint's, as
+    '<section>.<field>'."""
     for key, value in asdict(stored).items():
         if key not in skip and getattr(built, key) != value:
-            name = key if key == "seed" else f"{section}.{key}"
             raise ValidationError(
-                f"{where}: config key {name!r} differs from the "
+                f"{where}: config key '{section}.{key}' differs from the "
                 f"checkpoint's ({getattr(built, key)!r}, stored {value!r})"
             )
 
@@ -254,7 +252,12 @@ def cmd_meta_train(args: argparse.Namespace, cfg: dict, out: Path) -> tuple[dict
         # a resume starts from the checkpoint's float32 parameters with a fresh
         # Adam state, on the checkpoint run's split: only its length may differ
         # (the split's seed derives from the seed checked here)
-        _check_matches(where, "maml", maml_cfg, ckpt_cfg, skip=("outer_iterations",))
+        _check_matches(where, "maml", maml_cfg, ckpt_cfg, skip=("outer_iterations", "seed"))
+        if maml_cfg.seed != ckpt_cfg.seed:
+            # the stored seed is derived, so name the one the user gave
+            raise ValidationError(
+                f"{where}: config key 'seed' ({seed}) does not derive the checkpoint's "
+                "meta-training seed: it was written with another seed or other draw streams")
         _check_matches(where, "split", split_spec, dataset.SplitSpec(train_fraction),
                        skip=("seed",))
     # the loaded dataset is not kept: meta-training reads only the split pools

@@ -521,11 +521,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-# The counter-based generator of stratified_split, maml and cli.derive_seed
-# (Salmon et al., SC 2011), with SplitMix64's gamma and finalizer (Steele,
-# Lea & Flood, OOPSLA 2014). Draw i of a key is the finalizer of
-# key + (i + 1) * gamma mod 2**64, so a draw is a function of its key and
-# its number alone. numpy's uint64 arithmetic wraps mod 2**64 as it should.
+# The counter-based generator of synthesize, stratified_split, maml and
+# cli.derive_seed (Salmon et al., SC 2011), with SplitMix64's gamma and
+# finalizer (Steele, Lea & Flood, OOPSLA 2014). Draw i of a key is the
+# finalizer of key + (i + 1) * gamma mod 2**64, so a draw is a function of
+# its key and its number alone. numpy's uint64 arithmetic wraps mod 2**64 as it should.
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 _U64 = 2**64 - 1
@@ -536,6 +536,8 @@ _ROUNDS = ((30, np.uint64(_MIX[0])), (27, np.uint64(_MIX[1])), (31, None))
 # many cells
 _DRAW_BLOCK = 1 << 13
 _COUNTERS = _SHIFTS = np.zeros(0, np.uint64)
+# synthesize's stream tag: not one of maml's (0 to 3) or a split's class
+_STREAM_SYNTH = 4
 
 
 def _mix(z: int) -> int:
@@ -582,10 +584,37 @@ def _draws(key: int, count: int, start: int = 0, out=None) -> np.ndarray:
     return z
 
 
-def _uniforms(key: int, count: int) -> np.ndarray:
-    """Draws 0, ..., count - 1 of key as float64 uniforms in [0, 1), each
-    built from its top 53 bits as numpy builds its doubles."""
-    return (_draws(key, count) >> np.uint64(11)) * 2.0**-53
+def _uniforms(key: int, count: int, start: int = 0) -> np.ndarray:
+    """Draws start, ..., start + count - 1 of key as float64 uniforms in
+    [0, 1), each built from its top 53 bits as numpy builds its doubles."""
+    return (_draws(key, count, start) >> np.uint64(11)) * 2.0**-53
+
+
+def _normals(key: int, count: int, start: int = 0) -> np.ndarray:
+    """Standard normals start, ..., start + count - 1 of key, by pairwise
+    Box-Muller (Box & Muller, 1958): uniforms 2i and 2i + 1 give normals
+    2i and 2i + 1 as r cos(t) and r sin(t), with r = sqrt(-2 ln(1 - u_2i))
+    and t = 2 pi u_2i+1. 1 - u is in (0, 1], so the log never sees 0."""
+    first = start & ~1
+    u = _uniforms(key, ((start + count + 1) & ~1) - first, first)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+    t = 2.0 * math.pi * u[1::2]
+    np.multiply(r, np.cos(t), out=u[0::2])
+    np.multiply(r, np.sin(t), out=u[1::2])
+    return u[start - first : start - first + count]
+
+
+def _smallest(keys: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k smallest of keys, distinct draws, smallest first.
+    They are nearly always among the keys below twice the k-th smallest's
+    expected value, about 2k of them, which one comparison finds and a short
+    argsort orders; else argpartition finds them."""
+    if 2 * k < keys.size:
+        near = (keys < np.uint64((2 * k << 64) // keys.size)).nonzero()[0]
+        if near.size >= k:
+            return near[keys[near].argsort()[:k]]
+    part = np.argpartition(keys, k)[:k] if k < keys.size else np.arange(keys.size)
+    return part[keys[part].argsort()]
 
 
 def _least_draw(p: float) -> np.uint64:
@@ -631,32 +660,41 @@ def synthesize(spec: SyntheticSpec) -> tuple[LabeledDataset, np.ndarray]:
     noise (sd = noise_sigma); the threshold is placed so that exactly
     round(n * class_balance) rows are positive. Returns the dataset and the
     sorted ground-truth informative column indices.
-    """
-    rng = np.random.default_rng(spec.seed)
-    X = rng.standard_normal((spec.n, spec.m))
-    informative = np.sort(rng.choice(spec.m, size=spec.informative, replace=False))
 
-    signs = rng.choice((-1.0, 1.0), size=spec.informative)
-    weights = signs * rng.uniform(1.0, 3.0, size=spec.informative)
+    Each quantity is drawn from its own key (seed, _STREAM_SYNTH, part), a
+    sign from a draw's top bit; the normals are the same whatever the block.
+    """
+    keys = [_key(spec.seed, _STREAM_SYNTH, part) for part in range(8)]
+
+    def draw_signs(part: int, count: int) -> np.ndarray:
+        return np.where(_draws(keys[part], count) >> np.uint64(63), 1.0, -1.0)
+
+    X = np.empty((spec.n, spec.m))
+    for rows in _blocks(spec.n, spec.m, _BLOCK_CELLS):
+        X[rows] = _normals(keys[0], X[rows].size, rows.start * spec.m).reshape(-1, spec.m)
+    informative = np.sort(_smallest(_draws(keys[1], spec.m), spec.informative))
+
+    signs = draw_signs(2, spec.informative)
+    weights = signs * (1.0 + 2.0 * _uniforms(keys[3], spec.informative))
     if spec.informative:
         # shift informative columns into two clusters aligned with the weight
         # signs, so the logit is bimodal and the class boundary sits in its
         # low-density valley instead of at the Gaussian peak
-        cluster = rng.choice((-1.0, 1.0), size=spec.n)
-        offsets = signs * rng.uniform(1.0, 2.0, size=spec.informative)
+        cluster = draw_signs(4, spec.n)
+        offsets = signs * (1.0 + _uniforms(keys[5], spec.informative))
         shifted = X[:, informative] + cluster[:, None] * offsets[None, :]
         X[:, informative] = shifted
         logit = shifted @ weights
     else:
         logit = np.zeros(spec.n)
-    logit = logit + spec.noise_sigma * rng.standard_normal(spec.n)
+    logit = logit + spec.noise_sigma * _normals(keys[6], spec.n)
 
     n_pos = _half_up(spec.n * spec.class_balance)
     n_pos = min(max(n_pos, 0), spec.n)
     labels = np.zeros(spec.n, dtype=np.uint8)
     if n_pos > 0:
-        # rank by logit with a random key breaking exact ties deterministically
-        order = np.lexsort((rng.random(spec.n), logit))
+        # rank by logit with a draw breaking exact ties deterministically
+        order = np.lexsort((_draws(keys[7], spec.n), logit))
         labels[order[spec.n - n_pos:]] = 1
     # X is this function's own, so it is wrapped, not copied
     return LabeledDataset._wrap(X, labels), informative.astype(np.int64)

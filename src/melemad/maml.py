@@ -53,7 +53,7 @@ import numpy as np
 
 from .config import MamlConfig, MlpArchitecture
 from .dataset import (LabeledDataset, _blocks, _draws, _half_up, _key, _least_draw, _sigmoid,
-                      _uniforms)
+                      _smallest, _uniforms)
 from .errors import Diverged, Saturated, ValidationError, check_fields
 
 PROB_EPS = 1e-7
@@ -384,19 +384,6 @@ def _stratified_take(avail_pos: int, avail_neg: int, take: int) -> tuple[int, in
         if avail_neg >= 1 and take - take_pos == 0 and take - 1 <= avail_pos:
             take_pos = take - 1
     return take_pos, take - take_pos
-
-
-def _smallest(keys: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k smallest of keys, distinct draws, smallest first.
-    They are nearly always among the keys below twice the k-th smallest's
-    expected value, about 2k of them, which one comparison finds and a short
-    argsort orders; else argpartition finds them."""
-    if 2 * k < keys.size:
-        near = (keys < np.uint64((2 * k << 64) // keys.size)).nonzero()[0]
-        if near.size >= k:
-            return near[keys[near].argsort()[:k]]
-    part = np.argpartition(keys, k)[:k] if k < keys.size else np.arange(keys.size)
-    return part[keys[part].argsort()]
 
 
 def sample_task(pool: LabeledDataset, cfg: MamlConfig, key: int, task_index: int = 0) -> Episode:

@@ -107,6 +107,21 @@ def key_of(*coords):
     return key
 
 
+def box_muller(key, count, start=0):
+    """Normals start, ..., start + count - 1 of key, a pair at a time in
+    Python floats and libm (Box & Muller, 1958): draws 2i and 2i + 1 of key,
+    as 53-bit uniforms u and v, give normals 2i and 2i + 1 as r cos(t) and
+    r sin(t), with r = sqrt(-2 log(1 - u)) and t = 2 pi v."""
+    first = start - start % 2
+    bits = draws(key, (start + count + 1) // 2 * 2 - first, first)
+    out = []
+    for a, b in zip(bits[0::2], bits[1::2]):
+        u, v = (a >> 11) * 2.0**-53, (b >> 11) * 2.0**-53
+        r = math.sqrt(-2.0 * math.log(1.0 - u))
+        out += [r * math.cos(2 * math.pi * v), r * math.sin(2 * math.pi * v)]
+    return out[start - first : start - first + count]
+
+
 def inclusion_chi_square(hits, trials, k):
     """Pearson's statistic of the per-row inclusion counts hits of N rows,
     over trials that each take k of the N rows without replacement, and

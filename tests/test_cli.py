@@ -153,7 +153,15 @@ class TestSelect:
                    "--top-k", 5, "--out-dir", out)
         assert code == 0
         selection = json.loads((out / "selected_features.json").read_text())
-        assert len(selection["global_indices"]) >= 5
+        # top-k keeps k features, or every feature that splits in some chunk
+        # where fewer than k do (threshold_for_top_k's fallback)
+        ds = dataset.load_csv(data_dir / "synthetic.csv")
+        split = np.zeros(ds.m, dtype=bool)
+        for c in cfsgb.make_chunks(ds.n, cfsgb.ChunkSpec(**SMALL_CONFIG["chunking"])):
+            trained = gbdt.train(ds.select_rows(slice(c.start, c.stop)),
+                                 gbdt.GbdtConfig(**SMALL_CONFIG["gbdt"]))
+            split |= gbdt.feature_importance(trained) > 0
+        assert len(selection["global_indices"]) == min(5, int(split.sum()))
 
     def test_bin_input_runs_as_its_float64_csv(self, tmp_path, small_config):
         # a .bin file loads as float32; the same values as a CSV load as
@@ -377,22 +385,29 @@ class TestMetaTrainEvaluate:
         assert log_lines[-1].split(",")[0] == "7"
 
     @pytest.mark.parametrize("flags, named", [
-        (["--seed", 4], "config key 'seed' differs"),
-        (["--beta", 0.02], "config key 'maml.beta' differs"),
-        (["--alpha", 0.002], "config key 'maml.alpha' differs"),
-        (["--no-first-order"], "config key 'maml.first_order' differs"),
+        # the stored seed is derived from the top-level one: the message names
+        # the seed the user gave, not the two derived ones
+        (["--seed", 4], "config key 'seed' (4) does not derive the checkpoint's meta-training "
+                        "seed: it was written with another seed or other draw streams"),
+        (["--beta", 0.02], "config key 'maml.beta' differs from the checkpoint's "
+                           "(0.02, stored 0.01)"),
+        (["--alpha", 0.002], "config key 'maml.alpha' differs from the checkpoint's "
+                             "(0.002, stored 0.001)"),
+        (["--no-first-order"], "config key 'maml.first_order' differs from the checkpoint's "
+                               "(False, stored True)"),
         # another split would put rows the checkpoint trained on in the test pool
-        (["--train-fraction", 0.5], "config key 'split.train_fraction' differs"),
+        (["--train-fraction", 0.5], "config key 'split.train_fraction' differs from the "
+                                    "checkpoint's (0.5, stored 0.75)"),
     ])
     def test_resume_with_another_config_exits_2_naming_the_key(self, tmp_path, trained,
                                                                small_config, capsys, flags,
                                                                named):
         data, run_dir = trained
-        out = tmp_path / "out"
+        out, ckpt = tmp_path / "out", run_dir / "checkpoint.ckpt"
         code = run("meta-train", "--config", small_config, "--input", data / "synthetic.bin",
-                   "--resume", run_dir / "checkpoint.ckpt", *flags, "--out-dir", out)
+                   "--resume", ckpt, *flags, "--out-dir", out)
         assert code == 2
-        assert named in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --resume {ckpt}: {named}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("entry, width, message", [
@@ -1142,13 +1157,15 @@ with open(sys.argv[1], "w") as fh:
     json.dump([code, sorted(sys.modules)], fh)
 """
 
-# numpy.random and the modules it loads, which only synth's draws need
+# numpy.random and the modules it loads: every stage draws from the counter
+# keys in dataset instead
 RANDOM = {"numpy.random", "secrets", "hashlib", "_hashlib"}
 
 # per stage: modules it must load (so it ran), modules it must not load
 STAGE_MODULES = {
-    "synth": ({"melemad.dataset", "numpy.random"},
-              {"melemad.cfsgb", "melemad.gbdt", "melemad.maml", "melemad.metrics", "numpy.ma"}),
+    "synth": ({"melemad.dataset"},
+              {"melemad.cfsgb", "melemad.gbdt", "melemad.maml", "melemad.metrics", "numpy.ma",
+               *RANDOM}),
     "select": ({"melemad.cfsgb", "melemad.gbdt"},
                {"melemad.maml", "melemad.metrics", "numpy.ma", *RANDOM}),
     "meta-train": ({"melemad.maml"},

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from melemad import dataset
 from melemad.errors import MelemadError, ValidationError
 
-from oracles import draws as oracle_draws, inclusion_chi_square, key_of
+from oracles import box_muller, draws as oracle_draws, inclusion_chi_square, key_of
 
 
 def make_ds(features, labels):
@@ -991,6 +991,27 @@ class TestCounterDraws:
         assert uniforms.dtype == np.float64 and uniforms.tolist() == expected
         assert 0.0 <= uniforms.min() and uniforms.max() < 1.0
 
+    @pytest.mark.parametrize("start,count", [(0, 0), (1, 0), (0, 1), (1, 1), (0, 7), (3, 8),
+                                             (2**40 + 1, 6), (5, 4099)])
+    def test_normals_match_the_box_muller_oracle(self, start, count):
+        # not bit for bit: np.log, np.cos and np.sin may differ from libm in
+        # their last bit or two (2 ulp at most here)
+        key = key_of(9, 1)
+        normals = dataset._normals(key, count, start)
+        assert normals.dtype == np.float64 and normals.shape == (count,)
+        np.testing.assert_allclose(normals, box_muller(key, count, start), rtol=1e-14)
+
+    def test_normals_moments_and_tails(self):
+        # the mean, the variance, the share beyond 3 and the correlation of
+        # each pair's two normals, each within 5 standard errors
+        n = 1 << 20
+        z = dataset._normals(key_of(4, 2), n)
+        tail = math.erfc(3 / math.sqrt(2))
+        assert abs(z.mean()) <= 5 / math.sqrt(n)
+        assert abs(z.var() - 1) <= 5 * math.sqrt(2 / n)
+        assert abs((np.abs(z) > 3).mean() - tail) <= 5 * math.sqrt(tail * (1 - tail) / n)
+        assert abs(np.corrcoef(z[0::2], z[1::2])[0, 1]) <= 5 / math.sqrt(n / 2)
+
     @pytest.mark.parametrize("p", [0.0, 2**-60, 0.2, 0.5, 0.7, 1 - 2**-53])
     def test_least_draw_is_the_uniform_threshold(self, p):
         least = int(dataset._least_draw(p))
@@ -1104,6 +1125,41 @@ class TestSynthesize:
         assert a.features.tobytes() == b.features.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
         np.testing.assert_array_equal(inf_a, inf_b)
+
+    @pytest.mark.parametrize("cells,draw_block", [(1, 1), (7, 5), (33, 4096), (1 << 20, 3)])
+    def test_identical_whatever_the_blocks(self, monkeypatch, cells, draw_block):
+        # 9 columns: blocks of 1 and 3 rows start at odd cells
+        spec = dataset.SyntheticSpec(n=37, m=9, informative=4, seed=12)
+        ds, inf = dataset.synthesize(spec)
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(dataset, "_DRAW_BLOCK", draw_block)
+        again, inf_again = dataset.synthesize(spec)
+        assert again.features.tobytes() == ds.features.tobytes()
+        assert again.labels.tobytes() == ds.labels.tobytes()
+        assert inf_again.tolist() == inf.tolist()
+
+    @pytest.mark.parametrize("k", [0, 1, 6])
+    def test_draws_from_the_synth_keys(self, k):
+        # the informative columns are the k with the smallest draws of the key
+        # (seed, 4, 1), distinct, sorted and in range; the other columns are
+        # the Box-Muller normals of the key (seed, 4, 0)
+        ds, inf = dataset.synthesize(dataset.SyntheticSpec(n=40, m=6, informative=k, seed=3))
+        assert inf.dtype == np.int64
+        assert inf.tolist() == sorted(np.argsort(oracle_draws(key_of(3, 4, 1), 6))[:k].tolist())
+        assert len(set(inf.tolist())) == k and all(0 <= i < 6 for i in inf)
+        plain = np.ones(6, dtype=bool)
+        plain[inf] = False
+        normals = np.reshape(box_muller(key_of(3, 4, 0), 40 * 6), (40, 6))
+        np.testing.assert_allclose(ds.features[:, plain], normals[:, plain], rtol=1e-14)
+
+    def test_equal_logits_ranked_by_the_tie_break_draws(self):
+        # no informative column and no noise: every logit is 0, so the
+        # positives are the rows with the largest draws of the key (seed, 4, 7)
+        ds, _ = dataset.synthesize(dataset.SyntheticSpec(n=50, m=2, informative=0,
+                                                         noise_sigma=0.0, class_balance=0.3,
+                                                         seed=8))
+        top = np.argsort(oracle_draws(key_of(8, 4, 7), 50))[-15:]
+        assert np.flatnonzero(ds.labels).tolist() == sorted(top.tolist())
 
     def test_class_balance_honored(self):
         for balance in (0.3, 0.5, 0.7):

@@ -311,7 +311,7 @@ class TestSampleTask:
 
     # a 200-row pool's classes take a tenth of their rows, often beyond
     # twice the expected bound of their keys; a 5000-row pool's take under
-    # one percent, nearly always from the keys below that bound (_smallest)
+    # one percent, nearly always from the keys below that bound (dataset._smallest)
     @pytest.mark.parametrize("n", [200, 5000])
     def test_row_inclusion_uniform(self, n):
         episodes = 4000
