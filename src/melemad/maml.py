@@ -29,11 +29,18 @@ SATURATION_LIMIT of its query probabilities clamped to the bounds raises
 Saturated.
 
 Scratch: passes work in buffers kept between calls, one per tag and dtype
-(_scratch), so passes must run on one thread. Every array a caller keeps
-(probabilities, gradients, adapted parameters) is fresh; _forward_pass's
-layer inputs and dropout_mask's masks are scratch, valid until the next
-pass. test_maml holds the arguments that the stacked, one-buffer passes are
-bit for bit the per-episode, separate-buffer ones.
+(_scratch), so passes must run on one thread. A pass runs in its rows'
+dtype: a first-order run gathers its rows as float32 (_adapted_stacks) and
+passes over float32 copies of its parameters (_pass_params), whose hidden
+layers, activations, deltas and gradients are float32; the parameters
+theta, the Adam moments, the inner path, the meta-gradient sum and the
+output layer's logit, sigmoid, clamp and loss stay float64. A second-order
+run, and forward and backward on a ModelParams (always float64), pass in
+float64. Every array a caller keeps (probabilities, gradients, adapted
+parameters) is fresh; _forward_pass's layer inputs and dropout_mask's masks
+are scratch, valid until the next pass. test_maml holds the arguments that
+the stacked, one-buffer passes are bit for bit the per-episode,
+separate-buffer ones made in the same dtype.
 
 Imports: the output layer's logistic function is dataset._sigmoid, which
 gbdt's boosting shares, so maml does not import gbdt. MamlConfig and
@@ -247,15 +254,21 @@ def _forward_pass(params: ModelParams, X: np.ndarray, keep: np.ndarray | None):
             np.multiply(a, keep, out=a)
             np.multiply(a, 1.0 / (1.0 - params.arch.dropout_rate), out=a)
         inputs.append(a)
+    # the output layer runs in float64 (complex128 under _hvp) whatever the
+    # hidden layers' dtype, so the logit, the PROB_EPS clamp and the loss
+    # keep their meaning in a float32 pass
     W_out, b_out = layers[-1]
-    z_out = (a @ W_out + b_out[..., None, :])[..., 0]
+    wide = np.promote_types(W_out.dtype, np.float64)
+    z_out = a.astype(wide, copy=False) @ W_out.astype(wide, copy=False)
+    z_out = (z_out + b_out[..., None, :])[..., 0]
     p_raw = _sigmoid(z_out)
     return layers, inputs, p_raw, np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS)
 
 
 def _check_input(params: ModelParams, X) -> np.ndarray:
-    """X is (n, m) for one parameter vector, (T, n, m) for a stack of T."""
-    X = np.asarray(X, dtype=np.float64)
+    """X is (n, m) for one parameter vector, (T, n, m) for a stack of T, in
+    the parameters' real dtype (not copied if it is in it already)."""
+    X = np.asarray(X, dtype=params.values.real.dtype)
     lead = params.values.shape[:-1]
     if X.ndim != len(lead) + 2 or X.shape[:-2] != lead or X.shape[-1] != params.arch.input_dim:
         raise ValidationError(
@@ -325,7 +338,8 @@ def _probs_and_grad(params: ModelParams, X: np.ndarray, labels,
     grad = np.empty((*X.shape[:-2], params.arch.param_count), params.values.dtype)
     grad_layers = ModelParams._trusted(grad, params.arch).layers()
     interior = (p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)
-    d = (np.where(interior, p - y, 0.0) / n)[..., None]
+    # the output delta leaves float64 for the parameters' dtype
+    d = (np.where(interior, p - y, 0.0) / n)[..., None].astype(grad.dtype, copy=False)
 
     for i in range(len(layers) - 1, -1, -1):
         grad_W, grad_b = grad_layers[i]
@@ -358,7 +372,8 @@ def inner_adapt(
     labels (T, n)). Episode t draws step s's mask from dropout_keys[t] +
     (s,) (dropout_mask), so a mask is a pure function of its episode and
     step and can be drawn again; an architecture without dropout draws none.
-    theta is never modified.
+    Each step's pass runs in X's dtype (_pass_params), and the path stays in
+    theta's. theta is never modified.
 
     Returns the parameter stack before each step followed by the adapted
     stack: inner_steps + 1 arrays.
@@ -367,9 +382,19 @@ def inner_adapt(
     path = [theta.values]
     for step in range(inner_steps):
         keep = dropout_mask(arch, X.shape[1], dropout_keys, step)
-        grad = backward(ModelParams._trusted(path[-1], arch), X, y, keep)
-        path.append(path[-1] - alpha * grad)
+        grad = backward(_pass_params(path[-1], X, arch), X, y, keep)
+        path.append(path[-1] - alpha * grad.astype(path[-1].dtype, copy=False))
     return path
+
+
+def _pass_params(values: np.ndarray, rows: np.ndarray, arch: MlpArchitecture) -> ModelParams:
+    """values in rows' dtype, for a pass over rows: a float32 copy of the
+    float64 parameters for float32 rows, the parameters themselves for
+    float64 ones. A value beyond float32's range rounds to Inf without a
+    warning, so the run ends Diverged or Saturated as an overflow in float64
+    would."""
+    with np.errstate(over="ignore"):
+        return ModelParams._trusted(values.astype(rows.dtype, copy=False), arch)
 
 
 def _stratified_take(avail_pos: int, avail_neg: int, take: int) -> tuple[int, int]:
@@ -452,15 +477,18 @@ def _adam_update(
     return new_values, AdamState(m=m, v=v, step=step)
 
 
-def _gather(features: np.ndarray, rows: np.ndarray, tag: str) -> np.ndarray:
-    """features[rows] in tag's float64 scratch. mode="clip" lets take write
+def _gather(features: np.ndarray, rows: np.ndarray, tag: str, dtype) -> np.ndarray:
+    """features[rows] in tag's scratch of dtype. mode="clip" lets take write
     straight into the scratch instead of buffering (the indices are in
-    range). A float32 pool (a binary file's matrix) is gathered in float32
-    and widened exactly, so only the stack's rows are converted."""
-    out = _scratch(tag, (*rows.shape, features.shape[1]))
+    range). A pool of another dtype (meta-train's scaled float64 pool in a
+    first-order run, a float32 test_pool.bin in a second-order one) is
+    gathered in its own and converted, so only the stack's rows are; a
+    float64 value beyond float32's range becomes Inf."""
+    out = _scratch(tag, (*rows.shape, features.shape[1]), dtype)
     if features.dtype == out.dtype:
         return np.take(features, rows, axis=0, mode="clip", out=out)
-    out[...] = features[rows]
+    with np.errstate(over="ignore"):
+        out[...] = np.take(features, rows, axis=0, mode="clip")
     return out
 
 
@@ -472,17 +500,21 @@ def _adapted_stacks(theta: ModelParams, pool: LabeledDataset, episodes: list[Epi
 
     Yields each stack's episodes, inner path (inner_adapt), mask keys (step
     s's masks are dropout_mask(arch, n, keys, s) again), and its support and
-    query rows (T, n, m) and labels (T, n). The rows are float64 scratch
-    views (_gather), valid until the next stack.
+    query rows (T, n, m) and labels (T, n). The rows are scratch views
+    (_gather), valid until the next stack, and set every pass's precision
+    (_pass_params): float32 for a first-order run, float64 for a
+    second-order one, whose Hessian-vector products (_hvp) stay exact to
+    float64 rounding.
     """
     arch = theta.arch
     width = max(cfg.support_size, cfg.query_size) * max(arch.hidden_dims)
+    dtype = np.float32 if cfg.first_order else np.float64
     for part in _blocks(len(episodes), width, _STACK_CELLS):
         stack = episodes[part]
         support = np.stack([ep.support for ep in stack])
         query = np.stack([ep.query for ep in stack])
-        Xs = _gather(pool.features, support, "support")
-        Xq = _gather(pool.features, query, "query")
+        Xs = _gather(pool.features, support, "support", dtype)
+        Xq = _gather(pool.features, query, "query", dtype)
         ys, yq = pool.labels[support], pool.labels[query]
         thetas = np.broadcast_to(theta.values, (len(stack), theta.values.shape[0]))
         keys = [_mask_key(cfg.seed, stream, ep.task_index) for ep in stack]
@@ -503,7 +535,7 @@ def _meta_batch(theta: ModelParams, pool: LabeledDataset, episodes: list[Episode
     correct = clamped = 0
     stacks = _adapted_stacks(theta, pool, episodes, cfg, _STREAM_TASK)
     for _, path, keys, (Xs, ys), (Xq, yq) in stacks:
-        probs, grads = forward(ModelParams._trusted(path[-1], arch), Xq, yq)
+        probs, grads = forward(_pass_params(path[-1], Xq, arch), Xq, yq)
         if not cfg.first_order:
             # the second-order path needs every step of the inner trajectory
             for step in range(cfg.inner_steps - 1, -1, -1):
@@ -586,7 +618,7 @@ def meta_evaluate(
     label_parts = []
     stacks = _adapted_stacks(theta, test_pool, drawn, cfg, _STREAM_EVAL)
     for stack, path, _, _, (Xq, yq) in stacks:
-        probs = forward(ModelParams._trusted(path[-1], theta.arch), Xq)
+        probs = forward(_pass_params(path[-1], Xq, theta.arch), Xq)
         finite = np.isfinite(probs).all(axis=1)
         if not finite.all():
             episode = stack[int(np.argmin(finite))].task_index

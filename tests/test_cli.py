@@ -480,8 +480,7 @@ class TestMetaTrainEvaluate:
         out = tmp_path / "run"
         if flag.startswith("evaluate"):
             # a healthy checkpoint of the default architecture, evaluated at a
-            # rate that drives its query probabilities to NaN (the small
-            # architecture saturates to finite ones instead)
+            # rate that drives its query probabilities to NaN
             config = tmp_path / "wide.json"
             config.write_text(json.dumps(with_entry("maml", "hidden_dims", [64, 32, 16])))
             trained = tmp_path / "trained"
@@ -498,11 +497,27 @@ class TestMetaTrainEvaluate:
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_diverging_evaluate_writes_one_error_line(self, tmp_path, trained):
+        # in a fresh process, so stderr is what a user sees: adapted
+        # parameters past float32's range round to Inf in the float32 pass
+        # without numpy's cast warning, and the run fails as a float64
+        # overflow would
+        _, run_dir = trained
+        out = tmp_path / "eval"
+        stderr = _child("-m", "melemad.cli", "evaluate", "--checkpoint",
+                        run_dir / "checkpoint.ckpt", "--data", run_dir / "test_pool.bin",
+                        "--out-dir", out, "--alpha", "1e300", code=1)
+        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: evaluation diverged at episode 0: "
+                          "its query probabilities are NaN or Inf"]
+        assert "overflow encountered in cast" not in stderr
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_saturated_evaluation_exits_1_without_outputs(self, tmp_path, trained, capsys):
         # the small architecture adapted at alpha 1e6 scores finite query
         # probabilities, every one clamped to PROB_EPS or 1 - PROB_EPS (at
-        # 1e300 whether some overflow to NaN depends on the episodes' draws)
+        # 1e300 its float32 passes overflow to NaN)
         _, run_dir = trained
         out = tmp_path / "eval"
         code = run("evaluate", "--checkpoint", run_dir / "checkpoint.ckpt",
@@ -1175,14 +1190,16 @@ STAGE_MODULES = {
 }
 
 
-def _child(*argv):
-    """Run python with argv in a fresh process that writes no bytecode."""
+def _child(*argv, code=0):
+    """Run python with argv in a fresh process that writes no bytecode and
+    must exit with code; returns its stderr."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, *map(str, argv)], env=env,
                           capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == code, done.stderr
+    return done.stderr
 
 
 @pytest.fixture(scope="module")

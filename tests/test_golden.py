@@ -174,7 +174,7 @@ LEAVES = [[[0.8946887859, -1.943627373, 1.894643723, -0.696571485],
 PARAMS_HEAD = [0.1916792989, 0.2054408342, -0.4263737202, 0.5027318597, -0.5312513709,
                0.4403585196, -0.0115679726, 0.0132092163]
 PARAMS_NORM = 3.887769774
-LOSSES = [0.6597118914, 0.6255606455, 0.6092880431, 0.5985346385, 0.5730669064]
+LOSSES = [0.6597118931, 0.6255606445, 0.6092880445, 0.5985346404, 0.5730669014]
 ACCURACIES = [0.6166666667, 0.8833333333, 0.8833333333, 0.9, 0.9666666667]
 CONFUSION = {"fn": 1, "fp": 3, "tn": 42, "tp": 44}
 METRICS = {"accuracy": 0.9555555556,

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,12 +29,15 @@ def random_pool(n, m, seed, balance=0.5):
 
 
 def adapt(theta, X, y, alpha, inner_steps, dropout_key=(0,)):
-    """inner_adapt on a stack of one episode; the adapted parameters. An
-    architecture without dropout draws no mask from dropout_key."""
+    """inner_adapt on a stack of one episode; the adapted parameters. Rows
+    of a float dtype keep it (float32 rows make float32 passes), others
+    become float64. An architecture without dropout draws no mask from
+    dropout_key."""
+    X = np.asarray(X)
     path = maml.inner_adapt(
         maml.ModelParams._trusted(theta.values[None], theta.arch),
-        np.asarray(X, dtype=float)[None], np.asarray(y)[None], alpha, inner_steps,
-        [dropout_key],
+        X.astype(X.dtype if X.dtype.kind == "f" else np.float64)[None], np.asarray(y)[None],
+        alpha, inner_steps, [dropout_key],
     )
     return maml.ModelParams(path[-1][0], theta.arch)
 
@@ -423,39 +427,47 @@ def manual_episode(seed, n_support=6, n_query=6, m=3):
     return episode_pool(X[:n_support], y[:n_support], X[n_support:], y[n_support:])
 
 
+def in_dtype(values, arch, dtype):
+    """Parameters rounded to dtype for one pass, as the engine's passes over
+    rows of that dtype take them."""
+    return maml.ModelParams._trusted(np.asarray(values).astype(dtype), arch)
+
+
 def reference_descend(theta, X, y, alpha, inner_steps, dropout_key):
-    """The per-episode inner loop from before episodes were stacked."""
+    """The per-episode inner loop from before episodes were stacked: each
+    pass on the parameters rounded to X's dtype, each step in float64."""
     path = [theta.values]
     masks = []
     for step in range(inner_steps):
         mask = None
         if dropout_key is not None and theta.arch.dropout_rate > 0.0:
             mask = reference_mask(theta.arch, X.shape[0], dropout_key, step)
-        params = maml.ModelParams(path[-1], theta.arch)
-        grad = maml.backward(params, X, y, mask)
+        grad = maml.backward(in_dtype(path[-1], theta.arch, X.dtype), X, y, mask)
         masks.append(mask)
-        path.append(path[-1] - alpha * grad)
+        path.append(path[-1] - alpha * grad.astype(np.float64))
     return path, masks
 
 
 def reference_meta_batch(theta, pool, episodes, cfg):
     """The per-episode meta-batch from before episodes were stacked: adapt,
     score and differentiate one episode at a time on 2-D arrays, then reduce
-    in episode order from zeros."""
+    in episode order from zeros. A first-order batch makes its passes on
+    float32 copies of the rows and parameters, as the engine does."""
     arch = theta.arch
+    dtype = np.float32 if cfg.first_order else np.float64
     meta_grad = np.zeros_like(theta.values)
     meta_loss = 0.0
     correct = 0
     total = 0
     clamped = 0
     for ep in episodes:
-        Xs, ys = pool.features[ep.support], pool.labels[ep.support]
-        Xq, yq = pool.features[ep.query], pool.labels[ep.query]
+        Xs, ys = pool.features[ep.support].astype(dtype), pool.labels[ep.support]
+        Xq, yq = pool.features[ep.query].astype(dtype), pool.labels[ep.query]
         dropout_key = (cfg.seed, maml._STREAM_DROPOUT, maml._STREAM_TASK, ep.task_index)
         path, masks = reference_descend(theta, Xs, ys, cfg.alpha, cfg.inner_steps, dropout_key)
-        adapted = maml.ModelParams(path[-1], arch)
+        adapted = in_dtype(path[-1], arch, dtype)
         probs = maml.forward(adapted, Xq)
-        grad = maml.backward(adapted, Xq, yq)
+        grad = maml.backward(adapted, Xq, yq).astype(np.float64)
         if not cfg.first_order:
             for step in range(cfg.inner_steps - 1, -1, -1):
                 # _hvp on one episode's 2-D arrays; TestHvp checks _hvp itself
@@ -486,11 +498,14 @@ class TestMetaStep:
             )
             theta = maml.init_params(arch, 30)
             meta_grad = maml._meta_batch(theta, pool, [ep], cfg)[0]
-            # the training path's dropout key for this episode
+            # the training path's dropout key for this episode; a first-order
+            # batch passes over float32 rows
             dropout_key = (cfg.seed, maml._STREAM_DROPOUT, maml._STREAM_TASK, ep.task_index)
-            Xs, ys = pool.features[ep.support], pool.labels[ep.support]
+            X = pool.features.astype(np.float32)
+            Xs, ys = X[ep.support], pool.labels[ep.support]
             adapted = adapt(theta, Xs, ys, cfg.alpha, cfg.inner_steps, dropout_key)
-            expected = maml.backward(adapted, pool.features[ep.query], pool.labels[ep.query])
+            expected = maml.backward(in_dtype(adapted.values, arch, np.float32), X[ep.query],
+                                     pool.labels[ep.query])
             np.testing.assert_array_equal(meta_grad, expected)
 
     def test_alpha_zero_reduces_to_pooled_query_gradient(self):
@@ -505,8 +520,10 @@ class TestMetaStep:
             alpha=0.0, samples_per_task=12, support_size=6, query_size=6, first_order=True
         )
         meta_grad = maml._meta_batch(theta, pool, [ep_a, shifted], cfg)[0]
+        theta32 = in_dtype(theta.values, arch, np.float32)
         expected = np.mean(
-            [maml.backward(theta, p.features[e.query], p.labels[e.query])
+            [maml.backward(theta32, p.features[e.query].astype(np.float32),
+                           p.labels[e.query]).astype(np.float64)
              for p, e in ((pool_a, ep_a), (pool_b, ep_b))], axis=0
         )
         np.testing.assert_allclose(meta_grad, expected, atol=1e-15)
@@ -702,13 +719,15 @@ class TestStackEngine:
         cfg = engine_cfg(2)
         theta = maml.init_params(self.arch(dropout), 79)
         expected_probs, expected_labels = [], []
+        # a first-order config: the passes are on float32 copies
+        X = ENGINE_POOL.features.astype(np.float32)
         for j in range(7):
             ep = maml.sample_task(ENGINE_POOL, cfg, maml._key(cfg.seed, maml._STREAM_EVAL, j))
-            Xs, ys = ENGINE_POOL.features[ep.support], ENGINE_POOL.labels[ep.support]
+            Xs, ys = X[ep.support], ENGINE_POOL.labels[ep.support]
             key = (cfg.seed, maml._STREAM_DROPOUT, maml._STREAM_EVAL, j)
             path, _ = reference_descend(theta, Xs, ys, cfg.alpha, cfg.inner_steps, key)
-            adapted = maml.ModelParams(path[-1], theta.arch)
-            expected_probs.append(maml.forward(adapted, ENGINE_POOL.features[ep.query]))
+            adapted = in_dtype(path[-1], theta.arch, np.float32)
+            expected_probs.append(maml.forward(adapted, X[ep.query]))
             expected_labels.append(ENGINE_POOL.labels[ep.query])
         monkeypatch.setattr(maml, "_STACK_CELLS", cells)
         probs, labels = maml.meta_evaluate(theta, ENGINE_POOL, cfg, episodes=7)
@@ -1013,9 +1032,9 @@ def two_buffer_pass(params, X, y, keep):
 
 
 class TestOneBufferPass:
-    """A pass holds one float64 buffer per hidden layer, whose activations
-    its deltas overwrite, and bool keep masks; its bytes are the two-buffer
-    pass's."""
+    """A pass holds one buffer per hidden layer, in its parameters' dtype,
+    whose activations its deltas overwrite, and bool keep masks; its bytes
+    are the two-buffer pass's."""
 
     @pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no-dropout", "dropout"])
     @pytest.mark.parametrize("lead,n", [((), 7), ((1,), 5000), ((3,), 9)],
@@ -1070,12 +1089,13 @@ class TestOneBufferPass:
         maml._meta_batch(maml.init_params(arch, 125), pool, eps, cfg)
         T = min(4, max(1, maml._STACK_CELLS // (size * max(arch.hidden_dims))))
         assert not [tag for tag, _ in maml._SCRATCH if re.fullmatch(r"[zd]\d+", tag)]
+        # a first-order batch gathers its rows and makes its passes in float32
         assert {buf.dtype for buf in maml._SCRATCH.values()} == {
-            np.dtype(np.float64), np.dtype(bool), np.dtype(np.uint64)}
+            np.dtype(np.float32), np.dtype(bool), np.dtype(np.uint64)}
         float_bytes = sum(buf.nbytes for buf in maml._SCRATCH.values()
-                          if buf.dtype == np.float64)
+                          if buf.dtype == np.float32)
         rows = 2 * T * size * m
-        assert float_bytes <= 8 * (rows + T * size * sum(arch.hidden_dims))
+        assert float_bytes <= 4 * (rows + T * size * sum(arch.hidden_dims))
         # the dropout draws: one block of rows, hashed at a time
         draws = [(tag, buf.nbytes) for (tag, dtype), buf in maml._SCRATCH.items()
                  if dtype == np.uint64]
@@ -1102,6 +1122,8 @@ class TestOneBufferPass:
         assert ("a0", np.dtype(np.float64)) in maml._SCRATCH
         assert ("a1", np.dtype(np.float64)) in maml._SCRATCH
         assert all(buf.dtype == dtype for (_, dtype), buf in maml._SCRATCH.items())
+        # a second-order run gathers its rows and makes its passes in float64
+        assert np.dtype(np.float32) not in {buf.dtype for buf in maml._SCRATCH.values()}
 
     def test_scratch_is_in_the_dtype_asked_for(self, monkeypatch):
         monkeypatch.setattr(maml, "_SCRATCH", {})
@@ -1110,6 +1132,70 @@ class TestOneBufferPass:
             assert maml._scratch("x", (2, 3), dtype).dtype == dtype
         # a smaller request of the first dtype is a view of the first buffer
         assert np.shares_memory(maml._scratch("x", (5,)), wide)
+
+
+class TestMixedPrecision:
+    """A first-order run makes its passes in float32 over float64 parameters;
+    the output layer, the inner path and the meta-gradient stay float64."""
+
+    # float32's machine epsilon; the pass is a few matrix products, over up
+    # to 5000 rows for a weight gradient. Five seeds measured at most 1.7e-7
+    # on a probability and 5.6e-7 of the largest gradient entry
+    EPS32 = float(np.finfo(np.float32).eps)
+
+    def test_float32_pass_within_tolerance_of_float64_at_paper_scale(self, monkeypatch):
+        arch = maml.MlpArchitecture(input_dim=15)
+        assert arch.hidden_dims == (64, 32, 16) and arch.dropout_rate > 0.0
+        rng = np.random.default_rng(130)
+        noise = rng.normal(0, 0.1, (1, arch.param_count))
+        values = (maml.init_params(arch, 131).values + noise).astype(np.float32)
+        X = rng.normal(0, 1, (1, 5000, 15)).astype(np.float32)
+        y = rng.integers(0, 2, (1, 5000))
+        keep = maml.dropout_mask(arch, 5000, [(132,)], 0).copy()
+        logits = []
+        real_sigmoid = maml._sigmoid
+
+        def recording_sigmoid(z):
+            logits.append(z.dtype)
+            return real_sigmoid(z)
+
+        monkeypatch.setattr(maml, "_sigmoid", recording_sigmoid)
+        narrow = maml.ModelParams._trusted(values, arch)
+        p32, g32 = maml._probs_and_grad(narrow, X, y, keep)
+        wide = maml.ModelParams(values.astype(np.float64), arch)
+        p64, g64 = maml._probs_and_grad(wide, X.astype(np.float64), y, keep)
+        assert logits == [np.float64, np.float64]
+        assert p32.dtype == np.float64 and g32.dtype == np.float32
+        assert np.abs(p32 - p64).max() <= 8 * self.EPS32
+        assert np.abs(g32 - g64).max() <= 80 * self.EPS32 * np.abs(g64).max()
+
+    def test_inner_path_and_meta_gradient_stay_float64(self, monkeypatch):
+        arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3)
+        theta = maml.init_params(arch, 133)
+        paths = []
+        real_inner_adapt = maml.inner_adapt
+
+        def recording_inner_adapt(*args):
+            paths.append(real_inner_adapt(*args))
+            return paths[-1]
+
+        monkeypatch.setattr(maml, "inner_adapt", recording_inner_adapt)
+        cfg = engine_cfg(2)
+        eps = [maml.sample_task(ENGINE_POOL, cfg, maml._key(134, j), task_index=j)
+               for j in range(3)]
+        grad = maml._meta_batch(theta, ENGINE_POOL, eps, cfg)[0]
+        assert grad.dtype == np.float64
+        assert [[step.dtype for step in path] for path in paths] == [[np.float64] * 3]
+
+    def test_overflow_past_float32_diverges_without_a_cast_warning(self):
+        # adapted weights near 1e299 round to Inf in the float32 pass
+        pool = random_pool(90, 3, seed=62)
+        cfg = maml.MamlConfig(alpha=1e300, samples_per_task=30, support_size=15, query_size=15)
+        theta = maml.init_params(maml.MlpArchitecture(input_dim=3, hidden_dims=(5,)), 4)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "overflow encountered in cast", RuntimeWarning)
+            with np.errstate(invalid="ignore"), pytest.raises(Diverged, match="episode 0:"):
+                maml.meta_evaluate(theta, pool, cfg)
 
 
 class TestMetaTrain:
@@ -1228,11 +1314,13 @@ class TestMetaEvaluate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_naming_the_episode(self):
-        # three episodes in one stack: at alpha 1e300 the first two saturate
-        # to finite clamped probabilities, the third scores NaN (which episode
-        # overflows depends on its draws: this pool is one where the third does)
-        pool = random_pool(90, 3, seed=164)
-        cfg = maml.MamlConfig(alpha=1e300, samples_per_task=30, support_size=15, query_size=15)
+        # three episodes in one stack: at alpha 4.5e39 the first two adapt to
+        # weights within float32's range and saturate to finite clamped
+        # probabilities, the third's float32 pass overflows and scores NaN
+        # (which episode overflows depends on its draws: on this pool the
+        # third does for alpha from 3.2e39 to 6.3e39)
+        pool = random_pool(90, 3, seed=62)
+        cfg = maml.MamlConfig(alpha=4.5e39, samples_per_task=30, support_size=15, query_size=15)
         theta = maml.init_params(maml.MlpArchitecture(input_dim=3, hidden_dims=(5,)), 4)
         with pytest.raises(Diverged, match="diverged at episode 2:"):
             maml.meta_evaluate(theta, pool, cfg)
@@ -1243,9 +1331,10 @@ class TestMetaEvaluate:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("limit, raises", [(29 / 30, True), (1.0, False)])
     def test_saturation_limit_is_a_strict_fraction(self, monkeypatch, limit, raises):
-        # two episodes of 15 query rows, all 30 probabilities clamped
+        # two episodes of 15 query rows, all 30 probabilities clamped (at
+        # 1e300 the float32 passes overflow to NaN instead)
         pool = random_pool(90, 3, seed=62)
-        cfg = maml.MamlConfig(alpha=1e300, samples_per_task=30, support_size=15, query_size=15)
+        cfg = maml.MamlConfig(alpha=1e6, samples_per_task=30, support_size=15, query_size=15)
         theta = maml.init_params(maml.MlpArchitecture(input_dim=3, hidden_dims=(5,)), 4)
         monkeypatch.setattr(maml, "SATURATION_LIMIT", limit)
         if raises:
@@ -1257,8 +1346,9 @@ class TestMetaEvaluate:
 
 
     def test_a_float32_pool_scores_as_its_float64_copy(self):
-        # a test_pool.bin loads as float32; its rows are widened exactly as
-        # they are gathered, with no float64 copy of the pool
+        # a test_pool.bin loads as float32; a first-order evaluation gathers
+        # its rows as they are, and a float64 pool's rounded, a stack at a
+        # time, with no copy of the pool
         wide = random_pool(20000, 10, seed=63)
         narrow = LabeledDataset._wrap(wide.features.astype(np.float32), wide.labels.copy())
         wide = make_ds(narrow.features.astype(np.float64), narrow.labels)
