@@ -2,33 +2,26 @@
 
 Logistic objective with second-order (Newton) leaf values: per boosting
 round the targets are gradients g = p - y and hessians h = p(1 - p), leaves
-get -sum(g) / (sum(h) + lambda), and splits are exact greedy over midpoints
-of consecutive distinct sorted feature values. Each column is sorted once
-per fit, into row ids of the narrowest unsigned type that holds them (uint16
-up to 65,536 rows). A node that may split searches its own rows' per-feature
-sort order (the pre-sorted lists of SLIQ and of XGBoost's exact greedy
-search), so a node's search costs its own rows, not the fit's. Below the
-root, that order is the node's span of one work buffer, which a split
-partitions stably in place, left child first, so a fit holds its orders
-twice however deep its trees grow. The sort, the root tie mask and each
-node's search and partition take a block of columns per numpy call
-(dataset._blocks), its scratch bounded at _BLOCK_CELLS feature-by-row
-cells. Per tree, g and h sit side by side in one complex array g + 1j*h, so
-a block gathers both in sorted order with one take and prefix-sums both with
-one cumsum; complex addition adds the two parts apart, so the sums are bit
-for bit those of g and of h. A boundary between equal values is no split
-candidate. The root searches the same order over the same boundaries in
-every tree of a fit, so its tie mask is computed once per fit from the
-values and kept packed 8 boundaries a byte; the other nodes compare their
-sorted values. The threshold is read from X at the two rows beside the
-winning boundary. Ties go to the lowest feature, then the lowest threshold.
-X may be float32 (a binary file's matrix) or float64: sorting and tie masks
-are exact in either, and the threshold midpoint and the split test are taken
-in float64, so a float32 matrix grows the trees of its float64 copy byte for
-byte. Feature importance is total split gain, normalized. Training uses no
-randomness, so identical inputs give byte-identical models. The logistic
-function is dataset._sigmoid, which maml's output layer shares; GbdtConfig
-is defined in config, with the rest of the config schema.
+get -sum(g) / (sum(h) + lambda), and splits are searched over histograms of
+binned feature values (the histogram search of LightGBM and of XGBoost's
+hist method). A fit bins each column once (_bin) into at most _n_bins(n)
+uint8 bins: one sort per column, cut at quantile ranks, each cut moved to
+the next change of value so that equal values share a bin. A node that may
+split sums g, h and its row count per bin of each column with one
+np.bincount each, prefix-sums them over the bins, and takes the cut of
+highest gain that leaves min_samples_leaf rows on either side; ties go to
+the lowest feature, then the lowest cut. Rows go to the children by their
+bins. The binning and each node's search take a block of columns per numpy
+call (dataset._blocks), their scratch bounded at about _BLOCK_CELLS cells;
+a column's sums run over the node's rows in row order, so the trees do not
+depend on the block width. A split's threshold is the midpoint of the
+node's two values beside the cut, taken in float64 (_midpoint), so the
+float64 test x < threshold sends the node's rows as their bins do, and a
+float32 matrix grows the trees of its float64 copy byte for byte. Feature
+importance is total split gain, normalized. Training uses no randomness, so
+identical inputs give byte-identical models. The logistic function is
+dataset._sigmoid, which maml's output layer shares; GbdtConfig is defined
+in config, with the rest of the config schema.
 """
 from __future__ import annotations
 
@@ -41,8 +34,9 @@ from .dataset import LabeledDataset, _blocks, _sigmoid
 
 _LAMBDA = 1.0
 _PRIOR_CLIP = 1e-6
-# cells (features x node rows) per block of columns (dataset._blocks)
-_BLOCK_CELLS = 1 << 13
+# cells per block of columns (dataset._blocks): features x rows in the
+# binning and in a node's histogram sums, features x bins in its search
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass
@@ -71,37 +65,72 @@ def _log_loss(raw: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, raw) - y * raw))
 
 
-class _TreeGrower:
-    """Grows one tree on (g, h) given column sort orders shared across trees."""
+def _n_bins(n: int) -> int:
+    """Bins a column of n rows may take: one a row up to 32 rows, so a small
+    node's search is exhaustive; then 32, or one per 8 rows where that is
+    more, up to the 256 a uint8 holds. Few rows a bin would make a node's
+    search over the bins cost more than its gather of the rows' bins."""
+    return min(256, max(n // 8, min(n, 32)))
 
-    def __init__(self, X, col_order, cfg: GbdtConfig):
+
+def _bin(X: np.ndarray) -> np.ndarray:
+    """X's (n, m) cells as bin ids, feature-major (m, n) uint8. Rank r of a
+    sorted column falls in quantile bin r * B // n (B = _n_bins(n)); a run
+    of equal values takes the quantile bin of its first rank, so a cut
+    inside a run moves to the run's end; the bins a column uses are then
+    numbered 0, 1, ... in value order."""
+    n, m = X.shape
+    bins = np.empty((m, n), dtype=np.uint8)
+    rank_bin = np.arange(n) * _n_bins(n) // n
+    for cols in _blocks(m, n, _BLOCK_CELLS):
+        values = X.T[cols]
+        order = np.argsort(values, axis=1)
+        v = np.take_along_axis(values, order, axis=1)
+        # where a run of equal values starts; -0.0 equals 0.0, so the two
+        # share a run
+        first = np.empty(v.shape, dtype=bool)
+        first[:, 0] = True
+        np.not_equal(v[:, 1:], v[:, :-1], out=first[:, 1:])
+        del v
+        # each run's quantile bin, that of its first rank; then the bins in
+        # use, numbered in value order
+        ids = np.where(first, rank_bin, 0)
+        np.maximum.accumulate(ids, axis=1, out=ids)
+        np.not_equal(ids[:, 1:], ids[:, :-1], out=first[:, 1:])
+        np.cumsum(first[:, 1:], axis=1, out=ids[:, 1:])
+        ids[:, 0] = 0
+        np.put_along_axis(bins[cols], order, ids, axis=1)
+    return bins
+
+
+def _midpoint(below: float, above: float) -> float:
+    """A threshold t with below < t <= above, in float64 (Python floats), so
+    the test x < t sends below left and above right: their midpoint, or above
+    itself where the midpoint rounds onto below or overflows."""
+    below, above = float(below), float(above)
+    mid = (below + above) / 2.0
+    return mid if below < mid <= above else above
+
+
+class _TreeGrower:
+    """Grows trees on (g, h) over one fit's binned columns."""
+
+    def __init__(self, X, cfg: GbdtConfig):
         self.X = X
-        self.col_order = col_order
         self.cfg = cfg
         self.n, self.m = X.shape
-        # cell (row, col) of X sits at row * m + col of the flat values
-        self._flat = X.reshape(-1)
-        self._cols = np.arange(self.m)[:, None]
-        self._flag = np.zeros(self.n, dtype=bool)
-        # every tree's root searches col_order over the same window, so its
-        # tie mask is the same in every tree of the fit; packed 8 boundaries
-        # a byte, it holds an eighth of a bool mask's bytes
-        self._root_ties = None
-        # below the root, a node's orders are its span of this buffer (see
-        # _partition). Held for the fit: allocated per tree, it left a select
-        # of two 7500 x 40 chunks 0.4 MB higher in peak RSS
-        self._work = None
+        self.n_bins = _n_bins(self.n)
+        # a block's column j histograms from j * n_bins of its flat sums
+        self._offsets = (np.arange(self.m) * self.n_bins)[:, None]
+        self.bins = None
         if self._can_split(self.n, 0):
-            self._work = np.empty_like(col_order)
-            lo, hi = self._window(self.n)
-            self._root_ties = np.empty((self.m, (hi - lo + 7) // 8), dtype=np.uint8)
-            for cols in _blocks(self.m, self.n, _BLOCK_CELLS):
-                ties = self._ties(col_order[cols], cols.start, lo, hi)
-                self._root_ties[cols] = np.packbits(ties, axis=1)
-
-    def _window(self, n_node: int) -> tuple[int, int]:
-        # t = number of rows sent left, lo..hi - 1
-        return self.cfg.min_samples_leaf, n_node - self.cfg.min_samples_leaf + 1
+            self.bins = _bin(X)
+            # a block's bin ids (offset by column) and weights, held for the
+            # fit: a fresh pair per block peaked higher in a select's RSS. A
+            # block holds at most _BLOCK_CELLS cells, or one column of every row
+            cells = max(_BLOCK_CELLS, self.n)
+            self._idx = np.empty(cells, dtype=np.intp)
+            self._weights = np.empty(cells)
 
     def _can_split(self, n_rows: int, depth: int) -> bool:
         return depth < self.cfg.max_depth and n_rows >= 2 * self.cfg.min_samples_leaf
@@ -124,50 +153,34 @@ class _TreeGrower:
             gain.append(0.0)
             return len(feature_index) - 1
 
-        # depth-first; each entry owns its row indices, ascending, and, if it
-        # may split, the start of its span of the work buffer (None otherwise)
-        root_start = 0 if self._can_split(self.n, 0) else None
-        stack = [(new_node(), np.arange(self.n), root_start, 0)]
-        # g and h side by side, so one gather and one cumsum serve both:
-        # complex addition adds the parts apart, so the sums are g's and h's
-        gh = np.empty(self.n, dtype=np.complex128)
-        gh.real = g
-        gh.imag = h
+        # depth-first; each entry owns its row indices, ascending
+        stack = [(new_node(), np.arange(self.n), 0)]
         while stack:
-            node, rows, start, depth = stack.pop()
+            node, rows, depth = stack.pop()
             G = g[rows].sum()
             H = h[rows].sum()
             split = None
-            if start is not None:
-                span = self._work[:, start : start + rows.size]
-                # the root reads col_order itself, which no split rewrites
-                order = self.col_order if depth == 0 else span
-                ties = self._root_ties if depth == 0 else None
-                split = self._best_split(order, gh, G, H, ties)
+            if self._can_split(rows.size, depth):
+                split = self._best_split(rows, g, h, G, H)
             if split is None:
                 value = -G / (H + _LAMBDA)
                 leaf_value[node] = value
                 train_pred[rows] = value
                 continue
-            best_gain, feat, thr = split
+            best_gain, feat, cut = split
+            go_left = self.bins[feat].take(rows) <= cut
+            # between the node's two values beside the cut, so x < threshold
+            # holds for exactly the node's rows in bins <= cut
+            values = self.X[rows, feat]
             feature_index[node] = feat
-            threshold[node] = thr
+            threshold[node] = _midpoint(values[go_left].max(), values[~go_left].min())
             gain[node] = best_gain
-            # in float64: a float32 comparison would round thr to float32,
-            # onto the left value when the two values beside it are adjacent
-            go_left = self.X[rows, feat].astype(np.float64, copy=False) < thr
-            left_rows, right_rows = rows[go_left], rows[~go_left]
-            left_splits = self._can_split(left_rows.size, depth + 1)
-            right_splits = self._can_split(right_rows.size, depth + 1)
-            if left_splits or right_splits:
-                self._partition(order, span, left_rows)
             left_id = new_node()
             right_id = new_node()
             left[node] = left_id
             right[node] = right_id
-            right_start = start + left_rows.size
-            stack.append((left_id, left_rows, start if left_splits else None, depth + 1))
-            stack.append((right_id, right_rows, right_start if right_splits else None, depth + 1))
+            stack.append((left_id, rows[go_left], depth + 1))
+            stack.append((right_id, rows[~go_left], depth + 1))
 
         tree = RegressionTree(
             feature_index=np.array(feature_index, dtype=np.int64),
@@ -179,58 +192,24 @@ class _TreeGrower:
         )
         return tree, train_pred
 
-    def _partition(self, order, span, left_rows):
-        """Write the left child's per-feature orders, then the right child's,
-        over span, the node's columns of the work buffer, cut from the node's
-        orders a block of columns at a time. The cut is stable, so each child
-        keeps its parent's sorted order. order is col_order at the root and
-        span itself below it, so both sides of a block are cut into
-        contiguous temps before either is written back."""
-        n_node, n_left = order.shape[1], left_rows.size
-        flag = self._flag
-        flag[left_rows] = True
-        for cols in _blocks(self.m, n_node, _BLOCK_CELLS):
-            block = order[cols].reshape(-1)
-            sel = flag.take(block)
-            to_left = block.compress(sel)
-            np.logical_not(sel, out=sel)
-            to_right = block.compress(sel)
-            span[cols, :n_left] = to_left.reshape(-1, n_left)
-            span[cols, n_left:] = to_right.reshape(-1, n_node - n_left)
-        flag[left_rows] = False
-
-    def _ties(self, idx, j0, lo, hi):
-        """Per boundary lo..hi - 1 of a block of sorted columns from j0: True
-        where the value equals the one before it, so no split falls there."""
-        cells = np.multiply(idx, self.m, dtype=np.intp)
-        cells += self._cols[j0 : j0 + idx.shape[0]]
-        v = self._flat.take(cells)
-        return v[:, lo:hi] <= v[:, lo - 1 : hi - 1]
-
-    def _best_split(self, order, gh, G, H, root_ties):
-        """order holds the node's rows sorted per feature, one row per feature;
-        gh holds g + 1j * h per row; root_ties is the root's packed tie mask,
-        or None below the root."""
-        n_node = order.shape[1]
+    def _best_split(self, rows, g, h, G, H):
+        """(gain, feature, cut) of the node's best split, or None where no
+        cut gains: cut t sends the node's rows in bins <= t left. rows is
+        ascending; G and H are g's and h's sums over it. A group of columns
+        whose histograms hold about _BLOCK_CELLS cells is searched at once,
+        its histograms summed a block of about _BLOCK_CELLS node cells at a
+        time."""
+        n_node, n_bins = rows.size, self.n_bins
+        min_leaf = self.cfg.min_samples_leaf
         parent_score = G * G / (H + _LAMBDA)
-        lo, hi = self._window(n_node)
+        g_rows, h_rows = g.take(rows), h.take(rows)
 
         best_gain = 0.0
         best = None
-        for cols in _blocks(self.m, n_node, _BLOCK_CELLS):
-            idx = order[cols]
-            if root_ties is None:
-                tie = self._ties(idx, cols.start, lo, hi)
-            else:
-                tie = np.unpackbits(root_ties[cols], axis=1, count=hi - lo).view(bool)
-            sums = gh.take(idx)
-            np.cumsum(sums, axis=1, out=sums)
-            # contiguous copies: the arithmetic below runs faster on them
-            # than on the strided .real and .imag views; the sums are freed
-            # before it allocates, so the block's scratch peaks no higher
-            GL = sums.real[:, lo - 1 : hi - 1].copy()
-            HL = sums.imag[:, lo - 1 : hi - 1].copy()
-            del sums
+        for group in _blocks(self.m, n_bins, _BLOCK_CELLS):
+            GL, HL, NL = self._histograms(group, rows, g_rows, h_rows)
+            # prefix sums over each column's bins: cut t takes bins 0..t
+            GL, HL, NL = (np.cumsum(a[:, :-1], axis=1) for a in (GL, HL, NL))
             # 0.5 * (GL^2 / (HL + lambda) + (G - GL)^2 / (H - HL + lambda)
             #        - parent_score), in place
             gains = np.subtract(G, GL)
@@ -244,19 +223,38 @@ class _TreeGrower:
             gains += GL
             gains -= parent_score
             gains *= 0.5
-            # a boundary must separate distinct values
-            np.copyto(gains, -np.inf, where=tie)
-            # row-major first max: lowest feature, then lowest threshold
+            # each child keeps min_samples_leaf rows
+            short = (NL < min_leaf) | (NL > n_node - min_leaf)
+            np.copyto(gains, -np.inf, where=short)
+            # row-major first max: lowest feature, then lowest cut
             b, k = np.unravel_index(int(np.argmax(gains)), gains.shape)
-            if gains[b, k] > best_gain:  # strict, so an earlier block wins ties
+            if gains[b, k] > best_gain:  # strict, so an earlier group wins ties
                 best_gain = float(gains[b, k])
-                feat, tk = cols.start + int(b), lo + k
-                # Python floats: a float32 sum could round the midpoint onto
-                # the left value
-                below, above = self.X[idx[b, tk - 1], feat], self.X[idx[b, tk], feat]
-                thr = (float(below) + float(above)) / 2.0
-                best = (best_gain, feat, thr)
+                best = (best_gain, group.start + int(b), int(k))
         return best
+
+    def _histograms(self, group, rows, g_rows, h_rows):
+        """Per column of group, per bin: the sums of g and of h and the count
+        of the node's rows, each (columns, n_bins). A column's rows are
+        summed in one np.bincount, in row order."""
+        n_node, n_bins = rows.size, self.n_bins
+        width = group.stop - group.start
+        GL = np.empty((width, n_bins))
+        HL = np.empty((width, n_bins))
+        NL = np.empty((width, n_bins), dtype=np.intp)
+        for cols in _blocks(width, n_node, _BLOCK_CELLS):
+            span = cols.stop - cols.start
+            cells, size = span * n_node, span * n_bins
+            idx, weights = self._idx[:cells], self._weights[:cells]
+            bins = self.bins[group.start + cols.start : group.start + cols.stop]
+            np.add(bins.take(rows, axis=1), self._offsets[:span],
+                   out=idx.reshape(span, n_node))
+            weights.reshape(span, n_node)[:] = g_rows
+            GL[cols] = np.bincount(idx, weights=weights, minlength=size).reshape(span, n_bins)
+            weights.reshape(span, n_node)[:] = h_rows
+            HL[cols] = np.bincount(idx, weights=weights, minlength=size).reshape(span, n_bins)
+            NL[cols] = np.bincount(idx, minlength=size).reshape(span, n_bins)
+        return GL, HL, NL
 
 
 def train(ds: LabeledDataset, cfg: GbdtConfig | None = None) -> GbdtModel:
@@ -270,13 +268,7 @@ def train(ds: LabeledDataset, cfg: GbdtConfig | None = None) -> GbdtModel:
     base_score = float(np.log(prior / (1.0 - prior)))
     raw = np.full(ds.n, base_score)
 
-    # feature-major, in the narrowest unsigned type that holds a row id; the
-    # grower's work buffer takes the same type. Sorting a block of columns at
-    # a time bounds argsort's intp scratch
-    col_order = np.empty((ds.m, ds.n), dtype=np.min_scalar_type(ds.n - 1))
-    for cols in _blocks(ds.m, ds.n, _BLOCK_CELLS):
-        col_order[cols] = np.argsort(X.T[cols], axis=1, kind="stable")
-    grower = _TreeGrower(X, col_order, cfg)
+    grower = _TreeGrower(X, cfg)
 
     trees: list[RegressionTree] = []
     losses = [_log_loss(raw, y)]

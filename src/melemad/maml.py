@@ -242,26 +242,28 @@ def _forward_pass(params: ModelParams, X: np.ndarray, keep: np.ndarray | None):
     Returns params' layers, the layer inputs and the raw and clamped probs.
     Each hidden layer's activations are one scratch buffer (a{i}): the bias
     add, the ReLU and the dropout run in place in it, in the parameters'
-    dtype."""
-    layers = params.layers()
-    inputs = [X]
-    a = X
-    for i, (W, b) in enumerate(layers[:-1]):
-        a = np.matmul(a, W, out=_scratch(f"a{i}", (*a.shape[:-1], W.shape[-1]), W.dtype))
-        np.add(a, b[..., None, :], out=a)
-        np.maximum(a, 0.0, out=a)
-        if i == 0 and keep is not None:
-            np.multiply(a, keep, out=a)
-            np.multiply(a, 1.0 / (1.0 - params.arch.dropout_rate), out=a)
-        inputs.append(a)
-    # the output layer runs in float64 (complex128 under _hvp) whatever the
-    # hidden layers' dtype, so the logit, the PROB_EPS clamp and the loss
-    # keep their meaning in a float32 pass
-    W_out, b_out = layers[-1]
-    wide = np.promote_types(W_out.dtype, np.float64)
-    z_out = a.astype(wide, copy=False) @ W_out.astype(wide, copy=False)
-    z_out = (z_out + b_out[..., None, :])[..., 0]
-    p_raw = _sigmoid(z_out)
+    dtype. A pass that overflows warns nothing: its NaN or Inf
+    probabilities end the run as Diverged or Saturated."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        layers = params.layers()
+        inputs = [X]
+        a = X
+        for i, (W, b) in enumerate(layers[:-1]):
+            a = np.matmul(a, W, out=_scratch(f"a{i}", (*a.shape[:-1], W.shape[-1]), W.dtype))
+            np.add(a, b[..., None, :], out=a)
+            np.maximum(a, 0.0, out=a)
+            if i == 0 and keep is not None:
+                np.multiply(a, keep, out=a)
+                np.multiply(a, 1.0 / (1.0 - params.arch.dropout_rate), out=a)
+            inputs.append(a)
+        # the output layer runs in float64 (complex128 under _hvp) whatever
+        # the hidden layers' dtype, so the logit, the PROB_EPS clamp and the
+        # loss keep their meaning in a float32 pass
+        W_out, b_out = layers[-1]
+        wide = np.promote_types(W_out.dtype, np.float64)
+        z_out = a.astype(wide, copy=False) @ W_out.astype(wide, copy=False)
+        z_out = (z_out + b_out[..., None, :])[..., 0]
+        p_raw = _sigmoid(z_out)
     return layers, inputs, p_raw, np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS)
 
 
@@ -332,30 +334,33 @@ def _probs_and_grad(params: ModelParams, X: np.ndarray, labels,
         y = y.ravel()
     if y.shape != X.shape[:-1]:
         raise ValidationError(f"{X.shape[:-1]} rows vs {y.shape} labels")
-    layers, inputs, p_raw, p = _forward_pass(params, X, keep)
-    n = X.shape[-2]
+    # quiet as _forward_pass is: Diverged and Saturated report an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        layers, inputs, p_raw, p = _forward_pass(params, X, keep)
+        n = X.shape[-2]
 
-    grad = np.empty((*X.shape[:-2], params.arch.param_count), params.values.dtype)
-    grad_layers = ModelParams._trusted(grad, params.arch).layers()
-    interior = (p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)
-    # the output delta leaves float64 for the parameters' dtype
-    d = (np.where(interior, p - y, 0.0) / n)[..., None].astype(grad.dtype, copy=False)
+        grad = np.empty((*X.shape[:-2], params.arch.param_count), params.values.dtype)
+        grad_layers = ModelParams._trusted(grad, params.arch).layers()
+        interior = (p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)
+        # the output delta leaves float64 for the parameters' dtype
+        d = (np.where(interior, p - y, 0.0) / n)[..., None].astype(grad.dtype, copy=False)
 
-    for i in range(len(layers) - 1, -1, -1):
-        grad_W, grad_b = grad_layers[i]
-        np.matmul(np.swapaxes(inputs[i], -1, -2), d, out=grad_W)
-        np.sum(d, axis=-2, out=grad_b)
-        if i == 0:
-            break
-        # the ReLU gate of the layer below, taken from its activations,
-        # which its delta then overwrites; a dropped unit's activation is 0
-        # (or NaN), so its gate is False and the gate applies the keep mask
-        a = inputs[i]
-        gate = np.greater(a, 0.0, out=_scratch("gate", a.shape, bool))
-        d = np.matmul(d, np.swapaxes(layers[i][0], -1, -2), out=a)
-        if i == 1 and keep is not None:
-            np.multiply(d, 1.0 / (1.0 - params.arch.dropout_rate), out=d)
-        np.multiply(d, gate, out=d)
+        for i in range(len(layers) - 1, -1, -1):
+            grad_W, grad_b = grad_layers[i]
+            np.matmul(np.swapaxes(inputs[i], -1, -2), d, out=grad_W)
+            np.sum(d, axis=-2, out=grad_b)
+            if i == 0:
+                break
+            # the ReLU gate of the layer below, taken from its activations,
+            # which its delta then overwrites; a dropped unit's activation is
+            # 0 (or NaN), so its gate is False and the gate applies the keep
+            # mask
+            a = inputs[i]
+            gate = np.greater(a, 0.0, out=_scratch("gate", a.shape, bool))
+            d = np.matmul(d, np.swapaxes(layers[i][0], -1, -2), out=a)
+            if i == 1 and keep is not None:
+                np.multiply(d, 1.0 / (1.0 - params.arch.dropout_rate), out=d)
+            np.multiply(d, gate, out=d)
     return p, grad
 
 

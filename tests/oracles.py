@@ -67,6 +67,54 @@ def oracle_split_candidates(X, y, base_score, min_leaf):
     return candidates
 
 
+def oracle_bins(column, n_bins):
+    """One column's bins and cut thresholds from the stated binning rule, in
+    plain Python: sorted rank r falls in quantile bin r * n_bins // n, every
+    value takes the quantile bin of its first rank (so -0.0 and 0.0, being
+    equal, share one), and the quantile bins in use are numbered 0, 1, ... in
+    value order. Cut t's threshold is the float64 midpoint of the largest
+    value of bin t and the smallest of bin t + 1, or that smallest value
+    where the midpoint is not above the largest or overflows."""
+    values = [float(v) for v in column]
+    first = {}
+    for rank, v in enumerate(sorted(values)):
+        first.setdefault(v, rank)
+    quantile = {v: rank * n_bins // len(values) for v, rank in first.items()}
+    number = {q: i for i, q in enumerate(sorted(set(quantile.values())))}
+    bins = [number[quantile[v]] for v in values]
+    thresholds = []
+    distinct = sorted(first)
+    for below, above in zip(distinct, distinct[1:]):
+        if number[quantile[below]] != number[quantile[above]]:
+            mid = (below + above) / 2.0
+            thresholds.append(mid if below < mid <= above else above)
+    return bins, thresholds
+
+
+def oracle_cut_candidates(bins, y, base_score, min_leaf):
+    """Exhaustive (gain, feature, cut) candidates for the first tree's root
+    over every column's cuts: cut t of column j sends the rows in bins <= t
+    left. bins holds one list of row bins per column."""
+    p = 1.0 / (1.0 + math.exp(-base_score))
+    g = np.full(len(y), p) - y
+    h = np.full(len(y), p * (1 - p))
+    G, H = g.sum(), h.sum()
+    parent = G * G / (H + LAM)
+    n = len(y)
+    candidates = []
+    for j, column in enumerate(bins):
+        column = np.asarray(column)
+        for t in range(int(column.max())):
+            left = column <= t
+            nl = int(left.sum())
+            if nl < min_leaf or n - nl < min_leaf:
+                continue
+            GL, HL = g[left].sum(), h[left].sum()
+            gain = 0.5 * (GL * GL / (HL + LAM) + (G - GL) ** 2 / (H - HL + LAM) - parent)
+            candidates.append((gain, j, t))
+    return candidates
+
+
 # ----------------------------------------------------------------- generator
 
 GAMMA = 0x9E3779B97F4A7C15

@@ -9,7 +9,7 @@ from melemad import gbdt
 from melemad.dataset import LabeledDataset
 from melemad.errors import ValidationError
 
-from oracles import LAM, oracle_split_candidates
+from oracles import LAM, oracle_bins, oracle_cut_candidates
 
 
 def make_ds(features, labels):
@@ -54,13 +54,17 @@ def fitted_proba(model, ds):
 
 
 def assert_split_is_exhaustive_optimum(model, X, y, min_leaf):
-    """The chosen split must be a gain maximizer of the exhaustive search.
+    """The chosen split must be a gain maximizer of the exhaustive search
+    over the histogram's cuts, its threshold the oracle's for that cut.
 
     Mathematically tied candidates can differ by a few ulps between the two
     summation orders, so optimality is checked to 1e-9 relative rather than
     demanding one specific tie pick.
     """
-    candidates = oracle_split_candidates(X, y.astype(float), model.base_score, min_leaf)
+    n_bins = gbdt._n_bins(X.shape[0])
+    binned = [oracle_bins(X[:, j], n_bins) for j in range(X.shape[1])]
+    candidates = oracle_cut_candidates([b for b, _ in binned], y.astype(float),
+                                       model.base_score, min_leaf)
     positive = [c for c in candidates if c[0] > 0]
     root = model.trees[0]
     gmax = max((c[0] for c in positive), default=0.0)
@@ -68,12 +72,8 @@ def assert_split_is_exhaustive_optimum(model, X, y, min_leaf):
     if root.feature_index[0] < 0:
         assert gmax <= tol  # only fp-level gains were available
         return
-    matches = [
-        c
-        for c in positive
-        if c[1] == root.feature_index[0]
-        and math.isclose(c[2], root.threshold[0], rel_tol=1e-9, abs_tol=1e-12)
-    ]
+    matches = [c for c in positive if c[1] == root.feature_index[0]
+               and binned[c[1]][1][c[2]] == root.threshold[0]]
     assert len(matches) == 1, "chosen split not among exhaustive candidates"
     assert matches[0][0] >= gmax - tol, "chosen split is not a gain maximizer"
     assert abs(root.gain[0] - matches[0][0]) <= tol
@@ -88,47 +88,35 @@ def assert_same_models(a, b):
             assert getattr(x, name).tobytes() == getattr(y, name).tobytes(), name
 
 
-def reference_best_split(self, order, gh, G, H, root_ties):
-    """Exact greedy split search with one Python iteration per feature.
+def reference_best_split(self, rows, g, h, G, H):
+    """Histogram split search with one Python iteration per feature.
 
-    Only the node's row set is taken from order, and g and h from the parts
-    of gh; root_ties is ignored, so every node compares its own values.
-    Node rows are sorted per feature by a stable argsort of the rows in
-    ascending index order, so equal values keep row order. Features are
-    visited lowest first and a later one must beat the best gain strictly:
-    the lowest feature wins ties, then the lowest threshold.
+    Each feature's g, h and row count per bin are summed by np.bincount over
+    the node's rows alone, ascending, as the block search sums each column,
+    so the sums are bit for bit the same. Features are visited lowest first
+    and a later one must beat the best gain strictly: the lowest feature wins
+    ties, then the lowest cut.
     """
-    g, h = gh.real, gh.imag
     min_leaf = self.cfg.min_samples_leaf
-    rows = np.sort(order[0])
-    n_node = rows.size
+    n_bins = self.n_bins
     parent_score = G * G / (H + LAM)
     best_gain = 0.0
     best = None
     for j in range(self.m):
-        idx = rows[np.argsort(self.X[rows, j], kind="stable")]
-        v = self.X[idx, j]
-        if v[0] == v[-1]:
-            continue
-        gs = np.cumsum(g[idx])
-        hs = np.cumsum(h[idx])
-        t = np.arange(min_leaf, n_node - min_leaf + 1)
-        valid = v[t] > v[t - 1]
-        if not valid.any():
-            continue
-        GL = gs[t - 1]
-        HL = hs[t - 1]
+        b = self.bins[j, rows]
+        GL = np.cumsum(np.bincount(b, weights=g[rows], minlength=n_bins))[:-1]
+        HL = np.cumsum(np.bincount(b, weights=h[rows], minlength=n_bins))[:-1]
+        NL = np.cumsum(np.bincount(b, minlength=n_bins))[:-1]
         gains = 0.5 * (
             GL * GL / (HL + LAM)
             + (G - GL) * (G - GL) / (H - HL + LAM)
             - parent_score
         )
-        gains[~valid] = -np.inf
+        gains[(NL < min_leaf) | (rows.size - NL < min_leaf)] = -np.inf
         k = int(np.argmax(gains))
         if gains[k] > best_gain:
             best_gain = float(gains[k])
-            tk = t[k]
-            best = (best_gain, j, float((v[tk - 1] + v[tk]) / 2.0))
+            best = (best_gain, j, k)
     return best
 
 
@@ -279,15 +267,110 @@ class TestSplitOracle:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=120, deadline=None)
     def test_first_split_matches_exhaustive_search(self, seed):
+        # up to 32 rows every value has a bin of its own, so the cuts are
+        # every boundary between distinct values; above, fewer
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 9))
-        m = int(rng.integers(1, 3))
-        X = rng.standard_normal((n, m))
+        n = int(rng.choice([rng.integers(2, 33), rng.integers(33, 300)]))
+        m = int(rng.integers(1, 4))
+        kind = ["continuous", "discrete", "tie-heavy"][int(rng.integers(0, 3))]
+        X = features_of_kind(kind, rng, n, m)
         y = rng.integers(0, 2, n)
-        min_leaf = int(rng.integers(1, 3))
+        min_leaf = int(rng.integers(1, 6))
         ds = make_ds(X, y)
         model = gbdt.train(ds, gbdt.GbdtConfig(n_trees=1, max_depth=1, min_samples_leaf=min_leaf))
         assert_split_is_exhaustive_optimum(model, X, y, min_leaf)
+
+
+class TestBinning:
+    """_bin against the stated rule (oracles.oracle_bins) and its
+    properties, on columns with ties, -0.0 beside 0.0 and extreme values."""
+
+    EXTREMES = {
+        np.float32: [np.finfo(np.float32).max, np.finfo(np.float32).tiny,
+                     np.float32(1e-45), np.nextafter(np.float32(1.0), np.float32(2.0))],
+        # the midpoint of the two largest overflows, and that of 1.0 and
+        # the next double rounds onto 1.0: _midpoint falls back to the
+        # upper value
+        np.float64: [np.finfo(np.float64).max, np.finfo(np.float64).max / 2,
+                     np.nextafter(1.0, 2.0), 5e-324],
+    }
+
+    def column(self, rng, n, dtype, kind):
+        extremes = self.EXTREMES[dtype]
+        pool = np.array([0.0, -0.0, 1.0, -1.0, *extremes, *(-e for e in extremes)], dtype=dtype)
+        if kind == "ties":
+            return rng.choice(pool, n)
+        values = rng.standard_normal(n).astype(dtype)
+        mixed = rng.random(n) < 0.3
+        values[mixed] = rng.choice(pool, int(mixed.sum()))
+        return values
+
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([1, 15, 16, 17, 2047, 2048, 2049, 65537]),
+           st.sampled_from([np.float32, np.float64]),
+           st.sampled_from(["ties", "mixed"]))
+    @settings(max_examples=60, deadline=None)
+    def test_bins_follow_the_rule(self, seed, n, dtype, kind):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([self.column(rng, n, dtype, kind) for _ in range(2)])
+        n_bins = gbdt._n_bins(n)
+        bins = gbdt._bin(X)
+        assert bins.shape == (2, n) and bins.dtype == np.uint8
+        for j in range(2):
+            x = X[:, j].astype(np.float64)
+            order = np.argsort(x, kind="stable")
+            v, b = x[order], bins[j, order]
+            # equal values share a bin; bins never decrease with value
+            assert np.all(b[1:][v[1:] == v[:-1]] == b[:-1][v[1:] == v[:-1]])
+            assert np.all(b[1:] >= b[:-1])
+            assert int(bins[j].max()) < n_bins
+            # cut t's threshold at a node of every row sends exactly the rows
+            # in bins <= t left
+            thresholds = []
+            for t in range(int(bins[j].max())):
+                left = bins[j] <= t
+                thr = gbdt._midpoint(x[left].max(), x[~left].min())
+                assert np.array_equal(x < thr, left)
+                thresholds.append(thr)
+            if n <= 2049:
+                assert (bins[j].tolist(), thresholds) == oracle_bins(X[:, j], n_bins)
+
+    @pytest.mark.parametrize("n, n_bins", [(1, 1), (2, 2), (32, 32), (33, 32), (256, 32),
+                                           (400, 50), (2047, 255), (2048, 256), (65537, 256)])
+    def test_bin_count(self, n, n_bins):
+        # one bin a row up to 32 rows, then 32, or one per 8 rows up to 256
+        assert gbdt._n_bins(n) == n_bins
+
+    def test_float32_bins_are_those_of_the_float64_copy(self):
+        rng = np.random.default_rng(21)
+        X = np.column_stack([self.column(rng, 3000, np.float32, kind)
+                             for kind in ("ties", "mixed", "mixed")])
+        assert gbdt._bin(X).tobytes() == gbdt._bin(X.astype(np.float64)).tobytes()
+
+    @pytest.mark.parametrize("cells", [1, 7, 64, 1000])
+    def test_independent_of_the_block_width(self, monkeypatch, cells):
+        rng = np.random.default_rng(cells)
+        X = np.column_stack([self.column(rng, 300, np.float64, kind)
+                             for kind in ("ties", "mixed") * 4])
+        want = gbdt._bin(X)
+        monkeypatch.setattr(gbdt, "_BLOCK_CELLS", cells)
+        assert gbdt._bin(X).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("below, above", [
+        (1.0, np.nextafter(1.0, 2.0)),
+        (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
+        (np.finfo(np.float64).max / 2, np.finfo(np.float64).max),
+        (-np.finfo(np.float64).max, -np.finfo(np.float64).max / 2),
+        (-5e-324, 0.0),
+        (-0.0, 5e-324),
+        (1.0, 3.0),
+    ])
+    def test_midpoint_lies_above_below_and_at_most_above(self, below, above):
+        below, above = float(below), float(above)
+        thr = gbdt._midpoint(below, above)
+        assert below < thr <= above
+        if (below + above) / 2.0 > below and math.isfinite(below + above):
+            assert thr == (below + above) / 2.0
 
 
 class TestBlockSplitSearch:
@@ -319,7 +402,7 @@ class TestBlockSplitSearch:
             assert_same_models(model, reference)
 
     def test_several_default_blocks_at_the_root(self, monkeypatch):
-        n, m = 400, 50
+        n, m = 400, 200
         assert m > gbdt._BLOCK_CELLS // n  # the root spans several blocks
         rng = np.random.default_rng(11)
         X = rng.standard_normal((n, m))
@@ -383,48 +466,46 @@ class TestBlockSplitSearch:
         assert_same_models(model, reference)
 
     @pytest.mark.parametrize("kind", ["discrete", "tie-heavy"])
-    def test_root_ties_gathered_once_per_fit(self, monkeypatch, kind):
-        # the root's tie mask comes from one values gather per block when the
-        # fit starts; every tree's root reuses it, ties and all
+    def test_columns_binned_once_per_fit(self, monkeypatch, kind):
+        # the bins come from one sort per block of columns when the fit
+        # starts; every tree of the fit searches them
         rng = np.random.default_rng(17)
         n, m = 120, 9
         X = features_of_kind(kind, rng, n, m)
         y = ((X[:, 0] - X[:, 4] + rng.standard_normal(n)) > 0.0).astype(int)
         cfg = gbdt.GbdtConfig(n_trees=8, max_depth=3, learning_rate=0.5, min_samples_leaf=3)
         ds = make_ds(X, y)
-        root_ties = {}
-        ties = gbdt._TreeGrower._ties
+        calls = []
+        bin_columns = gbdt._bin
 
-        def recording_ties(self, idx, j0, lo, hi):
-            tie = ties(self, idx, j0, lo, hi)
-            if idx.shape[1] == n:
-                assert j0 not in root_ties
-                root_ties[j0] = tie
-            return tie
+        def recording_bin(X):
+            calls.append(X.shape)
+            return bin_columns(X)
 
         monkeypatch.setattr(gbdt, "_BLOCK_CELLS", 4 * n)
         with monkeypatch.context() as mp:
-            mp.setattr(gbdt._TreeGrower, "_ties", recording_ties)
+            mp.setattr(gbdt, "_bin", recording_bin)
             model = gbdt.train(ds, cfg)
-        assert sorted(root_ties) == [0, 4, 8]  # one gather per block of the root
-        assert all(tie.any() for tie in root_ties.values())
+        assert calls == [(n, m)]
         assert all(tree.feature_index[0] >= 0 for tree in model.trees)
         _, reference = train_both(monkeypatch, ds, cfg)
         assert_same_models(model, reference)
 
-    def test_successive_fits_share_no_root_ties(self, monkeypatch):
-        # min_samples_leaf sets the root's window of boundaries (lo..hi), so
-        # a mask kept from the first fit would be the wrong one for the next
+    def test_successive_fits_share_no_bins(self, monkeypatch):
+        # each fit bins its own rows: bins kept from the first fit would
+        # send the second fit's rows by the first fit's values
         rng = np.random.default_rng(18)
-        X = features_of_kind("discrete", rng, 80, 6)
-        y = ((X[:, 1] + X[:, 2] + rng.standard_normal(80)) > 4.0).astype(int)
-        ds = make_ds(X, y)
+        X = features_of_kind("discrete", rng, 160, 6)
+        y = ((X[:, 1] + X[:, 2] + rng.standard_normal(160)) > 4.0).astype(int)
+        first, second = make_ds(X[:80], y[:80]), make_ds(X[80:] * 2.0 - 1.0, y[80:])
         for min_leaf in (1, 9, 2):
             cfg = gbdt.GbdtConfig(
                 n_trees=4, max_depth=3, learning_rate=0.5, min_samples_leaf=min_leaf
             )
-            model, reference = train_both(monkeypatch, ds, cfg)
+            gbdt.train(first, cfg)
+            model, reference = train_both(monkeypatch, second, cfg)
             assert_same_models(model, reference)
+            fitted_proba(model, second)
 
     @pytest.mark.parametrize("kind", ["continuous", "discrete", "tie-heavy"])
     def test_threshold_is_the_midpoint_of_sorted_node_values(self, kind):
@@ -483,8 +564,9 @@ class TestBlockSplitSearch:
         assert root.feature_index[root.left[0]] == root.feature_index[root.right[0]] == -1
 
     def test_peak_memory_of_a_fit_stays_within_twice_the_matrix(self):
-        # column orders and the work buffer hold uint16 row ids at this size;
-        # int64 ones would quadruple both and push the peak well past this bound
+        # the bins are one byte a cell and the search's scratch a bounded
+        # block; intp bin ids, or a full-chunk index array, would push the
+        # peak well past this bound
         rng = np.random.default_rng(16)
         X = rng.standard_normal((7500, 40))
         ds = make_ds(X, ((X[:, 0] + rng.standard_normal(7500)) > 0).astype(int))
@@ -498,9 +580,9 @@ class TestBlockSplitSearch:
         assert peak <= 2 * ds.features.nbytes
 
     def test_peak_memory_of_a_wide_float32_fit_stays_near_its_matrix(self):
-        # col_order and the work buffer hold uint16 row ids, each half the
-        # float32 matrix's bytes; fresh child orders at every split, or int32
-        # ids, would push the peak past twice the matrix
+        # the uint8 bins are a quarter of the float32 matrix's bytes; a
+        # histogram of every column kept per pending node, or a full-chunk
+        # index array, would push the peak past this bound
         rng = np.random.default_rng(20)
         X = rng.standard_normal((3000, 600)).astype(np.float32)
         y = ((X[:, 0] + rng.standard_normal(3000)) > 0).astype(np.uint8)
@@ -513,27 +595,3 @@ class TestBlockSplitSearch:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * X.nbytes
-
-    @pytest.mark.parametrize(
-        "n, dtype", [(256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)]
-    )
-    def test_row_ids_take_the_narrowest_unsigned_type(self, monkeypatch, n, dtype):
-        # every node's orders, col_order at the root and the work buffer
-        # below it, hold row ids in the narrowest type that holds row n - 1
-        rng = np.random.default_rng(n)
-        X = rng.standard_normal((n, 3))
-        ds = make_ds(X, ((X[:, 1] + rng.standard_normal(n)) > 0).astype(int))
-        cfg = gbdt.GbdtConfig(n_trees=2, max_depth=2, learning_rate=0.5)
-        seen = []
-        best_split = gbdt._TreeGrower._best_split
-
-        def recording_best_split(self, order, gh, G, H, root_ties):
-            seen.append(order.dtype)
-            return best_split(self, order, gh, G, H, root_ties)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(gbdt._TreeGrower, "_best_split", recording_best_split)
-            model = gbdt.train(ds, cfg)
-        assert seen == [np.dtype(dtype)] * 6  # the root and both children, per tree
-        _, reference = train_both(monkeypatch, ds, cfg)
-        assert_same_models(model, reference)

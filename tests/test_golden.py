@@ -113,12 +113,12 @@ def seen(tmp_path_factory):
 # ------------------------------------------------------------- exact pins
 
 INFORMATIVE = [5, 9, 11, 12, 13]
-SELECTED = [0, 4, 5, 9, 11, 12, 13, 29]
-PER_CHUNK = [[5, 9, 11, 12, 13, 29], [5, 9, 11, 12, 13], [0, 4, 5, 9, 11, 13]]
+SELECTED = [0, 5, 9, 11, 12, 13]
+PER_CHUNK = [[5, 9, 11, 12, 13], [5, 9, 11, 12, 13], [0, 5, 9, 11, 13]]
 # per chunk, per tree: the split features of its internal nodes, in node order
-SPLIT_FEATURES = [[[5, 11, 11], [9, 11, 11], [9, 13, 5], [5, 12, 13], [13, 11, 9], [9, 11, 29]],
-                  [[9, 11, 13], [5, 13, 9], [9, 13, 11], [5, 13, 9], [13, 9, 9], [9, 12, 11]],
-                  [[5, 13, 11], [9, 11, 0], [9, 5], [9, 4, 11], [5, 13], [5, 13]]]
+SPLIT_FEATURES = [[[5, 11, 9], [9, 11, 11], [9, 11, 11], [13, 11, 9], [5, 9, 11], [12, 13, 5]],
+                  [[9, 11, 13], [9, 12, 5], [5, 13, 9], [13, 9, 9], [5, 13, 12], [11, 9, 9]],
+                  [[5, 13, 11], [9, 11, 0], [9, 12, 11], [5, 13], [9, 5], [5, 13]]]
 SPLIT_COUNTS = (450, 150)
 SPLIT_DIGEST = "a77daa2f9bf7c0eeabd483f8928ee89b6f46223027df5ab91a0b303cb0b7b729"
 FIRST_EPISODE = ([143, 97, 29, 115, 191, 176, 25, 362, 116, 20, 407, 141, 310, 447, 196, 248, 373,
@@ -137,52 +137,52 @@ SYNTHETIC_CELLS = [0.8139513135, 1.066237807, -1.065391183, 0.6333451271, -0.640
                    0.8522146344, 0.5618923306, -0.05010574684]
 SYNTHETIC_SQUARES = 25274.26554
 # per chunk, per tree: thresholds and leaf values, in node order
-THRESHOLDS = [[[-0.03632149287, 1.251747906, -0.6833061278],
-               [0.004984032363, 0.9062951207, -0.44354406],
-               [0.6556452215, -1.367782474, -0.1244023554],
-               [0.5008611828, 0.627582401, 0.7803648114],
+THRESHOLDS = [[[-0.05829112045, 1.251747906, -1.023553222],
+               [-0.2454836443, 0.9062951207, -0.44354406],
+               [0.7492273748, 0.8694745898, -0.6374372542],
                [-0.2012472637, -0.6356831193, 1.547835946],
-               [0.6556452215, 0.8694745898, -1.347585678]],
-              [[0.05231820978, 0.5805093646, 0.3387800977],
-               [0.02732280781, -0.6276756823, -0.82249102],
-               [0.2801826745, -1.166040957, -0.7966735661],
+               [0.5113171339, 0.7377198339, -0.6833061278],
+               [0.7093741298, -1.443971038, -0.1244023554]],
+              [[0.004126017913, 0.5805093646, 0.3387800977],
+               [0.004126017913, 0.4005371034, -0.7421753705],
                [0.2946667373, -1.220766008, -0.9464534819],
-               [-0.1261401363, -1.446831852, 0.8976681828],
-               [0.05231820978, 0.4005371034, -0.9688937068]],
-              [[0.04163191421, -0.325576961, -0.4020918161],
-               [0.1833275557, -0.1257756632, 1.239416242], [0.4891806096, 0.8762594163],
-               [-0.222952418, 1.36681813, -0.6768787205], [0.7302770317, -1.386186957],
-               [0.7302770317, -1.386186957]]]
-LEAVES = [[[0.8946887859, -1.943627373, 1.894643723, -0.696571485],
-           [0.3142154588, -1.326306929, 1.349272375, -0.4315561883],
-           [-0.1799684929, -1.154550169, -0.7197040359, 1.155343642],
-           [-1.012617798, 0.3008921737, 1.057087154, -0.3258984543],
-           [0.9931280837, -0.4554074586, 0.3288126303, -0.8959828945],
-           [0.176868213, -0.9079622497, 0.9192207148, -0.4050391327]],
-          [[-1.946308725, 0.6666666667, 1.945205479, -0.2222222222],
-           [0.8844721139, -1.33726232, -0.1373398172, 1.357329338],
-           [0.1965888921, -1.151527775, -0.7783944378, 1.158513526],
-           [0.3922665381, -1.047978298, -0.6008812759, 1.053057557],
-           [0.9712044922, -0.4686759872, 0.3017404601, -0.9551768538],
-           [0.3233706828, -0.8676271366, 0.8880145953, -0.1547893485]],
-          [[-0.1301316809, -1.730013106, 0.3160340821, 2.019156096],
-           [-1.300747376, 0.03469880636, 1.362794008, 0.1870838843],
-           [-1.100431509, 1.132871995, -0.6153499575],
-           [0.1832994139, -0.9530281191, 0.9680744436, 0.1385078278],
-           [-0.8857267126, -0.4463937478, 0.9291040782],
-           [-0.7860823069, -0.3905492059, 0.8230849727]]]
-PARAMS_HEAD = [0.1916792989, 0.2054408342, -0.4263737202, 0.5027318597, -0.5312513709,
-               0.4403585196, -0.0115679726, 0.0132092163]
-PARAMS_NORM = 3.887769774
-LOSSES = [0.6597118931, 0.6255606445, 0.6092880445, 0.5985346404, 0.5730669014]
-ACCURACIES = [0.6166666667, 0.8833333333, 0.8833333333, 0.9, 0.9666666667]
-CONFUSION = {"fn": 1, "fp": 3, "tn": 42, "tp": 44}
-METRICS = {"accuracy": 0.9555555556,
-           "auc": 0.9980246914,
-           "f1": 0.9565217391,
-           "mcc": 0.9120123093,
-           "precision": 0.9361702128,
-           "recall": 0.9777777778}
+               [-0.1835106388, -1.446831852, 0.8976681828],
+               [-0.291841954, -0.5358102918, -0.6913972199],
+               [0.004957791883, 0.9199364781, -1.23965925]],
+              [[0.2150158882, -0.7704460621, -0.3459451944],
+               [0.3028243631, 0.4665816128, 1.147518992],
+               [-0.09089904651, -0.02466277406, -0.6768787205], [0.762571156, -1.364340425],
+               [0.581777215, 0.7399066091], [0.762571156, -1.364340425]]]
+LEAVES = [[[1.298393312, -1.893221501, 1.894275398, -0.696571485],
+           [0.7489919833, -1.301372396, 1.342854337, -0.4388527374],
+           [0.1404286004, -1.160593234, 1.14677854, -0.7020410123],
+           [1.085495244, -0.5464786455, 0.3616034667, -0.9896821488],
+           [0.224700178, -0.9661765408, 0.9922290067, -0.3244009578],
+           [-0.0554153155, -0.951971567, -0.5502743938, 0.9117702301]],
+          [[-1.946308725, 0.7692307692, 1.944827586, -0.2222222222],
+           [0.815089286, -1.325590818, 1.343324005, -0.2531140764],
+           [0.4823150667, -1.164277663, -0.7992314657, 1.166381034],
+           [1.050887829, -0.6736695902, 0.3381157521, -1.037905467],
+           [0.4076425504, -0.9469649658, 0.04223447542, 0.9611175653],
+           [0.3238198897, -0.899963616, 0.904624507, -0.3429463091]],
+          [[-0.3012552301, -1.724303884, -0.5762974438, 2.024962556],
+           [-1.298330166, -0.07794672989, 1.35208144, -0.3789450953],
+           [0.2622995526, -1.065800285, 1.11156057, 0.04538347215],
+           [-0.9915841749, -0.5753367049, 1.051228889],
+           [-0.8786104611, 0.8843671563, -0.4505372533],
+           [-0.7899832814, -0.4271947536, 0.8248970422]]]
+PARAMS_HEAD = [0.2099713385, 0.2097865641, -0.5473384857, 0.4839615524, -0.5658890009,
+               0.4657918513, -0.02187208645, 0.02573733777]
+PARAMS_NORM = 3.688395028
+LOSSES = [0.7107025836, 0.6678931197, 0.6491349432, 0.6394847862, 0.6312440174]
+ACCURACIES = [0.5, 0.5, 0.5, 0.5, 0.5]
+CONFUSION = {"fn": 0, "fp": 42, "tn": 3, "tp": 45}
+METRICS = {"accuracy": 0.5333333333,
+           "auc": 0.984691358,
+           "f1": 0.6818181818,
+           "mcc": 0.1856953382,
+           "precision": 0.5172413793,
+           "recall": 1.0}
 
 
 class TestGolden:
