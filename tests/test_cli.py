@@ -497,12 +497,20 @@ class TestMetaTrainEvaluate:
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("alpha", ["1e300", "4.5e39"])
-    def test_diverging_evaluate_writes_one_error_line(self, tmp_path, trained, alpha):
-        # in a fresh process, so stderr is what a user sees: adapted
-        # parameters past float32's range round to Inf in the float32 pass
-        # (at 1e300 they are Inf already), and the run fails as a float64
-        # overflow would, with no numpy warning from the cast or the pass
+    def test_diverging_evaluate_writes_one_error_line(self, tmp_path, trained):
+        # in a fresh process, so stderr is what a user sees: at 1e300 the
+        # adapted parameters are Inf already, and the run fails with no numpy
+        # warning from the float32 pass
+        self._assert_one_error_line(tmp_path, trained, "1e300")
+
+    def test_evaluate_past_float32_range_writes_one_error_line(self, tmp_path, trained):
+        # adapted parameters finite in float64 but past float32's range round
+        # to Inf in the float32 pass, and the run fails as a float64 overflow
+        # would, with no numpy warning from the cast
+        self._assert_one_error_line(tmp_path, trained, "4.5e39")
+
+    @staticmethod
+    def _assert_one_error_line(tmp_path, trained, alpha):
         _, run_dir = trained
         out = tmp_path / "eval"
         stderr = _child("-m", "melemad.cli", "evaluate", "--checkpoint",

@@ -411,10 +411,11 @@ class TestBlockSplitSearch:
         model, reference = train_both(monkeypatch, make_ds(X, y), cfg)
         assert_same_models(model, reference)
 
-    @pytest.mark.parametrize("cells", [3 * 40, gbdt._BLOCK_CELLS])
+    @pytest.mark.parametrize("cells", [3 * 40, 1 << 13])
     def test_duplicate_column_lowest_feature_wins(self, monkeypatch, cells):
         # column 1 is copied to column 6: equal best gains, in different
-        # blocks when three columns fit a block, in one block otherwise
+        # blocks when three columns fit a block, in one block at 8192 cells
+        # (as at the default width, which is wider still)
         monkeypatch.setattr(gbdt, "_BLOCK_CELLS", cells)
         rng = np.random.default_rng(12)
         X = rng.standard_normal((40, 8))
