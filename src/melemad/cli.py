@@ -201,6 +201,15 @@ def _load_dataset(path: str, label_column: str) -> dataset.LabeledDataset:
     return dataset.load_binary(p)
 
 
+def _open_rows(path: str, label_column: str, out: Path) -> dataset.BinaryRows:
+    """The input, open to read its rows as they are asked for: a .bin file
+    as it is, a CSV from its float64 spill, an unnamed file in out that
+    vanishes when closed."""
+    if Path(path).suffix.lower() == ".csv":
+        return dataset.spill_csv(path, label_column, out)
+    return dataset.BinaryRows(path)
+
+
 def cmd_synth(args: argparse.Namespace, cfg: None, out: Path) -> tuple[dict, str]:
     ds, informative = dataset.synthesize(_build(dataset.SyntheticSpec, vars(args)))
     name = f"synthetic.{args.format}"
@@ -219,13 +228,8 @@ def cmd_select(args: argparse.Namespace, cfg: dict, out: Path) -> tuple[dict, st
 
     chunk_spec = _build(cfsgb.ChunkSpec, cfg["chunking"])
     gbdt_cfg = _build(gbdt.GbdtConfig, cfg["gbdt"])
-    # both are read a chunk at a time: a .bin input as it is, a CSV from
-    # its float64 spill, an unnamed file in out that vanishes when closed
-    if Path(args.input).suffix.lower() == ".csv":
-        source = dataset.spill_csv(args.input, args.label_column, out)
-    else:
-        source = dataset.BinaryRows(args.input)
-    with source as ds:
+    # read a chunk at a time
+    with _open_rows(args.input, args.label_column, out) as ds:
         selected, projected, report = cfsgb.run_cfsgb(ds, chunk_spec, gbdt_cfg,
                                                       **cfg["selection"])
     tau = selected.threshold_used
@@ -260,10 +264,11 @@ def cmd_meta_train(args: argparse.Namespace, cfg: dict, out: Path) -> tuple[dict
                 "meta-training seed: it was written with another seed or other draw streams")
         _check_matches(where, "split", split_spec, dataset.SplitSpec(train_fraction),
                        skip=("seed",))
-    # the loaded dataset is not kept: meta-training reads only the split pools
-    train_pool, test_pool = dataset.stratified_split(
-        _load_dataset(args.input, args.label_column), split_spec
-    )
+    # the input is read a block of rows at a time into the split's pools, as
+    # select reads it (a CSV from its spill, which vanishes when closed), and
+    # meta-training reads only the pools
+    with _open_rows(args.input, args.label_column, out) as source:
+        train_pool, test_pool = dataset.stratified_split(source, split_spec)
     arch = _build(maml.MlpArchitecture, cfg["maml"], input_dim=train_pool.m)
     if initial is not None:
         _check_input_dim(where, arch.input_dim, initial.arch)

@@ -2,10 +2,11 @@
 
 A dataset is a matrix (n rows, m columns) and one 0/1 label per row, both
 read-only. The matrix is float32 when it comes from a binary file
-(load_binary keeps the file's stored values, at half the bytes) and float64
-otherwise (load_csv, synthesize, the public constructor, apply_scaler);
-select_rows and select_columns keep their parent's dtype, and save_binary
-writes float32 either way. Every dataset passes one check,
+(load_binary keeps the file's stored values, at half the bytes) or from
+apply_scaler (scaled in float64 and rounded once), and float64 otherwise
+(load_csv, synthesize, the public constructor); select_rows,
+select_columns and stratified_split keep their source's dtype, and
+save_binary writes float32 either way. Every dataset passes one check,
 LabeledDataset._wrap: a 2-D matrix with n, m >= 1, one label per row, finite
 values (a block of rows at a time) and labels 0 or 1. _wrap takes the arrays
 it is given without a copy; the public constructor copies its input first,
@@ -18,7 +19,9 @@ time; load_binary is its read of every row. A CSV is parsed once, a block of
 rows at a time, into a spill: an unnamed temporary file in save_binary's
 layout with a float64 body, which spill_csv returns open as a BinaryRows,
 so a CSV is read as a binary file is; load_csv is its read of every row.
-Each block loop here, as in gbdt and maml, cuts its range with _blocks.
+stratified_split reads either source a block of rows at a time into its
+two pools. Each block loop here, as in gbdt and maml, cuts its range with
+_blocks.
 """
 from __future__ import annotations
 
@@ -482,19 +485,32 @@ def fit_scaler(ds: LabeledDataset) -> ScalerParams:
 
 
 def apply_scaler(ds: LabeledDataset, sp: ScalerParams) -> LabeledDataset:
-    """Map each column to [0,1]; constant columns go to 0.0, out-of-range clips."""
+    """Map each column to [0,1]; constant columns go to 0.0, out-of-range clips.
+
+    Each cell is (x - min) / span in float64, clipped, then rounded once to
+    the float32 of the result: the value a float32 pass gathers and
+    save_binary writes. The float64 work is a block of rows at a time, so
+    only the float32 result is held beside ds."""
     if sp.per_column_min.shape[0] != ds.m:
         raise ValidationError(
             f"scaler has {sp.per_column_min.shape[0]} columns, dataset has {ds.m}"
         )
     span = sp.per_column_max - sp.per_column_min
-    # one new float64 matrix (the float64 min promotes a float32 dataset,
-    # exactly), scaled in place
-    scaled = ds.features - sp.per_column_min
-    scaled /= np.where(span > 0, span, 1.0)
-    scaled[:, span == 0] = 0.0
-    np.clip(scaled, 0.0, 1.0, out=scaled)
-    return LabeledDataset._wrap(scaled, ds.labels)
+    divisor = np.where(span > 0, span, 1.0)
+    constant = span == 0
+    scaled = np.empty((ds.n, ds.m), dtype=np.float32)
+    blocks = _blocks(ds.n, ds.m, _BLOCK_CELLS)
+    work = np.empty((blocks[0].stop, ds.m))
+    for rows in blocks:
+        part = work[: rows.stop - rows.start]
+        # the float64 min promotes a float32 dataset's rows, exactly
+        np.subtract(ds.features[rows], sp.per_column_min, out=part)
+        part /= divisor
+        part[:, constant] = 0.0
+        np.clip(part, 0.0, 1.0, out=part)
+        scaled[rows] = part
+    # a finite value, less a finite min, over a positive span, clips finite
+    return LabeledDataset._wrap(scaled, ds.labels, finite=True)
 
 
 def save_scaler(sp: ScalerParams, path) -> None:
@@ -631,13 +647,19 @@ def _train_count(total: int, fraction: float) -> int:
     return count
 
 
-def stratified_split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
+def stratified_split(source, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Seeded train/test partition; per-class proportions within one sample of
     train_fraction. Class c's i-th row is keyed by draw i of the key
-    (seed, c), and its rows with the smallest keys train."""
-    train_parts = []
-    test_parts = []
-    for cls, cls_idx in enumerate(ds.class_rows):
+    (seed, c), and its rows with the smallest keys train.
+
+    source is a LabeledDataset or a BinaryRows: it is used through n, m,
+    labels and select_rows of a slice. The partition comes from the labels;
+    both pools, in row order and in the source's dtype, are then filled in
+    one pass over its rows, a block at a time, so no more than a block is
+    held beside them."""
+    train = np.zeros(source.n, dtype=bool)
+    for cls in (0, 1):
+        cls_idx = np.flatnonzero(source.labels == cls)
         if cls_idx.size == 0:
             continue
         if cls_idx.size < 2:
@@ -646,11 +668,21 @@ def stratified_split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDatase
             )
         k = _train_count(cls_idx.size, spec.train_fraction)
         order = np.argpartition(_draws(_key(spec.seed, cls), cls_idx.size), k)
-        train_parts.append(cls_idx[order[:k]])
-        test_parts.append(cls_idx[order[k:]])
-    train_idx = np.sort(np.concatenate(train_parts))
-    test_idx = np.sort(np.concatenate(test_parts))
-    return ds.select_rows(train_idx), ds.select_rows(test_idx)
+        train[cls_idx[order[:k]]] = True
+    sides = (train, ~train)
+    pools: list[np.ndarray] = []
+    filled = [0, 0]
+    for rows in _blocks(source.n, source.m, _BLOCK_CELLS):
+        block = source.select_rows(rows).features
+        if not pools:
+            pools = [np.empty((int(side.sum()), source.m), block.dtype) for side in sides]
+        for i, side in enumerate(sides):
+            part = block[side[rows]]
+            pools[i][filled[i] : filled[i] + part.shape[0]] = part
+            filled[i] += part.shape[0]
+    # every block passed select_rows' check
+    return tuple(LabeledDataset._wrap(pool, source.labels[side], finite=True)
+                 for pool, side in zip(pools, sides))
 
 
 def synthesize(spec: SyntheticSpec) -> tuple[LabeledDataset, np.ndarray]:

@@ -30,17 +30,18 @@ Saturated.
 
 Scratch: passes work in buffers kept between calls, one per tag and dtype
 (_scratch), so passes must run on one thread. A pass runs in its rows'
-dtype: a first-order run gathers its rows as float32 (_adapted_stacks) and
-passes over float32 copies of its parameters (_pass_params), whose hidden
+dtype: a first-order run gathers its rows as float32 (_adapted_stacks),
+which the CLI's float32 pools hold as they are (apply_scaler, test_pool.bin),
+and passes over float32 copies of its parameters (_pass_params), whose hidden
 layers, activations, deltas and gradients are float32; the parameters
 theta, the Adam moments, the inner path, the meta-gradient sum and the
 output layer's logit, sigmoid, clamp and loss stay float64. A second-order
-run, and forward and backward on a ModelParams (always float64), pass in
-float64. Every array a caller keeps (probabilities, gradients, adapted
-parameters) is fresh; _forward_pass's layer inputs and dropout_mask's masks
-are scratch, valid until the next pass. test_maml holds the arguments that
-the stacked, one-buffer passes are bit for bit the per-episode,
-separate-buffer ones made in the same dtype.
+run, whose gathered float32 rows are widened, and forward and backward on
+a ModelParams (always float64), pass in float64. Every array a caller keeps
+(probabilities, gradients, adapted parameters) is fresh; _forward_pass's
+layer inputs and dropout_mask's masks are scratch, valid until the next
+pass. test_maml holds the arguments that the stacked, one-buffer passes are
+bit for bit the per-episode, separate-buffer ones made in the same dtype.
 
 Imports: the output layer's logistic function is dataset._sigmoid, which
 gbdt's boosting shares, so maml does not import gbdt. MamlConfig and
@@ -485,10 +486,11 @@ def _adam_update(
 def _gather(features: np.ndarray, rows: np.ndarray, tag: str, dtype) -> np.ndarray:
     """features[rows] in tag's scratch of dtype. mode="clip" lets take write
     straight into the scratch instead of buffering (the indices are in
-    range). A pool of another dtype (meta-train's scaled float64 pool in a
-    first-order run, a float32 test_pool.bin in a second-order one) is
-    gathered in its own and converted, so only the stack's rows are; a
-    float64 value beyond float32's range becomes Inf."""
+    range). The CLI's pools are float32 (apply_scaler's, test_pool.bin), so
+    a first-order run takes their rows as they are. A pool of another dtype
+    (a float32 pool in a second-order run, a float64 one a library caller
+    builds in a first-order one) is gathered in its own and converted, so only the
+    stack's rows are; a float64 value beyond float32's range becomes Inf."""
     out = _scratch(tag, (*rows.shape, features.shape[1]), dtype)
     if features.dtype == out.dtype:
         return np.take(features, rows, axis=0, mode="clip", out=out)

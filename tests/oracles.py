@@ -115,6 +115,20 @@ def oracle_cut_candidates(bins, y, base_score, min_leaf):
     return candidates
 
 
+# -------------------------------------------------------------------- scaler
+
+def min_max_scaled(features, lo, hi):
+    """apply_scaler by its definition, one cell at a time in Python floats:
+    (x - lo) / (hi - lo) clipped to [0, 1], or 0.0 in a column whose span
+    is 0, each result then rounded once to float32."""
+    lo, hi = np.asarray(lo, dtype=np.float64).tolist(), np.asarray(hi, dtype=np.float64).tolist()
+    rows = []
+    for row in np.asarray(features, dtype=np.float64).tolist():
+        rows.append([0.0 if b == a else min(max((x - a) / (b - a), 0.0), 1.0)
+                     for x, a, b in zip(row, lo, hi)])
+    return np.array(rows, dtype=np.float32).reshape(len(rows), len(lo))
+
+
 # ----------------------------------------------------------------- generator
 
 GAMMA = 0x9E3779B97F4A7C15

@@ -15,7 +15,7 @@ import pytest
 
 from melemad import cfsgb, cli, dataset, gbdt, maml, metrics
 
-from oracles import key_of
+from oracles import key_of, min_max_scaled
 
 
 def run(*argv):
@@ -367,6 +367,42 @@ class TestMetaTrainEvaluate:
         roc_lines = (out / "roc.csv").read_text().strip().splitlines()
         assert roc_lines[1].startswith("0.0,0.0")
         assert roc_lines[-1] == "1.0,1.0"
+
+    def test_csv_input_is_split_from_a_spill_that_leaves_no_file(self, tmp_path, small_config,
+                                                                  monkeypatch):
+        # meta-train reads a CSV as select does, from an unnamed spill in the
+        # output directory; its test pool is the float32 rounding of the
+        # loaded CSV's test rows, scaled in float64 by the train rows' range
+        run(*synth_args(tmp_path / "d"))
+        data = tmp_path / "d" / "synthetic.csv"
+        out = tmp_path / "run"
+        split, meta_train, seen = dataset.stratified_split, maml.meta_train, []
+
+        def listed_split(source, spec):
+            seen.append((type(source), sorted(p.name for p in out.iterdir())))
+            return split(source, spec)
+
+        def listed_train(*args, **kwargs):
+            seen.append(sorted(p.name for p in out.iterdir()))
+            return meta_train(*args, **kwargs)
+
+        monkeypatch.setattr(dataset, "stratified_split", listed_split)
+        monkeypatch.setattr(maml, "meta_train", listed_train)
+        assert run("meta-train", "--config", small_config, "--input", data,
+                   "--out-dir", out) == 0
+        assert seen == [(dataset.BinaryRows, []), []]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint.ckpt", "scaler.json", "test_pool.bin", "train_log.csv"]
+        loaded = dataset.load_csv(data)
+        spec = dataset.SplitSpec(SMALL_CONFIG["split"]["train_fraction"],
+                                 cli.derive_seed(SMALL_CONFIG["seed"], "split"))
+        train_rows, test_rows = (part.features[:, 0].astype(int) for part in split(
+            dataset.LabeledDataset(np.arange(loaded.n)[:, None], loaded.labels), spec))
+        train = loaded.features[train_rows]
+        scaled = min_max_scaled(loaded.features[test_rows], train.min(axis=0), train.max(axis=0))
+        dataset.save_binary(dataset.LabeledDataset._wrap(scaled, loaded.labels[test_rows]),
+                            tmp_path / "expected.bin")
+        assert (out / "test_pool.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes()
 
     def test_resume_continues_numbering(self, tmp_path, small_config):
         data_dir = tmp_path / "d"

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from melemad import dataset
 from melemad.errors import MelemadError, ValidationError
 
-from oracles import box_muller, draws as oracle_draws, inclusion_chi_square, key_of
+from oracles import (box_muller, draws as oracle_draws, inclusion_chi_square, key_of,
+                     min_max_scaled)
 
 
 def make_ds(features, labels):
@@ -918,21 +919,45 @@ class TestScaler:
         # a loaded scaler too
         with pytest.raises(ValidationError, match="overflows to Inf in column 1$"):
             dataset.ScalerParams(np.array([0.0, -1e308]), np.array([1.0, 1e308]))
-        # the widest finite span is accepted and scales as before
+        # the widest finite span is accepted and scales as before, to the
+        # float32 rounding of the float64 quotient
         sp = dataset.fit_scaler(make_ds([[-1e308], [7e307], [0.0]], [0, 1, 0]))
         out = dataset.apply_scaler(make_ds([[0.0]], [1]), sp)
-        assert out.features.tobytes() == np.array([[1e308 / (7e307 + 1e308)]]).tobytes()
+        expected = min_max_scaled([[0.0]], sp.per_column_min, sp.per_column_max)
+        assert out.features.tobytes() == expected.tobytes()
+        assert expected.tobytes() == np.array([[1e308 / (7e307 + 1e308)]], np.float32).tobytes()
 
     def test_apply_holds_one_copy_of_the_matrix(self):
         rng = np.random.default_rng(11)
         pool = make_ds(rng.standard_normal((12000, 15)), rng.integers(0, 2, 12000))
         sp = dataset.fit_scaler(pool.select_rows(slice(0, 6000)))
         out, peak = traced_peak(dataset.apply_scaler, pool, sp)
-        assert out.features.tobytes() == np.clip(
-            (pool.features - sp.per_column_min) / (sp.per_column_max - sp.per_column_min), 0, 1
-        ).tobytes()
+        assert out.features.tobytes() == min_max_scaled(
+            pool.features, sp.per_column_min, sp.per_column_max).tobytes()
         # a quotient and a np.where copy beside the difference held 2.05x
         assert peak <= 1.3 * pool.features.nbytes
+
+    @given(st.integers(1, 40), st.integers(1, 5), st.sampled_from([np.float32, np.float64]),
+           st.integers(1, 300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_oracle_byte_for_byte(self, n, m, dtype, cells, seed):
+        # float32 or float64 rows, a constant column, values beyond the
+        # fitted range on both sides, any block width: each cell is the
+        # float32 rounding of the float64 formula
+        rng = np.random.default_rng(seed)
+        fit = rng.uniform(-50, 50, (n, m)).astype(dtype)
+        fit[:, 0] = fit[0, 0]
+        rows = (rng.uniform(-100, 100, (n + 3, m)) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+        source = dataset.LabeledDataset._wrap(rows, rng.integers(0, 2, n + 3))
+        sp = dataset.fit_scaler(dataset.LabeledDataset._wrap(fit, rng.integers(0, 2, n)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset, "_BLOCK_CELLS", cells)
+            out = dataset.apply_scaler(source, sp)
+        expected = min_max_scaled(rows, sp.per_column_min, sp.per_column_max)
+        assert out.features.dtype == np.float32
+        assert out.features.tobytes() == expected.tobytes()
+        assert not out.features[:, 0].any()
+        assert out.labels.tobytes() == source.labels.tobytes()
 
     def test_dimension_mismatch(self):
         sp = dataset.fit_scaler(make_ds([[1.0, 2.0]], [0]))
@@ -1115,6 +1140,60 @@ class TestSplit:
         train, test = dataset.stratified_split(ds, dataset.SplitSpec(fraction, seed))
         assert train.n + test.n == n
         assert int(train.labels.sum()) + int(test.labels.sum()) == int(ds.labels.sum())
+
+
+    @pytest.mark.parametrize("cells", [1, 7 * 5, 64 * 5, 1 << 16])
+    def test_a_source_read_in_blocks_fills_the_pools_of_its_loaded_dataset(self, tmp_path,
+                                                                           cells):
+        # a .bin file's pools are float32 and its CSV's float64, each the
+        # rows that indexing the loaded dataset with the partition gives,
+        # whatever the block of rows
+        rng = np.random.default_rng(6)
+        labels = rng.integers(0, 2, 200)
+        narrow = dataset.LabeledDataset._wrap(
+            rng.standard_normal((200, 5)).astype(np.float32), labels)
+        dataset.save_binary(narrow, tmp_path / "d.bin")
+        dataset.save_csv(dataset.LabeledDataset(narrow.features, labels), tmp_path / "d.csv")
+        spec = dataset.SplitSpec(0.7, 9)
+        rows = dataset.LabeledDataset(np.arange(200.0)[:, None], labels)
+        train_rows, test_rows = (part.features[:, 0].astype(int)
+                                 for part in dataset.stratified_split(rows, spec))
+        assert np.array_equal(np.sort(np.concatenate([train_rows, test_rows])), np.arange(200))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset, "_BLOCK_CELLS", cells)
+            with dataset.BinaryRows(tmp_path / "d.bin") as source:
+                from_bin = dataset.stratified_split(source, spec)
+            with dataset.spill_csv(tmp_path / "d.csv") as source:
+                from_csv = dataset.stratified_split(source, spec)
+        for pools, loaded in ((from_bin, narrow),
+                              (from_csv, dataset.load_csv(tmp_path / "d.csv"))):
+            for pool, idx in zip(pools, (train_rows, test_rows)):
+                assert pool.features.dtype == loaded.features.dtype
+                assert pool.features.tobytes() == loaded.features[idx].tobytes()
+                assert pool.labels.tobytes() == labels[idx].astype(np.uint8).tobytes()
+                assert not pool.features.flags.writeable
+
+    def test_split_and_scale_hold_the_pools_and_one_scaled_copy(self, tmp_path):
+        # split from a .bin file and scale both pools: the float32 pools,
+        # then each pool's float32 scaled copy beside them, and a block; the
+        # loaded matrix, its indexed copies and float64 pools held 2.63x
+        n, m = 100_000, 40
+        rng = np.random.default_rng(12)
+        dataset.save_binary(dataset.LabeledDataset._wrap(
+            rng.standard_normal((n, m)).astype(np.float32), rng.integers(0, 2, n)),
+            tmp_path / "d.bin")
+
+        def split_and_scale():
+            with dataset.BinaryRows(tmp_path / "d.bin") as source:
+                train, test = dataset.stratified_split(source, dataset.SplitSpec(0.8, 1))
+            scaler = dataset.fit_scaler(train)
+            train = dataset.apply_scaler(train, scaler)
+            return train, dataset.apply_scaler(test, scaler)
+
+        (train, test), peak = traced_peak(split_and_scale)
+        assert train.features.dtype == test.features.dtype == np.float32
+        assert (train.n, test.n) == (80_000, 20_000)
+        assert peak <= 2.0 * n * m * 4
 
 
 class TestSynthesize:
