@@ -25,19 +25,7 @@ from .errors import EmptySelection, ValidationError
 
 
 @dataclass(frozen=True)
-class Chunk:
-    index: int
-    start: int
-    stop: int  # exclusive
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
-
-@dataclass(frozen=True)
 class ChunkSelection:
-    chunk_index: int
     indices: np.ndarray
     scores: np.ndarray  # importance of each selected index in this chunk
 
@@ -61,9 +49,9 @@ class CfsgbReport:
     r: int
 
 
-def make_chunks(n: int, spec: ChunkSpec) -> list[Chunk]:
-    """Chunk rows [0, n) into length-l windows, l = round(p*n), stepping by
-    l - round(q*l); the last window stops at n. Every row is covered, and
+def make_chunks(n: int, spec: ChunkSpec) -> list[slice]:
+    """Chunk rows [0, n) into length-l row slices, l = round(p*n), stepping
+    by l - round(q*l); the last slice stops at n. Every row is covered, and
     there is always at least one chunk."""
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -75,16 +63,7 @@ def make_chunks(n: int, spec: ChunkSpec) -> list[Chunk]:
     stride = l - overlap
     if stride < 1:
         raise ValidationError(f"overlap q={spec.q} leaves stride {stride} at l={l}")
-    chunks = []
-    start = 0
-    index = 0
-    while True:
-        stop = min(start + l, n)
-        chunks.append(Chunk(index, start, stop))
-        if stop == n:
-            return chunks
-        start += stride
-        index += 1
+    return [slice(s, min(s + l, n)) for s in range(0, n - l + stride, stride)]
 
 
 def threshold_select(importances: np.ndarray, tau: float) -> np.ndarray:
@@ -116,15 +95,14 @@ def run_cfsgb(
         raise ValidationError(f"top_k must be in [1, {ds.m}]")
     chunks = make_chunks(ds.n, spec)
     importances = [
-        gbdt.feature_importance(gbdt.train(ds.select_rows(slice(c.start, c.stop)), cfg))
-        for c in chunks
+        gbdt.feature_importance(gbdt.train(ds.select_rows(rows), cfg)) for rows in chunks
     ]
     if top_k is not None:
         tau = threshold_for_top_k(importances, top_k)
     per_chunk = []
-    for chunk, imp in zip(chunks, importances):
+    for imp in importances:
         idx = threshold_select(imp, tau)
-        per_chunk.append(ChunkSelection(chunk.index, idx, imp[idx]))
+        per_chunk.append(ChunkSelection(idx, imp[idx]))
     # a mask, not np.unique, whose first call imports numpy.ma
     chosen = np.zeros(ds.m, dtype=bool)
     for sel in per_chunk:
@@ -136,7 +114,7 @@ def run_cfsgb(
     projected = ds.select_columns(union)
     report = CfsgbReport(
         k=len(chunks),
-        chunk_sizes=[c.size for c in chunks],
+        chunk_sizes=[rows.stop - rows.start for rows in chunks],
         chunk_selected_counts=[sel.indices.shape[0] for sel in per_chunk],
         r=selected.r,
     )
@@ -169,11 +147,11 @@ def save_selection(selected: SelectedFeatureSet, path) -> None:
         "global_indices": [int(i) for i in selected.global_indices],
         "per_chunk": [
             {
-                "chunk": sel.chunk_index,
+                "chunk": index,
                 "indices": [int(i) for i in sel.indices],
                 "scores": [float(s) for s in sel.scores],
             }
-            for sel in selected.per_chunk
+            for index, sel in enumerate(selected.per_chunk)
         ],
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")

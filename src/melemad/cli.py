@@ -394,7 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_eval)
     _add_episode_flags(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--data", required=True, help="test pool file (.csv or .bin)")
+    p_eval.add_argument("--data", required=True,
+                        help="the scaled test_pool.bin that meta-train wrote; evaluate applies "
+                             "no scaler, so any other pool (.csv or .bin) is scored as given")
     p_eval.add_argument("--threshold", type=float, default=0.5)
     p_eval.add_argument("--episodes", type=int)
     p_eval.set_defaults(func=cmd_evaluate)

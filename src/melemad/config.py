@@ -2,9 +2,10 @@
 
 Every CLI stage checks every section of its config file against the fields
 of these types, so they live apart from the code that runs them: this module
-imports only errors, and a stage that checks the maml section loads neither
-numpy nor maml. Each type keeps its import path through the module that
-uses it: cfsgb.ChunkSpec, gbdt.GbdtConfig, maml.MamlConfig and
+imports only errors, so checking a section loads no stage module (cfsgb,
+gbdt, maml, metrics). numpy is loaded before any section is checked, since
+melemad.cli imports dataset. Each type keeps its import path through the
+module that uses it: cfsgb.ChunkSpec, gbdt.GbdtConfig, maml.MamlConfig and
 maml.MlpArchitecture. SplitSpec and SyntheticSpec live in dataset.
 """
 from __future__ import annotations

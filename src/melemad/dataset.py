@@ -547,13 +547,21 @@ _MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 _U64 = 2**64 - 1
 # the finalizer's rounds: z ^= z >> shift, then z *= the multiplier, if any
 _ROUNDS = ((30, np.uint64(_MIX[0])), (27, np.uint64(_MIX[1])), (31, None))
-# draws _draws hashes at a time; its counters (i + 1) * gamma of draws
-# i = 0, 1, ... of key 0 and its shift buffer, kept between calls, hold as
-# many cells
+# draws hashed at a time, by _draws and by maml's dropout masks; _draws'
+# counters (i + 1) * gamma of draws i = 0, 1, ... of key 0 and its shift
+# buffer, kept between calls, hold as many cells
 _DRAW_BLOCK = 1 << 13
 _COUNTERS = _SHIFTS = np.zeros(0, np.uint64)
-# synthesize's stream tag: not one of maml's (0 to 3) or a split's class
-_STREAM_SYNTH = 4
+# Every key's layout. A stream tag comes second, after the root seed, and
+# the keys of one tag share one length, so no key drawn from is another's
+# prefix. Two layouts carry no tag: (split seed, class) keys a class's rows
+# in stratified_split, and (seed, a stage name's UTF-8 bytes) a stage's seed
+# in cli.derive_seed.
+_STREAM_INIT = 0  # (seed, INIT): maml's initial weights
+_STREAM_TASK = 1  # (seed, TASK, iteration, slot): a meta-train episode's rows
+_STREAM_DROPOUT = 2  # (seed, DROPOUT, TASK or EVAL, episode, step): a mask
+_STREAM_EVAL = 3  # (seed, EVAL, episode): an evaluation episode's rows
+_STREAM_SYNTH = 4  # (seed, SYNTH, part): one of synthesize's quantities
 
 
 def _mix(z: int) -> int:

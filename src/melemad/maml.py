@@ -17,11 +17,12 @@ by dataset._blocks); their results do not depend on the stack size.
 
 Keys: every random draw is a draw of a key (dataset._key) of the root
 seed, a stream tag and the draw's coordinates, counter-based: draw i of a
-key is a hash of the key and i (dataset._draws). An episode's rows are keyed
-by (iteration, slot) in meta-training and by its number in evaluation;
-inner step s's dropout mask by (stream, episode index, s) (_mask_key). So
-no draw depends on the stack size, on how often an episode is scored, or on
-where a run was resumed.
+key is a hash of the key and i (dataset._draws). The table beside
+dataset's _STREAM_* tags lays out every key: an episode's rows are keyed
+by (iteration, slot) in meta-training and by its number in evaluation,
+inner step s's dropout mask by (stream, episode index, s). So no draw
+depends on the stack size, on how often an episode is scored, or on where
+a run was resumed.
 
 Failures: a NaN or Inf meta-loss, meta-gradient or evaluation probability
 raises Diverged; a meta-training iteration or an evaluation with more than
@@ -60,8 +61,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import MamlConfig, MlpArchitecture
-from .dataset import (LabeledDataset, _blocks, _draws, _half_up, _key, _least_draw, _sigmoid,
-                      _smallest, _uniforms)
+from . import dataset
+from .dataset import (_STREAM_DROPOUT, _STREAM_EVAL, _STREAM_INIT, _STREAM_TASK, LabeledDataset,
+                      _blocks, _draws, _half_up, _key, _least_draw, _sigmoid, _smallest,
+                      _uniforms)
 from .errors import Diverged, Saturated, ValidationError, check_fields
 
 PROB_EPS = 1e-7
@@ -81,23 +84,8 @@ _STACK_CELLS = 1 << 14
 
 # one buffer per (tag, dtype), grown to the largest pass it has served
 _SCRATCH: dict[tuple[str, np.dtype], np.ndarray] = {}
-# cells of dropout_mask's uint64 draw buffer, which a block of rows fills
-_DRAW_CELLS = 1 << 13
 # _hvp's imaginary step; the product's truncation error is of order its square
 _HVP_STEP = 1e-20
-
-# stream tags, second in every key after the root seed; the keys of one tag
-# share one length, so no key drawn from is another's prefix
-_STREAM_INIT = 0  # (seed, INIT): initial weights
-_STREAM_TASK = 1  # (seed, TASK, iteration, slot): a meta-train episode's rows
-_STREAM_DROPOUT = 2  # (seed, DROPOUT, TASK or EVAL, episode, step): a mask
-_STREAM_EVAL = 3  # (seed, EVAL, episode): an evaluation episode's rows
-
-
-def _mask_key(seed: int, stream: int, episode: int) -> tuple[int, ...]:
-    """The dropout key of an episode of a stream (_STREAM_TASK or
-    _STREAM_EVAL); inner step s draws its mask from the key plus s."""
-    return (seed, _STREAM_DROPOUT, stream, episode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,14 +195,14 @@ def dropout_mask(arch: MlpArchitecture, n_rows: int, keys: list[tuple[int, ...]]
     None if the architecture has no dropout. Unit u of row r of episode t
     is kept where draw r * h0 + u of the key keys[t] + (step,) has a uniform
     of at least dropout_rate. The draws are hashed a block of rows at a time
-    into one small uint64 buffer, so a step's mask can be drawn again from
-    its keys, whatever the block. The masks are one scratch buffer, valid
-    until the next call."""
+    into one uint64 buffer of at most dataset._DRAW_BLOCK cells, so a step's
+    mask can be drawn again from its keys, whatever the block. The masks are
+    one scratch buffer, valid until the next call."""
     if arch.dropout_rate == 0.0:
         return None
     h0 = arch.hidden_dims[0]
     keep = _scratch("keep", (len(keys), n_rows, h0), bool)
-    blocks = _blocks(n_rows, h0, _DRAW_CELLS)
+    blocks = _blocks(n_rows, h0, dataset._DRAW_BLOCK)
     draws = _scratch("draws", (blocks[0].stop * h0 if blocks else 0,), np.uint64)
     least = _least_draw(arch.dropout_rate)
     for t, key in enumerate(keys):
@@ -503,7 +491,8 @@ def _adapted_stacks(theta: ModelParams, pool: LabeledDataset, episodes: list[Epi
                     cfg: MamlConfig, stream: int):
     """Adapt theta to episodes drawn from pool, a stack at a time: as many
     episodes as keep cfg's larger set size x widest hidden layer x episodes
-    within _STACK_CELLS. Episode masks are keyed in stream (_mask_key).
+    within _STACK_CELLS. An episode's masks are keyed by (seed,
+    _STREAM_DROPOUT, stream, its task_index).
 
     Yields each stack's episodes, inner path (inner_adapt), mask keys (step
     s's masks are dropout_mask(arch, n, keys, s) again), and its support and
@@ -524,7 +513,7 @@ def _adapted_stacks(theta: ModelParams, pool: LabeledDataset, episodes: list[Epi
         Xq = _gather(pool.features, query, "query", dtype)
         ys, yq = pool.labels[support], pool.labels[query]
         thetas = np.broadcast_to(theta.values, (len(stack), theta.values.shape[0]))
-        keys = [_mask_key(cfg.seed, stream, ep.task_index) for ep in stack]
+        keys = [(cfg.seed, _STREAM_DROPOUT, stream, ep.task_index) for ep in stack]
         path = inner_adapt(
             ModelParams._trusted(thetas, arch), Xs, ys, cfg.alpha, cfg.inner_steps, keys
         )

@@ -129,6 +129,27 @@ def min_max_scaled(features, lo, hi):
     return np.array(rows, dtype=np.float32).reshape(len(rows), len(lo))
 
 
+# --------------------------------------------------------------------- cfsgb
+
+def loop_chunks(n, p, q):
+    """CFSGB's row chunks as (start, stop) pairs, one window at a time:
+    length l = round(p * n) and overlap round(q * l), both rounded half up,
+    each window starting a stride l - overlap after the last, until one
+    stops at n; None where l or the stride is below 1."""
+    l = math.floor(p * n + 0.5)
+    stride = l - math.floor(q * l + 0.5)
+    if l < 1 or stride < 1:
+        return None
+    chunks = []
+    start = 0
+    while True:
+        stop = min(start + l, n)
+        chunks.append((start, stop))
+        if stop == n:
+            return chunks
+        start += stride
+
+
 # ----------------------------------------------------------------- generator
 
 GAMMA = 0x9E3779B97F4A7C15

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from melemad import cfsgb, cli, dataset, gbdt
 from melemad.errors import EmptySelection, ValidationError
+from oracles import loop_chunks
 
 FAST_GBDT = gbdt.GbdtConfig(n_trees=10, max_depth=2, min_samples_leaf=2)
 
@@ -22,8 +23,7 @@ class TestMakeChunks:
     def test_hand_enumerated_overlap(self):
         # n=10, p=0.4 -> l=4; q=0.5 -> overlap 2, stride 2
         chunks = cfsgb.make_chunks(10, cfsgb.ChunkSpec(p=0.4, q=0.5))
-        assert [(c.start, c.stop) for c in chunks] == [(0, 4), (2, 6), (4, 8), (6, 10)]
-        assert [c.index for c in chunks] == [0, 1, 2, 3]
+        assert chunks == [slice(0, 4), slice(2, 6), slice(4, 8), slice(6, 10)]
 
     def test_no_overlap_disjoint(self):
         chunks = cfsgb.make_chunks(10, cfsgb.ChunkSpec(p=0.3, q=0.0))
@@ -34,7 +34,7 @@ class TestMakeChunks:
         # l = 20 divides n = 100 exactly: k = floor(n/l) = 5
         chunks = cfsgb.make_chunks(100, cfsgb.ChunkSpec(p=0.20, q=0.0))
         assert len(chunks) == 5
-        assert chunks[0].size == 20
+        assert chunks[0].stop - chunks[0].start == 20
 
     def test_degenerate_stride(self):
         # l=4, q=0.9 -> overlap rounds to 4, stride 0
@@ -58,8 +58,8 @@ class TestMakeChunks:
         except ValidationError as err:
             assert "rounds to zero" in str(err)
             return
-        assert chunks[0].size == dataset._half_up(p * n)
-        assert all(c.size <= n for c in chunks)
+        assert chunks[0].stop - chunks[0].start == dataset._half_up(p * n)
+        assert all(c.stop - c.start <= n for c in chunks)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
@@ -87,6 +87,19 @@ class TestMakeChunks:
         if len(chunks) > 2:
             strides = {b.start - a.start for a, b in zip(chunks[:-2], chunks[1:-1])}
             assert len(strides) == 1
+
+    @given(st.integers(1, 2000), st.floats(0.0, 1.0, exclude_min=True),
+           st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=500, deadline=None)
+    def test_slices_match_the_window_loop(self, n, p, q):
+        spec = cfsgb.ChunkSpec(p=p, q=q)
+        expected = loop_chunks(n, p, q)
+        if expected is None:
+            with pytest.raises(ValidationError):
+                cfsgb.make_chunks(n, spec)
+            return
+        chunks = cfsgb.make_chunks(n, spec)
+        assert [(c.start, c.stop, c.step) for c in chunks] == [(a, b, None) for a, b in expected]
 
 
 class TestThresholdSelect:
@@ -232,8 +245,8 @@ class TestRunCfsgb:
 
 def chunk_importances(ds, spec):
     return [
-        gbdt.feature_importance(gbdt.train(ds.select_rows(slice(c.start, c.stop)), FAST_GBDT))
-        for c in cfsgb.make_chunks(ds.n, spec)
+        gbdt.feature_importance(gbdt.train(ds.select_rows(rows), FAST_GBDT))
+        for rows in cfsgb.make_chunks(ds.n, spec)
     ]
 
 
@@ -293,8 +306,8 @@ class TestSelectionPersistence:
         np.testing.assert_array_equal(back["global_indices"], selected.global_indices)
         assert back["threshold"] == selected.threshold_used
         assert len(back["per_chunk"]) == len(selected.per_chunk)
-        for x, y in zip(back["per_chunk"], selected.per_chunk):
-            assert x["chunk"] == y.chunk_index
+        for i, (x, y) in enumerate(zip(back["per_chunk"], selected.per_chunk)):
+            assert x["chunk"] == i
             np.testing.assert_array_equal(x["indices"], y.indices)
             np.testing.assert_allclose(x["scores"], y.scores)
 
@@ -307,8 +320,7 @@ def saved_bin(tmp_path, n, m, seed):
 
 
 def selection_bytes(selected, projected, report):
-    per_chunk = [(sel.chunk_index, sel.indices.tobytes(), sel.scores.tobytes())
-                 for sel in selected.per_chunk]
+    per_chunk = [(sel.indices.tobytes(), sel.scores.tobytes()) for sel in selected.per_chunk]
     return (selected.global_indices.tobytes(), per_chunk, repr(selected.threshold_used),
             projected.features.dtype, projected.features.tobytes(), projected.labels.tobytes(),
             report)
@@ -329,7 +341,7 @@ class TestBinaryRows:
         # a block with a remainder of three
         path = saved_bin(tmp_path, n, 9, seed=n)
         spec = cfsgb.ChunkSpec(p=p, q=q)
-        assert [c.size for c in cfsgb.make_chunks(n, spec)] == sizes
+        assert [c.stop - c.start for c in cfsgb.make_chunks(n, spec)] == sizes
         expected = cfsgb.run_cfsgb(dataset.load_binary(path), spec, FAST_GBDT, top_k=4)
         monkeypatch.setattr(dataset, "_BLOCK_CELLS", block_cells)
         with dataset.BinaryRows(path) as source:

@@ -157,8 +157,8 @@ class TestSelect:
         # where fewer than k do (threshold_for_top_k's fallback)
         ds = dataset.load_csv(data_dir / "synthetic.csv")
         split = np.zeros(ds.m, dtype=bool)
-        for c in cfsgb.make_chunks(ds.n, cfsgb.ChunkSpec(**SMALL_CONFIG["chunking"])):
-            trained = gbdt.train(ds.select_rows(slice(c.start, c.stop)),
+        for rows in cfsgb.make_chunks(ds.n, cfsgb.ChunkSpec(**SMALL_CONFIG["chunking"])):
+            trained = gbdt.train(ds.select_rows(rows),
                                  gbdt.GbdtConfig(**SMALL_CONFIG["gbdt"]))
             split |= gbdt.feature_importance(trained) > 0
         assert len(selection["global_indices"]) == min(5, int(split.sum()))

@@ -132,18 +132,20 @@ class TestForward:
         sd = math.sqrt(cells * rate * (1.0 - rate))
         assert abs(int(keep.sum()) - cells * (1.0 - rate)) <= 5 * sd
 
-    @pytest.mark.parametrize("draw_block", [1, 5, 1 << 12])
-    @pytest.mark.parametrize("cells", [1, 6, 7, 50, 1 << 12, 1 << 20])
-    def test_mask_identical_whatever_the_draw_block(self, monkeypatch, cells, draw_block):
-        # one row or several to a block of rows, a block cut mid-row by the
-        # generator's own blocks or not, all against the per-cell oracle
+    @pytest.mark.parametrize("then", [1, 5, 1 << 12])
+    @pytest.mark.parametrize("first", [1, 6, 7, 50, 1 << 12, 1 << 20])
+    def test_mask_identical_whatever_the_draw_block(self, monkeypatch, first, then):
+        # one row to a block of rows, hashed part of a row at a time (1, 5)
+        # or whole (6, 7), several rows (50) or every row (4096, 1 << 20);
+        # drawn at one block and again at another, which finds the buffers
+        # at the first one's size, each time against the per-cell oracle
         arch = maml.MlpArchitecture(input_dim=4, hidden_dims=(6, 3), dropout_rate=0.3)
-        monkeypatch.setattr(maml, "_DRAW_CELLS", cells)
-        monkeypatch.setattr(dataset, "_DRAW_BLOCK", draw_block)
         keys = [(8, 2, 1, t) for t in range(3)]
-        keep = maml.dropout_mask(arch, 23, keys, 4)
-        for t, key in enumerate(keys):
-            assert keep[t].tolist() == reference_mask(arch, 23, key, 4).tolist()
+        expected = [reference_mask(arch, 23, key, 4).tolist() for key in keys]
+        for draw_block in (first, then):
+            monkeypatch.setattr(dataset, "_DRAW_BLOCK", draw_block)
+            keep = maml.dropout_mask(arch, 23, keys, 4)
+            assert [mask.tolist() for mask in keep] == expected
 
     def test_dropout_changes_training_output_only(self):
         no_dropout = maml.MlpArchitecture(input_dim=4, hidden_dims=(8, 3), dropout_rate=0.0)
@@ -1099,7 +1101,7 @@ class TestOneBufferPass:
         # the dropout draws: one block of rows, hashed at a time
         draws = [(tag, buf.nbytes) for (tag, dtype), buf in maml._SCRATCH.items()
                  if dtype == np.uint64]
-        assert [tag for tag, _ in draws] == ["draws"] and draws[0][1] <= 8 * maml._DRAW_CELLS
+        assert [tag for tag, _ in draws] == ["draws"] and draws[0][1] <= 8 * dataset._DRAW_BLOCK
 
     def test_first_order_holds_one_keep_buffer(self, monkeypatch):
         monkeypatch.setattr(maml, "_SCRATCH", {})
